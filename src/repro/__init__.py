@@ -21,6 +21,7 @@ from repro.sim.config import (
     ResilienceConfig,
     SimulationConfig,
 )
+from repro.sim.engine import DeadlockError
 from repro.sim.invariants import InvariantError, InvariantViolation
 from repro.sim.simulator import NetworkSimulator, make_protocol, run_config
 from repro.sim.stats import RunResult, repeat_until_confident
@@ -31,6 +32,7 @@ __version__ = "1.0.0"
 __all__ = [
     "ChaosCampaignResult",
     "ChaosSpec",
+    "DeadlockError",
     "DuatoProtocol",
     "FaultConfig",
     "FaultState",

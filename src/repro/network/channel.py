@@ -76,11 +76,7 @@ class VirtualChannel:
         #: Owning message id while reserved (``None`` when free).
         self.owner: Optional[int] = None
         #: Total times this VC won physical-channel arbitration
-        #: (utilization statistic).  Both data-phase implementations —
-        #: the object walk and the SoA kernel (DESIGN.md §12) — credit
-        #: this eagerly at the moment the flit crosses, in the same
-        #: deterministic commit order, so a mid-run switch between them
-        #: never skews utilization numbers.
+        #: (utilization statistic).
         self.grants = 0
         #: State-change notification for the event-driven engine:
         #: called with the channel id on every release, no matter which

@@ -90,7 +90,6 @@ from repro.network.channel import ChannelBank
 from repro.network.link import ControlQueue, RoundRobinArbiter
 from repro.network.topology import KAryNCube
 from repro.routing.base import Action, RoutingContext
-from repro.sim import kernel as flit_kernel
 from repro.sim import postmortem
 from repro.sim.config import SimulationConfig
 from repro.sim.invariants import InvariantAuditor, InvariantError
@@ -300,8 +299,10 @@ class Engine:
         self.data_flits_moved = 0
         #: Data flits handed to a PE over an ejection port.
         self.flits_ejected = 0
-        #: Cycles whose data phase ran through the SoA kernel (rather
-        #: than falling back to the object walk).
+        #: Always 0.  ``benchmarks/perf`` (frozen by ``BENCHMARK.json``)
+        #: still reads this counter of the removed SoA kernel (DESIGN.md
+        #: §12); only the next ``benchmark`` PR can drop it, together
+        #: with the ``kernel.cycles`` / ``kernel.cycle_share`` metrics.
         self.kernel_cycles = 0
         #: Routing-protocol ``decide`` invocations (header decisions).
         self.header_decisions = 0
@@ -357,8 +358,6 @@ class Engine:
         #: MMBP for bursty workloads — see repro.sim.traffic).  One
         #: trial slot per healthy node per cycle, cycle-major.
         self.injection = make_injection_process(config, self.rng)
-        #: Per-cycle scratch: node -> {msg_id: Message} ready to eject.
-        self._eject_ready: Dict[int, Dict[int, Message]] = {}
         #: Gate-state updates from control flits arriving this cycle;
         #: applied after the data phase so that an acknowledgment
         #: registered at the end of cycle t opens a data gate in cycle
@@ -385,32 +384,16 @@ class Engine:
         self._ch_src: List[int] = [
             self.topology.channel(ch).src for ch in range(num_ch)
         ]
-        #: SoA flit-transport kernel (DESIGN.md §12): the data phase
-        #: batches its candidate predicate over flat int64 buffers and
-        #: commits through a compact ordered applier.  Byte-identical
-        #: to the object walk, which stays available as the oracle
-        #: (``data_kernel`` off, low-occupancy cycles, or paths too
-        #: long for the bitmask width).
-        self._kern: Optional[flit_kernel.DataKernel] = (
-            flit_kernel.DataKernel(self)
-            if config.data_kernel and flit_kernel.HAVE_NUMPY else None
-        )
-        #: Whether release notifications / resident counts are wired.
-        #: Sticky: survives the kernel disabling itself mid-run (the
-        #: notify callback cannot be unregistered consistently, so the
-        #: counters keep both sides).
-        self._resident_track = self._ev or self._kern is not None
-        if self._resident_track:
+        if self._ev:
             self.channels.set_release_notify(self._note_release)
         #: Reserved-VC count per physical channel.  A channel with
         #: exactly one reserved VC can have at most one data-movement
         #: candidate this cycle (wormhole: one message per VC), so that
-        #: candidate wins arbitration unopposed — the event path (and
-        #: the kernel applier) then moves the flit inline during the
-        #: scan instead of routing it through the per-channel candidate
-        #: buckets.  Maintained when the event engine or the kernel is
-        #: on (reserve increments, the release notification
-        #: decrements).
+        #: candidate wins arbitration unopposed — the event path then
+        #: moves the flit inline during the scan instead of routing it
+        #: through the per-channel candidate buckets.  Maintained only
+        #: when the event engine is on (reserve increments, the release
+        #: notification decrements).
         self._ch_resident: List[int] = [0] * num_ch
         #: Launch-phase attention set: nodes whose injection-queue head
         #: may act this cycle (new arrival, head finished injecting,
@@ -641,18 +624,13 @@ class Engine:
         return not self.active and self.channels.all_free()
 
     def sync_data_state(self) -> None:
-        """Make object-level pipeline state (``buffered``/``crossed``/
-        ``vc.grants``) current for every message.
+        """Does nothing: the object lists are always current.
 
-        The SoA kernel keeps the object lists authoritative (its
-        mirror is derived bitmask state), so today this is a no-op
-        pass-through; consumers that walk the object lists (auditor,
-        postmortem, traces, results, tests) still call it first so
-        they stay correct if the data phase ever defers object
-        updates again.
+        Kept only because ``benchmarks/perf/layers.py`` (frozen by
+        ``BENCHMARK.json``) binds this name as a public hook and fails
+        without it; the next ``benchmark`` PR removes it together with
+        the hook's timing metric.
         """
-        if self._kern is not None:
-            self._kern.sync_all()
 
     def _note_release(self, channel_id: int) -> None:
         """VC release notification (every release funnels through here).
@@ -687,8 +665,6 @@ class Engine:
             msg.header_phase = HeaderPhase.PENDING
             self.active[msg.msg_id] = msg
             self.pending[msg.msg_id] = msg
-            if self._kern is not None:
-                self._kern.attach(msg)
         return msg
 
     # ==================================================================
@@ -889,10 +865,7 @@ class Engine:
         # The path grows a position and the head gate state changes:
         # the data pipeline may have new work.
         msg.dm_quiet = False
-        kern = self._kern
-        if kern is not None:
-            kern.touch(msg)
-        if self._resident_track:
+        if self._ev:
             self._ch_resident[vc.channel_id] += 1
         k = decision.k
         if self.protocol.flow_control.kind is FlowControlKind.PCS:
@@ -946,8 +919,6 @@ class Engine:
         # clear it.
         msg.backtrack_lock = j - 1
         msg.dm_quiet = False
-        if self._kern is not None:
-            self._kern.touch(msg)
         self.pending.pop(msg.msg_id, None)
         self._progress = True
         reverse_ch = self.topology.reverse_channel_id(
@@ -1079,8 +1050,6 @@ class Engine:
         # the head data gate may have opened (possibly into ejection).
         msg.parked = False
         msg.dm_quiet = False
-        if self._kern is not None:
-            self._kern.touch(msg)
         msg.header_router = p
         msg.header_phase = HeaderPhase.PENDING
         self.protocol.on_arrival(self.ctx, msg)
@@ -1135,11 +1104,6 @@ class Engine:
             return
         msg.parked = False
         msg.dm_quiet = False
-        kern = self._kern
-        if kern is not None:
-            # The pop below reshapes the path lists; the row resyncs
-            # from them on the next kernel cycle.
-            kern.touch(msg)
         msg.backtrack_lock = -1
         popped_vc = msg.path[-1]
         dim, direction = msg.arrival_dims[-1]
@@ -1207,15 +1171,12 @@ class Engine:
 
     def _apply_staged_gate_updates(self) -> None:
         """Commit this cycle's acknowledgment effects (end-of-cycle)."""
-        kern = self._kern
         if self._staged_acks:
             for msg, p, delta in self._staged_acks:
                 if p < len(msg.acks_at):
                     msg.acks_at[p] += delta
                 # A gate input changed: the data pipeline may move now.
                 msg.dm_quiet = False
-                if kern is not None:
-                    kern.touch(msg)
             self._staged_acks.clear()
         if self._staged_path:
             for msg, p, establish in self._staged_path:
@@ -1224,8 +1185,6 @@ class Engine:
                 if establish:
                     msg.path_established = True
                 msg.dm_quiet = False
-                if kern is not None:
-                    kern.touch(msg)
             self._staged_path.clear()
 
     # ---------------- teardown token arrivals --------------------------
@@ -1282,8 +1241,6 @@ class Engine:
         if vc.owner == msg.msg_id:
             vc.release()
         msg.released[idx] = True
-        if self._kern is not None:
-            self._kern.on_release(msg, idx)
 
     def _kill_buffer(self, msg: Message, idx: int) -> None:
         if 0 <= idx < len(msg.buffered) and msg.buffered[idx]:
@@ -1299,9 +1256,6 @@ class Engine:
         """A dynamic fault severed ``msg``'s path at link ``fail_idx``."""
         if msg.teardown or msg.is_terminal():
             return
-        if self._kern is not None:
-            # The message leaves the data phase: free its row.
-            self._kern.drop(msg)
         msg.teardown = True
         msg.teardown_reason = "fault"
         self.teardown_counts["fault"] = (
@@ -1342,8 +1296,6 @@ class Engine:
     def _teardown(self, msg: Message, reason: str, from_router: int) -> None:
         if msg.teardown or msg.is_terminal():
             return
-        if self._kern is not None:
-            self._kern.drop(msg)
         msg.teardown = True
         msg.teardown_reason = reason
         self.teardown_counts[reason] = (
@@ -1433,23 +1385,12 @@ class Engine:
     # Phase 4: data movement
     # ==================================================================
     def _phase_data_movement(self, used_by_control: Set[int]) -> None:
-        kern = self._kern
-        if kern is not None and kern.data_phase(used_by_control):
-            self.kernel_cycles += 1
-            return
-        self._walk_data_movement(used_by_control)
-
-    def _walk_data_movement(self, used_by_control: Set[int]) -> None:
-        """The object-walk data phase — the kernel's equivalence
-        oracle, and the live path for low-occupancy cycles, runs with
-        ``data_kernel`` off, and paths beyond the kernel's mask width.
-        """
         depth = self._depth
         ev = self._ev
         # channel id -> [(vc index, message, position, is_last, vc), ...]
         candidates: Dict[int, List[tuple]] = {}
+        # node -> {msg_id: Message} ready to eject this cycle.
         eject_ready: Dict[int, Dict[int, Message]] = {}
-        self._eject_ready = eject_ready
         active_status = MessageStatus.ACTIVE
         delivered_phase = HeaderPhase.DELIVERED
         inline_header = self._inline_header
@@ -1665,7 +1606,7 @@ class Engine:
         # flit that arrived this cycle may eject this cycle (cut-through
         # ejection port), which makes idle-network latency match the
         # Section 2.2 formulas exactly.
-        for node, msgs in self._eject_ready.items():
+        for node, msgs in eject_ready.items():
             self._eject_one(node, msgs)
 
     def _inline_header_arrived(self, msg: Message, router_idx: int) -> None:
@@ -1810,8 +1751,6 @@ class Engine:
                 head.header_phase = pending_phase
                 self.active[head.msg_id] = head
                 self.pending[head.msg_id] = head
-                if self._kern is not None:
-                    self._kern.attach(head)
                 self._progress = True
                 break
             if not queue:
@@ -1847,8 +1786,6 @@ class Engine:
         count_killed: bool = False,
         superseded: bool = False,
     ) -> None:
-        if self._kern is not None:
-            self._kern.drop(msg)
         if count_delivered:
             self.delivered_messages += 1
         if count_dropped:

@@ -123,7 +123,7 @@ class Message:
         "wait_cycles", "consecutive_waits", "original_id", "retransmits",
         "tail_acked", "teardown", "teardown_reason",
         "parked", "park_node", "park_ver", "park_epoch", "wake_at",
-        "dm_quiet", "kern_row",
+        "dm_quiet",
     )
 
     def __init__(self, msg_id: int, src: int, dst: int, length: int,
@@ -236,11 +236,6 @@ class Message:
         self.park_epoch = 0
         self.wake_at = 0
         self.dm_quiet = False
-        #: Row index in the SoA flit-transport kernel's arrays while the
-        #: message is ACTIVE and attached (-1 otherwise); while attached
-        #: the kernel's buffers — not ``buffered``/``crossed`` — hold
-        #: the live occupancy (see repro.sim.kernel.DataKernel).
-        self.kern_row = -1
 
     # ------------------------------------------------------------------
     # Derived views

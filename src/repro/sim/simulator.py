@@ -66,6 +66,11 @@ class NetworkSimulator:
 
     def __init__(self, config: SimulationConfig,
                  protocol=None, rng: Optional[random.Random] = None):
+        if config.measure_cycles < 1:
+            raise ValueError(
+                "measure_cycles must be >= 1: a NetworkSimulator run is "
+                "summarized over its measurement window"
+            )
         self.config = config
         self.rng = rng if rng is not None else random.Random(config.seed)
         self.topology = KAryNCube(config.k, config.n)
@@ -157,9 +162,6 @@ class NetworkSimulator:
         return self.results()
 
     def results(self) -> RunResult:
-        # Settle lazily-committed VC grant credits and reconstruct
-        # object-level occupancy before summarizing.
-        self.engine.sync_data_state()
         return summarize(self.engine, self.config.warmup_cycles)
 
 

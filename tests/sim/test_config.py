@@ -8,6 +8,7 @@ from repro.sim.config import (
     SimulationConfig,
     paper_scale,
 )
+from repro.sim.simulator import NetworkSimulator
 
 
 class TestValidation:
@@ -32,6 +33,26 @@ class TestValidation:
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):
             SimulationConfig(buffer_depth=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("warmup_cycles", -5),
+        ("measure_cycles", -1),
+        ("drain_cycles", -1),
+        ("watchdog_cycles", 0),
+    ])
+    def test_rejects_bad_run_control(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig().with_(**{field: value})
+
+    def test_simulator_rejects_empty_window_at_construction(self):
+        """A hand-driven Engine may have no measurement window; a
+        NetworkSimulator run is summarized over one, so it must refuse
+        before simulating anything rather than after warm-up + drain."""
+        cfg = SimulationConfig(k=4, n=2, measure_cycles=0)
+        with pytest.raises(ValueError, match="measure_cycles"):
+            NetworkSimulator(cfg)
 
 
 class TestWith:

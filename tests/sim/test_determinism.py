@@ -26,12 +26,6 @@ switch: every pinned config runs with the ready-set scheduler forced on
 and forced off at each fast-forward setting, and the four paths must be
 byte-identical — the brute-force scans are the oracle the event paths
 are measured against.
-
-The SoA flit-transport kernel (``SimulationConfig.data_kernel``,
-DESIGN.md §12) closes the matrix: every pinned config runs with the
-kernel forced on and forced off at each (event engine, fast-forward)
-setting — the object walk is the kernel's oracle — including the
-chaos-hooked scenario and composition through ``parallel.run_configs``.
 """
 
 import dataclasses
@@ -70,20 +64,6 @@ def run_ev_pair(cfg: SimulationConfig, fast_forward: bool = True):
     off = NetworkSimulator(
         cfg.with_(event_engine=False, fast_forward=fast_forward)
     ).run()
-    return on, off
-
-
-def run_dk_pair(cfg: SimulationConfig, event_engine: bool = True,
-                fast_forward: bool = True):
-    """The same config with the SoA data kernel forced on and off."""
-    on = NetworkSimulator(cfg.with_(
-        data_kernel=True, event_engine=event_engine,
-        fast_forward=fast_forward,
-    )).run()
-    off = NetworkSimulator(cfg.with_(
-        data_kernel=False, event_engine=event_engine,
-        fast_forward=fast_forward,
-    )).run()
     return on, off
 
 
@@ -371,8 +351,7 @@ def test_traffic_patterns_exercise_skip_path(traffic, params):
     assert sim.engine.fast_forwarded_cycles > 0
 
 
-def _chaos_hooked_run(fast_forward: bool, event_engine: bool = True,
-                      data_kernel: bool = True):
+def _chaos_hooked_run(fast_forward: bool, event_engine: bool = True):
     """One chaos-hooked simulation; returns (RunResult, controller)."""
     cfg = SimulationConfig(
         k=6, n=2, protocol="tp", offered_load=0.05, message_length=8,
@@ -380,7 +359,6 @@ def _chaos_hooked_run(fast_forward: bool, event_engine: bool = True,
         seed=7, watchdog_cycles=120, max_header_wait=6000,
         resilience=ResilienceConfig(audit_invariants=True, audit_every=20),
         fast_forward=fast_forward, event_engine=event_engine,
-        data_kernel=data_kernel,
     )
     sim = NetworkSimulator(cfg)
     engine = sim.engine
@@ -544,70 +522,5 @@ def test_parallel_run_configs_event_engine_reconfig_composition():
         [base.with_(seed=s, event_engine=False) for s in seeds], jobs=1
     )
     assert any(r.reconfigurations > 0 for r in on)
-    for a, b in zip(on, off):
-        assert_identical(a, b)
-
-
-# ======================================================================
-# SoA flit-transport kernel: data_kernel on vs the object-walk oracle,
-# crossed with the event-engine and fast-forward switches (DESIGN.md
-# §12 — the kernel's byte-identity acceptance bar).
-# ======================================================================
-@pytest.mark.parametrize("ff", [True, False], ids=["ff-on", "ff-off"])
-@pytest.mark.parametrize("ev", [True, False], ids=["ev-on", "ev-off"])
-@pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
-def test_data_kernel_on_off_identical(name, ev, ff):
-    """The kernel may reorder work internally but never its effects:
-    every pinned config must produce a byte-identical RunResult with
-    the SoA data phase on and off, at every scheduler setting."""
-    on, off = run_dk_pair(
-        PINNED_CONFIGS[name](), event_engine=ev, fast_forward=ff
-    )
-    assert_identical(on, off)
-
-
-def test_data_kernel_actually_engages():
-    """A loaded run must actually execute kernel cycles — otherwise
-    the on/off matrix only proves the fallback path works."""
-    cfg = _protocol_cfg("tp", {"k_unsafe": 0}).with_(
-        offered_load=0.25, data_kernel=True
-    )
-    sim = NetworkSimulator(cfg)
-    sim.run()
-    assert sim.engine.kernel_cycles > 0, (
-        "the SoA kernel never ran a data phase"
-    )
-    # The low-occupancy fallback must engage too: idle stretches stay
-    # on the object walk.
-    assert sim.engine.kernel_cycles < sim.engine.cycle
-
-
-def test_chaos_hook_data_kernel_identical():
-    """Chaos-driven teardown bursts must leave kernel rows and object
-    lists agreeing — same victims, same RunResult, with and without
-    the SoA data phase."""
-    on_result, on_ctrl = _chaos_hooked_run(True, data_kernel=True)
-    off_result, off_ctrl = _chaos_hooked_run(True, data_kernel=False)
-    assert on_ctrl.faults_injected == off_ctrl.faults_injected
-    assert on_ctrl.triggers_hit == off_ctrl.triggers_hit
-    assert on_ctrl.faults_injected > 0
-    assert_identical(on_result, off_result)
-
-
-def test_parallel_run_configs_data_kernel_composition():
-    """Workers replaying kernel-on configs must equal a serial
-    object-walk campaign — numpy state is rebuilt per process and may
-    not leak into results."""
-    base = SimulationConfig(
-        k=5, n=2, protocol="tp", offered_load=0.12, message_length=8,
-        warmup_cycles=100, measure_cycles=500, drain_cycles=1500,
-    )
-    seeds = (1, 2, 3)
-    on = run_configs(
-        [base.with_(seed=s, data_kernel=True) for s in seeds], jobs=2
-    )
-    off = run_configs(
-        [base.with_(seed=s, data_kernel=False) for s in seeds], jobs=1
-    )
     for a, b in zip(on, off):
         assert_identical(a, b)

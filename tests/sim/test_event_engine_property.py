@@ -1,6 +1,6 @@
-"""Property tests for the event-driven engine core (DESIGN.md §11-12).
+"""Property tests for the event-driven engine core (DESIGN.md §11).
 
-Three families, pinned with hypothesis:
+Two families, pinned with hypothesis:
 
 * **ready-set membership** — the event engine's claim is that every
   item it leaves out of a ready set (a ``dm_quiet`` message, a
@@ -11,13 +11,10 @@ Three families, pinned with hypothesis:
   faults (the state mutations: epoch bumps, teardowns, kill flits) and
   their full observable state is compared after every cycle.  A
   message wrongly resting in a ready set diverges the very next cycle.
-* **data-kernel equivalence** — the SoA flit-transport kernel
-  (``data_kernel``, DESIGN.md §12) rides the same lockstep: the
-  hypothesis property crosses it into the engine pair, and a pinned
-  teardown-heavy chaos-gridlock scenario drives the kernel through
-  deadlock-recovery victim ejection and reconfiguration epoch bumps —
-  the paths where its row lifecycle (attach/touch/drop/resync) is
-  hardest.
+  A pinned teardown-heavy chaos-gridlock scenario drives the same
+  lockstep through deadlock-recovery victim ejection and
+  reconfiguration epoch bumps — the paths where the wake and re-arm
+  notifications are hardest to get right.
 * **sorted-set order** — the incrementally maintained
   :class:`_SortedIntSet` (which replaced the per-cycle
   ``sorted(self._busy_queues)`` in the launch phase) must present
@@ -138,11 +135,10 @@ def _engine_state(engine):
     load=st.sampled_from([0.05, 0.12, 0.22, 0.32]),
     seed=st.integers(0, 30),
     dynamic_faults=st.integers(0, 3),
-    data_kernel=st.booleans(),
 )
 @settings(max_examples=30)
 def test_ready_sets_match_brute_force_lockstep(
-    protocol, load, seed, dynamic_faults, data_kernel
+    protocol, load, seed, dynamic_faults
 ):
     """Cycle-for-cycle, the event engine equals the brute-force scan.
 
@@ -150,10 +146,6 @@ def test_ready_sets_match_brute_force_lockstep(
     could move, a parked header whose decision changed without a wake,
     an unattended launchable queue — shows up as a state divergence on
     the first cycle the brute-force engine acts on the skipped item.
-    The ``data_kernel`` cross runs the event engine's data phase
-    through the SoA kernel while the oracle keeps the object walk, so
-    a stale kernel row (a missed touch/resync after a path mutation)
-    diverges the same way.
     """
     cfg = SimulationConfig(
         k=5, n=2, protocol=protocol,
@@ -165,19 +157,15 @@ def test_ready_sets_match_brute_force_lockstep(
             dynamic_faults=dynamic_faults, dynamic_start=20
         ),
     )
-    ev = NetworkSimulator(
-        cfg.with_(event_engine=True, data_kernel=data_kernel)
-    ).engine
-    bf = NetworkSimulator(
-        cfg.with_(event_engine=False, data_kernel=False)
-    ).engine
+    ev = NetworkSimulator(cfg.with_(event_engine=True)).engine
+    bf = NetworkSimulator(cfg.with_(event_engine=False)).engine
     for cycle in range(1, cfg.total_cycles + 200):
         ev.step()
         bf.step()
         assert _engine_state(ev) == _engine_state(bf), (
             f"event/brute-force divergence at cycle {cycle} "
             f"(protocol={protocol}, load={load}, seed={seed}, "
-            f"dyn={dynamic_faults}, kernel={data_kernel})"
+            f"dyn={dynamic_faults})"
         )
     # That the skip paths genuinely engage (so this comparison proves
     # membership, not vacuity) is pinned separately by
@@ -186,25 +174,25 @@ def test_ready_sets_match_brute_force_lockstep(
 
 
 # ======================================================================
-# SoA data kernel vs the object walk under maximum lifecycle pressure
+# Event engine vs brute force under maximum lifecycle pressure
 # ======================================================================
-def _gridlock_reconfig_cfg(data_kernel: bool) -> SimulationConfig:
+def _gridlock_reconfig_cfg(event_engine: bool) -> SimulationConfig:
     """Deadlock-prone gridlock with chaos faults and reconfiguration.
 
     Dimension-order routing without the dateline gridlocks at this
     load, so the watchdog fires and deadlock recovery ejects victims;
     chaos bursts tear paths down mid-flight; the recovery pressure
     then pushes the reconfiguration controller through its
-    drain/commit cycle, bumping restriction epochs.  Every kernel row
-    lifecycle edge — attach, teardown drop, victim ejection, resync
-    after a reconfig-frozen header re-decides — runs in one scenario.
+    drain/commit cycle, bumping restriction epochs.  Every ready-set
+    lifecycle edge — launch, teardown, victim ejection, a
+    reconfig-frozen header re-deciding — runs in one scenario.
     """
     return SimulationConfig(
         k=6, n=2, protocol="det", protocol_params={"dateline": False},
         offered_load=0.30, message_length=16,
         warmup_cycles=100, measure_cycles=800, drain_cycles=0,
         seed=3, watchdog_cycles=120, max_header_wait=6000,
-        data_kernel=data_kernel,
+        event_engine=event_engine,
         resilience=ResilienceConfig(
             reconfig=True, reconfig_check_every=16,
             reconfig_window=256, reconfig_threshold=2,
@@ -214,12 +202,13 @@ def _gridlock_reconfig_cfg(data_kernel: bool) -> SimulationConfig:
     )
 
 
-def test_kernel_walk_lockstep_chaos_gridlock():
-    """Kernel and walk stay state-identical through victim ejection,
-    chaos teardown bursts, and reconfiguration epoch bumps."""
+def test_event_brute_force_lockstep_chaos_gridlock():
+    """Event engine and brute-force scans stay state-identical through
+    victim ejection, chaos teardown bursts, and reconfiguration epoch
+    bumps."""
     sims = []
-    for dk in (True, False):
-        sim = NetworkSimulator(_gridlock_reconfig_cfg(dk))
+    for event_engine in (True, False):
+        sim = NetworkSimulator(_gridlock_reconfig_cfg(event_engine))
         sim.engine.dynamic_schedule = DynamicFaultSchedule()
         controller = ChaosController(
             sim.engine.dynamic_schedule,
@@ -229,44 +218,44 @@ def test_kernel_walk_lockstep_chaos_gridlock():
             node_fault_fraction=0.5,
         )
         sims.append((sim, controller))
-    (kern, kern_chaos), (walk, walk_chaos) = sims
-    total = kern.config.total_cycles
+    (ev, ev_chaos), (bf, bf_chaos) = sims
+    total = ev.config.total_cycles
     for cycle in range(1, total + 1):
         for sim, chaos in sims:
             sim.engine.step()
             chaos(sim.engine)
             sim.reconfig(sim.engine)
-        assert _engine_state(kern.engine) == _engine_state(walk.engine), (
-            f"kernel/walk divergence at cycle {cycle}"
+        assert _engine_state(ev.engine) == _engine_state(bf.engine), (
+            f"event/brute-force divergence at cycle {cycle}"
         )
     # Drain phase: traffic off, circular waits stop resolving through
     # fresh aborts, the watchdog expires, and deadlock recovery ejects
-    # victims — the kernel's drop path under maximum pressure.
+    # victims.
     for sim, _ in sims:
         sim.reconfig.finalize(sim.engine)
         sim.engine.traffic_enabled = False
     for cycle in range(4000):
-        if not kern.engine.active and not any(kern.engine.queues):
+        if not ev.engine.active and not any(ev.engine.queues):
             break
         for sim, _ in sims:
             sim.engine.step()
-        assert _engine_state(kern.engine) == _engine_state(walk.engine), (
-            f"kernel/walk divergence during drain cycle {cycle}"
+        assert _engine_state(ev.engine) == _engine_state(bf.engine), (
+            f"event/brute-force divergence during drain cycle {cycle}"
         )
     # The scenario must actually exercise the hard paths — otherwise
     # the lockstep proves nothing about them.
-    assert kern.engine.deadlock_recoveries > 0, (
+    assert ev.engine.deadlock_recoveries > 0, (
         "gridlock never triggered deadlock-recovery victim ejection"
     )
-    assert kern_chaos.faults_injected > 0, (
+    assert ev_chaos.faults_injected > 0, (
         "chaos bursts never landed a fault"
     )
-    assert kern.engine.reconfigurations > 0, (
+    assert ev.engine.reconfigurations > 0, (
         "recovery pressure never committed a reconfiguration"
     )
-    assert kern.engine.teardown_counts.get("fault", 0) > 0, (
+    assert ev.engine.teardown_counts.get("fault", 0) > 0, (
         "chaos faults never tore a path down"
     )
-    assert kern_chaos.faults_injected == walk_chaos.faults_injected
-    assert kern.engine.reconfigurations == walk.engine.reconfigurations
-    assert not kern.engine.active and not walk.engine.active
+    assert ev_chaos.faults_injected == bf_chaos.faults_injected
+    assert ev.engine.reconfigurations == bf.engine.reconfigurations
+    assert not ev.engine.active and not bf.engine.active

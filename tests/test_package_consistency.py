@@ -8,6 +8,8 @@ pinned where the docs say they are.
 
 import importlib
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -85,6 +87,18 @@ def test_public_api_importable():
 
     for name in repro.__all__:
         assert getattr(repro, name, None) is not None, name
+
+
+def test_import_stays_light():
+    """Every ``run_configs`` worker and CLI start pays for ``import
+    repro``; the array library the removed SoA kernel pulled in cost
+    ~130 ms and ~10 MiB there."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import repro, repro.cli, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_benchmarks_cover_every_figure():
