@@ -1,0 +1,147 @@
+"""Alternating parent/change pairs of the repository benchmark.
+
+    python3 benchmarks/ab_pairs.py --parent HEAD~1 [--pairs 10]
+        [--workload fig12-faultfree ...] [--seed 1 5] [--out-dir DIR]
+
+Automates the procedure of ``benchmarks/perf/README.md`` ("Comparing two
+commits"): check the parent revision out with ``git worktree add`` in a
+temporary directory, run ``benchmarks/perf/run.py`` — each side's own,
+unmodified copy — ``--pairs`` times per seed on both sides, alternating
+which side goes first, then hand the ``--out`` files of each seed to
+``benchmarks/perf/compare.py`` in pair order and count the pairs the
+change won (the README's claim rule needs nine tenths of them).
+
+Seeds are compared separately: mixing them would count seed-to-seed
+spread as run-to-run noise.  Without ``--workload`` every run covers all
+four workloads; with a list, each named workload gets its own runs and
+its own comparison.  The change side is the working tree this file
+lives in, as it is on disk.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import subprocess
+import sys
+import tempfile
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+RUN = "benchmarks/perf/run.py"
+COMPARE = "benchmarks/perf/compare.py"
+
+
+def plan(pairs: int, seeds: Sequence[int],
+         workloads: Sequence[Optional[str]],
+         ) -> Iterator[Tuple[int, Optional[str], int, str]]:
+    """Every pair to run, in running order: (seed, workload or ``None``
+    for all, pair index, sides in the order they run).
+
+    Even pairs run the parent (``a``) first, odd pairs the change
+    (``b``), so slow drift of the host hits both sides alike.
+    """
+    for seed in seeds:
+        for workload in workloads:
+            for i in range(pairs):
+                yield seed, workload, i, "ab" if i % 2 == 0 else "ba"
+
+
+def out_path(out_dir: pathlib.Path, seed: int, workload: Optional[str],
+             pair: int, side: str) -> pathlib.Path:
+    return out_dir / f"s{seed}-{workload or 'all'}-p{pair:02d}-{side}.json"
+
+
+def run_argv(seed: int, workload: Optional[str],
+             out: pathlib.Path) -> List[str]:
+    """The benchmark command of ``BENCHMARK.json`` plus one run's options."""
+    argv = [sys.executable, RUN, "--seed", str(seed), "--out", str(out)]
+    if workload is not None:
+        argv += ["--workload", workload]
+    return argv
+
+
+def run_pairs(parent: pathlib.Path, change: pathlib.Path, pairs: int,
+              seeds: Sequence[int], workloads: Sequence[Optional[str]],
+              out_dir: pathlib.Path,
+              run: Callable = subprocess.run) -> List[List[pathlib.Path]]:
+    """Run every planned pair; return one ``compare.py`` argument list
+    (``A1 B1 A2 B2 …``) per (seed, workload)."""
+    roots = {"a": parent, "b": change}
+    groups: dict = {}
+    for seed, workload, i, order in plan(pairs, seeds, workloads):
+        outs = {side: out_path(out_dir, seed, workload, i, side)
+                for side in "ab"}
+        for side in order:
+            print(f"seed {seed} {workload or 'all'} pair {i + 1}/{pairs} "
+                  f"side {side}", flush=True)
+            run(run_argv(seed, workload, outs[side]), cwd=roots[side],
+                check=True, stdout=subprocess.DEVNULL)
+        groups.setdefault((seed, workload), []).extend(outs.values())
+    return list(groups.values())
+
+
+def pairs_won(files: Sequence[pathlib.Path]) -> None:
+    """Per (workload, end-to-end metric): pairs in which the change read
+    better than the parent (ties count for neither)."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    docs = [json.loads(p.read_text())["workloads"] for p in files]
+    for workload in docs[0]:
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            sign = 1 if metric["better"] == "lower" else -1
+            deltas = [
+                sign * (b[workload]["end_to_end"][name]["value"]
+                        - a[workload]["end_to_end"][name]["value"])
+                for a, b in zip(docs[0::2], docs[1::2])
+            ]
+            won = sum(d < 0 for d in deltas)
+            lost = sum(d > 0 for d in deltas)
+            print(f"{workload:<18}{name:<18} change won {won}, lost {lost} "
+                  f"of {len(deltas)} pairs")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, metavar="REV",
+                        help="git revision of the parent side")
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="pairs per seed (default 10)")
+    parser.add_argument("--workload", nargs="+", default=[None],
+                        help="workloads to run one by one (default: all, "
+                             "interleaved inside each run)")
+    parser.add_argument("--seed", nargs="+", type=int, default=[1])
+    parser.add_argument("--out-dir", type=pathlib.Path,
+                        help="where the --out files go (default: a new "
+                             "temporary directory, printed at the end)")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    out_dir = args.out_dir or pathlib.Path(tempfile.mkdtemp(prefix="ab-out-"))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = out_dir.resolve()
+
+    with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
+        parent = pathlib.Path(tmp) / "parent"
+        subprocess.run(["git", "worktree", "add", "--detach", str(parent),
+                        args.parent], cwd=ROOT, check=True)
+        try:
+            groups = run_pairs(parent, ROOT, args.pairs, args.seed,
+                               args.workload, out_dir)
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force",
+                            str(parent)], cwd=ROOT, check=True)
+    status = 0
+    for files in groups:
+        print()
+        status |= subprocess.run(
+            [sys.executable, COMPARE, *map(str, files)], cwd=ROOT
+        ).returncode
+        pairs_won(files)
+    print(f"\nrun files: {out_dir}")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

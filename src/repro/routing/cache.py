@@ -33,6 +33,16 @@ network survives any restriction pattern (Duato-style separation).
 
 Entries are tuples of ``(dim, direction, channel_id, next_node)`` so
 protocol hot loops avoid the ``channel_id``/``channel`` lookups too.
+
+The adaptive and misroute sets depend on the destination only through
+its *direction class* per dimension — no offset, plus, minus, or the
+half-way tie of an even ring — so they are keyed on ``(node, class
+signature, ...)``: at most ``4**n - 1`` entries per node instead of one
+per destination.  The one place that reads ``dst`` itself is the
+final-hop exemption above, so while any channel is restricted the key
+falls back to ``dst`` (decided once per epoch, when the memos are
+empty anyway).  The escape hop also depends on the dateline class and
+stays keyed on ``(node, dst)``.
 """
 
 from __future__ import annotations
@@ -54,19 +64,30 @@ class RouteCache:
     """Epoch-checked memo of fault-filtered routing candidate sets."""
 
     __slots__ = ("topology", "faults", "_epoch", "_adaptive", "_misroute",
-                 "_escape")
+                 "_escape", "_ring_class", "_key_on_dst")
 
     def __init__(self, topology: KAryNCube, faults: FaultState):
         self.topology = topology
         self.faults = faults
         self._epoch = faults.epoch
-        #: (node, dst, require_safe, honor_restrictions) -> Candidates.
+        #: (node, dst class, require_safe, honor_restrictions)
+        #: -> Candidates.
         self._adaptive: Dict[tuple, Tuple[Candidate, ...]] = {}
-        #: (node, dst, arrival, allow_u_turn, honor_restrictions)
+        #: (node, dst class, arrival, allow_u_turn, honor_restrictions)
         #: -> tuple of Candidate.
         self._misroute: Dict[tuple, Tuple[Candidate, ...]] = {}
         #: (node, dst) -> Escape or None; fault-independent, never cleared.
         self._escape: Dict[Tuple[int, int], Optional[Escape]] = {}
+        #: Direction class of a ring offset ``(t - c) % k``; indexed with
+        #: the raw difference ``t - c`` (a negative index wraps the same
+        #: way the ring does): 0 none, 1 plus, 2 minus, 3 half-way tie.
+        k = topology.k
+        self._ring_class = [
+            0 if delta == 0 else 3 if 2 * delta == k
+            else 1 if 2 * delta < k else 2
+            for delta in range(k)
+        ]
+        self._key_on_dst = any(faults.channel_restricted)
 
     def _sync(self) -> None:
         epoch = self.faults.epoch
@@ -74,6 +95,20 @@ class RouteCache:
             self._epoch = epoch
             self._adaptive.clear()
             self._misroute.clear()
+            self._key_on_dst = any(self.faults.channel_restricted)
+
+    def _dst_class(self, node: int, dst: int) -> int:
+        """Everything the adaptive/misroute sets read of ``dst``."""
+        if self._key_on_dst:
+            return dst
+        ring_class = self._ring_class
+        k = len(ring_class)
+        sig = 0
+        for _ in range(self.topology.n):  # base-k digits = coordinates
+            sig = sig * 4 + ring_class[dst % k - node % k]
+            node //= k
+            dst //= k
+        return sig
 
     # ------------------------------------------------------------------
     def adaptive_candidates(
@@ -90,7 +125,8 @@ class RouteCache:
         entry — callers check free VCs live.
         """
         self._sync()
-        key = (node, dst, require_safe, honor_restrictions)
+        key = (node, self._dst_class(node, dst), require_safe,
+               honor_restrictions)
         cached = self._adaptive.get(key)
         if cached is None:
             topo = self.topology
@@ -132,7 +168,8 @@ class RouteCache:
         skips the reconfiguration-restriction filter.
         """
         self._sync()
-        key = (node, dst, arrival, allow_u_turn, honor_restrictions)
+        key = (node, self._dst_class(node, dst), arrival, allow_u_turn,
+               honor_restrictions)
         cached = self._misroute.get(key)
         if cached is None:
             topo = self.topology

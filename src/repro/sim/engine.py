@@ -78,6 +78,7 @@ lets the parallel campaign runner guarantee serial-equivalent results.
 from __future__ import annotations
 
 import random
+import warnings
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from collections import deque
@@ -424,15 +425,23 @@ class Engine:
         quiescent network (``None`` = never again); the fast-forward
         path then skips those calls along with the cycles.  A hook
         without the declaration disables fast-forward for this run —
-        correctness over speed for arbitrary instrumentation.
+        correctness over speed for arbitrary instrumentation — and the
+        run says so with one ``RuntimeWarning``.
         """
         target = self.cycle + cycles
         hook_horizon = None
         fast = self._ff_enabled
-        if on_cycle is not None:
+        if fast and on_cycle is not None:
             hook_horizon = getattr(on_cycle, "next_event_cycle", None)
             if hook_horizon is None:
                 fast = False
+                warnings.warn(
+                    f"on_cycle hook of type {type(on_cycle).__name__} "
+                    "declares no next_event_cycle(engine) -> Optional[int] "
+                    "(the first cycle it can act on a quiescent network, "
+                    "None = never): fast-forward is off for this run()",
+                    RuntimeWarning, stacklevel=2,
+                )
         if not fast:
             while self.cycle < target:
                 self.step()
@@ -1387,8 +1396,11 @@ class Engine:
     def _phase_data_movement(self, used_by_control: Set[int]) -> None:
         depth = self._depth
         ev = self._ev
-        # channel id -> [(vc index, message, position, is_last, vc), ...]
-        candidates: Dict[int, List[tuple]] = {}
+        # channel id -> (message, position, is_last, vc): the channel's
+        # round-robin winner among the candidates seen so far.
+        candidates: Dict[int, tuple] = {}
+        # Channels with more than one candidate (their arbiter advances).
+        contended: List[int] = []
         # node -> {msg_id: Message} ready to eject this cycle.
         eject_ready: Dict[int, Dict[int, Message]] = {}
         active_status = MessageStatus.ACTIVE
@@ -1398,6 +1410,9 @@ class Engine:
         cycle = self.cycle
         resident = self._ch_resident
         attn = self._launch_attn
+        arbiters = self._arbiters
+        num_vcs = self.channels.vcs_per_channel
+        release_link = self._release_link
         moved = 0
 
         for msg in self.active.values():
@@ -1418,13 +1433,13 @@ class Engine:
                 msg.dm_quiet = ev
                 continue
             buffered = msg.buffered
-            head_link = msg.head_link
-            head_move = head_link + 1
+            head_move = msg.head_link + 1
+            last_link = path_len - 1
             # Ejection candidate: path complete at destination with
             # flits waiting in the final buffer.
             if (
                 msg.header_phase is delivered_phase
-                and buffered[path_len - 1] > 0
+                and buffered[last_link] > 0
             ):
                 contributed = True
                 bucket = eject_ready.get(msg.dst)
@@ -1434,38 +1449,27 @@ class Engine:
                     bucket[msg.msg_id] = msg
             else:
                 contributed = False
-            # Crossing positions with a flit ready to move: 0 while
-            # still injecting (crossing path[0]), then t+1 for every
-            # occupied buffer in [tail_idx, head_link].  The scan and
-            # the per-position credit/gate checks are fused into one
-            # pass so no intermediate position list is materialized.
             released = msg.released
             backtrack_lock = msg.backtrack_lock
-            inject = msg.at_source > 0
-            t = msg.tail_idx
-            last_link = path_len - 1
-            # Position an inline move (below) delivered a flit *into*
-            # this scan pass; its occupancy read must see the pre-move
-            # count or the same flit would cross two links in one cycle.
-            moved_into = -1
-            while True:
-                if inject:
-                    inject = False
-                    p = 0
-                else:
-                    if t > head_link:
-                        break
-                    occupied = buffered[t]
-                    if t == moved_into:
-                        occupied -= 1
-                    t += 1
-                    if occupied == 0:
-                        continue
-                    p = t  # the position downstream of old t
-                    if p >= path_len:
-                        continue
-                # No credit (downstream buffer full) or no live link.
-                if buffered[p] >= depth or released[p]:
+            # Crossing position p moves a flit from upstream of path[p]
+            # (the source backlog at p == 0, else buffered[p - 1]) into
+            # buffered[p].  The synchronous update rule is defined on
+            # start-of-cycle occupancies, so the walk reads one slice
+            # copy taken before this message's inline moves: pairwise
+            # (upstream, downstream) from the tail buffer to one past
+            # the head (the slice truncates at the path end).  While
+            # injecting, tail_idx is 0 and the backlog is position 0's
+            # upstream; afterwards the first iteration only loads the
+            # tail buffer's occupancy.
+            p = msg.tail_idx - 1
+            down = msg.at_source
+            for occupancy in buffered[p + 1:head_move + 1]:
+                p += 1
+                up = down
+                down = occupancy
+                # Nothing to send, no credit (downstream buffer full),
+                # or no live link.
+                if up == 0 or down >= depth or released[p]:
                     continue
                 if p == backtrack_lock:
                     continue  # the header is retreating over this link
@@ -1505,7 +1509,7 @@ class Engine:
                 # in-band headers, the head advance (its arrival
                 # appends to ``pending``, whose order is the next
                 # cycle's decision order).  Both still resolve through
-                # the candidate buckets below, in the exact slot the
+                # the candidate table below, in the exact slot the
                 # brute-force path gives them.
                 if (
                     ev
@@ -1513,71 +1517,56 @@ class Engine:
                     and resident[ch] == 1
                     and not (inline_header and p == head_move)
                 ):
+                    buffered[p] += 1
+                    vc.grants += 1
+                    moved += 1
+                    if p == head_move:
+                        msg.head_link = p
                     if p == 0:
                         msg.at_source -= 1
                         if msg.injected_cycle is None:
                             msg.injected_cycle = cycle
                         if msg.at_source == 0:
                             # Last flit left the source: its queue head
-                            # may retire in this cycle's launch phase.
+                            # may retire in this cycle's launch phase,
+                            # and link 0 has carried the whole message.
                             attn.add(msg.src)
+                            if not tail_ack:
+                                release_link(msg, 0)
                     else:
-                        buffered[p - 1] -= 1
-                    buffered[p] += 1
-                    crossed = msg.crossed
-                    crossed[p] += 1
-                    vc.grants += 1
-                    moved += 1
-                    if p == head_move:
-                        msg.head_link = p
-                    if msg.at_source == 0:
-                        tail_idx = msg.tail_idx
-                        hl = msg.head_link
-                        while tail_idx <= hl and buffered[tail_idx] == 0:
-                            tail_idx += 1
-                        msg.tail_idx = tail_idx
-                    if crossed[p] == msg.total_flits and not tail_ack:
-                        self._release_link(msg, p)
-                    moved_into = p
+                        left = buffered[p - 1] - 1
+                        buffered[p - 1] = left
+                        if (left == 0 and p - 1 == msg.tail_idx
+                                and msg.at_source == 0):
+                            # The tail flit crossed path[p].
+                            msg.tail_idx = p
+                            if not tail_ack:
+                                release_link(msg, p)
                     continue
-                entry = (vc.index, msg, p, p == last_link, vc)
-                bucket = candidates.get(ch)
-                if bucket is None:
-                    candidates[ch] = [entry]
-                else:
-                    bucket.append(entry)
+                # One data flit per physical channel: a second candidate
+                # on a channel is arbitrated on the spot — round-robin
+                # rank against the arbiter's pointer, which stays put
+                # until the grant loop is done — and only the winner is
+                # kept, in the slot the channel's first candidate took.
+                holder = candidates.get(ch)
+                if holder is not None:
+                    contended.append(ch)
+                    nxt = arbiters[ch]._next
+                    if (
+                        (holder[3].index - nxt) % num_vcs
+                        < (vc.index - nxt) % num_vcs
+                    ):
+                        continue
+                candidates[ch] = (msg, p, p == last_link, vc)
             if ev and not contributed:
                 msg.dm_quiet = True
 
-        # Grant one data flit per physical channel (round-robin among
-        # resident VCs), skipping channels used by control this cycle.
-        # The per-grant flit move is inlined here (it is the hottest
-        # code in the simulator); semantics are unchanged.
-        arbiters = self._arbiters
-        for ch, cands in candidates.items():
-            if len(cands) == 1:
-                vc_idx, msg, p, is_last, vc = cands[0]
-            else:
-                winner = arbiters[ch].grant_from(
-                    [c[0] for c in cands]
-                )
-                vc_idx, msg, p, is_last, vc = next(
-                    c for c in cands if c[0] == winner
-                )
+        # Grant one data flit per physical channel, in first-candidate
+        # order.  The per-grant flit move is inlined here (it is the
+        # hottest code in the simulator).
+        for msg, p, is_last, vc in candidates.values():
             buffered = msg.buffered
-            if p == 0:
-                msg.at_source -= 1
-                if msg.injected_cycle is None:
-                    msg.injected_cycle = cycle
-                if msg.at_source == 0 and ev:
-                    # Last flit left the source: its queue head may
-                    # retire in this cycle's launch phase.
-                    self._launch_attn.add(msg.src)
-            else:
-                buffered[p - 1] -= 1
             buffered[p] += 1
-            crossed = msg.crossed
-            crossed[p] += 1
             vc.grants += 1
             moved += 1
             if p == msg.head_link + 1:
@@ -1590,14 +1579,26 @@ class Engine:
                     eject_ready[msg.dst] = {msg.msg_id: msg}
                 else:
                     bucket[msg.msg_id] = msg
-            if msg.at_source == 0:
-                tail_idx = msg.tail_idx
-                head_link = msg.head_link
-                while tail_idx <= head_link and buffered[tail_idx] == 0:
-                    tail_idx += 1
-                msg.tail_idx = tail_idx
-            if crossed[p] == msg.total_flits and not tail_ack:
-                self._release_link(msg, p)
+            if p == 0:
+                msg.at_source -= 1
+                if msg.injected_cycle is None:
+                    msg.injected_cycle = cycle
+                if msg.at_source == 0:
+                    if ev:
+                        attn.add(msg.src)
+                    if not tail_ack:
+                        release_link(msg, 0)
+            else:
+                left = buffered[p - 1] - 1
+                buffered[p - 1] = left
+                if left == 0 and p - 1 == msg.tail_idx and msg.at_source == 0:
+                    msg.tail_idx = p
+                    if not tail_ack:
+                        release_link(msg, p)
+        # A contended channel's pointer moves past its winner; a lone
+        # candidate never advances it.
+        for ch in contended:
+            arbiters[ch]._next = (candidates[ch][3].index + 1) % num_vcs
         if moved:
             self.data_flits_moved += moved
             self._progress = True
@@ -1642,13 +1643,9 @@ class Engine:
             self._measuring_from < self.cycle <= self._measuring_to
         ):
             self.measured_delivered_flits += 1
-        if msg.at_source == 0:
-            tail_idx = msg.tail_idx
-            head_link = msg.head_link
-            while tail_idx <= head_link and buffered[tail_idx] == 0:
-                tail_idx += 1
-            msg.tail_idx = tail_idx
         if msg.ejected == msg.total_flits:
+            # Drained: the tail flit left the last buffer.
+            msg.tail_idx = len(msg.path)
             msg.delivered_cycle = self.cycle
             if self._tail_ack_mode:
                 # Hold the path; tear it down with the tail ack.

@@ -13,8 +13,12 @@ Checked invariants:
 * **flit conservation** — for every live message, injected flits equal
   buffered + ejected + killed flits (:meth:`Message.flit_conservation_ok`);
 * **buffer-depth bounds** — no per-link occupancy below zero or above
-  ``config.buffer_depth``; no negative source backlog; no link crossed
-  by more flits than the message carries;
+  ``config.buffer_depth``; no negative source backlog;
+* **release consistency** — a link is released exactly when the tail
+  flit has crossed it: for a live message that is not being torn down
+  (and not holding its path for a tail acknowledgment),
+  ``released[p]`` is true for ``p <= tail_idx`` once the source backlog
+  is empty and for no ``p`` before that;
 * **virtual-channel state legality** — a FREE VC has no owner, a
   RESERVED VC has one;
 * **reservation/ownership consistency** — every unreleased path link of
@@ -106,6 +110,7 @@ class InvariantAuditor:
     def _check_messages(self, engine, out: List[InvariantViolation]) -> None:
         cycle = engine.cycle
         depth = engine.config.buffer_depth
+        tail_ack = engine.config.recovery.tail_ack
         for msg in engine.messages.values():
             if not msg.flit_conservation_ok():
                 out.append(InvariantViolation(
@@ -136,17 +141,23 @@ class InvariantAuditor:
                         f"(depth {depth})",
                         msg_id=msg.msg_id, channel_id=ch,
                     ))
-                if msg.crossed[i] > msg.total_flits:
-                    out.append(InvariantViolation(
-                        cycle, "buffer-bounds",
-                        f"link {i} crossed by {msg.crossed[i]} of "
-                        f"{msg.total_flits} flits",
-                        msg_id=msg.msg_id, channel_id=ch,
-                    ))
             # Ownership: unreleased path links must be reserved by us.
             if msg.is_terminal():
                 continue
+            # Tail-driven release: the data phase frees path[p] when the
+            # tail flit crosses it, so ``released`` is a function of the
+            # tail position (teardowns and tail-ack release otherwise).
+            check_release = not (msg.teardown or tail_ack)
+            tail_passed = msg.tail_idx if msg.at_source == 0 else -1
             for i, vc in enumerate(msg.path):
+                if check_release and msg.released[i] != (i <= tail_passed):
+                    out.append(InvariantViolation(
+                        cycle, "release-consistency",
+                        f"link {i} released={msg.released[i]} with the "
+                        f"tail at {msg.tail_idx} and {msg.at_source} "
+                        "flits at the source",
+                        msg_id=msg.msg_id, channel_id=vc.channel_id,
+                    ))
                 if msg.released[i]:
                     continue
                 if vc.owner != msg.msg_id:

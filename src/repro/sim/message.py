@@ -21,6 +21,14 @@ Path indexing convention used throughout the engine::
     k_at[i]    = scouting distance programmed into path[i]'s VC
     held[i]    = path[i] reserved while the header was in detour mode
                  (data gate closed until a resume/path token clears it)
+    released[i] = path[i]'s virtual channel has been given back
+
+Release invariant: the data phase frees ``path[p]`` in the cycle the
+tail flit crosses it, so outside teardown (and unless the path is held
+for a tail acknowledgment) ``released[p]`` holds exactly when the tail
+has passed ``p`` — ``at_source == 0 and p <= tail_idx``.  No per-link
+flit counter exists; the tail position *is* the record of which links
+have carried the whole message.
 """
 
 from __future__ import annotations
@@ -116,7 +124,7 @@ class Message:
         "tp_mode", "needs_path_ack", "path_established",
         "path", "path_nodes", "k_at", "held", "released", "link_misroute",
         "acks_at", "tried", "arrival_dims",
-        "buffered", "crossed", "at_source", "ejected", "killed_flits",
+        "buffered", "at_source", "ejected", "killed_flits",
         "head_link", "tail_idx", "total_flits", "hop_cap",
         "detour_stack", "detour_count", "backtrack_count", "backtrack_lock",
         "misroute_total", "hops_taken", "retries", "retry_wait",
@@ -176,7 +184,6 @@ class Message:
 
         # Data pipeline occupancy.
         self.buffered: List[int] = []
-        self.crossed: List[int] = []
         #: Flits that traverse data channels (header included if inline).
         self.total_flits = length + (1 if inline_header else 0)
         #: Flits not yet injected; the in-band header counts as a flit.
@@ -185,7 +192,9 @@ class Message:
         self.killed_flits = 0
         #: Highest path-link index the first data flit has crossed.
         self.head_link = -1
-        #: Lowest path-link index holding buffered flits (scan start).
+        #: Path-link index of the buffer holding the tail flit once the
+        #: source is empty (0 before that, ``len(path)`` once drained):
+        #: the data scan starts here and links up to here are released.
         self.tail_idx = 0
 
         # Routing statistics / protocol scratch state.
@@ -280,7 +289,6 @@ class Message:
         self.released.append(False)
         self.link_misroute.append(is_misroute)
         self.buffered.append(0)
-        self.crossed.append(0)
         self.acks_at.append(0)
         self.tried.append(set())
         self.arrival_dims.append((dim, direction))
@@ -298,7 +306,6 @@ class Message:
                 f"message {self.msg_id}: backtracked over a link holding "
                 "data flits"
             )
-        self.crossed.pop()
         self.acks_at.pop()
         self.tried.pop()
         self.arrival_dims.pop()

@@ -1,5 +1,8 @@
 """RouteCache: memoized candidate sets and epoch invalidation."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.two_phase import TwoPhaseProtocol
 from repro.faults.model import FaultState
 from repro.network.topology import PLUS, KAryNCube
@@ -18,12 +21,15 @@ def _setup(k=5, n=2):
     return topo, faults, RouteCache(topo, faults)
 
 
-def _fresh_adaptive(topo, faults, node, dst, require_safe):
+def _fresh_adaptive(topo, faults, node, dst, require_safe, honor=True):
     """Reference computation, bypassing any cache."""
     out = []
     for dim, direction in topo.profitable_ports(node, dst):
         ch = topo.channel_id(node, dim, direction)
         if faults.channel_faulty[ch]:
+            continue
+        if (honor and faults.channel_restricted[ch]
+                and topo.channel(ch).dst != dst):
             continue
         if require_safe is True and faults.channel_unsafe[ch]:
             continue
@@ -31,6 +37,101 @@ def _fresh_adaptive(topo, faults, node, dst, require_safe):
             continue
         out.append((dim, direction, ch, topo.channel(ch).dst))
     return tuple(out)
+
+
+def _fresh_misroute(topo, faults, node, dst, arrival, allow_u_turn, honor):
+    """Reference Theorem 2 ordering: same-dimension ports first, the
+    U-turn last and only on request; straight from the definitions."""
+    reverse = (arrival[0], -arrival[1]) if arrival is not None else None
+
+    def admitted(port):
+        ch = topo.channel_id(node, *port)
+        if faults.channel_faulty[ch]:
+            return None
+        nxt = topo.channel(ch).dst
+        if honor and faults.channel_restricted[ch] and nxt != dst:
+            return None
+        return (port[0], port[1], ch, nxt)
+
+    ports = [
+        port for port in topo.ports(node)
+        if not topo.is_profitable(node, dst, *port) and port != reverse
+    ]
+    if arrival is not None:
+        ports.sort(key=lambda port: port[0] != arrival[0])  # stable
+    if allow_u_turn and reverse is not None:
+        ports.append(reverse)
+    return tuple(e for e in map(admitted, ports) if e is not None)
+
+
+_PORTS = st.tuples(st.integers(0, 1), st.sampled_from([-1, +1]))
+_QUERY = st.tuples(
+    st.integers(0, 35), st.integers(0, 35),          # node, dst (mod N)
+    st.sampled_from([None, True, False]),            # require_safe
+    st.booleans(),                                   # honor_restrictions
+    st.one_of(st.none(), _PORTS), st.booleans(),     # arrival, allow_u_turn
+)
+_CHANNELS = st.lists(st.integers(0, 143), max_size=6)
+
+
+@settings(max_examples=60)
+@given(
+    k=st.sampled_from([4, 5, 6]),
+    queries=st.lists(_QUERY, min_size=1, max_size=12),
+    early_faults=_CHANNELS, late_faults=_CHANNELS,
+    dead_node=st.one_of(st.none(), st.integers(0, 35)),
+    plan=st.lists(st.integers(0, 143), max_size=20),
+)
+def test_cached_sets_equal_fresh_enumeration_across_epochs(
+    k, queries, early_faults, late_faults, dead_node, plan
+):
+    """Whatever the memo is keyed on, a lookup returns what an uncached
+    enumeration returns — cold, warm, after fault epochs, and across a
+    restriction plan being committed (keys fall back to ``dst``) and
+    lifted (keys return to the direction class)."""
+    topo = KAryNCube(k, 2)
+    faults = FaultState(topo)
+    for ch in early_faults:
+        faults.fail_link(ch % topo.num_channels)
+    cache = RouteCache(topo, faults)
+
+    def check(queries=queries):
+        for _ in range(2):  # cold, then warm
+            for node, dst, safe, honor, arrival, u_turn in queries:
+                node %= topo.num_nodes
+                dst %= topo.num_nodes
+                if node == dst:
+                    continue
+                assert cache.adaptive_candidates(
+                    node, dst, safe, honor
+                ) == _fresh_adaptive(topo, faults, node, dst, safe, honor)
+                assert cache.misroute_candidates(
+                    node, dst, arrival, u_turn, honor
+                ) == _fresh_misroute(
+                    topo, faults, node, dst, arrival, u_turn, honor
+                )
+
+    check()
+    epoch = faults.epoch
+    for ch in late_faults:
+        faults.fail_link(ch % topo.num_channels)
+    if dead_node is not None:
+        faults.fail_node(dead_node % topo.num_nodes)
+    check()
+    plan = [ch % topo.num_channels for ch in plan]
+    faults.reconfigure(plan)
+    assert faults.epoch > epoch
+    # The final-hop exemption is the one thing that reads ``dst``
+    # itself: past a restricted channel's head and then *to* its head
+    # are the same direction class but different candidate sets.
+    final_hop = []
+    for link in map(topo.channel, plan):
+        beyond = topo.neighbor(link.dst, link.dim, link.direction)
+        final_hop += [(link.src, beyond, None, True, None, False),
+                      (link.src, link.dst, None, True, None, False)]
+    check(queries + final_hop)
+    faults.reconfigure([])
+    check()
 
 
 def test_adaptive_candidates_match_fresh_computation():

@@ -26,10 +26,23 @@ switch: every pinned config runs with the ready-set scheduler forced on
 and forced off at each fast-forward setting, and the four paths must be
 byte-identical — the brute-force scans are the oracle the event paths
 are measured against.
+
+A switch-vs-switch comparison cannot see a slip in code all four paths
+share (``_phase_data_movement`` is one body), so the default-switch
+result of every pinned config is also pinned against
+``golden_runresults.json``.  When a PR *means* to change behaviour,
+regenerate the file and say why in the PR:
+
+    PYTHONPATH=src python -m tests.sim.test_determinism
 """
 
 import dataclasses
+import functools
+import hashlib
+import json
+import pathlib
 import random
+import warnings
 
 import pytest
 
@@ -47,24 +60,6 @@ from repro.sim.simulator import NetworkSimulator
 
 def run_twice(cfg: SimulationConfig):
     return NetworkSimulator(cfg).run(), NetworkSimulator(cfg).run()
-
-
-def run_ff_pair(cfg: SimulationConfig):
-    """The same config with fast-forward forced on and forced off."""
-    on = NetworkSimulator(cfg.with_(fast_forward=True)).run()
-    off = NetworkSimulator(cfg.with_(fast_forward=False)).run()
-    return on, off
-
-
-def run_ev_pair(cfg: SimulationConfig, fast_forward: bool = True):
-    """The same config with the event engine forced on and forced off."""
-    on = NetworkSimulator(
-        cfg.with_(event_engine=True, fast_forward=fast_forward)
-    ).run()
-    off = NetworkSimulator(
-        cfg.with_(event_engine=False, fast_forward=fast_forward)
-    ).run()
-    return on, off
 
 
 def assert_identical(a, b):
@@ -234,6 +229,40 @@ PINNED_CONFIGS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def pinned_run(name: str, event_engine: bool, fast_forward: bool):
+    """One pinned config at one switch setting.
+
+    Memoized (call it positionally) so the switch matrices and the
+    golden check share runs; a RunResult is never mutated by a test.
+    """
+    cfg = PINNED_CONFIGS[name]().with_(
+        event_engine=event_engine, fast_forward=fast_forward
+    )
+    return NetworkSimulator(cfg).run()
+
+
+GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_runresults.json")
+
+
+def result_digest(result) -> str:
+    """sha256 of the sorted-key JSON of every RunResult field."""
+    blob = json.dumps(dataclasses.asdict(result), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+def test_pinned_results_match_golden(name):
+    """Default-switch results equal the committed digests, so a slip in
+    code shared by every switch setting cannot pass as 'identical'."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert sorted(golden) == sorted(PINNED_CONFIGS)
+    assert result_digest(pinned_run(name, True, True)) == golden[name], (
+        f"RunResult of pinned config {name!r} changed; if intended, "
+        "regenerate with: PYTHONPATH=src python -m tests.sim.test_determinism"
+    )
+
+
 @pytest.mark.parametrize(
     "protocol,params",
     [m[1:] for m in PROTOCOL_MATRIX],
@@ -324,8 +353,8 @@ def test_deadlock_recovery_determinism():
 @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
 def test_fast_forward_on_off_identical(name):
     """The event-horizon jump may only skip provably no-op cycles."""
-    on, off = run_ff_pair(PINNED_CONFIGS[name]())
-    assert_identical(on, off)
+    assert_identical(pinned_run(name, True, True),
+                     pinned_run(name, True, False))
 
 
 def test_fast_forward_actually_skips_cycles():
@@ -388,13 +417,33 @@ def test_chaos_hook_fast_forward_identical():
 
 
 def test_undeclared_hook_disables_fast_forward():
-    """A hook without next_event_cycle sees every single cycle."""
+    """A hook without next_event_cycle sees every single cycle, and the
+    run warns (once) that it gave up fast-forward for it."""
     cfg = _low_load_idle_cfg().with_(fast_forward=True)
     sim = NetworkSimulator(cfg)
     seen = []
-    sim.run(on_cycle=lambda engine: seen.append(engine.cycle))
+    with pytest.warns(RuntimeWarning, match="next_event_cycle") as caught:
+        sim.run(on_cycle=lambda engine: seen.append(engine.cycle))
+    assert len(caught) == 1 and "function" in str(caught[0].message)
     assert seen == list(range(1, cfg.total_cycles + 1))
     assert sim.engine.fast_forwarded_cycles == 0
+
+
+def test_declared_hooks_run_without_fallback_warning():
+    """Hooks that declare the contract — a HookChain of them included —
+    keep fast-forward and stay silent."""
+    class Declared:
+        def __call__(self, engine):
+            pass
+
+        def next_event_cycle(self, engine):
+            return None
+
+    sim = NetworkSimulator(_reconfig_idle_cfg())  # chains the controller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sim.run(on_cycle=Declared())
+    assert sim.engine.fast_forwarded_cycles > 0
 
 
 def test_parallel_run_configs_fast_forward_composition():
@@ -441,8 +490,7 @@ def test_parallel_run_configs_reconfig_composition():
 @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
 def test_event_engine_on_off_identical(name, ff):
     """The ready sets may only skip work the full scans prove no-op."""
-    on, off = run_ev_pair(PINNED_CONFIGS[name](), fast_forward=ff)
-    assert_identical(on, off)
+    assert_identical(pinned_run(name, True, ff), pinned_run(name, False, ff))
 
 
 def test_event_engine_actually_parks_and_quiets():
@@ -524,3 +572,12 @@ def test_parallel_run_configs_event_engine_reconfig_composition():
     assert any(r.reconfigurations > 0 for r in on)
     for a, b in zip(on, off):
         assert_identical(a, b)
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(json.dumps(
+        {name: result_digest(pinned_run(name, True, True))
+         for name in sorted(PINNED_CONFIGS)},
+        indent=2,
+    ) + "\n")
+    print(f"wrote {GOLDEN_PATH}")

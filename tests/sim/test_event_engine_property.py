@@ -100,7 +100,6 @@ def _msg_state(msg):
         msg.head_link,
         msg.tail_idx,
         tuple(msg.buffered),
-        tuple(msg.crossed),
         tuple(msg.released),
         msg.ejected,
         msg.wait_cycles,

@@ -67,6 +67,30 @@ class TestCorruptionDetection:
         violations = InvariantAuditor(engine).audit()
         assert any(v.kind == "buffer-bounds" for v in violations)
 
+    def test_release_consistency_violation(self):
+        """``released`` must say exactly what the tail position says."""
+        engine = audited_engine()
+        msg = engine.inject(0, 3)
+        # Audited every cycle on the way: the invariant holds throughout.
+        while not (msg.at_source == 0 and msg.tail_idx >= 1):
+            engine.step()
+        assert not msg.is_terminal() and audit(engine) == []
+        tail = msg.tail_idx
+        assert msg.released[:tail + 1] == [True] * (tail + 1)
+        assert not any(msg.released[tail + 1:])
+
+        msg.tail_idx = tail - 1  # the tail "un-crosses" a released link
+        bad = [v for v in audit(engine) if v.kind == "release-consistency"]
+        assert bad and bad[0].msg_id == msg.msg_id
+        assert bad[0].channel_id == msg.path[tail].channel_id
+        msg.tail_idx = tail
+        assert audit(engine) == []
+
+        msg.released[tail + 1] = True  # marked free ahead of the tail
+        assert any(
+            v.kind == "release-consistency" for v in audit(engine)
+        )
+
     def test_vc_state_violation(self):
         engine = audited_engine()
         vc = engine.channels.vc(0, 0)

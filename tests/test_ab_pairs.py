@@ -1,0 +1,119 @@
+"""Tests for the A/B pair runner (benchmarks/ab_pairs.py).
+
+No benchmark runs here: the subprocess launcher is replaced by a
+recorder, so the tests pin the alternation order, the argv each run
+gets, and the file order handed to ``compare.py``.  Loaded by file path
+like ``compare_bench`` (``benchmarks/`` is not an installed package).
+"""
+
+import importlib.util
+import json
+import pathlib
+import sys
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location(
+    "ab_pairs", REPO_ROOT / "benchmarks" / "ab_pairs.py"
+)
+ab_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab_pairs)
+
+PARENT = pathlib.Path("/parent")
+CHANGE = pathlib.Path("/change")
+
+
+def _record(calls):
+    def run(argv, cwd, **kwargs):
+        assert kwargs.get("check") is True
+        calls.append((cwd, argv))
+    return run
+
+
+def test_sides_alternate_and_each_pair_runs_both():
+    order = [p[3] for p in ab_pairs.plan(4, [1], [None])]
+    assert order == ["ab", "ba", "ab", "ba"]
+    # One block of pairs per (seed, workload), seeds outermost.
+    blocks = [p[:2] for p in ab_pairs.plan(1, [1, 5], ["w1", "w2"])]
+    assert blocks == [(1, "w1"), (1, "w2"), (5, "w1"), (5, "w2")]
+
+
+def test_run_argv_is_the_benchmark_command_with_seed_and_out(tmp_path):
+    out = tmp_path / "x.json"
+    assert ab_pairs.run_argv(7, None, out) == [
+        sys.executable, "benchmarks/perf/run.py",
+        "--seed", "7", "--out", str(out),
+    ]
+    assert ab_pairs.run_argv(7, "storm-chaos", out)[-2:] == [
+        "--workload", "storm-chaos",
+    ]
+    spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    assert spec["command"][1:] == [ab_pairs.RUN]
+
+
+def test_run_pairs_launch_order_cwd_and_compare_order(tmp_path):
+    calls = []
+    groups = ab_pairs.run_pairs(
+        PARENT, CHANGE, pairs=3, seeds=[1], workloads=[None],
+        out_dir=tmp_path, run=_record(calls),
+    )
+    # Parent first, then change first, then parent first again.
+    assert [cwd for cwd, _ in calls] == [
+        PARENT, CHANGE, CHANGE, PARENT, PARENT, CHANGE,
+    ]
+    outs = [pathlib.Path(argv[argv.index("--out") + 1]).name
+            for _, argv in calls]
+    assert outs == [
+        "s1-all-p00-a.json", "s1-all-p00-b.json",
+        "s1-all-p01-b.json", "s1-all-p01-a.json",
+        "s1-all-p02-a.json", "s1-all-p02-b.json",
+    ]
+    # compare.py wants parent, change, parent, change … whoever ran first.
+    assert [[p.name for p in files] for files in groups] == [[
+        "s1-all-p00-a.json", "s1-all-p00-b.json",
+        "s1-all-p01-a.json", "s1-all-p01-b.json",
+        "s1-all-p02-a.json", "s1-all-p02-b.json",
+    ]]
+
+
+def test_seeds_and_workloads_are_compared_separately(tmp_path):
+    calls = []
+    groups = ab_pairs.run_pairs(
+        PARENT, CHANGE, pairs=2, seeds=[1, 5],
+        workloads=["fig12-faultfree", "storm-chaos"],
+        out_dir=tmp_path, run=_record(calls),
+    )
+    assert len(calls) == 2 * 2 * 2 * 2
+    assert [files[0].name for files in groups] == [
+        "s1-fig12-faultfree-p00-a.json", "s1-storm-chaos-p00-a.json",
+        "s5-fig12-faultfree-p00-a.json", "s5-storm-chaos-p00-a.json",
+    ]
+    assert all(len(files) == 4 for files in groups)
+    for cwd, argv in calls:
+        seed = argv[argv.index("--seed") + 1]
+        workload = argv[argv.index("--workload") + 1]
+        out = pathlib.Path(argv[argv.index("--out") + 1]).name
+        assert out.startswith(f"s{seed}-{workload}-")
+        assert out.endswith("-a.json" if cwd == PARENT else "-b.json")
+
+
+def test_pairs_won_counts_by_metric_direction(tmp_path, capsys):
+    def doc(wall, hops):
+        return {"workloads": {"fig12-faultfree": {"end_to_end": {
+            m["name"]: {"value": 1.0} for m in json.loads(
+                (REPO_ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+        } | {"wall_s": {"value": wall}, "flit_hops_per_s": {"value": hops}}}}}
+
+    files = []
+    for i, (a, b) in enumerate([((5.0, 100), (4.0, 120)),
+                                ((5.0, 100), (5.5, 90)),
+                                ((5.0, 100), (5.0, 100))]):
+        for side, (wall, hops) in (("a", a), ("b", b)):
+            path = tmp_path / f"p{i}-{side}.json"
+            path.write_text(json.dumps(doc(wall, hops)))
+            files.append(path)
+    ab_pairs.pairs_won(files)
+    lines = capsys.readouterr().out.splitlines()
+    wall = next(ln for ln in lines if " wall_s " in ln)
+    hops = next(ln for ln in lines if " flit_hops_per_s " in ln)
+    assert "won 1, lost 1 of 3" in wall
+    assert "won 1, lost 1 of 3" in hops  # higher is better there
