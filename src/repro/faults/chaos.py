@@ -456,7 +456,6 @@ class StormSpec:
     audit_every: int = 20
     max_deadlock_recoveries: int = 512
     settle_cycles: int = 200
-    fast_forward: bool = True
     #: Reconfiguration-arm knobs (see ResilienceConfig): check often —
     #: storms are short — but demand real pressure (threshold 4) and
     #: hold each committed plan for a while (cooldown 600), so the arm
@@ -632,7 +631,6 @@ def storm_config(
         measure_cycles=spec.measure_cycles,
         drain_cycles=spec.drain_cycles,
         seed=seed,
-        fast_forward=spec.fast_forward,
         watchdog_cycles=spec.watchdog_cycles,
         max_header_wait=spec.max_header_wait,
         resilience=ResilienceConfig(

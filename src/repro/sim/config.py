@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
+from repro.sim.traffic import TRAFFIC_PARAM_KEYS
+
 
 @dataclass
 class FaultConfig:
@@ -32,6 +34,12 @@ class FaultConfig:
     dynamic_start: int = 0
     dynamic_stop: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if self.static_node_faults < 0:
+            raise ValueError("static_node_faults must be >= 0")
+        if self.dynamic_faults < 0:
+            raise ValueError("dynamic_faults must be >= 0")
+
 
 @dataclass
 class RecoveryConfig:
@@ -49,6 +57,12 @@ class RecoveryConfig:
     #: Source-level retries after a failed path construction (the
     #: "re-try from the source" of Section 4.0).
     max_source_retries: int = 2
+
+    def __post_init__(self) -> None:
+        if self.max_retransmits < 0:
+            raise ValueError("max_retransmits must be >= 0")
+        if self.max_source_retries < 0:
+            raise ValueError("max_source_retries must be >= 0")
 
 
 @dataclass
@@ -178,27 +192,6 @@ class SimulationConfig:
     # Run control.
     warmup_cycles: int = 1000
     measure_cycles: int = 4000
-    #: Event-horizon fast-forward: when the network is quiescent
-    #: (nothing in flight anywhere), jump the clock to just before the
-    #: next cycle at which state can change — the next possible
-    #: injection, armed dynamic fault, invariant-audit tick, or hook
-    #: event.  Results are cycle-for-cycle and RNG-stream identical to
-    #: the cycle-by-cycle path (pinned by tests/sim/test_determinism.py);
-    #: disable only when instrumenting every cycle with a hook that does
-    #: not declare its next event (see DESIGN.md §8).
-    fast_forward: bool = True
-    #: Event-driven engine core (DESIGN.md §11): per-cycle work is
-    #: proportional to *events* — headers that can decide, flits that
-    #: can move, injection queues with something to launch — instead of
-    #: scanning every live message and busy queue each cycle.  Blocked
-    #: routing headers park until a wake condition (a virtual-channel
-    #: release at their router, a fault-epoch change, or their timed
-    #: retry) can change the decision; messages whose data pipeline
-    #: cannot move stay skipped until a state-change notification
-    #: re-arms them.  Results are cycle-for-cycle identical to the
-    #: brute-force scans (pinned by tests/sim/test_determinism.py across
-    #: the on/off matrix); the switch exists as the equivalence oracle.
-    event_engine: bool = True
     #: After measurement, keep cycling (no new traffic) until in-flight
     #: messages finish, up to this many extra cycles.
     drain_cycles: int = 4000
@@ -241,6 +234,18 @@ class SimulationConfig:
             raise ValueError("drain_cycles must be >= 0")
         if self.watchdog_cycles < 1:
             raise ValueError("watchdog_cycles must be >= 1")
+        if self.max_header_wait < 1:
+            raise ValueError("max_header_wait must be >= 1")
+        if self.hop_cap_base < 0:
+            raise ValueError("hop_cap_base must be >= 0")
+        if self.hop_cap_factor < 0:
+            raise ValueError("hop_cap_factor must be >= 0")
+        unknown = sorted(set(self.traffic_params) - set(TRAFFIC_PARAM_KEYS))
+        if unknown:
+            raise ValueError(
+                f"unknown traffic_params keys {unknown}; "
+                f"choose from {TRAFFIC_PARAM_KEYS}"
+            )
 
     @property
     def total_cycles(self) -> int:

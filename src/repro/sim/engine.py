@@ -40,8 +40,10 @@ horizon*: the earliest of the next possible injection (known exactly
 from the geometric gap), the next armed dynamic fault, the next
 invariant-audit tick, and the hook's declared next event.  The jump is
 cycle-for-cycle and RNG-stream identical to stepping each cycle
-(``tests/sim/test_determinism.py`` pins both paths against each other);
-``SimulationConfig.fast_forward`` turns it off.
+(``tests/sim/reference_engine.py`` steps every cycle and
+``tests/sim/test_determinism.py`` pins the two against each other).
+Only an ``on_cycle`` hook that does not declare its next event puts a
+run on the cycle-by-cycle path, and that run warns.
 
 Timing convention: a flit or token that arrives at a router at the end
 of cycle *t* may move again during cycle *t+1*; a routing decision and
@@ -51,14 +53,12 @@ exactly (validated by the integration tests).
 
 Scheduling: every phase works from *active sets* rather than full
 rescans — the pending-header dict is swapped (not copied) each cycle,
-the control/ack channel sets and the busy injection-queue set keep an
-incrementally maintained ascending order instead of being re-sorted
-per cycle, and the dynamic-fault phase is an O(1) peek on cycles with
-nothing scheduled.  With ``SimulationConfig.event_engine`` (the
-default, DESIGN.md §11) the engine goes further and makes per-cycle
-work proportional to *events* rather than live messages: blocked
-routing headers park until a wake condition — a virtual-channel
-release at their router (funneled through
+the control/ack channel sets keep an incrementally maintained
+ascending order instead of being re-sorted per cycle, and the
+dynamic-fault phase is an O(1) peek on cycles with nothing scheduled.
+Per-cycle work is proportional to *events* rather than live messages
+(DESIGN.md §11): blocked routing headers park until a wake condition
+— a virtual-channel release at their router (funneled through
 :meth:`ChannelBank.set_release_notify`), a fault-epoch change, or
 their timed retry cycle — can change the decision's outcome; messages
 whose data pipeline proved immovable are flagged quiet and skipped
@@ -69,10 +69,13 @@ requeue, head freed) instead of every busy queue.  Timed events
 (armed dynamic faults, audit ticks, hook events) share one
 :meth:`Engine.next_event_horizon`, which the quiescence fast-forward
 also jumps by.  All of this is behavior-preserving: the same seed
-replays the exact same cycle-for-cycle execution (guarded by the
-determinism regression suite in ``tests/sim/test_determinism.py``,
-including the event-engine on/off oracle matrix), which is also what
-lets the parallel campaign runner guarantee serial-equivalent results.
+replays the exact cycle-for-cycle execution of an engine that skips
+nothing — ``tests/sim/reference_engine.py`` is that engine, restating
+the data-phase rules independently and re-deriving every parked, quiet
+or unattended item each cycle; ``tests/sim/test_determinism.py`` and
+``tests/sim/test_reference_lockstep.py`` compare the two — which is
+also what lets the parallel campaign runner guarantee
+serial-equivalent results.
 """
 
 from __future__ import annotations
@@ -125,8 +128,7 @@ class DeadlockError(RuntimeError):
 
 
 class _SortedIntSet:
-    """Int ids (channels, nodes), iterable in ascending order without
-    re-sorting.
+    """Channel ids, iterable in ascending order without re-sorting.
 
     Membership is a plain set (O(1) add/discard, truth-testing); the
     ascending iteration order the engine's deterministic replay relies
@@ -135,7 +137,7 @@ class _SortedIntSet:
     where the set did not change (the common case) taking a snapshot
     costs nothing, versus the unconditional ``sorted()`` call per cycle
     the original scheduler paid.  Used for the active control/ack
-    channel sets and the busy injection-queue set.
+    channel sets.
     """
 
     __slots__ = ("_members", "_view", "_dirty")
@@ -276,11 +278,9 @@ class Engine:
             deque() for _ in range(self.topology.num_nodes)
         ]
         #: Nodes whose injection queue may be non-empty (a superset —
-        #: the launch phase prunes nodes it finds drained), so the
-        #: per-cycle launch scan touches only busy queues, in an
-        #: incrementally maintained ascending order (sort on mutation,
-        #: not per cycle).
-        self._busy_queues = _SortedIntSet()
+        #: the launch phase prunes the attended nodes it finds drained);
+        #: empty is one of the quiescence conditions.
+        self._busy_queues: Set[int] = set()
         self._next_msg_id = 0
         #: Per-node id of the message most recently granted ejection
         #: (round-robin fairness on the PE link).
@@ -350,10 +350,9 @@ class Engine:
         self._measuring_to = config.total_cycles
         self._progress = False
         self._idle_streak = 0
-        self._ff_enabled = config.fast_forward
         #: Cycles skipped by the quiescence fast-forward (diagnostics
-        #: only — deliberately not part of RunResult, which must stay
-        #: byte-identical with fast-forward on and off).
+        #: only — deliberately not part of RunResult, which must be
+        #: byte-identical to a run that steps every cycle).
         self.fast_forwarded_cycles = 0
         #: Injection timing, gap-sampled (Bernoulli by default; on-off
         #: MMBP for bursty workloads — see repro.sim.traffic).  One
@@ -371,11 +370,10 @@ class Engine:
         # *events* instead of live state: blocked headers park on wake
         # conditions, immobile messages go quiet until a state-change
         # notification, and the launch phase visits only nodes whose
-        # queue head could have changed.  All of it is gated on
-        # ``config.event_engine`` so the brute-force scans remain
-        # available as the equivalence oracle.
+        # queue head could have changed.  The engine that skips none of
+        # this is ``tests/sim/reference_engine.py``, the equivalence
+        # oracle.
         # ------------------------------------------------------------------
-        self._ev = config.event_engine
         #: Per-node release version: bumped whenever a virtual channel
         #: whose physical channel *originates* at the node is released.
         #: A parked header at that node re-decides when the version
@@ -385,21 +383,19 @@ class Engine:
         self._ch_src: List[int] = [
             self.topology.channel(ch).src for ch in range(num_ch)
         ]
-        if self._ev:
-            self.channels.set_release_notify(self._note_release)
+        self.channels.set_release_notify(self._note_release)
         #: Reserved-VC count per physical channel.  A channel with
         #: exactly one reserved VC can have at most one data-movement
         #: candidate this cycle (wormhole: one message per VC), so that
-        #: candidate wins arbitration unopposed — the event path then
+        #: candidate wins arbitration unopposed — the data phase then
         #: moves the flit inline during the scan instead of routing it
-        #: through the per-channel candidate buckets.  Maintained only
-        #: when the event engine is on (reserve increments, the release
-        #: notification decrements).
+        #: through the per-channel candidate table (reserve increments,
+        #: the release notification decrements).
         self._ch_resident: List[int] = [0] * num_ch
         #: Launch-phase attention set: nodes whose injection-queue head
         #: may act this cycle (new arrival, head finished injecting,
         #: head finalized/tail-acked/requeued).  Visiting any other busy
-        #: node is provably a no-op, so the event path iterates this
+        #: node is provably a no-op, so the launch phase iterates this
         #: set instead of every busy queue.
         self._launch_attn: Set[int] = set()
 
@@ -430,8 +426,8 @@ class Engine:
         """
         target = self.cycle + cycles
         hook_horizon = None
-        fast = self._ff_enabled
-        if fast and on_cycle is not None:
+        fast = True
+        if on_cycle is not None:
             hook_horizon = getattr(on_cycle, "next_event_cycle", None)
             if hook_horizon is None:
                 fast = False
@@ -442,14 +438,8 @@ class Engine:
                     "None = never): fast-forward is off for this run()",
                     RuntimeWarning, stacklevel=2,
                 )
-        if not fast:
-            while self.cycle < target:
-                self.step()
-                if on_cycle is not None:
-                    on_cycle(self)
-            return
         while self.cycle < target:
-            if self._quiescent():
+            if fast and self._quiescent():
                 self._fast_forward(target, hook_horizon)
                 if self.cycle >= target:
                     break
@@ -667,8 +657,7 @@ class Engine:
         msg = self._new_message(src, dst, self.cycle, length=length)
         self.queues[src].append(msg)
         self._busy_queues.add(src)
-        if self._ev:
-            self._launch_attn.add(src)
+        self._launch_attn.add(src)
         if self.queues[src][0] is msg:
             msg.status = MessageStatus.ACTIVE
             msg.header_phase = HeaderPhase.PENDING
@@ -717,21 +706,18 @@ class Engine:
             ]
             self.traffic.set_healthy_nodes(healthy)
             for node in self.faults.faulty_nodes:
-                if self._ev:
-                    # The drop below may empty the queue: attend the
-                    # node so the launch phase prunes it from the busy
-                    # set this cycle, exactly like the full scan would.
-                    self._launch_attn.add(node)
+                # The drop below may empty the queue: attend the node
+                # so the launch phase prunes it from the busy set this
+                # cycle.
+                self._launch_attn.add(node)
                 while self.queues[node]:
                     msg = self.queues[node].popleft()
+                    # An ACTIVE head from a now-dead source needs
+                    # nothing here: its channels are faulty and the
+                    # channel loop above interrupted it.
                     if msg.status is MessageStatus.QUEUED:
                         msg.status = MessageStatus.KILLED
                         self._finalize(msg, count_killed=True)
-                    elif not msg.is_terminal() and not msg.teardown:
-                        # Active message from a now-dead source: its
-                        # channels are already faulty; interrupt handled
-                        # via the channel loop above.
-                        pass
 
     def _path_index_of(self, msg: Message,
                        vc) -> Optional[int]:
@@ -744,7 +730,7 @@ class Engine:
         """A control flit was queued on a channel that just failed."""
         msg = token.message
         kind = token.kind
-        if kind in (ControlKind.KILL_UP,):
+        if kind is ControlKind.KILL_UP:
             self._finish_kill_up(msg, token.position)
         elif kind is ControlKind.KILL_DOWN:
             self._finish_kill_down(msg, token.position)
@@ -785,7 +771,6 @@ class Engine:
         active = MessageStatus.ACTIVE
         pending_phase = HeaderPhase.PENDING
         freeze = self.routing_freeze
-        ev = self._ev
         cycle = self.cycle
         epoch = self.faults.epoch
         rel_ver = self._node_rel_ver
@@ -844,19 +829,18 @@ class Engine:
                     # source (Section 4.0).
                     self._abort(msg, "header blocked past wait limit")
                     continue
-                if ev:
-                    # Every protocol WAIT is either a busy outgoing
-                    # channel (woken by a release at this node or an
-                    # epoch change) or a timed retry backoff (woken at
-                    # ``retry_wait``); spurious early wakes merely
-                    # re-decide WAIT and re-park.
-                    node = msg.path_nodes[msg.header_router]
-                    msg.parked = True
-                    msg.park_node = node
-                    msg.park_ver = rel_ver[node]
-                    msg.park_epoch = epoch
-                    retry = msg.retry_wait
-                    msg.wake_at = retry if retry > cycle else _NEVER
+                # Every protocol WAIT is either a busy outgoing
+                # channel (woken by a release at this node or an epoch
+                # change) or a timed retry backoff (woken at
+                # ``retry_wait``); spurious early wakes merely
+                # re-decide WAIT and re-park.
+                node = msg.path_nodes[msg.header_router]
+                msg.parked = True
+                msg.park_node = node
+                msg.park_ver = rel_ver[node]
+                msg.park_epoch = epoch
+                retry = msg.retry_wait
+                msg.wake_at = retry if retry > cycle else _NEVER
                 pending[msg.msg_id] = msg
                 continue
             msg.consecutive_waits = 0
@@ -874,8 +858,7 @@ class Engine:
         # The path grows a position and the head gate state changes:
         # the data pipeline may have new work.
         msg.dm_quiet = False
-        if self._ev:
-            self._ch_resident[vc.channel_id] += 1
+        self._ch_resident[vc.channel_id] += 1
         k = decision.k
         if self.protocol.flow_control.kind is FlowControlKind.PCS:
             k = K_INFINITE
@@ -897,14 +880,12 @@ class Engine:
         msg.header.apply_hop(dim, direction, self.topology.k)
         msg.hops_taken += 1
         self._progress = True
-        if self.protocol.inline_header:
-            # The header is the message's first flit; it advances
-            # through the data phase.  Nothing more to do until it
-            # arrives at the next router.
-            self.pending.pop(msg.msg_id, None)
-        else:
+        self.pending.pop(msg.msg_id, None)
+        # An in-band header is the message's first flit and advances
+        # through the data phase: nothing more to do until it arrives
+        # at the next router.
+        if not self._inline_header:
             msg.header_phase = HeaderPhase.IN_FLIGHT
-            self.pending.pop(msg.msg_id, None)
             self._push_control(
                 ControlFlit(
                     ControlKind.HEADER, msg, msg.header_router + 1, self.cycle
@@ -1228,9 +1209,8 @@ class Engine:
         if p > 0:
             return p - 1
         msg.tail_acked = True
-        if self._ev:
-            # The source queue head may now retire: attend its launch.
-            self._launch_attn.add(msg.src)
+        # The source queue head may now retire: attend its launch.
+        self._launch_attn.add(msg.src)
         if msg.status is MessageStatus.ACTIVE and (
             msg.delivered_cycle is not None
         ):
@@ -1383,8 +1363,7 @@ class Engine:
         clone.retransmits = original.retransmits + 1
         q = self.queues[original.src]
         self._busy_queues.add(original.src)
-        if self._ev:
-            self._launch_attn.add(original.src)
+        self._launch_attn.add(original.src)
         if q and q[0] is original:
             q[0] = clone
         else:
@@ -1395,7 +1374,6 @@ class Engine:
     # ==================================================================
     def _phase_data_movement(self, used_by_control: Set[int]) -> None:
         depth = self._depth
-        ev = self._ev
         # channel id -> (message, position, is_last, vc): the channel's
         # round-robin winner among the candidates seen so far.
         candidates: Dict[int, tuple] = {}
@@ -1421,7 +1399,7 @@ class Engine:
             # predicate below reads only the message's own state, and
             # every mutation of that state funnels through a site that
             # clears ``dm_quiet``) — skipping them enumerates the same
-            # candidates in the same order as the full scan.
+            # candidates in the same order as a full scan.
             if msg.dm_quiet:
                 continue
             if msg.teardown or msg.status is not active_status:
@@ -1430,7 +1408,7 @@ class Engine:
             path_len = len(path)
             if path_len == 0:
                 # Nothing reserved yet: quiet until the first reserve.
-                msg.dm_quiet = ev
+                msg.dm_quiet = True
                 continue
             buffered = msg.buffered
             head_move = msg.head_link + 1
@@ -1509,11 +1487,10 @@ class Engine:
                 # in-band headers, the head advance (its arrival
                 # appends to ``pending``, whose order is the next
                 # cycle's decision order).  Both still resolve through
-                # the candidate table below, in the exact slot the
-                # brute-force path gives them.
+                # the candidate table below, in the slot first-seen
+                # channel order gives them.
                 if (
-                    ev
-                    and p != last_link
+                    p != last_link
                     and resident[ch] == 1
                     and not (inline_header and p == head_move)
                 ):
@@ -1558,7 +1535,7 @@ class Engine:
                     ):
                         continue
                 candidates[ch] = (msg, p, p == last_link, vc)
-            if ev and not contributed:
+            if not contributed:
                 msg.dm_quiet = True
 
         # Grant one data flit per physical channel, in first-candidate
@@ -1584,8 +1561,7 @@ class Engine:
                 if msg.injected_cycle is None:
                     msg.injected_cycle = cycle
                 if msg.at_source == 0:
-                    if ev:
-                        attn.add(msg.src)
+                    attn.add(msg.src)
                     if not tail_ack:
                         release_link(msg, 0)
             else:
@@ -1681,7 +1657,6 @@ class Engine:
                 measuring = self.in_measure_window()
                 queues = self.queues
                 busy_queues = self._busy_queues
-                ev = self._ev
                 attn = self._launch_attn
                 destination = self.traffic.destination
                 cycle = self.cycle
@@ -1701,28 +1676,22 @@ class Engine:
                                 self.measured_accepted_flits += length
                             queue.append(self._new_message(node, dst, cycle))
                             busy_queues.add(node)
-                            if ev:
-                                attn.add(node)
+                            attn.add(node)
             # else: no trial slots this cycle; the process is frozen.
 
-        # Launch / advance injection queues.  The event path visits only
-        # the attention set — nodes whose queue head could act this
-        # cycle (fresh arrival, head finished injecting or tail-acked,
-        # head finalized or requeued, queue dropped by a fault); every
-        # other busy node's visit is provably a no-op (an ACTIVE head
+        # Launch / advance injection queues, visiting only the
+        # attention set — nodes whose queue head could act this cycle
+        # (fresh arrival, head finished injecting or tail-acked, head
+        # finalized or requeued, queue dropped by a fault); every other
+        # busy node's visit is provably a no-op (an ACTIVE head
         # mid-injection breaks immediately), so the ascending-order
-        # launch sequence matches the full busy scan exactly.
+        # launch sequence matches a scan of every busy queue exactly.
+        attn = self._launch_attn
+        if not attn:
+            return
+        nodes = sorted(attn)
+        attn.clear()
         busy = self._busy_queues
-        if self._ev:
-            attn = self._launch_attn
-            if not attn:
-                return
-            nodes = sorted(attn)
-            attn.clear()
-        else:
-            if not busy:
-                return
-            nodes = busy.snapshot()
         tail_ack = self._tail_ack_mode
         active_status = MessageStatus.ACTIVE
         queued_status = MessageStatus.QUEUED
@@ -1789,9 +1758,8 @@ class Engine:
             self.dropped_messages += 1
         if count_killed:
             self.killed_messages += 1
-        if self._ev:
-            # A terminal head unblocks its source queue: attend it.
-            self._launch_attn.add(msg.src)
+        # A terminal head unblocks its source queue: attend it.
+        self._launch_attn.add(msg.src)
         self.active.pop(msg.msg_id, None)
         self.pending.pop(msg.msg_id, None)
         self.messages.pop(msg.msg_id, None)

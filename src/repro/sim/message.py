@@ -231,8 +231,9 @@ class Message:
         #: source retransmits, retries, or drops.
         self.teardown_reason: Optional[str] = None
 
-        # Event-engine scheduling state (engine-owned; see DESIGN.md
-        # §11).  A *parked* header skips its routing decision until one
+        # Scheduling state (engine-owned; see DESIGN.md §11 — the
+        # reference engine of the test suite ignores all of it).  A
+        # *parked* header skips its routing decision until one
         # of its wake conditions can change the outcome: a virtual
         # channel released at its router (``park_ver`` falls behind the
         # node's release version), a fault-epoch change, or the timed

@@ -64,6 +64,10 @@ def make_protocol(name: str, **params):
 class NetworkSimulator:
     """Build and run one complete simulation from a config."""
 
+    #: The engine built by the constructor.  A class attribute so the
+    #: test suite's reference engine can stand in by subclassing.
+    engine_class = Engine
+
     def __init__(self, config: SimulationConfig,
                  protocol=None, rng: Optional[random.Random] = None):
         if config.measure_cycles < 1:
@@ -110,7 +114,7 @@ class NetworkSimulator:
                 start_cycle=config.faults.dynamic_start,
             )
 
-        self.engine = Engine(
+        self.engine = self.engine_class(
             config,
             self.protocol,
             topology=self.topology,

@@ -309,8 +309,8 @@ class InjectionProcess:
       the state that ``cycles`` empty :meth:`arrivals` calls would
       have produced.
 
-    The last clause is what makes fast-forward on/off byte-identical
-    per pattern: both paths draw the same uniforms at the same points
+    The last clause is what makes a fast-forwarded run byte-identical
+    to a cycle-by-cycle one per pattern: both paths draw the same uniforms at the same points
     of the stream (pinned for every pattern by
     ``tests/sim/test_determinism.py``).
     """
@@ -476,6 +476,11 @@ DEFAULT_BURST_OFF_LOAD = 0.0
 
 #: ``traffic_params`` keys that switch any pattern to bursty timing.
 BURST_PARAM_KEYS = ("burst_on", "burst_off", "burst_off_load")
+#: Every ``traffic_params`` key the patterns and processes read;
+#: :class:`~repro.sim.config.SimulationConfig` rejects any other.
+TRAFFIC_PARAM_KEYS = (
+    "hotspot_fraction", "hotspot_count", "hotspot_nodes",
+) + BURST_PARAM_KEYS
 
 
 def make_injection_process(config, rng: random.Random) -> InjectionProcess:

@@ -1,7 +1,8 @@
-"""Storm resilience benchmark: determinism (fast-forward on/off,
-parallel == serial), report shape, and CLI exit codes — including the
+"""Storm resilience benchmark: determinism (production == reference
+engine, parallel == serial), report shape, and CLI exit codes — including the
 nonzero-exit contract CI gates on for both campaign subcommands."""
 
+import repro.faults.chaos as chaos
 from repro.cli import main as cli_main
 from repro.faults.chaos import (
     ARMS,
@@ -15,6 +16,7 @@ from repro.faults.chaos import (
     run_storm_one,
     storm_record_dicts,
 )
+from tests.sim.reference_engine import ReferenceSimulator
 
 
 def small_spec(**overrides) -> StormSpec:
@@ -45,17 +47,15 @@ class TestStormRuns:
         assert tp.reconfig_downtime == 0
         assert rc.reconfigurations > 0
 
-    def test_fast_forward_on_off_identical(self):
-        """The controller's event horizon must make storm runs
-        byte-identical with the quiescence skip on and off."""
-        for arm in ARMS:
-            on = run_storm_one(
-                small_spec(fast_forward=True), "linkstorm", 0, arm
-            )
-            off = run_storm_one(
-                small_spec(fast_forward=False), "linkstorm", 0, arm
-            )
-            assert on == off
+    def test_production_matches_reference(self, monkeypatch):
+        """The controllers' event horizons and the engine's skip paths
+        must leave storm runs identical to the reference engine's."""
+        production = [
+            run_storm_one(small_spec(), "linkstorm", 0, arm) for arm in ARMS
+        ]
+        monkeypatch.setattr(chaos, "NetworkSimulator", ReferenceSimulator)
+        for arm, record in zip(ARMS, production):
+            assert record == run_storm_one(small_spec(), "linkstorm", 0, arm)
 
 
 class TestStormCampaign:
@@ -104,8 +104,6 @@ class TestCliExitCodes:
         assert cli_main(["storm", "--scenarios", "nope"]) == 2
 
     def test_storm_failure_exits_nonzero(self, capsys, monkeypatch):
-        import repro.faults.chaos as chaos
-
         failing = StormCampaignResult(spec=StormSpec())
         monkeypatch.setattr(
             chaos, "run_storm_campaign", lambda spec, jobs=None: failing
@@ -115,8 +113,6 @@ class TestCliExitCodes:
     def test_chaos_failure_exits_nonzero(self, capsys, monkeypatch):
         """CI gates on this: a campaign with any failed run must not
         exit 0."""
-        import repro.faults.chaos as chaos
-
         bad_run = ChaosRunRecord(
             seed=0, protocol="tp", faults_injected=1, triggers_hit=[],
             recoveries=0, victims=[], teardown_counts={}, delivered=0,

@@ -1,5 +1,7 @@
 """Unit tests for simulation configuration."""
 
+import dataclasses
+
 import pytest
 
 from repro.sim.config import (
@@ -39,12 +41,27 @@ class TestValidation:
         ("measure_cycles", -1),
         ("drain_cycles", -1),
         ("watchdog_cycles", 0),
+        ("max_header_wait", 0),
+        ("hop_cap_base", -1),
+        ("hop_cap_factor", -1),
+        pytest.param(
+            "traffic_params", {"hotspot_fracton": 0.3},
+            id="traffic_params-misspelt-key",
+        ),
+        ("static_node_faults", -1),
+        ("dynamic_faults", -1),
+        ("max_retransmits", -1),
+        ("max_source_retries", -1),
     ])
     def test_rejects_bad_run_control(self, field, value):
+        owner = next(
+            cls for cls in (SimulationConfig, FaultConfig, RecoveryConfig)
+            if field in {f.name for f in dataclasses.fields(cls)}
+        )
         with pytest.raises(ValueError, match=field):
-            SimulationConfig(**{field: value})
+            owner(**{field: value})
         with pytest.raises(ValueError, match=field):
-            SimulationConfig().with_(**{field: value})
+            dataclasses.replace(owner(), **{field: value})
 
     def test_simulator_rejects_empty_window_at_construction(self):
         """A hand-driven Engine may have no measurement window; a

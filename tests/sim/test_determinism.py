@@ -14,22 +14,16 @@ The matrix covers every flow-control mechanism of the paper: wormhole
 plain dimension-order — plus a dynamic-fault scenario and a
 deadlock-recovery scenario, which exercise the teardown/kill machinery.
 
-Every pinned config additionally runs with the quiescence fast-forward
-forced on and forced off: the two paths must produce byte-identical
-RunResults (the event-horizon jump may only skip cycles that are
-provably no-ops), including under a chaos hook and composed through
-``parallel.run_configs``.
+Every pinned config additionally runs on the reference engine
+(``reference_engine.py``: every cycle executed, every header re-decided,
+every busy queue visited, the data phase restated from the rules) and
+must produce a byte-identical RunResult — the production engine's
+fast-forward, parking, quiet flags and attention set may only skip work
+the reference proves a no-op — including under a chaos hook and
+composed through ``parallel.run_configs``.
 
-The event-driven engine core (``SimulationConfig.event_engine``,
-DESIGN.md §11) gets the same treatment crossed with the fast-forward
-switch: every pinned config runs with the ready-set scheduler forced on
-and forced off at each fast-forward setting, and the four paths must be
-byte-identical — the brute-force scans are the oracle the event paths
-are measured against.
-
-A switch-vs-switch comparison cannot see a slip in code all four paths
-share (``_phase_data_movement`` is one body), so the default-switch
-result of every pinned config is also pinned against
+The two engines still share the control plane, so the production result
+of every pinned config is also pinned against
 ``golden_runresults.json``.  When a PR *means* to change behaviour,
 regenerate the file and say why in the PR:
 
@@ -40,6 +34,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import pathlib
 import random
 import warnings
@@ -56,6 +51,7 @@ from repro.sim.config import (
 )
 from repro.sim.parallel import run_configs
 from repro.sim.simulator import NetworkSimulator
+from tests.sim.reference_engine import ReferenceSimulator
 
 
 def run_twice(cfg: SimulationConfig):
@@ -63,12 +59,19 @@ def run_twice(cfg: SimulationConfig):
 
 
 def assert_identical(a, b):
-    """Field-by-field equality, reported per field for diagnosis."""
+    """Field-by-field equality, reported per field for diagnosis.
+
+    Fields are compared as the JSON ``result_digest`` hashes, so a NaN
+    (``latency_mean`` of a window with no delivery) equals itself.
+    """
     da = dataclasses.asdict(a)
     db = dataclasses.asdict(b)
     assert set(da) == set(db)
     for name in da:
-        assert da[name] == db[name], (
+        assert (
+            json.dumps(da[name], sort_keys=True)
+            == json.dumps(db[name], sort_keys=True)
+        ), (
             f"RunResult.{name} differs between identical-config runs: "
             f"{da[name]!r} != {db[name]!r}"
         )
@@ -207,8 +210,8 @@ def _traffic_cfg(traffic, params):
     )
 
 
-#: Every pinned configuration of this suite, by id; the fast-forward
-#: equivalence test runs each with the skip path forced on and off.
+#: Every pinned configuration of this suite, by id; each runs on the
+#: production and on the reference engine.
 PINNED_CONFIGS = {
     **{
         f"proto-{pid}": (lambda p=proto, kw=params: _protocol_cfg(p, kw))
@@ -230,16 +233,13 @@ PINNED_CONFIGS = {
 
 
 @functools.lru_cache(maxsize=None)
-def pinned_run(name: str, event_engine: bool, fast_forward: bool):
-    """One pinned config at one switch setting.
+def pinned_run(name: str):
+    """The production result of one pinned config.
 
-    Memoized (call it positionally) so the switch matrices and the
-    golden check share runs; a RunResult is never mutated by a test.
+    Memoized so the reference comparison and the golden check share the
+    run; a RunResult is never mutated by a test.
     """
-    cfg = PINNED_CONFIGS[name]().with_(
-        event_engine=event_engine, fast_forward=fast_forward
-    )
-    return NetworkSimulator(cfg).run()
+    return NetworkSimulator(PINNED_CONFIGS[name]()).run()
 
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_runresults.json")
@@ -253,11 +253,11 @@ def result_digest(result) -> str:
 
 @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
 def test_pinned_results_match_golden(name):
-    """Default-switch results equal the committed digests, so a slip in
-    code shared by every switch setting cannot pass as 'identical'."""
+    """Production results equal the committed digests, so a slip in
+    code both engines share cannot pass as 'identical'."""
     golden = json.loads(GOLDEN_PATH.read_text())
     assert sorted(golden) == sorted(PINNED_CONFIGS)
-    assert result_digest(pinned_run(name, True, True)) == golden[name], (
+    assert result_digest(pinned_run(name)) == golden[name], (
         f"RunResult of pinned config {name!r} changed; if intended, "
         "regenerate with: PYTHONPATH=src python -m tests.sim.test_determinism"
     )
@@ -348,18 +348,31 @@ def test_deadlock_recovery_determinism():
 
 
 # ======================================================================
-# Quiescence fast-forward: forced on vs forced off must be identical.
+# Production engine vs the reference engine (reference_engine.py).
 # ======================================================================
 @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
-def test_fast_forward_on_off_identical(name):
-    """The event-horizon jump may only skip provably no-op cycles."""
-    assert_identical(pinned_run(name, True, True),
-                     pinned_run(name, True, False))
+def test_production_matches_reference(name):
+    """Fast-forward, parking, quiet flags and the attention set may
+    only skip work the reference engine proves a no-op."""
+    reference = ReferenceSimulator(PINNED_CONFIGS[name]()).run()
+    assert_identical(pinned_run(name), reference)
+
+
+def test_identical_when_nothing_is_delivered_in_the_window():
+    """A two-cycle window in which no message is created leaves
+    latency_mean NaN (warmup traffic still flows through it); equal
+    results must still compare equal."""
+    cfg = _protocol_cfg("tp", {}).with_(offered_load=0.05, measure_cycles=2)
+    a, b = run_twice(cfg)
+    assert a.delivered == 0 and math.isnan(a.latency_mean)
+    assert a.throughput > 0
+    assert_identical(a, b)
+    assert_identical(a, ReferenceSimulator(cfg).run())
 
 
 def test_fast_forward_actually_skips_cycles():
     """The low-load pinned config must exercise the skip path."""
-    sim = NetworkSimulator(_low_load_idle_cfg().with_(fast_forward=True))
+    sim = NetworkSimulator(_low_load_idle_cfg())
     sim.run()
     assert sim.engine.fast_forwarded_cycles > 0
 
@@ -371,134 +384,22 @@ def test_fast_forward_actually_skips_cycles():
 )
 def test_traffic_patterns_exercise_skip_path(traffic, params):
     """Each catalog pattern's pinned config must genuinely fast-forward
-    (otherwise its on/off equivalence test proves nothing)."""
-    sim = NetworkSimulator(
-        _traffic_cfg(traffic, params).with_(fast_forward=True)
-    )
+    (otherwise its reference comparison proves nothing)."""
+    sim = NetworkSimulator(_traffic_cfg(traffic, params))
     result = sim.run()
     assert result.delivered > 0
     assert sim.engine.fast_forwarded_cycles > 0
 
 
-def _chaos_hooked_run(fast_forward: bool, event_engine: bool = True):
-    """One chaos-hooked simulation; returns (RunResult, controller)."""
-    cfg = SimulationConfig(
-        k=6, n=2, protocol="tp", offered_load=0.05, message_length=8,
-        warmup_cycles=100, measure_cycles=600, drain_cycles=3000,
-        seed=7, watchdog_cycles=120, max_header_wait=6000,
-        resilience=ResilienceConfig(audit_invariants=True, audit_every=20),
-        fast_forward=fast_forward, event_engine=event_engine,
-    )
-    sim = NetworkSimulator(cfg)
-    engine = sim.engine
-    engine.dynamic_schedule = DynamicFaultSchedule()
-    controller = ChaosController(
-        engine.dynamic_schedule,
-        random.Random(4242),
-        burst_cycles=[250, 450],
-        burst_size=2,
-        node_fault_fraction=0.25,
-    )
-    result = sim.run(on_cycle=controller)
-    return result, controller
-
-
-def test_chaos_hook_fast_forward_identical():
-    """The chaos hook declares its next event; skipping must not change
-    which bursts fire, where, or what they hit."""
-    on_result, on_ctrl = _chaos_hooked_run(True)
-    off_result, off_ctrl = _chaos_hooked_run(False)
-    assert on_ctrl.faults_injected == off_ctrl.faults_injected
-    assert on_ctrl.triggers_hit == off_ctrl.triggers_hit
-    assert on_ctrl.faults_injected > 0, (
-        "scenario must actually inject chaos faults"
-    )
-    assert_identical(on_result, off_result)
-
-
-def test_undeclared_hook_disables_fast_forward():
-    """A hook without next_event_cycle sees every single cycle, and the
-    run warns (once) that it gave up fast-forward for it."""
-    cfg = _low_load_idle_cfg().with_(fast_forward=True)
-    sim = NetworkSimulator(cfg)
-    seen = []
-    with pytest.warns(RuntimeWarning, match="next_event_cycle") as caught:
-        sim.run(on_cycle=lambda engine: seen.append(engine.cycle))
-    assert len(caught) == 1 and "function" in str(caught[0].message)
-    assert seen == list(range(1, cfg.total_cycles + 1))
-    assert sim.engine.fast_forwarded_cycles == 0
-
-
-def test_declared_hooks_run_without_fallback_warning():
-    """Hooks that declare the contract — a HookChain of them included —
-    keep fast-forward and stay silent."""
-    class Declared:
-        def __call__(self, engine):
-            pass
-
-        def next_event_cycle(self, engine):
-            return None
-
-    sim = NetworkSimulator(_reconfig_idle_cfg())  # chains the controller
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        sim.run(on_cycle=Declared())
-    assert sim.engine.fast_forwarded_cycles > 0
-
-
-def test_parallel_run_configs_fast_forward_composition():
-    """parallel.run_configs composes with fast-forward: a parallel
-    fast-forwarded campaign equals a serial cycle-by-cycle one."""
-    base = SimulationConfig(
-        k=5, n=2, protocol="tp", offered_load=0.03, message_length=8,
-        warmup_cycles=100, measure_cycles=500, drain_cycles=1500,
-    )
-    seeds = (1, 2, 3)
-    on = run_configs(
-        [base.with_(seed=s, fast_forward=True) for s in seeds], jobs=2
-    )
-    off = run_configs(
-        [base.with_(seed=s, fast_forward=False) for s in seeds], jobs=1
-    )
-    for a, b in zip(on, off):
-        assert_identical(a, b)
-
-
-def test_parallel_run_configs_reconfig_composition():
-    """Reconfiguration-enabled runs survive the same parallel/serial,
-    fast-forward on/off cross — workers rebuild the controller from the
-    config and must replay the drain/commit sequence exactly."""
-    base = _reconfig_cfg()
-    seeds = (9, 19)
-    on = run_configs(
-        [base.with_(seed=s, fast_forward=True) for s in seeds], jobs=2
-    )
-    off = run_configs(
-        [base.with_(seed=s, fast_forward=False) for s in seeds], jobs=1
-    )
-    assert any(r.reconfigurations > 0 for r in on)
-    for a, b in zip(on, off):
-        assert_identical(a, b)
-
-
-# ======================================================================
-# Event-driven engine core: ready-set scheduling forced on vs the
-# brute-force scans, crossed with the fast-forward switch (DESIGN.md
-# §11 — this matrix is the rewrite's acceptance bar).
-# ======================================================================
-@pytest.mark.parametrize("ff", [True, False], ids=["ff-on", "ff-off"])
-@pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
-def test_event_engine_on_off_identical(name, ff):
-    """The ready sets may only skip work the full scans prove no-op."""
-    assert_identical(pinned_run(name, True, ff), pinned_run(name, False, ff))
+def _loaded_cfg():
+    # Congested enough that headers park and pipelines go quiet.
+    return _protocol_cfg("tp", {"k_unsafe": 0}).with_(offered_load=0.25)
 
 
 def test_event_engine_actually_parks_and_quiets():
     """A loaded run must exercise every ready-set layer — otherwise the
-    on/off matrix proves nothing about the skip paths."""
-    cfg = _protocol_cfg("tp", {"k_unsafe": 0}).with_(
-        offered_load=0.25, event_engine=True
-    )
+    reference comparison proves nothing about the skip paths."""
+    cfg = _loaded_cfg()
     sim = NetworkSimulator(cfg)
     engine = sim.engine
     saw_parked = saw_quiet = False
@@ -527,56 +428,120 @@ def test_event_engine_actually_parks_and_quiets():
     assert saw_attn, "the launch attention set never armed"
 
 
-def test_chaos_hook_event_engine_identical():
-    """Chaos-driven fault bursts (teardown, kill flits, retransmits)
-    must hit the same victims on the event and brute-force paths."""
-    on_result, on_ctrl = _chaos_hooked_run(True, event_engine=True)
-    off_result, off_ctrl = _chaos_hooked_run(True, event_engine=False)
-    assert on_ctrl.faults_injected == off_ctrl.faults_injected
-    assert on_ctrl.triggers_hit == off_ctrl.triggers_hit
-    assert on_ctrl.faults_injected > 0
-    assert_identical(on_result, off_result)
+def test_reference_skips_nothing():
+    """On the same loaded config the reference never fast-forwards and
+    re-decides the headers production parks, to the same result —
+    otherwise comparing against it could be vacuous."""
+    production = NetworkSimulator(_loaded_cfg())
+    reference = ReferenceSimulator(_loaded_cfg())
+    assert_identical(production.run(), reference.run())
+    assert reference.engine.fast_forwarded_cycles == 0
+    assert (
+        reference.engine.header_decisions
+        > production.engine.header_decisions
+    )
 
 
-def test_parallel_run_configs_event_engine_composition():
-    """Workers replaying event-engine configs must equal a serial
-    brute-force campaign (the parallel runner's serial-equivalence
-    guarantee composed with the ready-set scheduler)."""
+def _chaos_hooked_run(simulator_class):
+    """One chaos-hooked simulation; returns (RunResult, controller)."""
+    cfg = SimulationConfig(
+        k=6, n=2, protocol="tp", offered_load=0.05, message_length=8,
+        warmup_cycles=100, measure_cycles=600, drain_cycles=3000,
+        seed=7, watchdog_cycles=120, max_header_wait=6000,
+        resilience=ResilienceConfig(audit_invariants=True, audit_every=20),
+    )
+    sim = simulator_class(cfg)
+    engine = sim.engine
+    engine.dynamic_schedule = DynamicFaultSchedule()
+    controller = ChaosController(
+        engine.dynamic_schedule,
+        random.Random(4242),
+        burst_cycles=[250, 450],
+        burst_size=2,
+        node_fault_fraction=0.25,
+    )
+    result = sim.run(on_cycle=controller)
+    return result, controller
+
+
+def test_chaos_hook_matches_reference():
+    """The chaos hook declares its next event; skipping must not change
+    which bursts fire, where, or what they hit, and the fault bursts
+    (teardown, kill flits, retransmits) must hit the same victims."""
+    result, ctrl = _chaos_hooked_run(NetworkSimulator)
+    ref_result, ref_ctrl = _chaos_hooked_run(ReferenceSimulator)
+    assert ctrl.faults_injected == ref_ctrl.faults_injected
+    assert ctrl.triggers_hit == ref_ctrl.triggers_hit
+    assert ctrl.faults_injected > 0, (
+        "scenario must actually inject chaos faults"
+    )
+    assert_identical(result, ref_result)
+
+
+def test_undeclared_hook_disables_fast_forward():
+    """A hook without next_event_cycle sees every single cycle, and the
+    run warns (once) that it gave up fast-forward for it."""
+    cfg = _low_load_idle_cfg()
+    sim = NetworkSimulator(cfg)
+    seen = []
+    with pytest.warns(RuntimeWarning, match="next_event_cycle") as caught:
+        sim.run(on_cycle=lambda engine: seen.append(engine.cycle))
+    assert len(caught) == 1 and "function" in str(caught[0].message)
+    assert seen == list(range(1, cfg.total_cycles + 1))
+    assert sim.engine.fast_forwarded_cycles == 0
+
+
+def test_declared_hooks_run_without_fallback_warning():
+    """Hooks that declare the contract — a HookChain of them included —
+    keep fast-forward and stay silent."""
+    class Declared:
+        def __call__(self, engine):
+            pass
+
+        def next_event_cycle(self, engine):
+            return None
+
+    sim = NetworkSimulator(_reconfig_idle_cfg())  # chains the controller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sim.run(on_cycle=Declared())
+    assert sim.engine.fast_forwarded_cycles > 0
+
+
+def _assert_parallel_matches_serial_reference(configs):
+    parallel = run_configs(configs, jobs=2)
+    serial = [ReferenceSimulator(cfg).run() for cfg in configs]
+    for a, b in zip(parallel, serial):
+        assert_identical(a, b)
+    return parallel
+
+
+def test_parallel_run_configs_composition():
+    """parallel.run_configs composes with the production engine: a
+    parallel campaign equals a serial in-process reference one."""
     base = SimulationConfig(
         k=5, n=2, protocol="tp", offered_load=0.08, message_length=8,
         warmup_cycles=100, measure_cycles=500, drain_cycles=1500,
     )
-    seeds = (1, 2, 3)
-    on = run_configs(
-        [base.with_(seed=s, event_engine=True) for s in seeds], jobs=2
+    _assert_parallel_matches_serial_reference(
+        [base.with_(seed=s) for s in (1, 2, 3)]
     )
-    off = run_configs(
-        [base.with_(seed=s, event_engine=False) for s in seeds], jobs=1
-    )
-    for a, b in zip(on, off):
-        assert_identical(a, b)
 
 
-def test_parallel_run_configs_event_engine_reconfig_composition():
+def test_parallel_run_configs_reconfig_composition():
     """The hardest composition: reconfiguration drain/commit epochs,
-    dynamic faults, and audit ticks under the event engine across
-    parallel workers."""
+    dynamic faults and audit ticks — workers rebuild the controller
+    from the config and must replay the sequence exactly."""
     base = _reconfig_cfg()
-    seeds = (9, 19)
-    on = run_configs(
-        [base.with_(seed=s, event_engine=True) for s in seeds], jobs=2
+    results = _assert_parallel_matches_serial_reference(
+        [base.with_(seed=s) for s in (9, 19)]
     )
-    off = run_configs(
-        [base.with_(seed=s, event_engine=False) for s in seeds], jobs=1
-    )
-    assert any(r.reconfigurations > 0 for r in on)
-    for a, b in zip(on, off):
-        assert_identical(a, b)
+    assert any(r.reconfigurations > 0 for r in results)
 
 
 if __name__ == "__main__":
     GOLDEN_PATH.write_text(json.dumps(
-        {name: result_digest(pinned_run(name, True, True))
+        {name: result_digest(pinned_run(name))
          for name in sorted(PINNED_CONFIGS)},
         indent=2,
     ) + "\n")
