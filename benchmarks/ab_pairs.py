@@ -8,8 +8,11 @@ commits"): check the parent revision out with ``git worktree add`` in a
 temporary directory, run ``benchmarks/perf/run.py`` — each side's own,
 unmodified copy — ``--pairs`` times per seed on both sides, alternating
 which side goes first, then hand the ``--out`` files of each seed to
-``benchmarks/perf/compare.py`` in pair order and count the pairs the
-change won (the README's claim rule needs nine tenths of them).
+``benchmarks/perf/compare.py`` in pair order, count the pairs the
+change won and state the README's claim rule per metric: ``gain`` when
+the change won at least nine tenths of the decided pairs and the
+medians are apart, in the better direction, by more than the parent's
+own quartile spread; otherwise ``no gain``.
 
 Seeds are compared separately: mixing them would count seed-to-seed
 spread as run-to-run noise.  Without ``--workload`` every run covers all
@@ -31,6 +34,11 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 RUN = "benchmarks/perf/run.py"
 COMPARE = "benchmarks/perf/compare.py"
+
+# Script invocation puts ``benchmarks/`` first on the path, not the root.
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from benchmarks.perf.compare import side_stats  # noqa: E402
 
 
 def plan(pairs: int, seeds: Sequence[int],
@@ -84,22 +92,27 @@ def run_pairs(parent: pathlib.Path, change: pathlib.Path, pairs: int,
 
 def pairs_won(files: Sequence[pathlib.Path]) -> None:
     """Per (workload, end-to-end metric): pairs in which the change read
-    better than the parent (ties count for neither)."""
+    better than the parent (ties count for neither), and whether that
+    is a gain by the README's rule — nine tenths of the decided pairs
+    won and the medians apart by more than the parent's own spread
+    (``compare.side_stats``: Q3 − Q1 from four files up)."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    docs = [json.loads(p.read_text())["workloads"] for p in files]
-    for workload in docs[0]:
+    docs = [json.loads(p.read_text()) for p in files]
+    parent, change = docs[0::2], docs[1::2]
+    for workload in docs[0]["workloads"]:
         for metric in spec["end_to_end"]:
             name = metric["name"]
             sign = 1 if metric["better"] == "lower" else -1
-            deltas = [
-                sign * (b[workload]["end_to_end"][name]["value"]
-                        - a[workload]["end_to_end"][name]["value"])
-                for a, b in zip(docs[0::2], docs[1::2])
-            ]
+            a_median, a_spread, a_values = side_stats(parent, workload, name)
+            b_median, _, b_values = side_stats(change, workload, name)
+            deltas = [sign * (b - a) for a, b in zip(a_values, b_values)]
             won = sum(d < 0 for d in deltas)
             lost = sum(d > 0 for d in deltas)
+            gain = won >= 0.9 * (won + lost) and (
+                sign * (a_median - b_median) > a_spread * abs(a_median)
+            )
             print(f"{workload:<18}{name:<18} change won {won}, lost {lost} "
-                  f"of {len(deltas)} pairs")
+                  f"of {len(deltas)} pairs: {'gain' if gain else 'no gain'}")
 
 
 def main(argv=None) -> int:

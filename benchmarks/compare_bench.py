@@ -15,9 +15,10 @@ does not break the comparison.
 ``--key`` selects which numeric field is compared (default
 ``cycles_per_sec``).  ``--key events_per_sec`` compares interpreter
 cost per simulation event (flit hops + ejections + header decisions)
-instead — unlike cycles/s it is insensitive to how much of the
-horizon the quiescence fast-forward skipped, so it isolates hot-path
-cost from scheduling-efficiency changes.  Saturation snapshots from
+instead — unlike cycles/s it is insensitive to how many empty cycles
+the steady-state fast-forward skipped, so it isolates hot-path cost
+from scheduling-efficiency changes (hops applied to streaming worms in
+closed form still count as events).  Saturation snapshots from
 ``repro.experiments.saturation`` share the same shape, so
 ``--key knee_throughput`` diffs two ``BENCH_saturation.json`` files.
 ``--events`` is shorthand for ``--key events_per_sec``.

@@ -9,8 +9,10 @@ their figure should not hinge on one scheduler hiccup; the rest run
 once and stay informational.  Every row also records ``events`` (data
 flit hops + ejections + header routing decisions — the simulation's
 unit of real work) and ``events_per_sec``, which tracks interpreter
-cost per event independently of how much of the horizon the
-quiescence fast-forward skipped.  CI's perf-smoke job hard-fails when
+cost per event independently of how many empty cycles the steady-state
+fast-forward skipped (hops it applies to streaming worms in closed form
+are events too, so the idle rows' figure rises with them).  CI's
+perf-smoke job hard-fails when
 a saturated workload loses more than 25% cycles/s against the
 committed snapshot — see ``benchmarks/compare_bench.py --workloads``.
 """
@@ -32,8 +34,9 @@ BENCH_JSON = REPO_ROOT / "BENCH_engine.json"
 #: (name, protocol, params, offered load, dynamic faults, overrides) —
 #: low and near-saturation load for the paper's default protocol, a
 #: dynamic-fault storm, the two comparison protocols, and two
-#: ultra-low-load long-horizon workloads where the quiescence
-#: fast-forward dominates (most cycles have nothing in flight).
+#: ultra-low-load long-horizon workloads where the steady-state
+#: fast-forward dominates (most cycles have nothing in flight, most of
+#: the rest only uncontended worms).
 WORKLOADS = (
     ("tp-low", "tp", {"k_unsafe": 0}, 0.10, 0, {}),
     ("tp-high", "tp", {"k_unsafe": 0}, 0.28, 0, {}),

@@ -28,22 +28,32 @@ Every cycle advances the network through five phases:
    on-off/MMBP for bursty workloads): per-node-per-cycle trials are
    realized by inversion-method geometric gap sampling over the flat
    (cycle, node) trial sequence, so a cycle with no injection costs
-   O(1) and the quiescence fast-forward below can jump over whole idle
-   stretches while consuming the RNG identically (the
-   ``arrivals``/``idle_cycles``/``skip_cycles`` contract, DESIGN.md §9).
+   O(1) and the steady-state fast-forward below can jump over whole
+   stretches without an arrival while consuming the RNG identically
+   (the ``arrivals``/``idle_cycles``/``skip_cycles`` contract,
+   DESIGN.md §9).
 
-Quiescence fast-forward: when nothing at all is in flight — no active
-or pending message, no busy injection queue, no control/ack token, no
-staged gate update — no phase can change state until an external event.
-:meth:`Engine.run` then jumps the clock to just before the *event
-horizon*: the earliest of the next possible injection (known exactly
-from the geometric gap), the next armed dynamic fault, the next
-invariant-audit tick, and the hook's declared next event.  The jump is
-cycle-for-cycle and RNG-stream identical to stepping each cycle
-(``tests/sim/reference_engine.py`` steps every cycle and
-``tests/sim/test_determinism.py`` pins the two against each other).
-Only an ``on_cycle`` hook that does not declare its next event puts a
-run on the cycle-by-cycle path, and that run warns.
+Steady-state fast-forward: when no phase but data movement has work —
+no pending header, no control/ack token, no staged gate update, nothing
+to launch — and every active message is an isolated, established worm
+(:meth:`Engine._steady_cycles`), each cycle is a pure shift: every flit
+moves one hop, the one reaching the destination ejects, the source feeds
+one.  That is the uncontended streaming Section 2.2 gives in closed
+form, and :meth:`Engine.run` applies it in closed form too: it jumps the
+clock to just before the *event horizon* — the earliest of the next
+possible injection (known exactly from the geometric gap), the next
+armed dynamic fault, the next invariant-audit tick, the hook's declared
+next event, and the cycle a worm's source runs dry or its tail ejects —
+and shifts every worm by that many hops in one pass.  The empty network
+is the zero-worm case of the same code.  The jump is cycle-for-cycle
+and RNG-stream identical to stepping each cycle
+(``tests/sim/reference_engine.py`` steps every cycle;
+``tests/sim/test_determinism.py`` pins results and
+``tests/sim/test_reference_lockstep.py`` full state after chunks of
+``run()`` against it).  With an ``on_cycle`` hook only the empty
+network is jumped — ``next_event_cycle`` speaks for quiescent networks
+only — and a hook that does not declare its next event puts the run on
+the cycle-by-cycle path, with a warning.
 
 Timing convention: a flit or token that arrives at a router at the end
 of cycle *t* may move again during cycle *t+1*; a routing decision and
@@ -67,7 +77,7 @@ arrival, staged gate update) re-arms them; and the launch loop visits
 only nodes whose injection queue was touched this cycle (arrival,
 requeue, head freed) instead of every busy queue.  Timed events
 (armed dynamic faults, audit ticks, hook events) share one
-:meth:`Engine.next_event_horizon`, which the quiescence fast-forward
+:meth:`Engine.next_event_horizon`, which the steady-state fast-forward
 also jumps by.  All of this is behavior-preserving: the same seed
 replays the exact cycle-for-cycle execution of an engine that skips
 nothing — ``tests/sim/reference_engine.py`` is that engine, restating
@@ -85,6 +95,7 @@ import warnings
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from collections import deque
+from itertools import accumulate
 
 from repro.core import detour as detour_rules
 from repro.core.flow_control import K_INFINITE, FlowControlKind
@@ -279,7 +290,7 @@ class Engine:
         ]
         #: Nodes whose injection queue may be non-empty (a superset —
         #: the launch phase prunes the attended nodes it finds drained);
-        #: empty is one of the quiescence conditions.
+        #: an ACTIVE head on each is one of the steady-state conditions.
         self._busy_queues: Set[int] = set()
         self._next_msg_id = 0
         #: Per-node id of the message most recently granted ejection
@@ -350,9 +361,10 @@ class Engine:
         self._measuring_to = config.total_cycles
         self._progress = False
         self._idle_streak = 0
-        #: Cycles skipped by the quiescence fast-forward (diagnostics
-        #: only — deliberately not part of RunResult, which must be
-        #: byte-identical to a run that steps every cycle).
+        #: Cycles ``step()`` did not execute: jumped by the steady-state
+        #: fast-forward, over an empty network or over streaming worms
+        #: (diagnostics only — deliberately not part of RunResult, which
+        #: must be byte-identical to a run that steps every cycle).
         self.fast_forwarded_cycles = 0
         #: Injection timing, gap-sampled (Bernoulli by default; on-off
         #: MMBP for bursty workloads — see repro.sim.traffic).  One
@@ -419,10 +431,11 @@ class Engine:
         ``next_event_cycle(engine) -> Optional[int]`` method declares
         that calling it before that cycle is a pure no-op on a
         quiescent network (``None`` = never again); the fast-forward
-        path then skips those calls along with the cycles.  A hook
-        without the declaration disables fast-forward for this run —
-        correctness over speed for arbitrary instrumentation — and the
-        run says so with one ``RuntimeWarning``.
+        path then skips those calls along with the cycles of an empty
+        network, and executes every cycle that has a message in flight.
+        A hook without the declaration disables fast-forward for this
+        run — correctness over speed for arbitrary instrumentation —
+        and the run says so with one ``RuntimeWarning``.
         """
         target = self.cycle + cycles
         hook_horizon = None
@@ -438,8 +451,11 @@ class Engine:
                     "None = never): fast-forward is off for this run()",
                     RuntimeWarning, stacklevel=2,
                 )
+        # ``next_event_cycle`` speaks for quiescent networks only, so a
+        # hooked run jumps the empty network and nothing else.
+        hooked = on_cycle is not None
         while self.cycle < target:
-            if fast and self._quiescent():
+            if fast and not (hooked and self.active):
                 self._fast_forward(target, hook_horizon)
                 if self.cycle >= target:
                     break
@@ -451,9 +467,9 @@ class Engine:
         """Stop traffic and run until in-flight messages finish.
 
         Returns True when the network fully drained within the budget.
-        With traffic disabled a quiescent network satisfies the drained
-        condition, so the fast-forward path never applies here — the
-        loop exits at the first drained cycle instead of jumping.
+        Every cycle is stepped — the fast-forward belongs to
+        :meth:`run`: with traffic disabled an empty network is the exit
+        condition here, not a stretch to jump over.
         """
         self.traffic_enabled = False
         target = self.cycle + max_cycles
@@ -463,38 +479,97 @@ class Engine:
             self.step()
         return not self.active and not any(self.queues)
 
-    def _quiescent(self) -> bool:
-        """Nothing in flight anywhere: no phase can change state.
+    def _steady_cycles(self) -> int:
+        """How many cycles ahead every cycle is provably a pure shift.
 
-        Holds when there is no active or pending message, no injection
-        queue with content, no control or ack token traveling, and no
-        staged gate update.  Until the next injection success, dynamic
-        fault, audit tick, or hook event, every cycle is then a no-op
-        apart from the injection-gap bookkeeping.
+        The state is *steady* when no phase but data movement has
+        anything to do — no pending header, no control or ack token, no
+        staged gate update, nothing for the launch phase to attend,
+        every busy injection queue headed by an ACTIVE message — and
+        every active message, possibly none, is an isolated,
+        established worm: header delivered, first flit across the last
+        link and at least one flit ejected (so an in-band header flit
+        is gone), at most one flit per buffer and none in the last
+        (cut-through ejection), buffers at least two deep (a one-flit
+        buffer refuses a flit in the cycle it drains), every link still
+        ahead of the tail unreleased and alone on its physical channel,
+        and no other active message bound for the same destination.
+        Each cycle then moves every flit one hop: the one reaching the
+        destination ejects and the source feeds one while it has any.
+
+        Returns 0 when the state is not steady, ``_NEVER`` for the
+        empty network, else the shortest stretch over which every worm
+        stays that way — up to but not including the cycle its source
+        runs dry (the queue head retires) or its tail flit ejects (the
+        message finalizes).
         """
-        return (
-            not self.active
-            and not self.pending
-            and not self._busy_queues
-            and not self._active_ctrl
-            and not self._active_ack
-            and not self._staged_acks
-            and not self._staged_path
-        )
+        active = self.active
+        if active and self._depth < 2:
+            return 0
+        if (
+            self.pending
+            or self._launch_attn
+            or self._active_ctrl
+            or self._active_ack
+            or self._staged_acks
+            or self._staged_path
+        ):
+            return 0
+        delivered = HeaderPhase.DELIVERED
+        resident = self._ch_resident
+        destinations: Set[int] = set()
+        steady = _NEVER
+        for msg in active.values():
+            path = msg.path
+            last = len(path) - 1
+            buffered = msg.buffered
+            if (
+                msg.teardown
+                or msg.header_phase is not delivered
+                or msg.head_link != last
+                or msg.ejected == 0
+                or buffered[last]
+                or max(buffered) > 1
+                or msg.dst in destinations
+            ):
+                return 0
+            destinations.add(msg.dst)
+            if msg.at_source:
+                first = 0
+                room = msg.at_source - 1
+            else:
+                first = msg.tail_idx + 1
+                room = last - first
+            if room <= 0:
+                return 0
+            released = msg.released
+            for p in range(first, last + 1):
+                if released[p] or resident[path[p].channel_id] != 1:
+                    return 0
+            if room < steady:
+                steady = room
+        active_status = MessageStatus.ACTIVE
+        queues = self.queues
+        for node in self._busy_queues:
+            queue = queues[node]
+            if queue and queue[0].status is not active_status:
+                return 0
+        return steady
 
     def next_event_horizon(self, limit: int, hook_horizon=None) -> int:
-        """Latest cycle a quiescent clock may jump to without skipping
-        an event.
+        """Latest cycle a steady clock may jump to without skipping an
+        event.
 
         Every source of *timed* events is folded into one horizon: the
         instrumentation hook's declared next event, the next armed
         dynamic fault, and the next invariant-audit tick.  The return
         value is the cycle just *before* the earliest of them, capped
-        at ``limit`` (the run target).  The one remaining event source
-        — the next injection arrival — is intentionally not folded in
-        here, because it is known only from the injection process's
-        private gap/dwell state; :meth:`_fast_forward` clips on it
-        separately.
+        at ``limit`` (the run target).  Two event sources are
+        intentionally not folded in here: the next injection arrival,
+        known only from the injection process's private gap/dwell
+        state, and the worms' own source-runs-dry and tail-ejection
+        cycles (:meth:`_steady_cycles`); :meth:`_fast_forward` clips on
+        both separately.
         """
         stop = limit
         if hook_horizon is not None:
@@ -512,17 +587,26 @@ class Engine:
         return stop
 
     def _fast_forward(self, limit: int, hook_horizon=None) -> None:
-        """From a quiescent state, jump to just before the event horizon.
+        """From a steady state, jump to just before the event horizon.
 
-        The horizon (:meth:`next_event_horizon`) is clipped once more
-        on the next injection arrival — known exactly from the
-        injection process's gap/dwell state (``idle_cycles``), which
-        ``skip_cycles`` then debits without RNG draws so the stream
-        continues precisely where the cycle-by-cycle path would have
-        left it.  The first cycle that can change state is then
-        executed by the ordinary :meth:`step`.
+        The jump is the shortest of the steady stretch
+        (:meth:`_steady_cycles`), the timed horizon
+        (:meth:`next_event_horizon`; :meth:`run` calls this with a hook
+        only while the network is empty, the one state the hook's
+        declaration covers) and the next injection arrival — known
+        exactly from the injection process's gap/dwell state
+        (``idle_cycles``), which ``skip_cycles`` then debits without RNG
+        draws so the stream continues precisely where the
+        cycle-by-cycle path would have left it.  Every worm in flight is shifted by that many hops in
+        closed form (:meth:`_advance_worm`); the first cycle that can do
+        anything else is then executed by the ordinary :meth:`step`.
         """
-        skip = self.next_event_horizon(limit, hook_horizon) - self.cycle
+        skip = self._steady_cycles()
+        if not skip:
+            return
+        stop = self.next_event_horizon(limit, hook_horizon) - self.cycle
+        if stop < skip:
+            skip = stop
         if skip <= 0:
             return
         if self.traffic_enabled and self.injection.enabled:
@@ -534,9 +618,56 @@ class Engine:
                 if skip <= 0:
                     return
                 self.injection.skip_cycles(skip, num_healthy)
+        for msg in self.active.values():
+            self._advance_worm(msg, skip)
+        self._idle_streak = 0
         self.cycle += skip
         self.ctx.cycle = self.cycle
         self.fast_forwarded_cycles += skip
+
+    def _advance_worm(self, msg: Message, hops: int) -> None:
+        """Shift an isolated worm ``hops`` cycles ahead in one pass.
+
+        ``line`` is the start-of-jump occupancy by position, extended
+        ``hops`` places upstream of buffer 0: the source backlog (one
+        flit per place — the jump ends before it runs dry) or the void
+        behind the tail.  Every flit ends ``hops`` places downstream, so
+        link ``p`` carried the flits that started within ``hops`` places
+        upstream of it — a difference of two prefix sums — and the last
+        link's count is the ejections: the flit at ``line[j]`` ejects in
+        cycle ``self.cycle + last + hops - j``.
+        """
+        path = msg.path
+        last = len(path) - 1
+        buffered = msg.buffered
+        feeding = msg.at_source > 0
+        line = [1 if feeding else 0] * hops + buffered[:last]
+        before = list(accumulate(line, initial=0))
+        moved = 0
+        for p in range(0 if feeding else msg.tail_idx + 1, last + 1):
+            carried = before[p + hops] - before[p]
+            path[p].grants += carried
+            moved += carried
+        self.data_flits_moved += moved
+        buffered[:last] = line[:last]
+        if feeding:
+            msg.at_source -= hops
+        else:
+            tail = msg.tail_idx
+            msg.tail_idx = tail + hops
+            if not self._tail_ack_mode:
+                for p in range(tail + 1, tail + hops + 1):
+                    self._release_link(msg, p)
+        ejected = before[last + hops] - before[last]
+        if ejected:
+            msg.ejected += ejected
+            self.flits_ejected += ejected
+            self._eject_last[msg.dst] = msg.msg_id
+            final = self.cycle + last + hops
+            lo = max(last, final - self._measuring_to)
+            hi = min(last + hops, final - self._measuring_from)
+            if lo < hi:
+                self.measured_delivered_flits += before[hi] - before[lo]
 
     def step(self) -> None:
         """Advance one cycle through the five phases."""

@@ -10,8 +10,9 @@ halves of that workload behind one contract (DESIGN.md §9):
 * an **injection process** — :class:`InjectionProcess`, answering
   "when does the next message arrive?", realized by renewal-process
   *gap sampling* so idle cycles cost no RNG draws and the engine's
-  quiescence fast-forward can jump whole idle stretches while
-  consuming the RNG stream identically (see DESIGN.md §8/§9).
+  steady-state fast-forward can jump whole stretches without an
+  arrival while consuming the RNG stream identically (see DESIGN.md
+  §8/§9).
 
 Patterns (``SimulationConfig.traffic``):
 
@@ -407,9 +408,10 @@ class BurstyInjection(InjectionProcess):
     stream's plus the dwell counter.
 
     State toggles settle lazily at the next ``arrivals``/``idle_cycles``
-    call; on a quiescent network those are the next RNG consumers on
-    both the cycle-by-cycle and fast-forward paths, so the dwell draw
-    lands at the same stream position either way.
+    call; on a steady network (empty, or only established worms
+    streaming — no header left to route) those are the next RNG
+    consumers on both the cycle-by-cycle and fast-forward paths, so the
+    dwell draw lands at the same stream position either way.
     """
 
     def __init__(self, p_on: float, p_off: float,

@@ -370,11 +370,61 @@ def test_identical_when_nothing_is_delivered_in_the_window():
     assert_identical(a, ReferenceSimulator(cfg).run())
 
 
+def executed_steps(engine) -> int:
+    return engine.cycle - engine.fast_forwarded_cycles
+
+
+def lone_message_cfg(**overrides) -> SimulationConfig:
+    """An idle 16-ary 2-cube for hand-injected 32-flit messages."""
+    return SimulationConfig(
+        k=16, n=2, protocol="tp", offered_load=0.0, message_length=32,
+        warmup_cycles=0, measure_cycles=200, drain_cycles=0,
+    ).with_(**overrides)
+
+
+class DeclaredHook:
+    """Declares that it never acts — on a *quiescent* network."""
+
+    def __call__(self, engine):
+        pass
+
+    def next_event_cycle(self, engine):
+        return None
+
+
 def test_fast_forward_actually_skips_cycles():
-    """The low-load pinned config must exercise the skip path."""
+    """The low-load pinned config must exercise the skip path.  Executed
+    steps repeat exactly, so the count is pinned: jumping the empty
+    network alone leaves 567, a shortened worm jump something between —
+    caught here without a timer."""
     sim = NetworkSimulator(_low_load_idle_cfg())
     sim.run()
-    assert sim.engine.fast_forwarded_cycles > 0
+    assert sim.engine.cycle == 2800
+    assert executed_steps(sim.engine) == 342
+
+
+@pytest.mark.parametrize(
+    "protocol,overrides,steps,delivered",
+    [
+        # Header set-up, then one step each for the source running dry
+        # and the tail ejecting; every streaming cycle is jumped.
+        ("tp", {}, 8 + 1 + 2, 40),
+        ("dp", {}, 8 + 2, 40),
+        ("mb", {}, 8 + 8 + 8 + 2, 55),  # + path ack back, first flit out
+        ("tp", {"recovery": RecoveryConfig(tail_ack=True)}, 11 + 8, 40),
+    ],
+    ids=["tp", "dp", "mb", "tp-tail-ack"],
+)
+def test_lone_message_executed_steps(protocol, overrides, steps, delivered):
+    """A lone 32-flit message over 8 hops of an idle 16-ary 2-cube:
+    40 of 200 cycles executed when only the empty network is jumped."""
+    engine = NetworkSimulator(
+        lone_message_cfg(protocol=protocol, **overrides)
+    ).engine
+    engine.inject(0, 4 + 16 * 4)
+    engine.run(200)
+    assert engine.records[0].delivered == delivered
+    assert executed_steps(engine) == steps
 
 
 @pytest.mark.parametrize(
@@ -494,17 +544,10 @@ def test_undeclared_hook_disables_fast_forward():
 def test_declared_hooks_run_without_fallback_warning():
     """Hooks that declare the contract — a HookChain of them included —
     keep fast-forward and stay silent."""
-    class Declared:
-        def __call__(self, engine):
-            pass
-
-        def next_event_cycle(self, engine):
-            return None
-
     sim = NetworkSimulator(_reconfig_idle_cfg())  # chains the controller
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sim.run(on_cycle=Declared())
+        sim.run(on_cycle=DeclaredHook())
     assert sim.engine.fast_forwarded_cycles > 0
 
 

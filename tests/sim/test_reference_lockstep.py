@@ -1,6 +1,6 @@
 """Property tests for the event-driven engine core (DESIGN.md §11).
 
-Two families, pinned with hypothesis:
+Three families:
 
 * **ready-set membership** — the production engine's claim is that
   every item it leaves out of a ready set (a ``dm_quiet`` message, a
@@ -17,6 +17,13 @@ Two families, pinned with hypothesis:
   through deadlock-recovery victim ejection and reconfiguration epoch
   bumps — the paths where the wake and re-arm notifications are
   hardest to get right.
+* **steady-state fast-forward** — ``Engine.run`` jumps over cycles in
+  which nothing is in flight but isolated, established worms (DESIGN.md
+  §8), advancing them in closed form.  ``step()`` never enters that
+  jump, so production ``run(c)`` is compared with the reference's
+  (which steps all ``c`` cycles) over hypothesis-drawn chunk lengths at
+  light load, full state after every chunk, and one named test pins
+  each edge of the predicate and of the window accounting.
 * **sorted-set order** — the incrementally maintained
   :class:`_SortedIntSet` (the active control/ack channel sets) must
   present exactly the ascending snapshot a fresh ``sorted()`` would,
@@ -35,7 +42,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.chaos import ChaosController
-from repro.faults.injection import DynamicFaultSchedule
+from repro.faults.injection import DynamicFaultSchedule, FaultEvent
 from repro.sim.config import (
     FaultConfig,
     RecoveryConfig,
@@ -45,6 +52,11 @@ from repro.sim.config import (
 from repro.sim.engine import _SortedIntSet
 from repro.sim.simulator import NetworkSimulator
 from tests.sim.reference_engine import ReferenceSimulator
+from tests.sim.test_determinism import (
+    DeclaredHook,
+    executed_steps,
+    lone_message_cfg,
+)
 
 
 # ======================================================================
@@ -109,11 +121,14 @@ def _msg_state(msg):
         msg.consecutive_waits,
         msg.retries,
         msg.teardown,
+        msg.injected_cycle,
+        msg.delivered_cycle,
     )
 
 
 def _engine_state(engine):
     return {
+        "cycle": engine.cycle,
         "active": {
             mid: _msg_state(m) for mid, m in engine.active.items()
         },
@@ -128,7 +143,22 @@ def _engine_state(engine):
         # skips pure re-decides the reference repeats, so the call
         # count differs while the outcomes match.
         "ejected": engine.flits_ejected,
+        "measured": engine.measured_delivered_flits,
+        "control": engine.control_flits_sent,
         "recoveries": engine.deadlock_recoveries,
+        "idle_streak": engine._idle_streak,
+        "vcs": [
+            (vc.owner, vc.grants)
+            for ch in range(engine.topology.num_channels)
+            for vc in engine.channels.vcs(ch)
+        ],
+        "eject_last": list(engine._eject_last),
+        "release_versions": list(engine._node_rel_ver),
+        "resident": list(engine._ch_resident),
+        "records": [
+            (r.msg_id, r.status, r.created, r.injected, r.delivered)
+            for r in engine.records
+        ],
     }
 
 
@@ -193,6 +223,261 @@ def test_ready_sets_match_brute_force_lockstep(
     # membership, not vacuity) is pinned separately by
     # test_determinism.test_event_engine_actually_parks_and_quiets —
     # an uncongested low-load example here may legitimately never park.
+
+
+# ======================================================================
+# Steady-state fast-forward: run() in chunks vs the reference
+# ======================================================================
+#: protocol id -> (protocol, protocol_params).
+CHUNKED_PROTOCOLS = {
+    "tp-k0": ("tp", {"k_unsafe": 0}),
+    "tp-k3": ("tp", {"k_unsafe": 3}),
+    "dp": ("dp", {}),
+    "mb": ("mb", {}),
+    "det": ("det", {}),
+}
+
+
+def test_chunked_run_matches_reference():
+    """``production.run(c)`` equals ``reference.run(c)`` chunk by chunk.
+
+    ``step()`` never enters ``run()``'s jump, and ``RunResult`` holds
+    neither ``vc.grants`` nor ``_eject_last``: only a full-state
+    comparison around ``run()`` sees a slip in the closed-form worm
+    advance.  Light loads keep worms isolated; the warm-up and the end
+    of the window land mid-stream, and chunk ends cut jumps short at
+    arbitrary cycles.  The advance draws no random number, so the RNG
+    states must agree too.
+    """
+    worm_jumps = []
+
+    @given(
+        protocol=st.sampled_from(sorted(CHUNKED_PROTOCOLS)),
+        k=st.sampled_from([4, 5, 6]),
+        load=st.sampled_from([0.002, 0.005, 0.01, 0.02, 0.04, 0.08]),
+        message_length=st.sampled_from([6, 16, 40]),
+        seed=st.integers(0, 30),
+        traffic=st.sampled_from([
+            "uniform", "hotspot", "transpose", "complement", "tornado",
+            "bursty",
+        ]),
+        recovery=st.sampled_from(sorted(RECOVERY_MODES)),
+        hardware_acks=st.booleans(),
+        num_adaptive_vcs=st.sampled_from([1, 2]),
+        buffer_depth=st.sampled_from([1, 2, 3]),
+        static_node_faults=st.sampled_from([0, 2]),
+        dynamic_faults=st.integers(0, 2),
+        warmup=st.integers(20, 150),
+        chunks=st.lists(st.integers(1, 80), min_size=5, max_size=10),
+    )
+    @settings(max_examples=100)
+    def check(
+        protocol, k, load, message_length, seed, traffic, recovery,
+        hardware_acks, num_adaptive_vcs, buffer_depth,
+        static_node_faults, dynamic_faults, warmup, chunks,
+    ):
+        name, params = CHUNKED_PROTOCOLS[protocol]
+        cfg = SimulationConfig(
+            k=k, n=2, protocol=name, protocol_params=params,
+            offered_load=load, message_length=message_length,
+            traffic=traffic, hardware_acks=hardware_acks,
+            num_adaptive_vcs=num_adaptive_vcs, buffer_depth=buffer_depth,
+            warmup_cycles=warmup, measure_cycles=100, drain_cycles=0,
+            seed=seed, watchdog_cycles=60, max_header_wait=4000,
+            faults=FaultConfig(
+                static_node_faults=static_node_faults,
+                dynamic_faults=dynamic_faults, dynamic_start=20,
+            ),
+            recovery=RecoveryConfig(**RECOVERY_MODES[recovery]),
+        )
+        production = NetworkSimulator(cfg).engine
+        reference = ReferenceSimulator(cfg).engine
+        for chunk in chunks:
+            skipped = production.fast_forwarded_cycles
+            in_flight = set(production.active)
+            production.run(chunk)
+            reference.run(chunk)
+            assert _engine_state(production) == _engine_state(reference), (
+                f"divergence in the {chunk}-cycle chunk ending at cycle "
+                f"{production.cycle}: {cfg}"
+            )
+            assert production.rng.getstate() == reference.rng.getstate()
+            # A message in flight at both ends kept the network busy
+            # throughout, so any skipped cycle was a worm jump.
+            if (
+                production.fast_forwarded_cycles > skipped
+                and in_flight & set(production.active)
+            ):
+                worm_jumps.append(production.cycle)
+
+    check()
+    assert worm_jumps, "no chunk ever fast-forwarded a worm in flight"
+
+
+# ----------------------------------------------------------------------
+# Named edges of the steady predicate: a lone 32-flit message over 8
+# hops of an idle 16-ary 2-cube (TP: header at the destination in cycle
+# 8, flit i ejected in cycle 8 + i, delivered in cycle 40 = l + L).
+# ----------------------------------------------------------------------
+def _node(x: int, y: int) -> int:
+    return x + 16 * y
+
+
+def _engine_pair(cfg, *injections):
+    """Production and reference engines, same hand-injected messages."""
+    engines = []
+    for simulator_class in (NetworkSimulator, ReferenceSimulator):
+        engine = simulator_class(cfg).engine
+        for src, dst in injections:
+            engine.inject(src, dst)
+        engines.append(engine)
+    return engines
+
+
+def _run_both(production, reference, cycles, on_cycle=None):
+    production.run(cycles, on_cycle=on_cycle)
+    reference.run(cycles, on_cycle=on_cycle)
+    assert _engine_state(production) == _engine_state(reference), (
+        f"production/reference divergence at cycle {production.cycle}"
+    )
+
+
+@pytest.mark.parametrize(
+    "window,counted",
+    [
+        # The feed jump covers cycles 10-32.
+        ({"warmup_cycles": 20, "measure_cycles": 180}, 20),
+        ({"warmup_cycles": 0, "measure_cycles": 25}, 17),
+    ],
+    ids=["warmup", "total"],
+)
+def test_jump_straddles_measurement_window_edge(window, counted):
+    """Only the ejections inside ``(warmup, total]`` are measured when
+    one jump crosses an edge of the window."""
+    production, reference = _engine_pair(
+        lone_message_cfg(**window), (_node(0, 0), _node(4, 4))
+    )
+    _run_both(production, reference, 200)
+    assert production.measured_delivered_flits == counted
+    assert executed_steps(production) == 11  # no jump was cut short
+
+
+def test_dynamic_fault_on_streaming_worms_own_channel():
+    """The jump stops the cycle before the fault; the teardown it then
+    triggers is the reference's."""
+    probe = NetworkSimulator(lone_message_cfg()).engine
+    msg = probe.inject(_node(0, 0), _node(4, 4))
+    probe.run(9)
+    production, reference = _engine_pair(
+        lone_message_cfg(), (_node(0, 0), _node(4, 4))
+    )
+    for engine in (production, reference):
+        engine.dynamic_schedule = DynamicFaultSchedule([
+            FaultEvent(cycle=20, kind="link", target=msg.path[3].channel_id)
+        ])
+    _run_both(production, reference, 19)
+    assert production.fast_forwarded_cycles == 10  # cycles 10-19
+    assert not production.active[0].teardown
+    _run_both(production, reference, 1)
+    assert production.teardown_counts == {"fault": 1}
+    _run_both(production, reference, 180)
+    assert not production.active and production.channels.all_free()
+
+
+def _assert_never_jumped_together(production, reference):
+    """Step both engines while two messages are active: nothing may be
+    skipped, and both must have been streaming at some point."""
+    both_streaming = False
+    while len(production.active) == 2:
+        both_streaming = both_streaming or all(
+            m.ejected for m in production.active.values()
+        )
+        _run_both(production, reference, 1)
+    assert both_streaming
+    assert production.fast_forwarded_cycles == 0
+    _run_both(production, reference, 200 - production.cycle)
+    assert production.fast_forwarded_cycles > 0
+    assert production.delivered_messages == 2
+
+
+def test_two_worms_to_one_destination_are_never_jumped():
+    """They share the ejection port, so neither advances every cycle."""
+    production, reference = _engine_pair(
+        lone_message_cfg(),
+        (_node(0, 0), _node(4, 4)), (_node(8, 8), _node(4, 4)),
+    )
+    _assert_never_jumped_together(production, reference)
+
+
+def test_two_worms_on_one_physical_channel_are_never_jumped():
+    """Different VCs of the same links: they alternate on the wires."""
+    production, reference = _engine_pair(
+        lone_message_cfg(),
+        (_node(0, 0), _node(6, 0)), (_node(1, 0), _node(7, 0)),
+    )
+    production.run(3)
+    reference.run(3)
+    assert max(production._ch_resident) == 2
+    _assert_never_jumped_together(production, reference)
+
+
+def test_one_flit_buffers_are_never_worm_jumped():
+    """A one-flit buffer refuses a flit in the cycle it drains, so the
+    worm does not advance every cycle; the empty network still jumps."""
+    production, reference = _engine_pair(
+        lone_message_cfg(buffer_depth=1), (_node(0, 0), _node(4, 4))
+    )
+    while production.active:
+        _run_both(production, reference, 1)
+    assert production.fast_forwarded_cycles == 0
+    _run_both(production, reference, 200 - production.cycle)
+    assert executed_steps(production) == production.records[0].delivered
+
+
+def test_hooked_run_jumps_only_the_empty_network():
+    """``next_event_cycle`` speaks for quiescent networks only: with a
+    worm in flight the hook sees every cycle."""
+    production, reference = _engine_pair(
+        lone_message_cfg(), (_node(0, 0), _node(4, 4))
+    )
+    _run_both(production, reference, 200, on_cycle=DeclaredHook())
+    assert production.records[0].delivered == 40
+    assert executed_steps(production) == 40
+    assert production.fast_forwarded_cycles == 160
+
+
+def test_tail_ack_holds_links_through_the_drain_jump():
+    """Tail-ack mode: the tail crosses links in the jump without
+    releasing them; the TAIL_ACK walk back is stepped."""
+    production, reference = _engine_pair(
+        lone_message_cfg(recovery=RecoveryConfig(tail_ack=True)),
+        (_node(0, 0), _node(4, 4)),
+    )
+    msg = production.active[0]
+    _run_both(production, reference, 39)  # the drain jump ends here
+    assert production.fast_forwarded_cycles == 23 + 6
+    assert msg.tail_idx == 6 and not any(msg.released)
+    assert all(vc.owner == msg.msg_id for vc in msg.path)
+    _run_both(production, reference, 161)
+    assert executed_steps(production) == 11 + 8  # one step per ack hop
+    assert production.channels.all_free()
+
+
+def test_audit_ticks_bound_the_jump_and_find_it_clean():
+    """Every audit tick is an executed cycle, and the auditor (flit
+    conservation, released[p] <=> tail passed p) is clean right after a
+    feed jump (cycle 17), a drain jump (cycle 36) and at the end."""
+    cfg = lone_message_cfg(
+        resilience=ResilienceConfig(audit_invariants=True, audit_every=5)
+    )
+    production, reference = _engine_pair(cfg, (_node(0, 0), _node(4, 4)))
+    for stop in (17, 36, 200):
+        skipped = production.fast_forwarded_cycles
+        _run_both(production, reference, stop - production.cycle)
+        assert production.fast_forwarded_cycles > skipped
+        assert production.auditor.audit() == []
+    assert production.auditor.checks_run == 200 // 5 + 3
+    assert reference.auditor.checks_run == 200 // 5
 
 
 # ======================================================================

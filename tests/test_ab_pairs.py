@@ -96,24 +96,58 @@ def test_seeds_and_workloads_are_compared_separately(tmp_path):
         assert out.endswith("-a.json" if cwd == PARENT else "-b.json")
 
 
-def test_pairs_won_counts_by_metric_direction(tmp_path, capsys):
+def _write_pairs(tmp_path, pairs):
+    """``--out`` files for ``[((a_wall, a_hops), (b_wall, b_hops)), …]``
+    in ``compare.py`` order; every other metric reads 1.0."""
+    spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+
     def doc(wall, hops):
         return {"workloads": {"fig12-faultfree": {"end_to_end": {
-            m["name"]: {"value": 1.0} for m in json.loads(
-                (REPO_ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+            m["name"]: {"value": 1.0} for m in spec["end_to_end"]
         } | {"wall_s": {"value": wall}, "flit_hops_per_s": {"value": hops}}}}}
 
     files = []
-    for i, (a, b) in enumerate([((5.0, 100), (4.0, 120)),
-                                ((5.0, 100), (5.5, 90)),
-                                ((5.0, 100), (5.0, 100))]):
-        for side, (wall, hops) in (("a", a), ("b", b)):
+    for i, sides in enumerate(pairs):
+        for side, (wall, hops) in zip("ab", sides):
             path = tmp_path / f"p{i}-{side}.json"
             path.write_text(json.dumps(doc(wall, hops)))
             files.append(path)
-    ab_pairs.pairs_won(files)
-    lines = capsys.readouterr().out.splitlines()
-    wall = next(ln for ln in lines if " wall_s " in ln)
-    hops = next(ln for ln in lines if " flit_hops_per_s " in ln)
-    assert "won 1, lost 1 of 3" in wall
-    assert "won 1, lost 1 of 3" in hops  # higher is better there
+    return files
+
+
+def _metric_line(out: str, metric: str) -> str:
+    return next(ln for ln in out.splitlines() if f" {metric} " in ln)
+
+
+def test_pairs_won_counts_by_metric_direction(tmp_path, capsys):
+    ab_pairs.pairs_won(_write_pairs(tmp_path, [
+        ((5.0, 100), (4.0, 120)),
+        ((5.0, 100), (5.5, 90)),
+        ((5.0, 100), (5.0, 100)),
+    ]))
+    out = capsys.readouterr().out
+    assert "won 1, lost 1 of 3" in _metric_line(out, "wall_s")
+    # Higher is better there.
+    assert "won 1, lost 1 of 3" in _metric_line(out, "flit_hops_per_s")
+
+
+def test_gain_needs_the_pairs_and_the_medians_apart(tmp_path, capsys):
+    """Winning every pair is not a gain while the medians sit inside
+    the parent's own quartile spread."""
+    parent_wall = [5.0, 5.1, 4.9, 5.2, 4.8, 5.0, 5.1, 4.9, 5.05, 4.95]
+    parent_hops = [100, 110, 90, 120, 80, 105, 95, 115, 85, 100]
+    ab_pairs.pairs_won(_write_pairs(tmp_path, [
+        ((wall, hops), (4.0, hops + 1))
+        for wall, hops in zip(parent_wall, parent_hops)
+    ]))
+    out = capsys.readouterr().out
+    assert _metric_line(out, "wall_s").endswith(
+        "won 10, lost 0 of 10 pairs: gain"
+    )
+    assert _metric_line(out, "flit_hops_per_s").endswith(
+        "won 10, lost 0 of 10 pairs: no gain"
+    )
+    # All ties: nothing won, medians equal.
+    assert _metric_line(out, "setup_s").endswith(
+        "won 0, lost 0 of 10 pairs: no gain"
+    )
