@@ -4,8 +4,8 @@ Subcommands:
 
 * ``run`` — one simulation with explicit parameters, printing the
   latency/throughput summary;
-* ``figure`` — regenerate one of the paper's figures (12, 13, 14, 15,
-  17, ``formulas``, ``theorems``, ``ablation``);
+* ``figure`` — regenerate one of the paper's figures or tables (the
+  names are the keys of :data:`FIGURES`);
 * ``sweep`` — a latency-throughput load sweep for one protocol;
 * ``chaos`` — a randomized fault-storm campaign with the invariant
   auditor and deadlock-recovery watchdog armed;
@@ -44,6 +44,7 @@ the output is identical to a serial run.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from typing import List, Optional
@@ -129,55 +130,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``figure`` names and the modules whose ``main()`` regenerates them.
+FIGURES = {
+    "12": "repro.experiments.fig12_fault_free",
+    "13": "repro.experiments.fig13_static_faults",
+    "14": "repro.experiments.fig14_fault_sweep",
+    "15": "repro.experiments.fig15_aggressive_vs_conservative",
+    "17": "repro.experiments.fig17_dynamic_faults",
+    "formulas": "repro.experiments.formula_table",
+    "theorems": "repro.experiments.theorem_table",
+    "ablation": "repro.experiments.ablation_k",
+    "hw-acks": "repro.experiments.ablation_hw_acks",
+    "length": "repro.experiments.message_length_sweep",
+    "validation": "repro.sim.validation",
+}
+
+
 def _cmd_figure(args: argparse.Namespace) -> int:
-    name = args.name.lower()
-    if name in ("12", "fig12"):
-        from repro.experiments import fig12_fault_free as mod
-
-        mod.main()
-    elif name in ("13", "fig13"):
-        from repro.experiments import fig13_static_faults as mod
-
-        mod.main()
-    elif name in ("14", "fig14"):
-        from repro.experiments import fig14_fault_sweep as mod
-
-        mod.main()
-    elif name in ("15", "fig15"):
-        from repro.experiments import fig15_aggressive_vs_conservative as mod
-
-        mod.main()
-    elif name in ("17", "fig17"):
-        from repro.experiments import fig17_dynamic_faults as mod
-
-        mod.main()
-    elif name == "formulas":
-        from repro.experiments import formula_table as mod
-
-        mod.main()
-    elif name == "theorems":
-        from repro.experiments import theorem_table as mod
-
-        mod.main()
-    elif name == "ablation":
-        from repro.experiments import ablation_k as mod
-
-        mod.main()
-    elif name in ("hw-acks", "hw_acks"):
-        from repro.experiments import ablation_hw_acks as mod
-
-        mod.main()
-    elif name in ("length", "length-sweep"):
-        from repro.experiments import message_length_sweep as mod
-
-        mod.main()
-    elif name == "validation":
-        from repro.sim import validation
-
-        print(validation.render(validation.validate()))
-    else:
-        print(f"unknown figure {args.name!r}", file=sys.stderr)
+    # Also accepted: fig12, hw_acks, length-sweep.
+    name = args.name.lower().removeprefix("fig").replace("_", "-")
+    module = FIGURES.get(name.removesuffix("-sweep"))
+    if module is None:
+        print(f"unknown figure {args.name!r}; choose from "
+              f"{' | '.join(FIGURES)}", file=sys.stderr)
         return 2
+    importlib.import_module(module).main()
     return 0
 
 
@@ -274,24 +251,33 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults.chaos import SCENARIOS, ChaosSpec, run_campaign
-    from repro.sim.simulator import PROTOCOLS
+def _run_campaign(args: argparse.Namespace, campaign, spec_class,
+                  **fields) -> int:
+    """The flow ``chaos`` and ``storm`` share: an unknown name in the
+    spec exits 2, a campaign with a failed run exits 1."""
+    try:
+        spec = spec_class(
+            seeds=tuple(range(args.seeds)), k=args.k, n=args.n, **fields
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    result = campaign(spec, jobs=args.jobs)
+    print(result.render())
+    if getattr(args, "out", None):
+        with open(args.out, "w") as fh:
+            json.dump(result.report(), fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {args.out}")
+    return 0 if result.ok else 1
 
-    protocols = tuple(args.protocols.split(","))
-    known = sorted(set(PROTOCOLS) | set(SCENARIOS))
-    for name in protocols:
-        if name not in PROTOCOLS and name not in SCENARIOS:
-            print(
-                f"unknown protocol {name!r}; choose from {known}",
-                file=sys.stderr,
-            )
-            return 2
-    spec = ChaosSpec(
-        seeds=tuple(range(args.seeds)),
-        protocols=protocols,
-        k=args.k,
-        n=args.n,
+
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    from repro.faults import chaos
+
+    return _run_campaign(
+        args, chaos.run_campaign, chaos.ChaosSpec,
+        protocols=tuple(args.protocols.split(",")),
         offered_load=args.load,
         traffic=args.pattern,
         traffic_params=_pattern_params(args.pattern_param),
@@ -300,41 +286,33 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         node_fault_fraction=args.node_fault_fraction,
         watchdog_cycles=args.watchdog,
     )
-    result = run_campaign(spec, jobs=args.jobs)
-    print(result.render())
-    return 0 if result.ok else 1
 
 
 def _cmd_storm(args: argparse.Namespace) -> int:
-    from repro.faults.chaos import (
-        STORM_SCENARIOS,
-        StormSpec,
-        run_storm_campaign,
+    from repro.faults import chaos
+
+    return _run_campaign(
+        args, chaos.run_storm_campaign, chaos.StormSpec,
+        scenarios=tuple(args.scenarios.split(",")),
     )
 
-    scenarios = tuple(args.scenarios.split(","))
-    for name in scenarios:
-        if name not in STORM_SCENARIOS:
-            print(
-                f"unknown storm scenario {name!r}; choose from "
-                f"{sorted(STORM_SCENARIOS)}",
-                file=sys.stderr,
-            )
-            return 2
-    spec = StormSpec(
-        seeds=tuple(range(args.seeds)),
-        scenarios=scenarios,
-        k=args.k,
-        n=args.n,
+
+def _add_campaign_args(subparser: argparse.ArgumentParser, seeds: int,
+                       grid: str) -> None:
+    """The arguments ``chaos`` and ``storm`` share; ``grid`` names what
+    one seed is crossed with."""
+    subparser.add_argument("--seeds", type=int, default=seeds,
+                           help=f"number of seeds per {grid}")
+    subparser.add_argument("--k", type=int, default=6)
+    subparser.add_argument("--n", type=int, default=2)
+    subparser.add_argument(
+        "--jobs", type=int, default=None,
+        help=(
+            f"worker processes for the {grid} x seed grid "
+            "(default: REPRO_JOBS env var, else serial)"
+        ),
     )
-    result = run_storm_campaign(spec, jobs=args.jobs)
-    print(result.render())
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(result.report(), fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-    return 0 if result.ok else 1
+    _add_profile_args(subparser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,13 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=_cmd_run)
 
     fig_p = sub.add_parser("figure", help="regenerate a paper figure")
-    fig_p.add_argument(
-        "name",
-        help=(
-            "12 | 13 | 14 | 15 | 17 | formulas | theorems | ablation "
-            "| hw-acks | length | validation"
-        ),
-    )
+    fig_p.add_argument("name", help=" | ".join(FIGURES))
     fig_p.set_defaults(func=_cmd_figure)
 
     sweep_p = sub.add_parser("sweep", help="latency-throughput load sweep")
@@ -426,8 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_p = sub.add_parser(
         "chaos", help="randomized fault-storm resilience campaign"
     )
-    chaos_p.add_argument("--seeds", type=int, default=20,
-                         help="number of seeds per protocol")
+    _add_campaign_args(chaos_p, seeds=20, grid="protocol")
     chaos_p.add_argument(
         "--protocols", default="tp,dp,det-naive",
         help=(
@@ -435,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
             "deadlock-prone gridlock scenario"
         ),
     )
-    chaos_p.add_argument("--k", type=int, default=6)
-    chaos_p.add_argument("--n", type=int, default=2)
     chaos_p.add_argument("--load", type=float, default=0.08)
     chaos_p.add_argument("--pattern", default="uniform",
                          choices=TrafficGenerator.PATTERNS,
@@ -453,14 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fraction of faults that kill whole nodes")
     chaos_p.add_argument("--watchdog", type=int, default=120,
                          help="watchdog window in cycles")
-    chaos_p.add_argument(
-        "--jobs", type=int, default=None,
-        help=(
-            "worker processes for the (protocol, seed) grid (default: "
-            "REPRO_JOBS env var, else serial)"
-        ),
-    )
-    _add_profile_args(chaos_p)
     chaos_p.set_defaults(func=_cmd_chaos)
 
     storm_p = sub.add_parser(
@@ -470,24 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
             "reconfiguration, head-to-head"
         ),
     )
-    storm_p.add_argument("--seeds", type=int, default=4,
-                         help="number of seeds per (scenario, arm)")
+    _add_campaign_args(storm_p, seeds=4, grid="(scenario, arm)")
     storm_p.add_argument(
         "--scenarios", default="gridlock,linkstorm",
         help="comma-separated storm scenario names",
     )
-    storm_p.add_argument("--k", type=int, default=6)
-    storm_p.add_argument("--n", type=int, default=2)
     storm_p.add_argument(
         "--out", default=None,
         help="write the BENCH_resilience.json payload here",
-    )
-    storm_p.add_argument(
-        "--jobs", type=int, default=None,
-        help=(
-            "worker processes for the (scenario, arm, seed) grid "
-            "(default: REPRO_JOBS env var, else serial)"
-        ),
     )
     storm_p.set_defaults(func=_cmd_storm)
     return parser

@@ -1,9 +1,9 @@
 """Chaos fault-storm harness (the resilience layer's adversary).
 
-Randomized campaigns that inject *bursts* of node/link faults at
+Randomized runs that inject *bursts* of node/link faults at
 adversarial moments — while a message is mid-path-setup, while a header
 is backtracking, while a kill-flit teardown is already in flight —
-across many seeds and protocols, with the runtime invariant auditor
+across many seeds, with the runtime invariant auditor
 (:mod:`repro.sim.invariants`) enabled and the deadlock-recovery
 watchdog (:mod:`repro.sim.postmortem`) armed.
 
@@ -16,27 +16,25 @@ run must end with the network drained or every message accounted for —
 this harness is the regression gate that makes aggressive engine
 changes safe to land.
 
-CLI: ``repro-sim chaos --seeds 20 --protocols tp,dp,det-naive``.
-
-The storm *benchmark* below promotes the harness from regression gate
-to measurement instrument: :func:`run_storm_campaign` runs the same
-adversarial fault storms head-to-head through two recovery arms —
-``tp-only`` (the paper's per-message misrouting/detours, nothing else)
-and ``reconfig`` (the same protocol plus the online reconfiguration
-controller of :mod:`repro.reconfig`) — and records recovery latency,
-delivery ratio over storm-window traffic, victim/ejection counts, and
+One run body (:func:`_storm_run`) serves two campaigns.  The chaos
+*campaign* (:func:`run_campaign`, ``repro-sim chaos``) crosses seeds
+with protocols and asks only "did it survive".  The storm *benchmark*
+(:func:`run_storm_campaign`, ``repro-sim storm``) runs named storm
+shapes head-to-head through two recovery arms — ``tp-only`` (the
+paper's per-message misrouting/detours, nothing else) and ``reconfig``
+(the same protocol plus the online reconfiguration controller of
+:mod:`repro.reconfig`) — and also records recovery latency, delivery
+ratio over storm-window traffic, victim/ejection counts, and
 reconfiguration downtime.  ``benchmarks/test_bench_resilience.py``
 writes the aggregate into ``BENCH_resilience.json`` (diffable with
 ``benchmarks/compare_bench.py --key storm_delivery_ratio``).
-
-CLI: ``repro-sim storm --seeds 4 --scenarios gridlock,linkstorm``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
-from multiprocessing import Pool
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.injection import DynamicFaultSchedule, FaultEvent
@@ -44,29 +42,124 @@ from repro.sim.config import ResilienceConfig, SimulationConfig
 from repro.sim.engine import DeadlockError
 from repro.sim.invariants import InvariantError
 from repro.sim.message import HeaderPhase, Message
-from repro.sim.parallel import resolve_jobs
-from repro.sim.simulator import NetworkSimulator
+from repro.sim.parallel import run_tasks
+from repro.sim.simulator import PROTOCOLS, NetworkSimulator
 
 #: Vulnerable message phases the controller aims its bursts at.
 TRIGGERS = ("setup", "backtrack", "teardown")
 
-#: Pseudo-protocols resolving to a real protocol plus parameters.  The
-#: fault-tolerant protocols (TP, DP) are deadlock-free by construction,
-#: so their fault-storm runs prove the *absence* of stalls; the
-#: ``det-naive`` gridlock scenario (dimension-order without dateline
-#: classes — the textbook torus wormhole deadlock) proves the watchdog
+#: Recovery arms the storm benchmark compares on identical storm specs.
+ARMS = ("tp-only", "reconfig")
+
+# Held fixed by every harness run.  The per-header wait escape stays
+# far beyond the watchdog so the diagnosis/victim-ejection path is the
+# mechanism under test.
+MAX_HEADER_WAIT = 6000
+AUDIT_EVERY = 20
+MAX_DEADLOCK_RECOVERIES = 512
+
+#: Where the ``reconfig`` arm departs from the ResilienceConfig
+#: defaults (window 512, threshold 4, unsafe radius 2 stay): check
+#: often — storms are short — and hold each committed plan for a while,
+#: so the arm reconfigures once per genuine pocket instead of churning
+#: epochs and paying drain downtime for marginal plans.
+RECONFIG_KNOBS = dict(
+    reconfig_check_every=16, reconfig_drain_timeout=200,
+    reconfig_cooldown=600,
+)
+
+#: Pseudo-protocols of the chaos campaign, as the SimulationConfig
+#: fields they set.  The fault-tolerant protocols (TP, DP) are
+#: deadlock-free by construction, so their fault-storm runs prove the
+#: *absence* of stalls; the ``det-naive`` gridlock scenario
+#: (dimension-order without dateline classes — the textbook torus
+#: wormhole deadlock — at a load and message length high enough that
+#: cyclic wait genuinely forms around the rings) proves the watchdog
 #: diagnoses and recovers *real* cyclic deadlocks when they do happen.
-SCENARIOS = {"det-naive": ("det", {"dateline": False})}
+SCENARIOS = {
+    "det-naive": dict(
+        protocol="det", protocol_params={"dateline": False},
+        offered_load=0.30, message_length=16,
+    ),
+}
+
+
+@dataclass(frozen=True)
+class StormScenario:
+    """One named storm shape (workload + burst pattern)."""
+
+    name: str
+    offered_load: float
+    message_length: int
+    #: Fault bursts per run, spread across the measurement window.
+    bursts: int
+    #: Faults per burst.
+    burst_size: int
+    #: Fraction of burst faults that kill the node at the downstream
+    #: end of the targeted channel instead of the link itself.
+    node_fault_fraction: float
+
+
+#: The storm catalog.  ``gridlock`` is the acceptance scenario: heavy
+#: clustered bursts at near-saturation load wedge whole corridors, so
+#: the per-message scheme keeps paying aborts/ejections in the pocket
+#: while the reconfiguration arm withdraws the pocket from the
+#: candidate sets once and routes around it.  ``linkstorm`` is a
+#: milder link-only storm at moderate load.
+STORM_SCENARIOS: Dict[str, StormScenario] = {
+    s.name: s
+    for s in (
+        StormScenario(
+            name="gridlock", offered_load=0.22, message_length=12,
+            bursts=4, burst_size=3, node_fault_fraction=0.4,
+        ),
+        StormScenario(
+            name="linkstorm", offered_load=0.10, message_length=8,
+            bursts=3, burst_size=2, node_fault_fraction=0.0,
+        ),
+    )
+}
+
+
+#: The names a spec or a run may use, by the kind the error reports.
+_CATALOGS = {
+    "protocol": (*PROTOCOLS, *SCENARIOS),
+    "storm scenario": STORM_SCENARIOS,
+    "arm": ARMS,
+}
+
+
+def _check(kind: str, *names: str) -> None:
+    """Reject a name its catalog does not hold, listing the choices."""
+    for name in names:
+        if name not in _CATALOGS[kind]:
+            raise ValueError(
+                f"unknown {kind} {name!r}; "
+                f"choose from {sorted(_CATALOGS[kind])}"
+            )
 
 
 @dataclass
-class ChaosSpec:
-    """Parameters of one chaos campaign."""
+class HarnessSpec:
+    """What a chaos campaign and a storm campaign both choose."""
 
     seeds: Sequence[int] = tuple(range(20))
-    protocols: Sequence[str] = ("tp", "dp", "det-naive")
     k: int = 6
     n: int = 2
+    warmup_cycles: int = 200
+    measure_cycles: int = 1000
+    drain_cycles: int = 30_000
+    #: Short watchdog so stalls are diagnosed and recovered quickly.
+    watchdog_cycles: int = 120
+    #: Extra cycles after the drain for residual teardown tokens.
+    settle_cycles: int = 200
+
+
+@dataclass
+class ChaosSpec(HarnessSpec):
+    """Parameters of one chaos campaign."""
+
+    protocols: Sequence[str] = ("tp", "dp", "det-naive")
     offered_load: float = 0.08
     #: Workload pattern under fault storms (see the EXPERIMENTS.md
     #: catalog) — hotspot and bursty runs exercise the resilience
@@ -74,29 +167,27 @@ class ChaosSpec:
     traffic: str = "uniform"
     traffic_params: dict = field(default_factory=dict)
     message_length: int = 8
-    warmup_cycles: int = 200
-    measure_cycles: int = 1000
-    drain_cycles: int = 30_000
-    #: Fault bursts per run, spread across the measurement window.
+    #: The storm shape (see :class:`StormScenario`).
     bursts: int = 3
-    #: Faults per burst.
     burst_size: int = 2
-    #: Fraction of burst faults that kill the node at the downstream
-    #: end of the targeted channel instead of the link itself.
     node_fault_fraction: float = 0.25
-    #: Short watchdog so stalls are diagnosed and recovered quickly.
-    watchdog_cycles: int = 120
-    #: Keep the per-header wait escape far beyond the watchdog so the
-    #: diagnosis/victim-ejection path is the mechanism under test.
-    max_header_wait: int = 6000
-    audit_every: int = 20
-    max_deadlock_recoveries: int = 512
-    #: Extra cycles after the drain for residual teardown tokens.
-    settle_cycles: int = 200
-    #: Load/length overrides for the ``det-naive`` gridlock scenario —
-    #: high enough that cyclic wait genuinely forms around the rings.
-    gridlock_load: float = 0.30
-    gridlock_message_length: int = 16
+
+    def __post_init__(self) -> None:
+        _check("protocol", *self.protocols)
+
+
+@dataclass
+class StormSpec(HarnessSpec):
+    """Parameters of one storm-benchmark campaign."""
+
+    seeds: Sequence[int] = tuple(range(4))
+    measure_cycles: int = 1500
+    scenarios: Sequence[str] = ("gridlock", "linkstorm")
+    arms: Sequence[str] = ARMS
+
+    def __post_init__(self) -> None:
+        _check("storm scenario", *self.scenarios)
+        _check("arm", *self.arms)
 
 
 class ChaosController:
@@ -232,8 +323,45 @@ class ChaosController:
         return self.rng.choice(healthy) if healthy else None
 
 
+class _RunVerdict:
+    @property
+    def ok(self) -> bool:
+        """Survived: no unhandled error, clean audits, nothing leaked."""
+        return (
+            self.error is None
+            and self.invariant_violations == 0
+            and (self.drained or self.accounted)
+        )
+
+
 @dataclass
-class ChaosRunRecord:
+class _CampaignResult:
+    """A campaign's spec, its runs in submission order, its verdict."""
+
+    spec: HarnessSpec
+    runs: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return bool(self.runs) and all(r.ok for r in self.runs)
+
+    @property
+    def failures(self) -> list:
+        return [r for r in self.runs if not r.ok]
+
+    def _table(self, header: str, rows: List[str], totals: str = "") -> str:
+        """``rows`` under ``header``, closed by the verdict line."""
+        rule = "-" * len(header)
+        verdict = "PASS" if self.ok else "FAIL"
+        return "\n".join([
+            header, rule, *rows, rule,
+            f"{verdict}: {len(self.runs)} runs, {totals}"
+            f"{len(self.failures)} failures",
+        ])
+
+
+@dataclass
+class ChaosRunRecord(_RunVerdict):
     """Outcome of one chaos run."""
 
     seed: int
@@ -252,26 +380,10 @@ class ChaosRunRecord:
     accounted: bool
     error: Optional[str] = None
 
-    @property
-    def ok(self) -> bool:
-        """Survived: no unhandled error, clean audits, nothing leaked."""
-        return (
-            self.error is None
-            and self.invariant_violations == 0
-            and (self.drained or self.accounted)
-        )
-
 
 @dataclass
-class ChaosCampaignResult:
+class ChaosCampaignResult(_CampaignResult):
     """Aggregate verdict of a chaos campaign."""
-
-    spec: ChaosSpec
-    runs: List[ChaosRunRecord] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.runs) and all(r.ok for r in self.runs)
 
     @property
     def total_recoveries(self) -> int:
@@ -281,196 +393,27 @@ class ChaosCampaignResult:
     def total_faults(self) -> int:
         return sum(r.faults_injected for r in self.runs)
 
-    @property
-    def failures(self) -> List[ChaosRunRecord]:
-        return [r for r in self.runs if not r.ok]
-
     def render(self) -> str:
         header = (
             f"{'seed':>5} {'proto':>9} {'faults':>6} {'recov':>5} "
             f"{'deliv':>5} {'drop':>4} {'kill':>4} {'audits':>6} "
             f"{'drained':>7}  status"
         )
-        lines = [header, "-" * len(header)]
-        for r in self.runs:
-            status = "ok" if r.ok else (r.error or "LEAKED")
-            lines.append(
-                f"{r.seed:>5} {r.protocol:>9} {r.faults_injected:>6} "
-                f"{r.recoveries:>5} {r.delivered:>5} {r.dropped:>4} "
-                f"{r.killed:>4} {r.invariant_checks:>6} "
-                f"{str(r.drained):>7}  {status}"
-            )
-        lines.append("-" * len(header))
-        verdict = "PASS" if self.ok else "FAIL"
-        lines.append(
-            f"{verdict}: {len(self.runs)} runs, {self.total_faults} faults "
-            f"injected, {self.total_recoveries} deadlock recoveries, "
-            f"{len(self.failures)} failures"
-        )
-        return "\n".join(lines)
-
-
-def burst_schedule(spec: ChaosSpec) -> List[int]:
-    """Burst due-cycles spread evenly across the measurement window."""
-    window = spec.measure_cycles
-    return [
-        spec.warmup_cycles + (i + 1) * window // (spec.bursts + 1)
-        for i in range(spec.bursts)
-    ]
-
-
-def run_one(spec: ChaosSpec, seed: int, protocol: str) -> ChaosRunRecord:
-    """One chaos run: build, storm, drain, audit, account."""
-    real_protocol, params = SCENARIOS.get(protocol, (protocol, {}))
-    gridlock = protocol in SCENARIOS
-    cfg = SimulationConfig(
-        k=spec.k, n=spec.n, protocol=real_protocol,
-        protocol_params=dict(params),
-        offered_load=spec.gridlock_load if gridlock else spec.offered_load,
-        traffic=spec.traffic,
-        traffic_params=dict(spec.traffic_params),
-        message_length=(
-            spec.gridlock_message_length if gridlock
-            else spec.message_length
-        ),
-        warmup_cycles=spec.warmup_cycles,
-        measure_cycles=spec.measure_cycles,
-        drain_cycles=spec.drain_cycles,
-        seed=seed,
-        watchdog_cycles=spec.watchdog_cycles,
-        max_header_wait=spec.max_header_wait,
-        resilience=ResilienceConfig(
-            audit_invariants=True,
-            audit_every=spec.audit_every,
-            max_deadlock_recoveries=spec.max_deadlock_recoveries,
-        ),
-    )
-    sim = NetworkSimulator(cfg)
-    engine = sim.engine
-    if engine.dynamic_schedule is None:
-        engine.dynamic_schedule = DynamicFaultSchedule()
-    controller = ChaosController(
-        engine.dynamic_schedule,
-        random.Random((seed + 1) * 7919),
-        burst_schedule(spec),
-        spec.burst_size,
-        spec.node_fault_fraction,
-    )
-    error: Optional[str] = None
-    try:
-        sim.run(on_cycle=controller)
-        for _ in range(spec.settle_cycles):
-            if engine.network_drained():
-                break
-            engine.step()
-    except DeadlockError as exc:
-        error = f"DeadlockError: {exc}"
-    except InvariantError as exc:
-        error = f"InvariantError: {exc}"
-
-    if error is None:
-        engine.auditor.audit()  # final audit; folds into violations_found
-    records = [r for r in engine.records if not r.superseded]
-    statuses = [r.status for r in records]
-    accounted = (
-        not engine.active
-        and not any(engine.queues)
-        and len(records) == engine.accepted_messages
-    )
-    return ChaosRunRecord(
-        seed=seed,
-        protocol=protocol,
-        faults_injected=controller.faults_injected,
-        triggers_hit=controller.triggers_hit,
-        recoveries=engine.deadlock_recoveries,
-        victims=list(engine.deadlock_victims),
-        teardown_counts=dict(engine.teardown_counts),
-        delivered=statuses.count("DELIVERED"),
-        dropped=statuses.count("DROPPED"),
-        killed=statuses.count("KILLED"),
-        invariant_checks=(
-            engine.auditor.checks_run if engine.auditor else 0
-        ),
-        invariant_violations=engine.auditor.violations_found,
-        drained=engine.network_drained(),
-        accounted=accounted,
-        error=error,
-    )
-
-
-# ======================================================================
-# Storm resilience benchmark (TP-only vs online reconfiguration)
-# ======================================================================
-
-#: Recovery arms compared head-to-head on identical storm specs.
-ARMS = ("tp-only", "reconfig")
-
-
-@dataclass(frozen=True)
-class StormScenario:
-    """One named storm shape (workload + burst pattern)."""
-
-    name: str
-    offered_load: float
-    message_length: int
-    bursts: int
-    burst_size: int
-    node_fault_fraction: float
-
-
-#: The storm catalog.  ``gridlock`` is the acceptance scenario: heavy
-#: clustered bursts at near-saturation load wedge whole corridors, so
-#: the per-message scheme keeps paying aborts/ejections in the pocket
-#: while the reconfiguration arm withdraws the pocket from the
-#: candidate sets once and routes around it.  ``linkstorm`` is a
-#: milder link-only storm at moderate load.
-STORM_SCENARIOS: Dict[str, StormScenario] = {
-    s.name: s
-    for s in (
-        StormScenario(
-            name="gridlock", offered_load=0.22, message_length=12,
-            bursts=4, burst_size=3, node_fault_fraction=0.4,
-        ),
-        StormScenario(
-            name="linkstorm", offered_load=0.10, message_length=8,
-            bursts=3, burst_size=2, node_fault_fraction=0.0,
-        ),
-    )
-}
+        rows = [
+            f"{r.seed:>5} {r.protocol:>9} {r.faults_injected:>6} "
+            f"{r.recoveries:>5} {r.delivered:>5} {r.dropped:>4} "
+            f"{r.killed:>4} {r.invariant_checks:>6} {str(r.drained):>7}  "
+            + ("ok" if r.ok else (r.error or "LEAKED"))
+            for r in self.runs
+        ]
+        return self._table(header, rows, (
+            f"{self.total_faults} faults injected, "
+            f"{self.total_recoveries} deadlock recoveries, "
+        ))
 
 
 @dataclass
-class StormSpec:
-    """Parameters of one storm-benchmark campaign."""
-
-    seeds: Sequence[int] = tuple(range(4))
-    scenarios: Sequence[str] = ("gridlock", "linkstorm")
-    arms: Sequence[str] = ARMS
-    k: int = 6
-    n: int = 2
-    warmup_cycles: int = 200
-    measure_cycles: int = 1500
-    drain_cycles: int = 30_000
-    watchdog_cycles: int = 120
-    max_header_wait: int = 6000
-    audit_every: int = 20
-    max_deadlock_recoveries: int = 512
-    settle_cycles: int = 200
-    #: Reconfiguration-arm knobs (see ResilienceConfig): check often —
-    #: storms are short — but demand real pressure (threshold 4) and
-    #: hold each committed plan for a while (cooldown 600), so the arm
-    #: reconfigures once per genuine pocket instead of churning epochs
-    #: and paying drain downtime for marginal plans.
-    reconfig_check_every: int = 16
-    reconfig_window: int = 512
-    reconfig_threshold: int = 4
-    reconfig_drain_timeout: int = 200
-    reconfig_cooldown: int = 600
-    reconfig_unsafe_radius: int = 2
-
-
-@dataclass
-class StormRunRecord:
+class StormRunRecord(_RunVerdict):
     """Outcome and recovery metrics of one storm run."""
 
     scenario: str
@@ -508,29 +451,10 @@ class StormRunRecord:
         total = self.storm_delivered + self.storm_dropped + self.storm_killed
         return self.storm_delivered / total if total else 1.0
 
-    @property
-    def ok(self) -> bool:
-        return (
-            self.error is None
-            and self.invariant_violations == 0
-            and (self.drained or self.accounted)
-        )
-
 
 @dataclass
-class StormCampaignResult:
+class StormCampaignResult(_CampaignResult):
     """All storm runs plus the per-(scenario, arm) aggregate rows."""
-
-    spec: StormSpec
-    runs: List[StormRunRecord] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.runs) and all(r.ok for r in self.runs)
-
-    @property
-    def failures(self) -> List[StormRunRecord]:
-        return [r for r in self.runs if not r.ok]
 
     def arm_runs(self, scenario: str, arm: str) -> List[StormRunRecord]:
         return [
@@ -600,51 +524,113 @@ class StormCampaignResult:
             f"{'vict':>5} {'reconf':>6} {'down':>5} {'deliv':>6} "
             f"{'drop':>5} {'kill':>5}"
         )
-        lines = [header, "-" * len(header)]
-        for row in self.rows():
-            lines.append(
-                f"{row['workload']:<22} {row['storm_delivery_ratio']:>6.3f} "
-                f"{row['storm_latency_mean']:>8.1f} {row['recoveries']:>6} "
-                f"{row['victims']:>5} {row['reconfigurations']:>6} "
-                f"{row['reconfig_downtime']:>5} {row['delivered']:>6} "
-                f"{row['dropped']:>5} {row['killed']:>5}"
-            )
-        lines.append("-" * len(header))
-        verdict = "PASS" if self.ok else "FAIL"
-        lines.append(
-            f"{verdict}: {len(self.runs)} runs, "
-            f"{len(self.failures)} failures"
-        )
-        return "\n".join(lines)
+        return self._table(header, [
+            f"{row['workload']:<22} {row['storm_delivery_ratio']:>6.3f} "
+            f"{row['storm_latency_mean']:>8.1f} {row['recoveries']:>6} "
+            f"{row['victims']:>5} {row['reconfigurations']:>6} "
+            f"{row['reconfig_downtime']:>5} {row['delivered']:>6} "
+            f"{row['dropped']:>5} {row['killed']:>5}"
+            for row in self.rows()
+        ])
 
 
-def storm_config(
-    spec: StormSpec, scenario: StormScenario, seed: int, arm: str
-) -> SimulationConfig:
-    """The SimulationConfig of one storm run (both arms share all but
-    the reconfiguration switch)."""
-    return SimulationConfig(
-        k=spec.k, n=spec.n, protocol="tp",
-        offered_load=scenario.offered_load,
-        message_length=scenario.message_length,
+def burst_schedule(spec: HarnessSpec, shape=None) -> List[int]:
+    """Due-cycles of ``shape.bursts`` bursts (a ChaosSpec is its own
+    shape) spread evenly across the spec's measurement window."""
+    bursts = (shape or spec).bursts
+    return [
+        spec.warmup_cycles + (i + 1) * spec.measure_cycles // (bursts + 1)
+        for i in range(bursts)
+    ]
+
+
+def _storm_run(spec: HarnessSpec, seed: int, shape, reconfig=False, **config):
+    """The one run body: build, storm, drain, settle, audit, account.
+
+    ``shape`` (a :class:`ChaosSpec` or a :class:`StormScenario`) gives
+    the burst count, size and node share; ``config`` is the workload as
+    :class:`SimulationConfig` fields.  Returns the engine, the chaos
+    controller, the non-superseded message records and the fields both
+    record types report alike.
+    """
+    sim = NetworkSimulator(SimulationConfig(
+        k=spec.k, n=spec.n,
         warmup_cycles=spec.warmup_cycles,
         measure_cycles=spec.measure_cycles,
         drain_cycles=spec.drain_cycles,
         seed=seed,
         watchdog_cycles=spec.watchdog_cycles,
-        max_header_wait=spec.max_header_wait,
+        max_header_wait=MAX_HEADER_WAIT,
         resilience=ResilienceConfig(
             audit_invariants=True,
-            audit_every=spec.audit_every,
-            max_deadlock_recoveries=spec.max_deadlock_recoveries,
-            reconfig=(arm == "reconfig"),
-            reconfig_check_every=spec.reconfig_check_every,
-            reconfig_window=spec.reconfig_window,
-            reconfig_threshold=spec.reconfig_threshold,
-            reconfig_drain_timeout=spec.reconfig_drain_timeout,
-            reconfig_cooldown=spec.reconfig_cooldown,
-            reconfig_unsafe_radius=spec.reconfig_unsafe_radius,
+            audit_every=AUDIT_EVERY,
+            max_deadlock_recoveries=MAX_DEADLOCK_RECOVERIES,
+            reconfig=reconfig,
+            **RECONFIG_KNOBS,
         ),
+        **config,
+    ))
+    engine = sim.engine
+    # No dynamic faults in the config, so no schedule attached yet.
+    engine.dynamic_schedule = DynamicFaultSchedule()
+    controller = ChaosController(
+        engine.dynamic_schedule,
+        random.Random((seed + 1) * 7919),
+        burst_schedule(spec, shape),
+        shape.burst_size,
+        shape.node_fault_fraction,
+    )
+    error: Optional[str] = None
+    try:
+        sim.run(on_cycle=controller)
+        for _ in range(spec.settle_cycles):
+            if engine.network_drained():
+                break
+            engine.step()
+    except (DeadlockError, InvariantError) as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    else:
+        engine.auditor.audit()  # final audit; folds into violations_found
+    records = [r for r in engine.records if not r.superseded]
+    ended = Counter(r.status for r in records)
+    return engine, controller, records, dict(
+        seed=seed,
+        faults_injected=controller.faults_injected,
+        delivered=ended["DELIVERED"],
+        dropped=ended["DROPPED"],
+        killed=ended["KILLED"],
+        recoveries=engine.deadlock_recoveries,
+        invariant_checks=engine.auditor.checks_run,
+        invariant_violations=engine.auditor.violations_found,
+        drained=engine.network_drained(),
+        accounted=(
+            not engine.active
+            and not any(engine.queues)
+            and len(records) == engine.accepted_messages
+        ),
+        error=error,
+    )
+
+
+def run_one(spec: ChaosSpec, seed: int, protocol: str) -> ChaosRunRecord:
+    """One chaos run: ``protocol`` (a pseudo-protocol overriding what
+    its catalog entry names) under the spec's traffic and storm shape."""
+    _check("protocol", protocol)
+    config = dict(
+        protocol=protocol,
+        offered_load=spec.offered_load,
+        message_length=spec.message_length,
+        traffic=spec.traffic,
+        traffic_params=dict(spec.traffic_params),
+    )
+    config.update(SCENARIOS.get(protocol, {}))
+    engine, controller, _, shared = _storm_run(spec, seed, spec, **config)
+    return ChaosRunRecord(
+        protocol=protocol,
+        triggers_hit=controller.triggers_hit,
+        victims=list(engine.deadlock_victims),
+        teardown_counts=dict(engine.teardown_counts),
+        **shared,
     )
 
 
@@ -657,68 +643,30 @@ def run_storm_one(
     *trace*: the chaos controller aims at live vulnerable messages, so
     once the arms diverge in routing the targeted channels may too —
     the comparison is between recovery mechanisms under the same
-    adversary, exactly like the chaos harness runs.
+    adversary, exactly like the chaos campaign's runs.
     """
-    if arm not in ARMS:
-        raise ValueError(f"unknown arm {arm!r}; choose from {ARMS}")
+    _check("storm scenario", scenario_name)
+    _check("arm", arm)
     scenario = STORM_SCENARIOS[scenario_name]
-    cfg = storm_config(spec, scenario, seed, arm)
-    sim = NetworkSimulator(cfg)
-    engine = sim.engine
-    if engine.dynamic_schedule is None:
-        engine.dynamic_schedule = DynamicFaultSchedule()
-    burst_cycles = [
-        spec.warmup_cycles + (i + 1) * spec.measure_cycles
-        // (scenario.bursts + 1)
-        for i in range(scenario.bursts)
-    ]
-    controller = ChaosController(
-        engine.dynamic_schedule,
-        random.Random((seed + 1) * 7919),
-        burst_cycles,
-        scenario.burst_size,
-        scenario.node_fault_fraction,
+    engine, controller, records, shared = _storm_run(
+        spec, seed, scenario, reconfig=(arm == "reconfig"), protocol="tp",
+        offered_load=scenario.offered_load,
+        message_length=scenario.message_length,
     )
-    first_burst = burst_cycles[0]
-    error: Optional[str] = None
-    try:
-        sim.run(on_cycle=controller)
-        for _ in range(spec.settle_cycles):
-            if engine.network_drained():
-                break
-            engine.step()
-    except DeadlockError as exc:
-        error = f"DeadlockError: {exc}"
-    except InvariantError as exc:
-        error = f"InvariantError: {exc}"
-
-    if error is None:
-        engine.auditor.audit()
-    records = [r for r in engine.records if not r.superseded]
-    statuses = [r.status for r in records]
+    first_burst = controller.burst_cycles[0]
     storm_records = [r for r in records if r.created >= first_burst]
-    storm_statuses = [r.status for r in storm_records]
+    storm_ended = Counter(r.status for r in storm_records)
     storm_latencies = [
         r.latency for r in storm_records
         if r.status == "DELIVERED" and r.latency is not None
     ]
-    accounted = (
-        not engine.active
-        and not any(engine.queues)
-        and len(records) == engine.accepted_messages
-    )
     return StormRunRecord(
         scenario=scenario_name,
         arm=arm,
-        seed=seed,
-        faults_injected=controller.faults_injected,
         first_burst=first_burst,
-        delivered=statuses.count("DELIVERED"),
-        dropped=statuses.count("DROPPED"),
-        killed=statuses.count("KILLED"),
-        storm_delivered=storm_statuses.count("DELIVERED"),
-        storm_dropped=storm_statuses.count("DROPPED"),
-        storm_killed=storm_statuses.count("KILLED"),
+        storm_delivered=storm_ended["DELIVERED"],
+        storm_dropped=storm_ended["DROPPED"],
+        storm_killed=storm_ended["KILLED"],
         storm_latency_mean=(
             sum(storm_latencies) / len(storm_latencies)
             if storm_latencies else float("nan")
@@ -726,61 +674,13 @@ def run_storm_one(
         recovery_latency=max(
             0, engine.last_recovery_cycle - first_burst
         ) if engine.last_recovery_cycle else 0,
-        recoveries=engine.deadlock_recoveries,
         victims=len(engine.deadlock_victims),
         victim_cap_hits=engine.victim_cap_hits,
         reconfigurations=engine.reconfigurations,
         reconfig_downtime=engine.reconfig_downtime_cycles,
         reconfig_victims=len(engine.reconfig_victims),
-        invariant_checks=(
-            engine.auditor.checks_run if engine.auditor else 0
-        ),
-        invariant_violations=engine.auditor.violations_found,
-        drained=engine.network_drained(),
-        accounted=accounted,
-        error=error,
+        **shared,
     )
-
-
-def run_storm_campaign(
-    spec: Optional[StormSpec] = None,
-    jobs: Optional[int] = None,
-) -> StormCampaignResult:
-    """Every scenario crossed with every arm and seed, serial-identical.
-
-    Like :func:`run_campaign`, runs are independent simulations fanned
-    out over a process pool in submission order (scenario-major, then
-    arm, then seed), so parallel and serial campaigns produce the same
-    run list byte for byte.
-    """
-    spec = spec if spec is not None else StormSpec()
-    for name in spec.scenarios:
-        if name not in STORM_SCENARIOS:
-            raise ValueError(
-                f"unknown storm scenario {name!r}; choose from "
-                f"{sorted(STORM_SCENARIOS)}"
-            )
-    tasks = [
-        (spec, scenario, seed, arm)
-        for scenario in spec.scenarios
-        for arm in spec.arms
-        for seed in spec.seeds
-    ]
-    result = StormCampaignResult(spec=spec)
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(tasks) <= 1:
-        result.runs.extend(run_storm_one(*task) for task in tasks)
-    else:
-        with Pool(processes=min(jobs, len(tasks))) as pool:
-            result.runs.extend(
-                pool.starmap(run_storm_one, tasks, chunksize=1)
-            )
-    return result
-
-
-def storm_record_dicts(result: StormCampaignResult) -> List[dict]:
-    """Plain-dict run records (determinism tests compare these)."""
-    return [asdict(r) for r in result.runs]
 
 
 def run_campaign(
@@ -791,9 +691,8 @@ def run_campaign(
 
     Each (protocol, seed) run is an independent simulation, so with
     ``jobs > 1`` (or ``REPRO_JOBS``) the grid fans out over a process
-    pool.  Results are collected in submission order — the same
-    protocol-major, seed-minor order as the serial loop — so the
-    campaign record list is identical either way.
+    pool.  Results come back in submission order — protocol-major,
+    seed-minor — so the campaign record list is identical either way.
     """
     spec = spec if spec is not None else ChaosSpec()
     tasks = [
@@ -801,11 +700,20 @@ def run_campaign(
         for protocol in spec.protocols
         for seed in spec.seeds
     ]
-    result = ChaosCampaignResult(spec=spec)
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(tasks) <= 1:
-        result.runs.extend(run_one(*task) for task in tasks)
-    else:
-        with Pool(processes=min(jobs, len(tasks))) as pool:
-            result.runs.extend(pool.starmap(run_one, tasks, chunksize=1))
-    return result
+    return ChaosCampaignResult(spec, run_tasks(run_one, tasks, jobs))
+
+
+def run_storm_campaign(
+    spec: Optional[StormSpec] = None,
+    jobs: Optional[int] = None,
+) -> StormCampaignResult:
+    """Every scenario crossed with every arm and seed, fanned out like
+    :func:`run_campaign` (scenario-major, then arm, then seed)."""
+    spec = spec if spec is not None else StormSpec()
+    tasks = [
+        (spec, scenario, seed, arm)
+        for scenario in spec.scenarios
+        for arm in spec.arms
+        for seed in spec.seeds
+    ]
+    return StormCampaignResult(spec, run_tasks(run_storm_one, tasks, jobs))

@@ -31,7 +31,8 @@ per-message scheme cannot make, matching the DBR playbook.
 
 Fast-forward contract: :meth:`next_event_cycle` declares the next
 monitor tick (or the very next cycle while draining), and off-tick
-calls in MONITOR are pure no-ops, so quiescence fast-forward stays
+calls in MONITOR are pure no-ops, so the steady-state fast-forward —
+of which a hooked run takes only the empty-network case — stays
 byte-identical with the hook installed.
 """
 

@@ -17,7 +17,7 @@ routing-restriction epoch the controller commits through
 
 The plan is a pure, deterministic function of the fault state —
 identical inputs yield identical restriction sets on every run and
-under the quiescence fast-forward.  As a safety valve, a plan whose
+under the steady-state fast-forward.  As a safety valve, a plan whose
 restrictions would split the non-pocket healthy nodes into more than
 one component (restrictions prune only adaptive candidates, but a
 split would still force every crossing onto the escape layer) falls

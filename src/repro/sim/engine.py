@@ -597,9 +597,10 @@ class Engine:
         exactly from the injection process's gap/dwell state
         (``idle_cycles``), which ``skip_cycles`` then debits without RNG
         draws so the stream continues precisely where the
-        cycle-by-cycle path would have left it.  Every worm in flight is shifted by that many hops in
-        closed form (:meth:`_advance_worm`); the first cycle that can do
-        anything else is then executed by the ordinary :meth:`step`.
+        cycle-by-cycle path would have left it.  Every worm in flight
+        is shifted by that many hops in closed form
+        (:meth:`_advance_worm`); the first cycle that can do anything
+        else is then executed by the ordinary :meth:`step`.
         """
         skip = self._steady_cycles()
         if not skip:

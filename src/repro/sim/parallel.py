@@ -10,8 +10,8 @@ a serial campaign:
 
 * workers receive a picklable ``SimulationConfig`` and return a
   picklable :class:`~repro.sim.stats.RunResult`;
-* results are collected **in submission order** (``Pool.map`` with
-  ``chunksize=1``), never in completion order;
+* results are collected **in submission order** (:func:`run_tasks`:
+  ``Pool.starmap`` with ``chunksize=1``), never in completion order;
 * :func:`replicate_parallel` runs all ``max_runs`` candidate seeds
   speculatively, then *truncates* the ordered result list with the same
   stopping rule the serial loop applies incrementally
@@ -77,23 +77,33 @@ def run_one_config(config: SimulationConfig) -> RunResult:
     return NetworkSimulator(config).run()
 
 
+def run_tasks(
+    function: Callable, tasks: Sequence[tuple], jobs: Optional[int] = None
+) -> list:
+    """``function(*task)`` for every task, in submission order.
+
+    The one pool fan-out of the package: replications, chaos campaigns
+    and storm campaigns all come through here.  With ``jobs <= 1`` (or a
+    single task) this is a plain serial loop and no pool is built;
+    otherwise the tasks are mapped over a process pool with
+    ``chunksize=1`` so long runs interleave across workers while the
+    result list still lines up index-for-index with the input.
+    ``function`` must be picklable by reference (module top level).
+    """
+    tasks = list(tasks)
+    jobs = resolve_jobs(jobs)
+    if jobs <= 1 or len(tasks) <= 1:
+        return [function(*task) for task in tasks]
+    with Pool(processes=min(jobs, len(tasks))) as pool:
+        return pool.starmap(function, tasks, chunksize=1)
+
+
 def run_configs(
     configs: Sequence[SimulationConfig],
     jobs: Optional[int] = None,
 ) -> List[RunResult]:
-    """Run simulations for ``configs``, preserving input order.
-
-    With ``jobs <= 1`` (or a single config) this is a plain serial
-    loop; otherwise the configs are mapped over a process pool with
-    ``chunksize=1`` so long runs interleave across workers while the
-    result list still lines up index-for-index with the input.
-    """
-    configs = list(configs)
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(configs) <= 1:
-        return [run_one_config(cfg) for cfg in configs]
-    with Pool(processes=min(jobs, len(configs))) as pool:
-        return pool.map(run_one_config, configs, chunksize=1)
+    """Run simulations for ``configs``, preserving input order."""
+    return run_tasks(run_one_config, [(cfg,) for cfg in configs], jobs)
 
 
 def replicate_parallel(

@@ -139,9 +139,11 @@ class NetworkSimulator:
         drain).  The chaos harness uses it to watch live state and
         inject fault bursts at adversarial moments; tracing and custom
         instrumentation fit the same hook.  A hook that declares
-        ``next_event_cycle(engine)`` keeps the quiescence fast-forward
-        enabled (skipped cycles are provably no-ops for it); any other
-        hook falls back to cycle-by-cycle execution — see
+        ``next_event_cycle(engine)`` keeps the empty-network case of
+        the steady-state fast-forward (the one state its declaration
+        covers: skipped cycles are provably no-ops for it; stretches
+        with worms in flight are stepped); any other hook falls back to
+        cycle-by-cycle execution — see
         :meth:`repro.sim.engine.Engine.run`.
 
         With ``resilience.reconfig`` the

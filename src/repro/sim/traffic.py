@@ -311,9 +311,9 @@ class InjectionProcess:
       have produced.
 
     The last clause is what makes a fast-forwarded run byte-identical
-    to a cycle-by-cycle one per pattern: both paths draw the same uniforms at the same points
-    of the stream (pinned for every pattern by
-    ``tests/sim/test_determinism.py``).
+    to a cycle-by-cycle one per pattern: both paths draw the same
+    uniforms at the same points of the stream (pinned for every pattern
+    by ``tests/sim/test_determinism.py``).
     """
 
     #: False when the process can never inject (zero offered load);

@@ -192,3 +192,8 @@ def render(checks: List[ValidationCheck]) -> str:
     failed = sum(1 for c in checks if not c.passed)
     lines.append(f"{len(checks)} checks, {failed} failures")
     return "\n".join(lines)
+
+
+def main() -> None:
+    """``repro-sim figure validation``."""
+    print(render(validate()))

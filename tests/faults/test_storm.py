@@ -1,6 +1,11 @@
 """Storm resilience benchmark: determinism (production == reference
-engine, parallel == serial), report shape, and CLI exit codes — including the
-nonzero-exit contract CI gates on for both campaign subcommands."""
+engine, parallel == serial), report shape, unknown names, and CLI exit
+codes — including the nonzero-exit contract CI gates on for both
+campaign subcommands."""
+
+from dataclasses import asdict
+
+import pytest
 
 import repro.faults.chaos as chaos
 from repro.cli import main as cli_main
@@ -12,9 +17,10 @@ from repro.faults.chaos import (
     ChaosSpec,
     StormCampaignResult,
     StormSpec,
+    run_campaign,
+    run_one,
     run_storm_campaign,
     run_storm_one,
-    storm_record_dicts,
 )
 from tests.sim.reference_engine import ReferenceSimulator
 
@@ -60,10 +66,21 @@ class TestStormRuns:
 
 class TestStormCampaign:
     def test_parallel_equals_serial(self):
-        spec = small_spec(seeds=(0, 1))
-        serial = run_storm_campaign(spec, jobs=1)
-        parallel = run_storm_campaign(spec, jobs=2)
-        assert storm_record_dicts(serial) == storm_record_dicts(parallel)
+        """Both campaigns come through the one ordered fan-out."""
+        chaos_spec = ChaosSpec(
+            seeds=(0, 1), protocols=("tp", "det-naive"), k=4,
+            warmup_cycles=100, measure_cycles=400, drain_cycles=10_000,
+        )
+        for campaign, spec in (
+            (run_storm_campaign, small_spec(seeds=(0, 1))),
+            (run_campaign, chaos_spec),
+        ):
+            serial = campaign(spec, jobs=1)
+            parallel = campaign(spec, jobs=2)
+            assert len(serial.runs) == 4
+            assert [asdict(r) for r in serial.runs] == [
+                asdict(r) for r in parallel.runs
+            ]
 
     def test_report_shape_is_compare_bench_compatible(self):
         result = run_storm_campaign(small_spec(), jobs=1)
@@ -88,6 +105,28 @@ class TestStormCampaign:
         assert tuple(StormSpec().arms) == ARMS
 
 
+class TestUnknownNames:
+    """One validator per catalog: the same ValueError, listing the
+    choices, from a run function and from the spec a campaign or the
+    CLI (exit 2, below) would run."""
+
+    @pytest.mark.parametrize("make,match", [
+        (lambda: run_storm_one(small_spec(), "nope", 0, "tp-only"),
+         r"unknown storm scenario 'nope'; choose from \['gridlock'"),
+        (lambda: run_storm_one(small_spec(), "linkstorm", 0, "nope"),
+         r"unknown arm 'nope'; choose from \['reconfig', 'tp-only'\]"),
+        (lambda: run_one(ChaosSpec(), 0, "nope"),
+         r"unknown protocol 'nope'; choose from \['det', 'det-naive'"),
+        (lambda: ChaosSpec(protocols=("tp", "nope")), "unknown protocol"),
+        (lambda: StormSpec(scenarios=("nope",)), "unknown storm scenario"),
+        (lambda: StormSpec(arms=("nope",)), "unknown arm"),
+    ], ids=["scenario", "arm", "protocol", "chaos-spec", "storm-spec-scenario",
+            "storm-spec-arm"])
+    def test_unknown_name_is_a_value_error(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
+
 class TestCliExitCodes:
     def test_storm_subcommand_runs_and_passes(self, capsys, tmp_path):
         out_path = tmp_path / "BENCH_resilience.json"
@@ -102,6 +141,11 @@ class TestCliExitCodes:
 
     def test_storm_unknown_scenario_exits_2(self, capsys):
         assert cli_main(["storm", "--scenarios", "nope"]) == 2
+        assert "unknown storm scenario 'nope'" in capsys.readouterr().err
+
+    def test_chaos_unknown_protocol_exits_2(self, capsys):
+        assert cli_main(["chaos", "--protocols", "tp,nope"]) == 2
+        assert "unknown protocol 'nope'" in capsys.readouterr().err
 
     def test_storm_failure_exits_nonzero(self, capsys, monkeypatch):
         failing = StormCampaignResult(spec=StormSpec())

@@ -1,8 +1,10 @@
 """CLI tests (repro-sim)."""
 
+import importlib
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import FIGURES, build_parser, main
 
 
 class TestParser:
@@ -33,6 +35,14 @@ class TestParser:
         args = build_parser().parse_args(["chaos", "--profile"])
         assert args.profile and args.profile_out is None
 
+    def test_storm_shares_the_campaign_flags(self):
+        chaos = build_parser().parse_args(["chaos"])
+        storm = build_parser().parse_args(["storm", "--profile"])
+        assert storm.profile and storm.profile_out is None
+        assert (chaos.seeds, storm.seeds) == (20, 4)
+        for flag in ("k", "n", "jobs"):
+            assert getattr(storm, flag) == getattr(chaos, flag)
+
     def test_run_has_no_profile_flag(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--profile"])
@@ -58,6 +68,21 @@ class TestExecution:
 
     def test_unknown_figure_errors(self, capsys):
         assert main(["figure", "99"]) == 2
+        assert "validation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_every_advertised_figure_resolves(self, name):
+        assert callable(importlib.import_module(FIGURES[name]).main)
+
+    @pytest.mark.parametrize("alias,name", [
+        ("FIG12", "12"), ("hw_acks", "hw-acks"), ("length-sweep", "length"),
+    ])
+    def test_figure_aliases_dispatch(self, alias, name, monkeypatch):
+        called = []
+        module = importlib.import_module(FIGURES[name])
+        monkeypatch.setattr(module, "main", lambda: called.append(name))
+        assert main(["figure", alias]) == 0
+        assert called == [name]
 
     def test_figure_formulas(self, capsys):
         assert main(["figure", "formulas"]) == 0

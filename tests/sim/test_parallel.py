@@ -7,9 +7,11 @@ worker count resolved from the ``--jobs`` argument or the
 """
 
 import dataclasses
+import time
 
 import pytest
 
+import repro.sim.parallel as parallel
 from repro.experiments.common import QUICK, Scale, run_point
 from repro.sim.config import SimulationConfig
 from repro.sim.parallel import (
@@ -17,6 +19,7 @@ from repro.sim.parallel import (
     resolve_jobs,
     run_configs,
     run_one_config,
+    run_tasks,
 )
 from repro.sim.stats import (
     RunResult,
@@ -68,6 +71,36 @@ class TestResolveJobs:
         monkeypatch.setenv("REPRO_JOBS", "-2")
         with pytest.raises(ValueError, match=">= 1"):
             resolve_jobs()
+
+
+def finish_after(delay: float, label: str):
+    """Pool task (top level, so picklable): sleep, then report when."""
+    time.sleep(delay)
+    return label, time.monotonic()
+
+
+class TestRunTasks:
+    """The one fan-out every campaign layer calls."""
+
+    def test_submission_order_beats_completion_order(self):
+        tasks = [(0.3, "slow"), (0.0, "quick"), (0.0, "quicker")]
+        results = run_tasks(finish_after, tasks, jobs=2)
+        assert [label for label, _ in results] == ["slow", "quick", "quicker"]
+        finished = [at for _, at in results]
+        assert finished[0] > finished[1] and finished[0] > finished[2]
+
+    @pytest.mark.parametrize("tasks,jobs", [
+        ([(0.0, "a"), (0.0, "b")], 1),
+        ([(0.0, "only")], 4),
+        ([], 4),
+    ], ids=["jobs-1", "single-task", "no-task"])
+    def test_serial_cases_never_build_a_pool(self, monkeypatch, tasks, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(parallel, "Pool", no_pool)
+        results = run_tasks(finish_after, tasks, jobs=jobs)
+        assert [label for label, _ in results] == [t[1] for t in tasks]
 
 
 class TestRunConfigs:
