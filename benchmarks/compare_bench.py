@@ -21,15 +21,20 @@ from scheduling-efficiency changes (hops applied to streaming worms in
 closed form still count as events).  Saturation snapshots from
 ``repro.experiments.saturation`` share the same shape, so
 ``--key knee_throughput`` diffs two ``BENCH_saturation.json`` files.
-``--events`` is shorthand for ``--key events_per_sec``.
+``--events`` is shorthand for ``--key events_per_sec``.  Which way a
+key is better is a property of the key (:data:`LOWER_IS_BETTER`), not
+of the invocation: ``--key construct_kb`` regresses when it *rises*.
 
-CI runs this twice against the committed snapshot: once over every
-workload informationally (the numbers are machine-dependent, so small
-deltas are hints, not verdicts), and once as a hard gate with
+CI runs this three times against the committed snapshot: once over
+every workload informationally (the numbers are machine-dependent, so
+small deltas are hints, not verdicts), once as a hard gate with
 ``--workloads tp-high,dp-high --threshold 0.25`` — a saturated
 workload losing more than a quarter of its cycles/s is an engine
-regression, not runner noise.  Run it locally against a baseline
-produced on the same machine to validate an engine optimisation.
+regression, not runner noise — and once as a hard gate with
+``--key construct_kb --threshold 0.25``: a simulator's construction
+footprint is deterministic on one Python version, so it cannot flake.
+Run it locally against a baseline produced on the same machine to
+validate an engine optimisation.
 """
 
 from __future__ import annotations
@@ -56,7 +61,8 @@ def compare(baseline: dict, current: dict, threshold: float,
     workload name, both ``key`` figures (``None`` when the workload
     is missing on that side), and ``delta`` (relative change, ``None``
     unless present on both sides).  ``regressions`` lists the names
-    whose figure dropped by more than ``threshold``.  ``workloads``
+    whose figure got worse by more than ``threshold`` — dropped, or for
+    a :data:`LOWER_IS_BETTER` key rose.  ``workloads``
     restricts the comparison (and therefore the verdict) to the named
     subset — the CI perf gate uses it to assert only on the saturated
     workloads, whose throughput is dominated by engine work rather
@@ -75,7 +81,8 @@ def compare(baseline: dict, current: dict, threshold: float,
         delta: Optional[float] = None
         if base_cps and cur_cps:
             delta = (cur_cps - base_cps) / base_cps
-            if delta < -threshold:
+            worse = delta if key in LOWER_IS_BETTER else -delta
+            if worse > threshold:
                 regressions.append(name)
         rows.append({
             "workload": name,
@@ -84,6 +91,11 @@ def compare(baseline: dict, current: dict, threshold: float,
             "delta": delta,
         })
     return rows, regressions
+
+
+#: Keys whose smaller figure is the better one; every other key is a
+#: rate or a ratio, where higher is better.
+LOWER_IS_BETTER = frozenset({"construct_kb", "wall_s"})
 
 
 def _fmt(value: Optional[float]) -> str:

@@ -11,16 +11,21 @@ flit hops + ejections + header routing decisions — the simulation's
 unit of real work) and ``events_per_sec``, which tracks interpreter
 cost per event independently of how many empty cycles the steady-state
 fast-forward skipped (hops it applies to streaming worms in closed form
-are events too, so the idle rows' figure rises with them).  CI's
-perf-smoke job hard-fails when
+are events too, so the idle rows' figure rises with them), and
+``construct_kb``: the bytes ``tracemalloc`` sees a second simulator of
+the row's config allocate before its first cycle — what a simulator
+costs once the geometry shared per ``(k, n)`` exists, and exactly
+repeatable on one Python version.  CI's perf-smoke job hard-fails when
 a saturated workload loses more than 25% cycles/s against the
-committed snapshot — see ``benchmarks/compare_bench.py --workloads``.
+committed snapshot, or any row's ``construct_kb`` rises more than 25% —
+see ``benchmarks/compare_bench.py --workloads`` / ``--key``.
 """
 
 import json
 import pathlib
 import statistics
 import time
+import tracemalloc
 
 from repro.experiments.common import base_config, experiment_scale
 from repro.sim.config import FaultConfig
@@ -77,6 +82,18 @@ def _run_once(cfg):
     return wall, result, sim.engine
 
 
+def _construct_kb(cfg):
+    """KB allocated by building one more simulator of ``cfg``."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        sim = NetworkSimulator(cfg)  # kept alive until measured
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return round((after - before) / 1024, 1)
+
+
 def run_matrix():
     scale = experiment_scale()
     rows = []
@@ -109,6 +126,7 @@ def run_matrix():
             "events": events,
             "events_per_sec": round(events / wall, 1),
             "rounds": rounds,
+            "construct_kb": _construct_kb(cfg),
             "delivered": result.delivered,
             "drained": result.drained,
         })
@@ -148,6 +166,7 @@ def test_bench_engine_perf(benchmark):
         assert row["cycles_per_sec"] > 0
         assert row["events"] > 0
         assert row["events_per_sec"] > 0
+        assert row["construct_kb"] > 0
         assert row["delivered"] > 0
         assert row["rounds"] == (
             _GATED_ROUNDS if row["workload"] in SATURATED else 1

@@ -17,7 +17,7 @@ from repro.core.theorems import (
     min_faults_for_backtracks,
 )
 from repro.faults.model import FaultState
-from repro.network.topology import KAryNCube
+from repro.network.topology import KAryNCube, cube
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Engine
 from repro.sim.simulator import make_protocol
@@ -58,7 +58,7 @@ class TheoremRow:
 
 def measure_alley_backtracks(radix: int, n: int, depth: int) -> TheoremRow:
     """Send one MB-m message into the alley and count its retreat."""
-    topology = KAryNCube(radix, n)
+    topology = cube(radix, n)
     faults, src, end = build_alley(topology, depth)
     cfg = SimulationConfig(
         k=radix, n=n, protocol="mb", offered_load=0.0,

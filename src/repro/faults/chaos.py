@@ -590,7 +590,7 @@ def _storm_run(spec: HarnessSpec, seed: int, shape, reconfig=False, **config):
     except (DeadlockError, InvariantError) as exc:
         error = f"{type(exc).__name__}: {exc}"
     else:
-        engine.auditor.audit()  # final audit; folds into violations_found
+        engine.auditor.audit(engine)  # final audit; folds into violations_found
     records = [r for r in engine.records if not r.superseded]
     ended = Counter(r.status for r in records)
     return engine, controller, records, dict(

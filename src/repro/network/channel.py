@@ -156,7 +156,12 @@ class ChannelBank:
         ]
 
     def set_release_notify(self, callback) -> None:
-        """Subscribe ``callback(channel_id)`` to every VC release."""
+        """Subscribe ``callback(channel_id)`` to every VC release.
+
+        Every VC holds the callback, so it must not hold the bank's
+        owner: a bound method of the engine would close the cycle
+        engine → bank → VC → engine that only the collector can free.
+        """
         for row in self._vcs:
             for vc in row:
                 vc.notify_release = callback

@@ -7,11 +7,14 @@ virtual *control* channel of the link (Figure 2b) takes priority over
 data channels because control flits are a small fraction of traffic and
 gate protocol progress.
 
-This module provides the two mechanisms the engine composes per link:
+This module provides the mechanisms the engine composes per link:
 
 * :class:`ControlQueue` — the multiplexed control channel: a FIFO of
   control flits (headers, acks, kills, tail-acks, resume tokens)
   awaiting their turn on the physical wires, drained one per cycle.
+* :class:`ControlPlane` — the control channels of a whole network: a
+  channel has a :class:`ControlQueue` only while a flit is queued on
+  it, and the busy channels are visited in ascending id.
 * :class:`RoundRobinArbiter` — fair demand-driven selection among the
   data VCs that have a flit ready and downstream buffer space.
 """
@@ -19,7 +22,9 @@ This module provides the two mechanisms the engine composes per link:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generic, List, Optional, Sequence, TypeVar
+from typing import (
+    Deque, Dict, Generic, Iterator, List, Optional, Sequence, TypeVar,
+)
 
 T = TypeVar("T")
 
@@ -64,6 +69,67 @@ class ControlQueue(Generic[T]):
         items = list(self._queue)
         self._queue.clear()
         return items
+
+
+class ControlPlane(Generic[T]):
+    """Every control channel of a network, costing only its busy ones.
+
+    Control flits are a small fraction of traffic, so almost every
+    channel's FIFO is empty almost always: a :class:`ControlQueue`
+    exists only between a channel's first push and the pop (or drain)
+    that empties it.  :meth:`channels` lists the busy channels in
+    ascending id — the order the engine's deterministic replay relies
+    on — from a sorted view rebuilt only after the membership changed;
+    the returned list is never mutated afterwards, so it can be
+    iterated while flits are pushed and popped.  Iterating the plane
+    yields every queued flit without consuming it (auditing, tracing).
+    """
+
+    __slots__ = ("_queues", "_order")
+
+    def __init__(self) -> None:
+        self._queues: Dict[int, ControlQueue[T]] = {}
+        self._order: Optional[List[int]] = None
+
+    def push(self, channel_id: int, token: T) -> None:
+        queue = self._queues.get(channel_id)
+        if queue is None:
+            queue = self._queues[channel_id] = ControlQueue()
+            self._order = None
+        queue.push(token)
+
+    def peek(self, channel_id: int) -> Optional[T]:
+        queue = self._queues.get(channel_id)
+        return None if queue is None else queue.peek()
+
+    def pop(self, channel_id: int) -> T:
+        queue = self._queues[channel_id]
+        token = queue.pop()
+        if not queue:
+            del self._queues[channel_id]
+            self._order = None
+        return token
+
+    def drain(self, channel_id: int) -> List[T]:
+        """Remove and return everything queued on one channel."""
+        queue = self._queues.pop(channel_id, None)
+        if queue is None:
+            return []
+        self._order = None
+        return queue.drain()
+
+    def channels(self) -> List[int]:
+        """The busy channels in ascending id, stable against mutation."""
+        if self._order is None:
+            self._order = sorted(self._queues)
+        return self._order
+
+    def __len__(self) -> int:
+        return len(self._queues)
+
+    def __iter__(self) -> Iterator[T]:
+        for channel_id in self.channels():
+            yield from self._queues[channel_id]
 
 
 class RoundRobinArbiter:

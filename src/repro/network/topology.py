@@ -8,13 +8,20 @@ per-dimension coordinates; this module provides the conversions,
 neighborhood structure, and minimal-path geometry (signed offsets,
 shortest distances) that every routing protocol in the package builds
 on.
+
+A geometry is immutable, so simulators do not build their own:
+:func:`cube` hands every caller in the process the one instance of a
+``(k, n)``, memo tables included.  Everything memoised on it is a tuple
+and keyed on what its function reads of ``(node, dst)`` — O(N) entries
+for the whole network, never one per pair.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Direction along a dimension: +1 moves to ``(coord + 1) mod k``,
 #: -1 moves to ``(coord - 1) mod k``.
@@ -76,11 +83,26 @@ class KAryNCube:
         self._channel_index = {
             (c.src, c.dim, c.direction): i for i, c in enumerate(self._channels)
         }
-        # Geometry memo tables: offsets / profitable ports are pure
-        # functions of (src, dst) on an immutable topology and sit on
-        # the router decision hot path.  At most num_nodes^2 entries.
-        self._offsets_cache: dict = {}
-        self._profitable_cache: dict = {}
+        self._ports = tuple(itertools.product(range(n), DIRECTIONS))
+        #: Direction class of a ring offset ``(t - c) % k``; indexed with
+        #: the raw difference ``t - c`` (a negative index wraps the same
+        #: way the ring does): 0 none, 1 plus, 2 minus, 3 half-way tie.
+        self._ring_class = tuple(
+            0 if delta == 0 else 3 if 2 * delta == k
+            else 1 if 2 * delta < k else 2
+            for delta in range(k)
+        )
+        # Geometry memo tables, shared by every simulator of this
+        # (k, n): pure functions of an immutable topology, keyed on what
+        # they read — offsets on the per-dimension ring deltas (at most
+        # k**n entries), profitable ports on the direction signature (at
+        # most 4**n).
+        self._offsets_cache: Dict[int, Tuple[int, ...]] = {}
+        self._profitable_cache: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        #: Dimension-order escape hops keyed by :meth:`escape_class` (at
+        #: most 4n per node); filled by
+        #: :meth:`repro.routing.cache.RouteCache.escape`.
+        self.escape_hops: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Coordinates
@@ -126,14 +148,14 @@ class KAryNCube:
             for s in DIRECTIONS
         ]
 
-    def ports(self, node: int) -> Iterator[Tuple[int, int]]:
-        """Iterate the ``(dim, direction)`` pairs of a node's ports."""
-        return itertools.product(range(self.n), DIRECTIONS)
+    def ports(self, node: int) -> Tuple[Tuple[int, int], ...]:
+        """The ``(dim, direction)`` pairs of a node's ports."""
+        return self._ports
 
     # ------------------------------------------------------------------
     # Channels
     # ------------------------------------------------------------------
-    def _build_channels(self) -> List[Channel]:
+    def _build_channels(self) -> Tuple[Channel, ...]:
         channels = []
         for node in range(self.num_nodes):
             for dim in range(self.n):
@@ -146,10 +168,10 @@ class KAryNCube:
                             direction=direction,
                         )
                     )
-        return channels
+        return tuple(channels)
 
     @property
-    def channels(self) -> List[Channel]:
+    def channels(self) -> Tuple[Channel, ...]:
         """All unidirectional physical channels, in a stable order."""
         return self._channels
 
@@ -210,7 +232,13 @@ class KAryNCube:
 
     def offsets(self, src: int, dst: int) -> Tuple[int, ...]:
         """Signed shortest offsets in every dimension (header Fig 9)."""
-        key = (src, dst)
+        k = self.k
+        key = 0
+        here, there = src, dst
+        for _ in range(self.n):  # base-k digits = ring deltas
+            key = key * k + (there - here) % k
+            here //= k
+            there //= k
         cached = self._offsets_cache.get(key)
         if cached is None:
             cached = tuple(self.offset(src, dst, d) for d in range(self.n))
@@ -221,18 +249,32 @@ class KAryNCube:
         """Minimal hop count between two nodes."""
         return sum(abs(o) for o in self.offsets(src, dst))
 
-    def profitable_ports(self, node: int, dst: int) -> List[Tuple[int, int]]:
+    def direction_signature(self, node: int, dst: int) -> int:
+        """The direction class of ``dst`` seen from ``node``, per dimension.
+
+        Base-4 digits, dimension 0 most significant: no offset, plus,
+        minus, or the half-way tie of an even ring.  Everything the
+        profitable / unprofitable split reads of ``(node, dst)``.
+        """
+        ring_class = self._ring_class
+        k = self.k
+        sig = 0
+        for _ in range(self.n):  # base-k digits = coordinates
+            sig = sig * 4 + ring_class[dst % k - node % k]
+            node //= k
+            dst //= k
+        return sig
+
+    def profitable_ports(self, node: int,
+                         dst: int) -> Tuple[Tuple[int, int], ...]:
         """Ports of ``node`` that move the header closer to ``dst``.
 
         A *profitable link* (paper Section 2.1) is one over which the
         header moves closer to its destination.  For even ``k`` a
         half-way offset can be closed in either direction, and both
         ports are profitable.
-
-        The returned list is memoized and shared — callers must not
-        mutate it.
         """
-        key = (node, dst)
+        key = self.direction_signature(node, dst)
         cached = self._profitable_cache.get(key)
         if cached is not None:
             return cached
@@ -249,8 +291,28 @@ class KAryNCube:
                 ports.append((dim, MINUS))
                 if 2 * (-off) == self.k:
                     ports.append((dim, PLUS))
-        self._profitable_cache[key] = ports
-        return ports
+        cached = self._profitable_cache[key] = tuple(ports)
+        return cached
+
+    def escape_class(self, node: int, dst: int) -> Optional[int]:
+        """Everything the dimension-order escape hop reads of ``dst``.
+
+        Packs ``node``, the lowest dimension still to correct, the
+        shortest direction along it (positive on ties) and whether the
+        ring path still has to cross the wrap-around link (the dateline
+        class) into one int; ``None`` at the destination.
+        """
+        k = self.k
+        rest, dst_rest = node, dst
+        for dim in range(self.n):
+            c, t = rest % k, dst_rest % k
+            if c != t:
+                plus = 2 * ((t - c) % k) <= k
+                wrap = c > t if plus else c < t
+                return ((node * self.n + dim) * 2 + plus) * 2 + wrap
+            rest //= k
+            dst_rest //= k
+        return None
 
     def is_profitable(self, node: int, dst: int, dim: int, direction: int) -> bool:
         """Whether moving from ``node`` via the port gets closer to ``dst``."""
@@ -270,3 +332,9 @@ class KAryNCube:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KAryNCube(k={self.k}, n={self.n})"
+
+
+@functools.lru_cache(maxsize=None)
+def cube(k: int, n: int) -> KAryNCube:
+    """The process-wide :class:`KAryNCube` of ``(k, n)``."""
+    return KAryNCube(k, n)

@@ -16,7 +16,8 @@ unsafe-marking, or online-reconfiguration event bumps the epoch
 next lookup drops every stale entry — a candidate tuple therefore
 never mixes channels admitted under two different epochs.  The
 dimension-order escape route is a pure function of the topology and is
-cached forever.
+cached forever, on the topology: every simulator of one ``(k, n)``
+reads and fills the same table (:attr:`KAryNCube.escape_hops`).
 
 Reconfiguration restrictions (:attr:`FaultState.channel_restricted`)
 are filtered here alongside fault status, with two carve-outs.  First,
@@ -37,12 +38,14 @@ protocol hot loops avoid the ``channel_id``/``channel`` lookups too.
 The adaptive and misroute sets depend on the destination only through
 its *direction class* per dimension — no offset, plus, minus, or the
 half-way tie of an even ring — so they are keyed on ``(node, class
-signature, ...)``: at most ``4**n - 1`` entries per node instead of one
-per destination.  The one place that reads ``dst`` itself is the
-final-hop exemption above, so while any channel is restricted the key
-falls back to ``dst`` (decided once per epoch, when the memos are
-empty anyway).  The escape hop also depends on the dateline class and
-stays keyed on ``(node, dst)``.
+signature, ...)`` (:meth:`KAryNCube.direction_signature`): at most
+``4**n - 1`` entries per node instead of one per destination.  The one
+place that reads ``dst`` itself is the final-hop exemption above, so
+while any channel is restricted the key falls back to ``dst`` (decided
+once per epoch, when the memos are empty anyway).  The escape hop reads
+only the lowest dimension still to correct, its direction and the
+dateline class (:meth:`KAryNCube.escape_class`): at most ``4n`` entries
+per node.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class RouteCache:
     """Epoch-checked memo of fault-filtered routing candidate sets."""
 
     __slots__ = ("topology", "faults", "_epoch", "_adaptive", "_misroute",
-                 "_escape", "_ring_class", "_key_on_dst")
+                 "_escape", "_key_on_dst")
 
     def __init__(self, topology: KAryNCube, faults: FaultState):
         self.topology = topology
@@ -76,17 +79,9 @@ class RouteCache:
         #: (node, dst class, arrival, allow_u_turn, honor_restrictions)
         #: -> tuple of Candidate.
         self._misroute: Dict[tuple, Tuple[Candidate, ...]] = {}
-        #: (node, dst) -> Escape or None; fault-independent, never cleared.
-        self._escape: Dict[Tuple[int, int], Optional[Escape]] = {}
-        #: Direction class of a ring offset ``(t - c) % k``; indexed with
-        #: the raw difference ``t - c`` (a negative index wraps the same
-        #: way the ring does): 0 none, 1 plus, 2 minus, 3 half-way tie.
-        k = topology.k
-        self._ring_class = [
-            0 if delta == 0 else 3 if 2 * delta == k
-            else 1 if 2 * delta < k else 2
-            for delta in range(k)
-        ]
+        #: escape class -> Escape; fault-independent, never cleared, and
+        #: the topology's table: shared by every cache of this ``(k, n)``.
+        self._escape: Dict[int, Escape] = topology.escape_hops
         self._key_on_dst = any(faults.channel_restricted)
 
     def _sync(self) -> None:
@@ -101,14 +96,7 @@ class RouteCache:
         """Everything the adaptive/misroute sets read of ``dst``."""
         if self._key_on_dst:
             return dst
-        ring_class = self._ring_class
-        k = len(ring_class)
-        sig = 0
-        for _ in range(self.topology.n):  # base-k digits = coordinates
-            sig = sig * 4 + ring_class[dst % k - node % k]
-            node //= k
-            dst //= k
-        return sig
+        return self.topology.direction_signature(node, dst)
 
     # ------------------------------------------------------------------
     def adaptive_candidates(
@@ -216,19 +204,18 @@ class RouteCache:
 
         A pure function of the topology (fault status of the escape
         channel is the caller's concern), so entries survive epoch
-        bumps.
+        bumps — and simulators.
         """
-        key = (node, dst)
-        try:
-            return self._escape[key]
-        except KeyError:
-            det = deterministic_route(self.topology, node, dst)
-            entry: Optional[Escape] = None
-            if det is not None:
-                dim, direction, vclass = det
-                entry = (
-                    dim, direction, vclass,
-                    self.topology.channel_id(node, dim, direction),
-                )
-            self._escape[key] = entry
-            return entry
+        key = self.topology.escape_class(node, dst)
+        if key is None:
+            return None
+        entry = self._escape.get(key)
+        if entry is None:
+            dim, direction, vclass = deterministic_route(
+                self.topology, node, dst
+            )
+            entry = self._escape[key] = (
+                dim, direction, vclass,
+                self.topology.channel_id(node, dim, direction),
+            )
+        return entry

@@ -63,14 +63,17 @@ exactly (validated by the integration tests).
 
 Scheduling: every phase works from *active sets* rather than full
 rescans — the pending-header dict is swapped (not copied) each cycle,
-the control/ack channel sets keep an incrementally maintained
-ascending order instead of being re-sorted per cycle, and the
-dynamic-fault phase is an O(1) peek on cycles with nothing scheduled.
+the control/ack planes hold a queue only on channels with a flit
+waiting and keep their ascending order between changes
+(:class:`~repro.network.link.ControlPlane`), and the dynamic-fault
+phase is an O(1) peek on cycles with nothing scheduled.
 Per-cycle work is proportional to *events* rather than live messages
 (DESIGN.md §11): blocked routing headers park until a wake condition
-— a virtual-channel release at their router (funneled through
-:meth:`ChannelBank.set_release_notify`), a fault-epoch change, or
-their timed retry cycle — can change the decision's outcome; messages
+— a virtual-channel release at their router (every release, from
+any subsystem, passes ``VirtualChannel.release()``, which calls
+:func:`_release_funnel`'s closure over the engine's counters — the
+channels never hold the engine), a fault-epoch change, or their
+timed retry cycle — can change the decision's outcome; messages
 whose data pipeline proved immovable are flagged quiet and skipped
 until a state-change notification (reservation, backtrack, header
 arrival, staged gate update) re-arms them; and the launch loop visits
@@ -92,9 +95,8 @@ from __future__ import annotations
 
 import random
 import warnings
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from collections import deque
 from itertools import accumulate
 
 from repro.core import detour as detour_rules
@@ -102,8 +104,8 @@ from repro.core.flow_control import K_INFINITE, FlowControlKind
 from repro.faults.injection import DynamicFaultSchedule
 from repro.faults.model import FaultState
 from repro.network.channel import ChannelBank
-from repro.network.link import ControlQueue, RoundRobinArbiter
-from repro.network.topology import KAryNCube
+from repro.network.link import ControlPlane
+from repro.network.topology import KAryNCube, cube
 from repro.routing.base import Action, RoutingContext
 from repro.sim import postmortem
 from repro.sim.config import SimulationConfig
@@ -138,62 +140,23 @@ class DeadlockError(RuntimeError):
         self.diagnosis = diagnosis
 
 
-class _SortedIntSet:
-    """Channel ids, iterable in ascending order without re-sorting.
+def _release_funnel(rel_ver: List[int], resident: List[int],
+                    ch_src: List[int]):
+    """The engine's listener on every VC release.
 
-    Membership is a plain set (O(1) add/discard, truth-testing); the
-    ascending iteration order the engine's deterministic replay relies
-    on comes from a cached sorted view that is rebuilt only when the
-    membership actually changed since the last snapshot — on cycles
-    where the set did not change (the common case) taking a snapshot
-    costs nothing, versus the unconditional ``sorted()`` call per cycle
-    the original scheduler paid.  Used for the active control/ack
-    channel sets.
+    Bumps the release version of the channel's source node so any
+    header parked there re-evaluates its routing decision next cycle.
+    Releases elsewhere cannot change a WAIT: every decision only
+    examines outgoing channels of the header's own router.  Also
+    retires the VC from the channel's reserved count (the inline-move
+    eligibility test of the data phase).  A closure over the three
+    lists and not an ``Engine`` method: the virtual channels hold it,
+    and nothing the engine owns may point back at the engine.
     """
-
-    __slots__ = ("_members", "_view", "_dirty")
-
-    def __init__(self) -> None:
-        self._members: Set[int] = set()
-        self._view: List[int] = []
-        self._dirty = False
-
-    def add(self, ch: int) -> None:
-        members = self._members
-        if ch not in members:
-            members.add(ch)
-            self._dirty = True
-
-    def discard(self, ch: int) -> None:
-        members = self._members
-        if ch in members:
-            members.remove(ch)
-            self._dirty = True
-
-    def __contains__(self, ch: int) -> bool:
-        return ch in self._members
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __bool__(self) -> bool:
-        return bool(self._members)
-
-    def __iter__(self):
-        return iter(self.snapshot())
-
-    def snapshot(self) -> List[int]:
-        """The members in ascending order, stable against mutation.
-
-        The returned list is never mutated in place by later
-        ``add``/``discard`` calls, so callers can safely iterate it
-        while rescheduling channels — exactly the snapshot semantics of
-        the old per-cycle ``sorted()`` copy.
-        """
-        if self._dirty:
-            self._view = sorted(self._members)
-            self._dirty = False
-        return self._view
+    def note_release(channel_id: int) -> None:
+        rel_ver[ch_src[channel_id]] += 1
+        resident[channel_id] -= 1
+    return note_release
 
 
 class HookChain:
@@ -203,18 +166,18 @@ class HookChain:
     ``next_event_cycle`` (the minimum of its members') only when every
     member declares one — a single contract-less member must disable
     fast-forward for the whole run, which the engine detects by the
-    attribute's absence.
+    attribute reading ``None``: such a chain shadows the method.
     """
 
     def __init__(self, hooks):
         self.hooks = [h for h in hooks if h is not None]
-        if all(
+        if not all(
             getattr(h, "next_event_cycle", None) is not None
             for h in self.hooks
         ):
-            self.next_event_cycle = self._next_event_cycle
+            self.next_event_cycle = None
 
-    def _next_event_cycle(self, engine) -> Optional[int]:
+    def next_event_cycle(self, engine) -> Optional[int]:
         horizons = [
             h.next_event_cycle(engine) for h in self.hooks
         ]
@@ -242,7 +205,7 @@ class Engine:
         self.config = config
         self.protocol = protocol
         self.rng = rng if rng is not None else random.Random(config.seed)
-        self.topology = topology if topology is not None else KAryNCube(
+        self.topology = topology if topology is not None else cube(
             config.k, config.n
         )
         self.faults = fault_state if fault_state is not None else FaultState(
@@ -263,21 +226,16 @@ class Engine:
         self._tail_ack_mode = config.recovery.tail_ack
 
         num_ch = self.topology.num_channels
-        self.control_out: List[ControlQueue] = [
-            ControlQueue() for _ in range(num_ch)
-        ]
-        self._active_ctrl = _SortedIntSet()
+        #: Control flits queued per physical channel; a channel costs
+        #: something only while one waits on it.
+        self.control_out: ControlPlane = ControlPlane()
         #: Dedicated acknowledgment wires (Section 7.0 future work):
         #: only used when ``config.hardware_acks`` — one ack per channel
         #: per cycle, not competing with the flit slot.
-        self.ack_out: List[ControlQueue] = [
-            ControlQueue() for _ in range(num_ch)
-        ]
-        self._active_ack = _SortedIntSet()
-        self._arbiters = [
-            RoundRobinArbiter(self.channels.vcs_per_channel)
-            for _ in range(num_ch)
-        ]
+        self.ack_out: ControlPlane = ControlPlane()
+        #: Round-robin pointer per physical channel: the VC index with
+        #: the highest priority at the next contended grant.
+        self._rr_next: List[int] = [0] * num_ch
 
         self.cycle = 0
         self.ctx = RoutingContext(self.topology, self.faults, self.channels, 0)
@@ -285,8 +243,10 @@ class Engine:
         self.messages: Dict[int, Message] = {}
         self.active: Dict[int, Message] = {}
         self.pending: Dict[int, Message] = {}
-        self.queues: List[Deque[Message]] = [
-            deque() for _ in range(self.topology.num_nodes)
+        #: Per-node injection FIFOs, head first; plain lists — at most
+        #: ``injection_queue_limit`` long, and an empty one costs 56 B.
+        self.queues: List[List[Message]] = [
+            [] for _ in range(self.topology.num_nodes)
         ]
         #: Nodes whose injection queue may be non-empty (a superset —
         #: the launch phase prunes the attended nodes it finds drained);
@@ -352,7 +312,7 @@ class Engine:
         #: recovery-latency proxy; diagnostics only, not in RunResult.
         self.last_recovery_cycle = 0
         self.auditor: Optional[InvariantAuditor] = (
-            InvariantAuditor(self)
+            InvariantAuditor()
             if config.resilience.audit_invariants else None
         )
 
@@ -392,10 +352,6 @@ class Engine:
         #: moves — a release of an outgoing VC is the only channel-state
         #: transition that can turn its WAIT into progress.
         self._node_rel_ver: List[int] = [0] * self.topology.num_nodes
-        self._ch_src: List[int] = [
-            self.topology.channel(ch).src for ch in range(num_ch)
-        ]
-        self.channels.set_release_notify(self._note_release)
         #: Reserved-VC count per physical channel.  A channel with
         #: exactly one reserved VC can have at most one data-movement
         #: candidate this cycle (wormhole: one message per VC), so that
@@ -404,6 +360,10 @@ class Engine:
         #: through the per-channel candidate table (reserve increments,
         #: the release notification decrements).
         self._ch_resident: List[int] = [0] * num_ch
+        self.channels.set_release_notify(_release_funnel(
+            self._node_rel_ver, self._ch_resident,
+            [c.src for c in self.topology.channels],
+        ))
         #: Launch-phase attention set: nodes whose injection-queue head
         #: may act this cycle (new arrival, head finished injecting,
         #: head finalized/tail-acked/requeued).  Visiting any other busy
@@ -509,8 +469,8 @@ class Engine:
         if (
             self.pending
             or self._launch_attn
-            or self._active_ctrl
-            or self._active_ack
+            or self.control_out
+            or self.ack_out
             or self._staged_acks
             or self._staged_path
         ):
@@ -581,7 +541,7 @@ class Engine:
             if nxt is not None and nxt - 1 < stop:
                 stop = nxt - 1
         if self.auditor is not None:
-            tick = self.auditor.next_audit_cycle(self.cycle) - 1
+            tick = self.auditor.next_audit_cycle(self) - 1
             if tick < stop:
                 stop = tick
         return stop
@@ -693,7 +653,7 @@ class Engine:
         if self.auditor is not None and (
             self.cycle % self.config.resilience.audit_every == 0
         ):
-            violations = self.auditor.audit()
+            violations = self.auditor.audit(self)
             if violations:
                 raise InvariantError(violations)
 
@@ -763,19 +723,6 @@ class Engine:
         the hook's timing metric.
         """
 
-    def _note_release(self, channel_id: int) -> None:
-        """VC release notification (every release funnels through here).
-
-        Bumps the release version of the channel's source node so any
-        header parked there re-evaluates its routing decision next
-        cycle.  Releases elsewhere cannot change a WAIT: every decision
-        only examines outgoing channels of the header's own router.
-        Also retires the VC from the channel's reserved count (the
-        inline-move eligibility test of the data phase).
-        """
-        self._node_rel_ver[self._ch_src[channel_id]] += 1
-        self._ch_resident[channel_id] -= 1
-
     def inject(self, src: int, dst: int,
                length: Optional[int] = None) -> Message:
         """Create and immediately launch one message (tests/examples).
@@ -824,11 +771,9 @@ class Engine:
                         continue
                     self._interrupt(msg, idx)
                 # Control flits stranded on the failed channel.
-                for token in self.control_out[ch].drain():
+                for token in self.control_out.drain(ch):
                     self._handle_stranded_token(token)
-                self._active_ctrl.discard(ch)
-                self.ack_out[ch].drain()  # hardware acks vanish
-                self._active_ack.discard(ch)
+                self.ack_out.drain(ch)  # hardware acks vanish
             # Refresh healthy-node set for traffic and drop queued
             # messages at failed sources.
             healthy = [
@@ -843,7 +788,7 @@ class Engine:
                 # cycle.
                 self._launch_attn.add(node)
                 while self.queues[node]:
-                    msg = self.queues[node].popleft()
+                    msg = self.queues[node].pop(0)
                     # An ACTIVE head from a now-dead source needs
                     # nothing here: its channels are faulty and the
                     # channel loop above interrupted it.
@@ -1058,42 +1003,17 @@ class Engine:
         used: Set[int] = set()
         cycle = self.cycle
         # Dedicated ack wires first: they never consume the flit slot.
-        if self._active_ack:
-            active_ack = self._active_ack
-            ack_out = self.ack_out
-            for ch in active_ack.snapshot():
-                q = ack_out[ch]
-                head = q.peek()
-                if head is None:
-                    active_ack.discard(ch)
+        for plane, slots in ((self.ack_out, None), (self.control_out, used)):
+            for ch in plane.channels():
+                head = plane.peek(ch)
+                if head is None or head.ready_cycle > cycle:
                     continue
-                if head.ready_cycle > cycle:
-                    continue
-                token = q.pop()
-                if not q:
-                    active_ack.discard(ch)
+                token = plane.pop(ch)
+                if slots is not None:
+                    slots.add(ch)
                 self.control_flits_sent += 1
                 self._progress = True
                 self._deliver(token)
-        if not self._active_ctrl:
-            return used
-        active_ctrl = self._active_ctrl
-        control_out = self.control_out
-        for ch in active_ctrl.snapshot():
-            q = control_out[ch]
-            head = q.peek()
-            if head is None:
-                active_ctrl.discard(ch)
-                continue
-            if head.ready_cycle > cycle:
-                continue
-            token = q.pop()
-            if not q:
-                active_ctrl.discard(ch)
-            used.add(ch)
-            self.control_flits_sent += 1
-            self._progress = True
-            self._deliver(token)
         return used
 
     def _push_control(self, token: ControlFlit, channel_id: int) -> None:
@@ -1110,11 +1030,9 @@ class Engine:
         if self.config.hardware_acks and token.kind in (
             ControlKind.ACK_POS, ControlKind.ACK_NEG
         ):
-            self.ack_out[channel_id].push(token)
-            self._active_ack.add(channel_id)
+            self.ack_out.push(channel_id, token)
             return
-        self.control_out[channel_id].push(token)
-        self._active_ctrl.add(channel_id)
+        self.control_out.push(channel_id, token)
 
     def _deliver(self, token: ControlFlit) -> None:
         kind = token.kind
@@ -1499,7 +1417,7 @@ class Engine:
         if q and q[0] is original:
             q[0] = clone
         else:
-            q.appendleft(clone)
+            q.insert(0, clone)
 
     # ==================================================================
     # Phase 4: data movement
@@ -1520,7 +1438,7 @@ class Engine:
         cycle = self.cycle
         resident = self._ch_resident
         attn = self._launch_attn
-        arbiters = self._arbiters
+        rr_next = self._rr_next
         num_vcs = self.channels.vcs_per_channel
         release_link = self._release_link
         moved = 0
@@ -1660,7 +1578,7 @@ class Engine:
                 holder = candidates.get(ch)
                 if holder is not None:
                     contended.append(ch)
-                    nxt = arbiters[ch]._next
+                    nxt = rr_next[ch]
                     if (
                         (holder[3].index - nxt) % num_vcs
                         < (vc.index - nxt) % num_vcs
@@ -1706,7 +1624,7 @@ class Engine:
         # A contended channel's pointer moves past its winner; a lone
         # candidate never advances it.
         for ch in contended:
-            arbiters[ch]._next = (candidates[ch][3].index + 1) % num_vcs
+            rr_next[ch] = (candidates[ch][3].index + 1) % num_vcs
         if moved:
             self.data_flits_moved += moved
             self._progress = True
@@ -1838,11 +1756,11 @@ class Engine:
                     done_injecting = head.at_source == 0
                     released = head.tail_acked if tail_ack else True
                     if done_injecting and released and not head.teardown:
-                        queue.popleft()
+                        queue.pop(0)
                         continue
                     break
                 if status is not queued_status:  # terminal
-                    queue.popleft()
+                    queue.pop(0)
                     continue
                 # QUEUED head: launch its routing header.
                 head.status = active_status

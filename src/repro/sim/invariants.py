@@ -75,28 +75,29 @@ class InvariantError(RuntimeError):
 
 
 class InvariantAuditor:
-    """Audits one engine; stateless between audits apart from counters."""
+    """Audits the engine it is handed; holds nothing but its counters.
 
-    def __init__(self, engine):
-        self.engine = engine
+    The engine owns its auditor, so the auditor keeps no reference back.
+    """
+
+    def __init__(self):
         self.checks_run = 0
         self.violations_found = 0
 
-    def next_audit_cycle(self, cycle: int) -> int:
-        """First cycle strictly after ``cycle`` at which an audit runs.
+    def next_audit_cycle(self, engine) -> int:
+        """First cycle strictly after ``engine.cycle`` at which an audit runs.
 
         The audit tick is part of the engine's event horizon: the
         fast-forward path must not jump past it, or ``checks_run`` (and
         any violation it would have caught) would diverge from the
         cycle-by-cycle run.
         """
-        every = self.engine.config.resilience.audit_every
-        return (cycle // every + 1) * every
+        every = engine.config.resilience.audit_every
+        return (engine.cycle // every + 1) * every
 
-    def audit(self) -> List[InvariantViolation]:
+    def audit(self, engine) -> List[InvariantViolation]:
         """Run every check; returns (and counts) all violations found."""
         self.checks_run += 1
-        engine = self.engine
         out: List[InvariantViolation] = []
         self._check_messages(engine, out)
         self._check_channel_bank(engine, out)
@@ -178,12 +179,11 @@ class InvariantAuditor:
         kill/tail tokens are still releasing channels; those channels
         are legally reserved by an id no longer in ``engine.messages``.
         """
-        ids: Set[int] = set()
-        for queues in (engine.control_out, engine.ack_out):
-            for queue in queues:
-                for token in queue:
-                    ids.add(token.message.msg_id)
-        return ids
+        return {
+            token.message.msg_id
+            for plane in (engine.control_out, engine.ack_out)
+            for token in plane
+        }
 
     def _check_channel_bank(
         self, engine, out: List[InvariantViolation]
@@ -260,4 +260,4 @@ class InvariantAuditor:
 
 def audit(engine) -> List[InvariantViolation]:
     """One-shot audit of an engine (tests / debugging convenience)."""
-    return InvariantAuditor(engine).audit()
+    return InvariantAuditor().audit(engine)

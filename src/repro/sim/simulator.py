@@ -26,7 +26,7 @@ from repro.faults.injection import (
     random_dynamic_schedule,
 )
 from repro.faults.model import FaultState
-from repro.network.topology import KAryNCube
+from repro.network.topology import cube
 from repro.reconfig.controller import ReconfigController
 from repro.routing.duato import DuatoProtocol
 from repro.routing.mb import MBmProtocol
@@ -77,7 +77,7 @@ class NetworkSimulator:
             )
         self.config = config
         self.rng = rng if rng is not None else random.Random(config.seed)
-        self.topology = KAryNCube(config.k, config.n)
+        self.topology = cube(config.k, config.n)
         self.faults = FaultState(self.topology)
         self.protocol = protocol if protocol is not None else make_protocol(
             config.protocol, **config.protocol_params

@@ -75,16 +75,15 @@ class MessageTracer:
         }
         acks: List[int] = []
         kills: List[int] = []
-        for queue in self.engine.control_out:
-            for token in list(queue._queue):
-                if token.message is not msg:
-                    continue
-                if token.kind in _ACK_KINDS:
-                    acks.append(token.position)
-                elif token.kind in _KILL_KINDS:
-                    kills.append(token.position)
-                elif token.kind is ControlKind.HEADER_BACK:
-                    backtracking = True
+        for token in self.engine.control_out:
+            if token.message is not msg:
+                continue
+            if token.kind in _ACK_KINDS:
+                acks.append(token.position)
+            elif token.kind in _KILL_KINDS:
+                kills.append(token.position)
+            elif token.kind is ControlKind.HEADER_BACK:
+                backtracking = True
         snapshot = TraceSample(
             cycle=self.engine.cycle,
             header_router=header_router,

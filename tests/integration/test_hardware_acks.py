@@ -44,8 +44,7 @@ class TestLogicalEquivalence:
         engine = idle_engine(True)
         engine.inject(0, 5, length=8)
         drain_engine(engine)
-        assert all(len(q) == 0 for q in engine.ack_out)
-        assert not engine._active_ack
+        assert not engine.ack_out
 
 
 class TestBandwidthEffect:
@@ -72,6 +71,6 @@ class TestBandwidthEffect:
             saw_ack_queue = False
             for _ in range(60):
                 engine.step()
-                if any(len(q) for q in engine.ack_out):
+                if engine.ack_out:
                     saw_ack_queue = True
             assert saw_ack_queue == hw

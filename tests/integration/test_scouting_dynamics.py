@@ -94,7 +94,7 @@ class TestCounters:
         engine = scouting_engine(K=2)
         msg = engine.inject(0, 6, length=8)
         drain_engine(engine)
-        assert all(len(q) == 0 for q in engine.control_out)
+        assert not engine.control_out
 
     def test_ack_traffic_proportional_to_path(self):
         """SR sends one positive ack per non-destination hop."""
@@ -145,4 +145,4 @@ class TestBacktrackCounters:
         drain_engine(engine)
         assert msg.status.name == "DELIVERED"
         assert engine.channels.all_free()
-        assert all(len(q) == 0 for q in engine.control_out)
+        assert not engine.control_out

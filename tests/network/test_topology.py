@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.topology import MINUS, PLUS, KAryNCube
+from repro.network.topology import MINUS, PLUS, KAryNCube, cube
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ class TestGeometry:
             assert torus8.distance(nxt, dst) == d - 1
 
     def test_profitable_ports_empty_at_destination(self, torus8):
-        assert torus8.profitable_ports(9, 9) == []
+        assert torus8.profitable_ports(9, 9) == ()
 
     def test_profitable_ports_both_ways_on_half_ring(self, torus8):
         a = torus8.node_id((0, 0))
@@ -257,3 +257,52 @@ class TestGeometry:
         rng = random.Random(0)
         for _ in range(50):
             assert 0 <= torus4.random_node(rng) < torus4.num_nodes
+
+
+class TestSharedGeometry:
+    """One instance per ``(k, n)`` serves every simulator of the
+    process, so what it memoises must be immutable and keyed without
+    collisions."""
+
+    def test_cube_is_one_instance_per_k_n(self):
+        assert cube(5, 2) is cube(5, 2)
+        assert cube(5, 2) is not cube(5, 3)
+        assert (cube(5, 3).k, cube(5, 3).n) == (5, 3)
+        with pytest.raises(ValueError):
+            cube(2, 2)
+
+    def test_memoised_values_cannot_be_mutated(self):
+        topo = cube(6, 2)
+        for value in (topo.profitable_ports(0, 9), topo.offsets(0, 9),
+                      topo.ports(0), topo.channels):
+            with pytest.raises(AttributeError):
+                value.append((0, PLUS))
+            with pytest.raises(TypeError):
+                value[0] = (0, PLUS)
+        with pytest.raises(AttributeError):
+            topo.channels[0].dst = 0  # frozen dataclass
+
+    def test_ports_is_one_tuple_per_instance(self, torus3d):
+        assert torus3d.ports(0) is torus3d.ports(7)
+        assert torus3d.ports(0) == tuple(
+            (dim, direction) for dim in range(3)
+            for direction in (PLUS, MINUS)
+        )
+
+    @pytest.mark.parametrize("k, n", [(3, 1), (4, 2), (5, 2), (8, 2), (4, 3)])
+    def test_class_keyed_memos_equal_direct_computation(self, k, n):
+        """Exhaustive over ``(src, dst)`` on one warm instance: a key
+        that merged two classes would hand a later pair an earlier
+        pair's value."""
+        topo = KAryNCube(k, n)
+        for src in range(topo.num_nodes):
+            for dst in range(topo.num_nodes):
+                offsets = tuple(topo.offset(src, dst, d) for d in range(n))
+                assert topo.offsets(src, dst) == offsets
+                assert topo.profitable_ports(src, dst) == tuple(
+                    (dim, direction) for dim in range(n)
+                    for direction in (PLUS, MINUS)
+                    if topo.is_profitable(src, dst, dim, direction)
+                )
+        assert len(topo._offsets_cache) <= k ** n
+        assert len(topo._profitable_cache) <= 4 ** n

@@ -1,11 +1,13 @@
 """RouteCache: memoized candidate sets and epoch invalidation."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.two_phase import TwoPhaseProtocol
 from repro.faults.model import FaultState
-from repro.network.topology import PLUS, KAryNCube
+from repro.network.channel import VCClass
+from repro.network.topology import PLUS, KAryNCube, cube
 from repro.routing.base import Action
 from repro.routing.cache import RouteCache
 from repro.routing.dimension_order import deterministic_route
@@ -211,6 +213,47 @@ def test_escape_cache_survives_epoch_bumps():
     assert cache.escape(node, dst) is first
     # Arrived-at-destination: no escape hop.
     assert cache.escape(dst, dst) is None
+
+
+def _fresh_escape(topo, node, dst):
+    det = deterministic_route(topo, node, dst)
+    if det is None:
+        return None
+    return det + (topo.channel_id(node, det[0], det[1]),)
+
+
+@pytest.mark.parametrize("k, n", [(3, 1), (4, 2), (5, 2), (8, 2), (4, 3)])
+def test_class_keyed_escape_is_the_escape_function(k, n):
+    """Exhaustive over ``(node, dst)`` through one table, cold then
+    warm: a key that dropped the wrap bit, or took the class of another
+    dimension, would hand a later pair an earlier pair's hop.  Half-way
+    ties of an even ring, both dateline classes and ``node == dst`` are
+    all among the pairs."""
+    topo = KAryNCube(k, n)
+    cache = RouteCache(topo, FaultState(topo))
+    classes = set()
+    for _ in range(2):
+        for node in range(topo.num_nodes):
+            for dst in range(topo.num_nodes):
+                hop = cache.escape(node, dst)
+                assert hop == _fresh_escape(topo, node, dst), (node, dst)
+                if hop is not None:
+                    classes.add(hop[2])
+    assert cache.escape(0, 0) is None
+    assert classes == {VCClass.DETERMINISTIC_0, VCClass.DETERMINISTIC_1}
+    assert cache._escape is topo.escape_hops
+    assert len(topo.escape_hops) <= 4 * n * topo.num_nodes
+
+
+@settings(max_examples=300)
+@given(node=st.integers(0, 255), dst=st.integers(0, 255))
+def test_class_keyed_escape_on_the_shared_paper_cube(node, dst):
+    """The 16-ary 2-cube every paper-scale simulator of this process
+    shares, in whatever state earlier tests left its table."""
+    topo = cube(16, 2)
+    cache = RouteCache(topo, FaultState(topo))
+    assert cache.escape(node, dst) == _fresh_escape(topo, node, dst)
+    assert RouteCache(topo, FaultState(topo))._escape is cache._escape
 
 
 class TestEscapeCacheFaultSafety:

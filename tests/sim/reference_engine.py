@@ -21,6 +21,7 @@ simulation on it with :class:`ReferenceSimulator`.
 """
 
 from repro.core.flow_control import K_INFINITE
+from repro.network.link import RoundRobinArbiter
 from repro.sim.engine import Engine
 from repro.sim.message import HeaderPhase, MessageStatus
 from repro.sim.simulator import NetworkSimulator
@@ -28,6 +29,13 @@ from repro.sim.simulator import NetworkSimulator
 
 class ReferenceEngine(Engine):
     """Every cycle, every header, every queue, every flit position."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._arbiters = [
+            RoundRobinArbiter(self.channels.vcs_per_channel)
+            for _ in range(self.topology.num_channels)
+        ]
 
     def run(self, cycles, on_cycle=None):
         for _ in range(cycles):

@@ -22,18 +22,11 @@ class TestControlQueueGating:
         token = ControlFlit(
             ControlKind.RESUME, msg, 0, ready_cycle=engine.cycle + 5
         )
-        engine.control_out[engine.topology.reverse_channel_id(ch)].push(
-            token
-        )
-        engine._active_ctrl.add(engine.topology.reverse_channel_id(ch))
-        sent_before = engine.control_flits_sent
+        reverse = engine.topology.reverse_channel_id(ch)
+        engine.control_out.push(reverse, token)
         engine.step()
         # The future-dated token must not have crossed this cycle.
-        assert token in list(
-            engine.control_out[
-                engine.topology.reverse_channel_id(ch)
-            ]._queue
-        )
+        assert engine.control_out.peek(reverse) is token
         drain_engine(engine)
 
     def test_one_control_flit_per_channel_per_cycle(self):

@@ -64,7 +64,7 @@ class TestCorruptionDetection:
             engine.step()
         assert msg.path, "message should have reserved its first link"
         msg.buffered[0] = engine.config.buffer_depth + 5
-        violations = InvariantAuditor(engine).audit()
+        violations = InvariantAuditor().audit(engine)
         assert any(v.kind == "buffer-bounds" for v in violations)
 
     def test_release_consistency_violation(self):
@@ -109,7 +109,7 @@ class TestCorruptionDetection:
         msg = engine.inject(0, 3)
         # Terminal status while still indexed in the active map.
         msg.status = MessageStatus.DELIVERED
-        violations = InvariantAuditor(engine).audit()
+        violations = InvariantAuditor().audit(engine)
         assert any(v.kind == "index" for v in violations)
 
 

@@ -24,10 +24,10 @@ Three families:
   (which steps all ``c`` cycles) over hypothesis-drawn chunk lengths at
   light load, full state after every chunk, and one named test pins
   each edge of the predicate and of the window accounting.
-* **sorted-set order** — the incrementally maintained
-  :class:`_SortedIntSet` (the active control/ack channel sets) must
-  present exactly the ascending snapshot a fresh ``sorted()`` would,
-  after any interleaving of adds and discards.
+* **control-plane order** — :class:`ControlPlane` (the control and ack
+  queues, kept only on busy channels) must list exactly the channels
+  with a flit queued, in the ascending order a fresh ``sorted()`` would
+  give, after any interleaving of pushes, pops and drains.
 
 The CI hypothesis profile (tests/conftest.py) disables deadlines and
 derandomizes example selection.
@@ -49,7 +49,7 @@ from repro.sim.config import (
     ResilienceConfig,
     SimulationConfig,
 )
-from repro.sim.engine import _SortedIntSet
+from repro.network.link import ControlPlane
 from repro.sim.simulator import NetworkSimulator
 from tests.sim.reference_engine import ReferenceSimulator
 from tests.sim.test_determinism import (
@@ -60,46 +60,50 @@ from tests.sim.test_determinism import (
 
 
 # ======================================================================
-# _SortedIntSet: incremental order == fresh sorted() (launch-order pin)
+# ControlPlane: busy channels == fresh sorted() (transfer-order pin)
 # ======================================================================
 @given(
     ops=st.lists(
-        st.tuples(st.booleans(), st.integers(0, 40)),
+        st.tuples(st.sampled_from(["push", "pop", "drain"]),
+                  st.integers(0, 40)),
         max_size=200,
     ),
 )
 @settings(max_examples=200)
-def test_sorted_int_set_matches_sorted(ops):
-    s = _SortedIntSet()
-    model = set()
-    for i, (is_add, value) in enumerate(ops):
-        if is_add:
-            s.add(value)
-            model.add(value)
-        else:
-            s.discard(value)
-            model.discard(value)
-        assert (value in s) == (value in model)
-        assert len(s) == len(model)
-        assert bool(s) == bool(model)
+def test_control_plane_channels_match_sorted(ops):
+    plane = ControlPlane()
+    model = {}
+    for i, (op, ch) in enumerate(ops):
+        if op == "push":
+            plane.push(ch, i)
+            model.setdefault(ch, []).append(i)
+        elif op == "drain":
+            assert plane.drain(ch) == model.pop(ch, [])
+        elif ch in model:
+            assert plane.pop(ch) == model[ch].pop(0)
+            if not model[ch]:
+                del model[ch]
+        assert plane.peek(ch) == (model[ch][0] if ch in model else None)
+        assert len(plane) == len(model)
+        assert bool(plane) == bool(model)
         if i % 7 == 0:  # snapshot mid-sequence, not only at the end
-            assert s.snapshot() == sorted(model)
-    assert s.snapshot() == sorted(model)
-    assert list(s) == sorted(model)
+            assert plane.channels() == sorted(model)
+    assert plane.channels() == sorted(model)
+    assert list(plane) == [t for ch in sorted(model) for t in model[ch]]
 
 
-def test_sorted_int_set_snapshot_stable_against_mutation():
-    """The control phase iterates a snapshot while rescheduling
-    channels: later adds/discards must not mutate the list it walks."""
-    s = _SortedIntSet()
-    for v in (5, 1, 9):
-        s.add(v)
-    snap = s.snapshot()
+def test_control_plane_channels_stable_against_mutation():
+    """The control phase iterates a snapshot while flits are pushed and
+    popped: later changes must not mutate the list it walks."""
+    plane = ControlPlane()
+    for ch in (5, 1, 9):
+        plane.push(ch, "token")
+    snap = plane.channels()
     assert snap == [1, 5, 9]
-    s.add(3)
-    s.discard(5)
+    plane.push(3, "token")
+    plane.pop(5)
     assert snap == [1, 5, 9]
-    assert s.snapshot() == [1, 3, 9]
+    assert plane.channels() == [1, 3, 9]
 
 
 # ======================================================================
@@ -475,7 +479,7 @@ def test_audit_ticks_bound_the_jump_and_find_it_clean():
         skipped = production.fast_forwarded_cycles
         _run_both(production, reference, stop - production.cycle)
         assert production.fast_forwarded_cycles > skipped
-        assert production.auditor.audit() == []
+        assert production.auditor.audit(production) == []
     assert production.auditor.checks_run == 200 // 5 + 3
     assert reference.auditor.checks_run == 200 // 5
 

@@ -86,6 +86,27 @@ def test_compare_workloads_filter_restricts_verdict():
     assert regressions == ["tp-high"]
 
 
+def test_direction_comes_from_the_key():
+    """``construct_kb`` is a cost: rising is the regression, and the
+    same numbers under a rate key read the other way."""
+    baseline = {"a": {"workload": "a", "construct_kb": 100.0,
+                      "cycles_per_sec": 100.0}}
+    current = {"a": {"workload": "a", "construct_kb": 130.0,
+                     "cycles_per_sec": 130.0}}
+    for key, up, down in (("construct_kb", ["a"], []),
+                          ("cycles_per_sec", [], ["a"])):
+        _, regressions = compare_bench.compare(
+            baseline, current, 0.25, key=key)
+        assert regressions == up
+        _, regressions = compare_bench.compare(
+            current, baseline, 0.2, key=key)
+        assert regressions == down
+    # Exactly at the threshold is not a regression, either way round.
+    current["a"]["construct_kb"] = 125.0
+    assert compare_bench.compare(
+        baseline, current, 0.25, key="construct_kb")[1] == []
+
+
 def test_main_workloads_gate_exit_codes(tmp_path, capsys):
     base = tmp_path / "base.json"
     cur = tmp_path / "cur.json"
