@@ -28,9 +28,10 @@ of the invocation: ``--key construct_kb`` regresses when it *rises*.
 CI runs this three times against the committed snapshot: once over
 every workload informationally (the numbers are machine-dependent, so
 small deltas are hints, not verdicts), once as a hard gate with
-``--workloads tp-high,dp-high --threshold 0.25`` — a saturated
-workload losing more than a quarter of its cycles/s is an engine
-regression, not runner noise — and once as a hard gate with
+``--workloads tp-high,dp-high,tp-k3-recovery --threshold 0.25`` — a
+saturated (data-path) or control-heavy (header-hop) workload losing
+more than a quarter of its cycles/s is an engine regression, not runner
+noise — and once as a hard gate with
 ``--key construct_kb --threshold 0.25``: a simulator's construction
 footprint is deterministic on one Python version, so it cannot flake.
 Run it locally against a baseline produced on the same machine to
@@ -64,7 +65,7 @@ def compare(baseline: dict, current: dict, threshold: float,
     whose figure got worse by more than ``threshold`` — dropped, or for
     a :data:`LOWER_IS_BETTER` key rose.  ``workloads``
     restricts the comparison (and therefore the verdict) to the named
-    subset — the CI perf gate uses it to assert only on the saturated
+    subset — the CI perf gate uses it to assert only on the gated
     workloads, whose throughput is dominated by engine work rather
     than scheduling noise.
     """
@@ -165,7 +166,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=(
             "comma-separated workload names to compare; everything "
             "else is excluded from the table and the verdict "
-            "(CI gates only the saturated workloads this way)"
+            "(CI gates only the hot-path workloads this way)"
         ),
     )
     args = parser.parse_args(argv)

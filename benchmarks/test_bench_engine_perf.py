@@ -3,10 +3,12 @@
 Times simulation runs across a small protocol / load / fault grid and
 records wall-clock time plus simulated cycles per second in
 ``BENCH_engine.json`` at the repository root, which CI uploads as an
-artifact.  The *saturated* workloads (``tp-high``, ``dp-high``) are
-timed three times and report the median wall clock — they gate CI, so
-their figure should not hinge on one scheduler hiccup; the rest run
-once and stay informational.  Every row also records ``events`` (data
+artifact.  The *gated* workloads — the saturated ``tp-high`` and
+``dp-high`` (data path) and the control-heavy ``tp-k3-recovery``
+(routing decisions and control flits) — are timed three times and
+report the median wall clock — they gate CI, so their figure should
+not hinge on one scheduler hiccup; the rest run once and stay
+informational.  Every row also records ``events`` (data
 flit hops + ejections + header routing decisions — the simulation's
 unit of real work) and ``events_per_sec``, which tracks interpreter
 cost per event independently of how many empty cycles the steady-state
@@ -16,11 +18,12 @@ are events too, so the idle rows' figure rises with them), and
 the row's config allocate before its first cycle — what a simulator
 costs once the geometry shared per ``(k, n)`` exists, and exactly
 repeatable on one Python version.  CI's perf-smoke job hard-fails when
-a saturated workload loses more than 25% cycles/s against the
-committed snapshot, or any row's ``construct_kb`` rises more than 25% —
-see ``benchmarks/compare_bench.py --workloads`` / ``--key``.
+a gated workload loses more than 25% cycles/s against the committed
+snapshot, or any row's ``construct_kb`` rises more than 25% — see
+``benchmarks/compare_bench.py --workloads`` / ``--key``.
 """
 
+import dataclasses
 import json
 import pathlib
 import statistics
@@ -28,7 +31,7 @@ import time
 import tracemalloc
 
 from repro.experiments.common import base_config, experiment_scale
-from repro.sim.config import FaultConfig
+from repro.sim.config import FaultConfig, RecoveryConfig
 from repro.sim.simulator import NetworkSimulator
 
 from .conftest import run_and_report
@@ -64,12 +67,23 @@ WORKLOADS = (
     ("tp-bursty", "tp", {"k_unsafe": 0}, 0.06, 0,
      {"traffic": "bursty",
       "traffic_params": {"burst_on": 64, "burst_off": 192}}),
+    # The control-heavy row: conservative TP (K=3) near the fault
+    # vicinity — static node faults (the paper's 10 at the reduced
+    # scale's node ratio), dynamic link faults, tail acknowledgments
+    # and retransmission — so detour search, backtracking, scouting
+    # acks, kills and tail acks carry the time, as in the Figs 13/14/17
+    # experiments.  A header-hop regression shows here first.
+    ("tp-k3-recovery", "tp", {"k_unsafe": 3}, 0.15, 2,
+     {"faults": FaultConfig(static_node_faults=2),
+      "recovery": RecoveryConfig(tail_ack=True, retransmit=True,
+                                 max_retransmits=3)}),
 )
 
 
 #: Workloads whose cycles/s figure gates CI: timed ``_GATED_ROUNDS``
-#: times, reporting the median wall clock.
-SATURATED = frozenset({"tp-high", "dp-high"})
+#: times, reporting the median wall clock.  The two saturated rows
+#: gate the data path, ``tp-k3-recovery`` the header / control path.
+GATED = frozenset({"tp-high", "dp-high", "tp-k3-recovery"})
 _GATED_ROUNDS = 3
 
 
@@ -101,10 +115,11 @@ def run_matrix():
         cfg = base_config(scale, protocol, params,
                           offered_load=load, seed=42, **overrides)
         if dynamic:
-            cfg = cfg.with_(faults=FaultConfig(
+            cfg = cfg.with_(faults=dataclasses.replace(
+                cfg.faults,
                 dynamic_faults=dynamic, dynamic_start=cfg.warmup_cycles,
             ))
-        rounds = _GATED_ROUNDS if name in SATURATED else 1
+        rounds = _GATED_ROUNDS if name in GATED else 1
         # Repeats rebuild the simulator from the same config/seed, so
         # cycles and event counts are identical across rounds — only
         # the wall clock varies, and the median damps runner noise.
@@ -169,5 +184,5 @@ def test_bench_engine_perf(benchmark):
         assert row["construct_kb"] > 0
         assert row["delivered"] > 0
         assert row["rounds"] == (
-            _GATED_ROUNDS if row["workload"] in SATURATED else 1
+            _GATED_ROUNDS if row["workload"] in GATED else 1
         )

@@ -38,7 +38,15 @@ class Header:
 
     ``offsets`` are the remaining signed hops per dimension and are
     updated as the header moves (they reach all-zero at the
-    destination).
+    destination).  ``sig`` is their *direction class*, one base-4 digit
+    per dimension (dimension ``d`` at ``4**d``): 0 no offset, 1 plus, 2
+    minus, 3 the half-way tie of an even ring — i.e.
+    :meth:`~repro.network.topology.KAryNCube.direction_signature` of the
+    header's node and destination, which is what routing candidate sets
+    are keyed on.  It needs the radix, so whoever builds the header from
+    a topology sets it; :meth:`apply_hop` then keeps it current one digit
+    per hop.  The Figure 9 word does not carry it (a router derives it
+    from the offsets and k), so it takes no part in equality.
     """
 
     offsets: List[int]
@@ -46,6 +54,7 @@ class Header:
     misroutes: int = 0
     detour: bool = False
     sr: bool = False
+    sig: int = field(default=0, compare=False)
 
     def at_destination(self) -> bool:
         return all(o == 0 for o in self.offsets)
@@ -57,7 +66,8 @@ class Header:
         """Update offsets after moving one hop along ``dim``.
 
         Offsets stay in the canonical ``[-k//2, k//2]`` window so a
-        misrouted header re-derives the shortest way back.
+        misrouted header re-derives the shortest way back; the
+        dimension's direction-class digit follows.
         """
         off = self.offsets[dim] - direction
         half = k // 2
@@ -73,6 +83,9 @@ class Header:
             # 6-ring, misrouted in the + direction).
             off = half
         self.offsets[dim] = off
+        shift = 2 * dim
+        digit = 0 if off == 0 else 3 if 2 * off == k else 1 if off > 0 else 2
+        self.sig += (digit - ((self.sig >> shift) & 3)) << shift
 
 
 def offset_field_bits(k: int) -> int:

@@ -40,13 +40,20 @@ from __future__ import annotations
 
 from repro.core import detour as detour_rules
 from repro.core.flow_control import FlowControlConfig
-from repro.routing.base import WAIT, Action, Decision, RoutingContext
+from repro.network.channel import VCState
+from repro.routing.base import (
+    BACKTRACK, WAIT, Action, Decision, RoutingContext,
+)
 from repro.routing.selection import adaptive_candidate
 from repro.sim.message import Message, TPMode
 
 #: Misroute budget of the detour search; 6 guarantees delivery with up
 #: to 2n-1 node faults (Theorem 2) and fits the 3-bit header field.
 DEFAULT_MISROUTE_LIMIT = 6
+
+_RESERVE = Action.RESERVE
+_DETOUR = TPMode.DETOUR
+_FREE = VCState.FREE
 
 
 class TwoPhaseProtocol:
@@ -64,6 +71,9 @@ class TwoPhaseProtocol:
         self.flow_control = FlowControlConfig.scouting(
             k_safe=0, k_unsafe=k_unsafe
         )
+        #: Scouting distance to program, indexed by the header's SR bit.
+        self._k_by_sr = (self.flow_control.k_for(False),
+                         self.flow_control.k_for(True))
 
     @staticmethod
     def aggressive(**kwargs) -> "TwoPhaseProtocol":
@@ -76,11 +86,8 @@ class TwoPhaseProtocol:
         return TwoPhaseProtocol(k_unsafe=k, **kwargs)
 
     # ------------------------------------------------------------------
-    def on_arrival(self, ctx: RoutingContext, message: Message) -> None:
-        """Per-hop protocol state is handled by the engine hooks."""
-
     def decide(self, ctx: RoutingContext, message: Message) -> Decision:
-        if message.tp_mode is TPMode.DETOUR:
+        if message.tp_mode is _DETOUR:
             return self._decide_detour(ctx, message)
         return self._decide_dp(ctx, message)
 
@@ -88,32 +95,27 @@ class TwoPhaseProtocol:
     # Optimistic phase: DP routing restrictions over safe channels.
     # ------------------------------------------------------------------
     def _decide_dp(self, ctx: RoutingContext, message: Message) -> Decision:
-        node = message.current_node()
+        node = message.path_nodes[message.header_router]
         dst = message.dst
-        fc = self.flow_control
-        k_now = fc.k_for(message.header.sr)
+        header = message.header
+        sig = header.sig
 
         # 1. Safe profitable adaptive channel.
-        candidate = adaptive_candidate(ctx, node, dst, require_safe=True)
+        candidate = adaptive_candidate(ctx, node, dst, sig, True)
         if candidate is not None:
-            dim, direction, vc = candidate
-            return Decision(
-                action=Action.RESERVE, vc=vc, port=(dim, direction), k=k_now
-            )
+            hop, vc = candidate
+            return Decision(_RESERVE, vc, hop, self._k_by_sr[header.sr])
 
         # 2. Safe deterministic channel: take it, or block while busy.
         det = ctx.cache.escape(node, dst)
         assert det is not None, "decide() must not be called at destination"
-        dim, direction, vclass, det_ch = det
+        det_ch = det[2]
         det_faulty = ctx.faults.channel_faulty[det_ch]
         det_unsafe = ctx.faults.channel_unsafe[det_ch]
         if not det_faulty and not det_unsafe:
-            vc = ctx.channels.deterministic(det_ch, vclass)
-            if vc.is_free:
-                return Decision(
-                    action=Action.RESERVE, vc=vc, port=(dim, direction),
-                    k=k_now,
-                )
+            vc = ctx.channels.deterministic(det_ch, det[4])
+            if vc.state is _FREE:
+                return Decision(_RESERVE, vc, det, self._k_by_sr[header.sr])
             if vc.owner == message.msg_id:
                 # A post-detour path is a walk and may revisit this
                 # physical channel: the escape VC is held by this very
@@ -126,24 +128,18 @@ class TwoPhaseProtocol:
 
         # 3. Unsafe profitable adaptive channel — entering the fault
         # vicinity switches flow control from WR to SR.
-        candidate = adaptive_candidate(ctx, node, dst, require_safe=False)
+        candidate = adaptive_candidate(ctx, node, dst, sig, False)
         if candidate is not None:
-            a_dim, a_direction, vc = candidate
-            message.header.sr = True
-            return Decision(
-                action=Action.RESERVE, vc=vc, port=(a_dim, a_direction),
-                k=fc.k_for(True),
-            )
+            hop, vc = candidate
+            header.sr = True
+            return Decision(_RESERVE, vc, hop, self._k_by_sr[True])
 
         # 4. Unsafe deterministic channel.
         if not det_faulty and det_unsafe:
-            vc = ctx.channels.deterministic(det_ch, vclass)
-            if vc.is_free:
-                message.header.sr = True
-                return Decision(
-                    action=Action.RESERVE, vc=vc, port=(dim, direction),
-                    k=fc.k_for(True),
-                )
+            vc = ctx.channels.deterministic(det_ch, det[4])
+            if vc.state is _FREE:
+                header.sr = True
+                return Decision(_RESERVE, vc, det, self._k_by_sr[True])
 
         # 5. No way forward under DP restrictions: construct a detour.
         detour_rules.enter_detour(message)
@@ -157,12 +153,13 @@ class TwoPhaseProtocol:
         if ctx.cycle < message.retry_wait:
             return WAIT
 
-        node = message.current_node()
-        dst = message.dst
         j = message.header_router
+        node = message.path_nodes[j]
+        dst = message.dst
+        header = message.header
         tried = message.tried[j]
-        k_now = self.flow_control.k_for(message.header.sr)
-        can_backtrack = j > 0 and j > message.head_router
+        k_now = self._k_by_sr[header.sr]
+        can_backtrack = j > 0 and j > message.head_link + 1
         # The depth-first search is self-avoiding: stepping onto a node
         # already on the path would open a cycle in the walk, thrash
         # the misroute budget, and (worst case) block on the message's
@@ -175,48 +172,44 @@ class TwoPhaseProtocol:
         # reconfiguration restrictions ignored too: the detour search's
         # deliverability argument (Theorem 2) needs every healthy
         # channel, so restrictions only steer the optimistic phase.
-        for dim, direction, ch, next_node in ctx.cache.adaptive_candidates(
-            node, dst, None, honor_restrictions=False
+        for hop in ctx.cache.adaptive_candidates(
+            node, dst, header.sig, None, False
         ):
+            ch = hop[2]
             if ch in tried:
                 continue
-            if next_node in on_path and next_node != dst:
+            if hop[3] in on_path and hop[3] != dst:
                 continue
             vc = free_adaptive(ch)
             if vc is not None:
-                return Decision(
-                    action=Action.RESERVE, vc=vc, port=(dim, direction),
-                    k=k_now, hold=True,
-                )
+                return Decision(_RESERVE, vc, hop, k_now, True)
 
         # Misroute within budget; the U-turn onto the reverse channel is
         # taken only when retreating is impossible ("the header can
         # route using the virtual channels in the opposite direction").
-        if message.header.misroutes < self.misroute_limit:
+        if header.misroutes < self.misroute_limit:
             arrival = message.arrival_dims[j]
-            for dim, direction, ch, next_node in (
-                ctx.cache.misroute_candidates(
-                    node, dst, arrival, allow_u_turn=not can_backtrack,
-                    honor_restrictions=False,
-                )
+            # The U-turn port is the reverse of the arrival port.
+            if arrival is None:
+                u_dim = u_direction = 0
+            else:
+                u_dim, u_direction = arrival[0], -arrival[1]
+            for hop in ctx.cache.misroute_candidates(
+                node, dst, header.sig, arrival, not can_backtrack, False
             ):
+                ch = hop[2]
                 if ch in tried:
                     continue
-                is_u_turn = (
-                    arrival is not None
-                    and (dim, direction) == (arrival[0], -arrival[1])
-                )
-                if next_node in on_path and not is_u_turn:
+                if hop[3] in on_path and not (
+                    hop[1] == u_direction and hop[0] == u_dim
+                ):
                     continue
                 vc = free_adaptive(ch)
                 if vc is not None:
-                    return Decision(
-                        action=Action.RESERVE, vc=vc, port=(dim, direction),
-                        k=k_now, hold=True, is_misroute=True,
-                    )
+                    return Decision(_RESERVE, vc, hop, k_now, True, True)
 
         if can_backtrack:
-            return Decision(action=Action.BACKTRACK)
+            return BACKTRACK
 
         # Stuck at the first data flit (or the source): retry in place,
         # then hand the message to the recovery mechanism.

@@ -7,14 +7,14 @@ from repro.network.channel import (
     VCState,
     VirtualChannel,
 )
-from repro.network.link import ControlQueue, RoundRobinArbiter
+from repro.network.link import ControlPlane, RoundRobinArbiter
 from repro.network.topology import Channel, KAryNCube, MINUS, PLUS
 
 __all__ = [
     "Channel",
     "ChannelBank",
     "ChannelStateError",
-    "ControlQueue",
+    "ControlPlane",
     "KAryNCube",
     "MINUS",
     "PLUS",

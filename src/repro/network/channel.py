@@ -27,7 +27,7 @@ classes (Section 4.0).
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 
 class VCClass(enum.Enum):
@@ -51,6 +51,9 @@ class VCState(enum.Enum):
     #: Reserved by a routing header; owned until released by the tail
     #: flit (or a tail-acknowledgment / kill / backtracking header).
     RESERVED = 1
+
+
+_FREE = VCState.FREE
 
 
 class VirtualChannel:
@@ -141,18 +144,25 @@ class ChannelBank:
     """All data virtual channels of a network, indexed by physical channel.
 
     Provides the free-channel queries that routing functions use
-    ("select safe profitable adaptive channel", etc.).
+    ("select safe profitable adaptive channel", etc.).  The virtual
+    channels are one flat tuple, channel-major, plus each channel's
+    adaptive partition as its own tuple: a free-adaptive scan never
+    looks at a deterministic VC or a class, and every query tests
+    ``vc.state`` directly.
     """
 
     def __init__(self, num_channels: int, num_adaptive: int):
         self.classes = build_vc_classes(num_adaptive)
-        self.vcs_per_channel = len(self.classes)
-        self._vcs: List[List[VirtualChannel]] = [
-            [
-                VirtualChannel(ch, idx, vclass)
-                for idx, vclass in enumerate(self.classes)
-            ]
+        per = self.vcs_per_channel = len(self.classes)
+        self._vcs: Tuple[VirtualChannel, ...] = tuple(
+            VirtualChannel(ch, idx, vclass)
             for ch in range(num_channels)
+            for idx, vclass in enumerate(self.classes)
+        )
+        first = self.classes.index(VCClass.ADAPTIVE)
+        self._adaptive: List[Tuple[VirtualChannel, ...]] = [
+            self._vcs[base + first:base + per]
+            for base in range(0, len(self._vcs), per)
         ]
 
     def set_release_notify(self, callback) -> None:
@@ -162,37 +172,35 @@ class ChannelBank:
         owner: a bound method of the engine would close the cycle
         engine → bank → VC → engine that only the collector can free.
         """
-        for row in self._vcs:
-            for vc in row:
-                vc.notify_release = callback
+        for vc in self._vcs:
+            vc.notify_release = callback
 
-    def vcs(self, channel_id: int) -> List[VirtualChannel]:
-        return self._vcs[channel_id]
+    def vcs(self, channel_id: int) -> Tuple[VirtualChannel, ...]:
+        per = self.vcs_per_channel
+        return self._vcs[channel_id * per:(channel_id + 1) * per]
 
     def vc(self, channel_id: int, index: int) -> VirtualChannel:
-        return self._vcs[channel_id][index]
+        return self._vcs[channel_id * self.vcs_per_channel + index]
 
     def free_adaptive(self, channel_id: int) -> Optional[VirtualChannel]:
         """First free adaptive VC on a physical channel, if any."""
-        for vc in self._vcs[channel_id]:
-            if vc.vclass is VCClass.ADAPTIVE and vc.is_free:
+        for vc in self._adaptive[channel_id]:
+            if vc.state is _FREE:
                 return vc
         return None
 
     def deterministic(self, channel_id: int, vclass: VCClass) -> VirtualChannel:
         """The deterministic VC of the requested dateline class."""
-        if not vclass.is_deterministic:
+        if vclass is VCClass.ADAPTIVE:
             raise ValueError(f"{vclass} is not a deterministic class")
-        return self._vcs[channel_id][vclass.value]
+        return self._vcs[channel_id * self.vcs_per_channel + vclass.value]
 
     def any_free(self, channel_id: int) -> bool:
-        return any(vc.is_free for vc in self._vcs[channel_id])
+        return any(vc.state is _FREE for vc in self.vcs(channel_id))
 
     def all_free(self) -> bool:
         """Whether every VC in the bank is free (drained-network check)."""
-        return all(vc.is_free for row in self._vcs for vc in row)
+        return all(vc.state is _FREE for vc in self._vcs)
 
     def reserved_count(self) -> int:
-        return sum(
-            1 for row in self._vcs for vc in row if not vc.is_free
-        )
+        return sum(1 for vc in self._vcs if vc.state is not _FREE)

@@ -9,106 +9,89 @@ gate protocol progress.
 
 This module provides the mechanisms the engine composes per link:
 
-* :class:`ControlQueue` — the multiplexed control channel: a FIFO of
-  control flits (headers, acks, kills, tail-acks, resume tokens)
-  awaiting their turn on the physical wires, drained one per cycle.
-* :class:`ControlPlane` — the control channels of a whole network: a
-  channel has a :class:`ControlQueue` only while a flit is queued on
-  it, and the busy channels are visited in ascending id.
+* :class:`ControlPlane` — the multiplexed control channels of a whole
+  network: per physical channel a FIFO of control flits (headers, acks,
+  kills, tail-acks, resume tokens) awaiting their turn on the wires,
+  drained one per cycle.  A channel has a FIFO only while a flit is
+  queued on it, and the busy channels are visited in ascending id.
 * :class:`RoundRobinArbiter` — fair demand-driven selection among the
   data VCs that have a flit ready and downstream buffer space.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import (
-    Deque, Dict, Generic, Iterator, List, Optional, Sequence, TypeVar,
+    Dict, Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar,
 )
 
 T = TypeVar("T")
 
 
-class ControlQueue(Generic[T]):
-    """FIFO of control flits waiting to cross one physical channel.
-
-    The paper multiplexes all corresponding and complementary channels
-    of a link through a single virtual control channel; arrival order is
-    preserved and one control flit crosses per cycle.
-    """
-
-    __slots__ = ("_queue", "sent")
-
-    def __init__(self) -> None:
-        self._queue: Deque[T] = deque()
-        #: Total control flits that crossed this channel (statistic).
-        self.sent = 0
-
-    def push(self, token: T) -> None:
-        self._queue.append(token)
-
-    def pop(self) -> T:
-        self.sent += 1
-        return self._queue.popleft()
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def __bool__(self) -> bool:
-        return bool(self._queue)
-
-    def __iter__(self):
-        """Iterate queued tokens without consuming them (auditing)."""
-        return iter(self._queue)
-
-    def peek(self) -> Optional[T]:
-        return self._queue[0] if self._queue else None
-
-    def drain(self) -> List[T]:
-        """Remove and return all queued tokens (teardown support)."""
-        items = list(self._queue)
-        self._queue.clear()
-        return items
-
-
 class ControlPlane(Generic[T]):
     """Every control channel of a network, costing only its busy ones.
 
+    The paper multiplexes all corresponding and complementary channels
+    of a link through a single virtual control channel; arrival order is
+    preserved per channel and one control flit crosses per cycle.
     Control flits are a small fraction of traffic, so almost every
-    channel's FIFO is empty almost always: a :class:`ControlQueue`
-    exists only between a channel's first push and the pop (or drain)
-    that empties it.  :meth:`channels` lists the busy channels in
-    ascending id — the order the engine's deterministic replay relies
-    on — from a sorted view rebuilt only after the membership changed;
-    the returned list is never mutated afterwards, so it can be
-    iterated while flits are pushed and popped.  Iterating the plane
-    yields every queued flit without consuming it (auditing, tracing).
+    channel's FIFO is empty almost always — and most pushes find it
+    empty: a channel's FIFO is a bare list that exists only between its
+    first push and the pop (or drain) that empties it.  A list, not a
+    ``deque``: a FIFO rarely holds more than a couple of flits, and a
+    one-flit list costs a tenth of a deque to build and a twelfth of its
+    memory.  :meth:`channels` lists the busy channels in ascending id —
+    the order the engine's deterministic replay relies on — from a
+    sorted view rebuilt only after the membership changed; the returned
+    list is never mutated afterwards, so it can be iterated while flits
+    are pushed and popped.  Iterating the plane yields every queued
+    flit without consuming it (auditing, tracing).
     """
 
     __slots__ = ("_queues", "_order")
 
     def __init__(self) -> None:
-        self._queues: Dict[int, ControlQueue[T]] = {}
+        self._queues: Dict[int, List[T]] = {}
         self._order: Optional[List[int]] = None
 
     def push(self, channel_id: int, token: T) -> None:
         queue = self._queues.get(channel_id)
         if queue is None:
-            queue = self._queues[channel_id] = ControlQueue()
+            self._queues[channel_id] = [token]
             self._order = None
-        queue.push(token)
+        else:
+            queue.append(token)
 
     def peek(self, channel_id: int) -> Optional[T]:
         queue = self._queues.get(channel_id)
-        return None if queue is None else queue.peek()
+        return None if queue is None else queue[0]
 
     def pop(self, channel_id: int) -> T:
         queue = self._queues[channel_id]
-        token = queue.pop()
+        token = queue.pop(0)
         if not queue:
             del self._queues[channel_id]
             self._order = None
         return token
+
+    def pop_ready(self, cycle: int) -> Iterator[Tuple[int, T]]:
+        """Pop the head flit of every busy channel whose head is ready
+        (``ready_cycle <= cycle``) and yield ``(channel_id, flit)``, in
+        ascending channel id.
+
+        One flit per channel: the walk is over the :meth:`channels`
+        snapshot taken when it starts, so flits pushed while it runs
+        wait for the next call.
+        """
+        queues = self._queues
+        for channel_id in self.channels():
+            queue = queues[channel_id]
+            if queue[0].ready_cycle > cycle:
+                continue
+            token = queue.pop(0)
+            if not queue:
+                del queues[channel_id]
+                self._order = None
+            yield channel_id, token
 
     def drain(self, channel_id: int) -> List[T]:
         """Remove and return everything queued on one channel."""
@@ -116,7 +99,7 @@ class ControlPlane(Generic[T]):
         if queue is None:
             return []
         self._order = None
-        return queue.drain()
+        return queue
 
     def channels(self) -> List[int]:
         """The busy channels in ascending id, stable against mutation."""

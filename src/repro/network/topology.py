@@ -13,7 +13,8 @@ A geometry is immutable, so simulators do not build their own:
 :func:`cube` hands every caller in the process the one instance of a
 ``(k, n)``, memo tables included.  Everything memoised on it is a tuple
 and keyed on what its function reads of ``(node, dst)`` — O(N) entries
-for the whole network, never one per pair.
+for the whole network, never one per pair — and so is the one
+per-channel table, :attr:`KAryNCube.reverse_channels`.
 """
 
 from __future__ import annotations
@@ -83,6 +84,11 @@ class KAryNCube:
         self._channel_index = {
             (c.src, c.dim, c.direction): i for i, c in enumerate(self._channels)
         }
+        #: Channel id -> id of the opposite channel on the same link: the
+        #: hop every acknowledgment, kill and backtracking header takes.
+        self.reverse_channels: Tuple[int, ...] = tuple(
+            self._channel_index[c.reverse_key()] for c in self._channels
+        )
         self._ports = tuple(itertools.product(range(n), DIRECTIONS))
         #: Direction class of a ring offset ``(t - c) % k``; indexed with
         #: the raw difference ``t - c`` (a negative index wraps the same
@@ -188,8 +194,7 @@ class KAryNCube:
 
     def reverse_channel_id(self, channel_id: int) -> int:
         """Id of the channel in the opposite direction on the same link."""
-        c = self._channels[channel_id]
-        return self._channel_index[c.reverse_key()]
+        return self.reverse_channels[channel_id]
 
     def channel_between(self, src: int, dst: int) -> int:
         """Channel id ``src -> dst`` for adjacent nodes.
@@ -252,15 +257,20 @@ class KAryNCube:
     def direction_signature(self, node: int, dst: int) -> int:
         """The direction class of ``dst`` seen from ``node``, per dimension.
 
-        Base-4 digits, dimension 0 most significant: no offset, plus,
-        minus, or the half-way tie of an even ring.  Everything the
-        profitable / unprofitable split reads of ``(node, dst)``.
+        One base-4 digit per dimension, dimension ``d`` at ``4**d``: no
+        offset, plus, minus, or the half-way tie of an even ring.
+        Everything the profitable / unprofitable split reads of
+        ``(node, dst)``.  A routing header carries it
+        (:attr:`repro.core.header.Header.sig`) and updates one digit per
+        hop instead of calling this.
         """
         ring_class = self._ring_class
         k = self.k
         sig = 0
+        shift = 0
         for _ in range(self.n):  # base-k digits = coordinates
-            sig = sig * 4 + ring_class[dst % k - node % k]
+            sig |= ring_class[dst % k - node % k] << shift
+            shift += 2
             node //= k
             dst //= k
         return sig

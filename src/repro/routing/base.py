@@ -22,8 +22,7 @@ value (history store contents, detour stack, mode bits) lives on the
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Protocol, Tuple
+from typing import Optional, Protocol
 
 from repro.core.flow_control import FlowControlConfig
 from repro.faults.model import FaultState
@@ -40,25 +39,48 @@ class Action(enum.Enum):
     ABORT = 3
 
 
-@dataclass
 class Decision:
-    action: Action
-    #: For RESERVE: the chosen virtual channel.
-    vc: Optional[VirtualChannel] = None
-    #: For RESERVE: the port taken, as (dim, direction).
-    port: Optional[Tuple[int, int]] = None
-    #: For RESERVE: scouting distance K to program into the channel.
-    k: int = 0
-    #: For RESERVE: reserve with the data gate held closed (channels
-    #: accepted during detour construction are all-or-nothing).
-    hold: bool = False
-    #: For RESERVE: the hop moves the header away from its destination.
-    is_misroute: bool = False
-    #: For ABORT: human-readable reason recorded on the message.
-    reason: str = ""
+    """One routing verdict.
+
+    A RESERVE carries the chosen virtual channel and the hop it takes:
+    the :class:`~repro.routing.cache.RouteCache` entry the protocol
+    picked — ``(dim, direction, channel_id, next_node)``, an escape entry
+    with its dateline class appended — handed on as is, so the engine
+    re-derives neither the port nor the node beyond it.
+    """
+
+    __slots__ = ("action", "vc", "hop", "k", "hold", "is_misroute",
+                 "reason")
+
+    def __init__(self, action: Action, vc: Optional[VirtualChannel] = None,
+                 hop: Optional[tuple] = None, k: int = 0, hold: bool = False,
+                 is_misroute: bool = False, reason: str = ""):
+        self.action = action
+        #: For RESERVE: the chosen virtual channel.
+        self.vc = vc
+        #: For RESERVE: the candidate hop taken (see the class docstring).
+        self.hop = hop
+        #: For RESERVE: scouting distance K to program into the channel.
+        self.k = k
+        #: For RESERVE: reserve with the data gate held closed (channels
+        #: accepted during detour construction are all-or-nothing).
+        self.hold = hold
+        #: For RESERVE: the hop moves the header away from its destination.
+        self.is_misroute = is_misroute
+        #: For ABORT: human-readable reason recorded on the message.
+        self.reason = reason
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"Decision({self.action.name}, hop={self.hop}, k={self.k}, "
+            f"hold={self.hold}, misroute={self.is_misroute}, "
+            f"reason={self.reason!r})"
+        )
 
 
+#: The verdicts that carry nothing, shared by every protocol.
 WAIT = Decision(action=Action.WAIT)
+BACKTRACK = Decision(action=Action.BACKTRACK)
 
 
 class RoutingContext:
@@ -91,8 +113,4 @@ class RoutingProtocol(Protocol):
 
     def decide(self, ctx: RoutingContext, message: Message) -> Decision:
         """Routing function + selection function for one pending header."""
-        ...
-
-    def on_arrival(self, ctx: RoutingContext, message: Message) -> None:
-        """Hook invoked when the header arrives at a new router."""
         ...

@@ -32,20 +32,24 @@ escape layer is exempt for the same reason — restrictions prune only
 the optimistic adaptive/misroute sets, so the deadlock-free escape
 network survives any restriction pattern (Duato-style separation).
 
-Entries are tuples of ``(dim, direction, channel_id, next_node)`` so
-protocol hot loops avoid the ``channel_id``/``channel`` lookups too.
+Entries are tuples of ``(dim, direction, channel_id, next_node)`` — an
+escape entry appends its dateline class — so protocol hot loops avoid
+the ``channel_id``/``channel`` lookups, and a routing decision hands
+the very entry it chose to the engine as its hop.
 
 The adaptive and misroute sets depend on the destination only through
 its *direction class* per dimension — no offset, plus, minus, or the
 half-way tie of an even ring — so they are keyed on ``(node, class
-signature, ...)`` (:meth:`KAryNCube.direction_signature`): at most
-``4**n - 1`` entries per node instead of one per destination.  The one
-place that reads ``dst`` itself is the final-hop exemption above, so
-while any channel is restricted the key falls back to ``dst`` (decided
-once per epoch, when the memos are empty anyway).  The escape hop reads
-only the lowest dimension still to correct, its direction and the
-dateline class (:meth:`KAryNCube.escape_class`): at most ``4n`` entries
-per node.
+signature, ...)``: at most ``4**n - 1`` entries per node instead of one
+per destination.  The caller passes the signature: the routing header
+carries it (:attr:`repro.core.header.Header.sig`, equal to
+:meth:`KAryNCube.direction_signature` of its node and destination) and
+updates one digit per hop, so a lookup derives nothing.  The one place
+that reads ``dst`` itself is the final-hop exemption above, so while any
+channel is restricted the key falls back to ``dst`` (decided once per
+epoch, when the memos are empty anyway).  The escape hop reads only the
+lowest dimension still to correct, its direction and the dateline class
+(:meth:`KAryNCube.escape_class`): at most ``4n`` entries per node.
 """
 
 from __future__ import annotations
@@ -59,8 +63,9 @@ from repro.routing.dimension_order import deterministic_route
 
 #: One candidate hop: (dim, direction, channel_id, next_node).
 Candidate = Tuple[int, int, int, int]
-#: Escape hop: (dim, direction, vclass, channel_id).
-Escape = Tuple[int, int, VCClass, int]
+#: Escape hop: (dim, direction, channel_id, next_node, vclass) — a
+#: Candidate followed by the dateline class of its deterministic VC.
+Escape = Tuple[int, int, int, int, VCClass]
 
 
 class RouteCache:
@@ -72,7 +77,6 @@ class RouteCache:
     def __init__(self, topology: KAryNCube, faults: FaultState):
         self.topology = topology
         self.faults = faults
-        self._epoch = faults.epoch
         #: (node, dst class, require_safe, honor_restrictions)
         #: -> Candidates.
         self._adaptive: Dict[tuple, Tuple[Candidate, ...]] = {}
@@ -82,38 +86,34 @@ class RouteCache:
         #: escape class -> Escape; fault-independent, never cleared, and
         #: the topology's table: shared by every cache of this ``(k, n)``.
         self._escape: Dict[int, Escape] = topology.escape_hops
-        self._key_on_dst = any(faults.channel_restricted)
+        self._new_epoch()
 
-    def _sync(self) -> None:
-        epoch = self.faults.epoch
-        if epoch != self._epoch:
-            self._epoch = epoch
-            self._adaptive.clear()
-            self._misroute.clear()
-            self._key_on_dst = any(self.faults.channel_restricted)
-
-    def _dst_class(self, node: int, dst: int) -> int:
-        """Everything the adaptive/misroute sets read of ``dst``."""
-        if self._key_on_dst:
-            return dst
-        return self.topology.direction_signature(node, dst)
+    def _new_epoch(self) -> None:
+        """Drop every fault-dependent entry (the epoch moved)."""
+        self._epoch = self.faults.epoch
+        self._adaptive.clear()
+        self._misroute.clear()
+        self._key_on_dst = any(self.faults.channel_restricted)
 
     # ------------------------------------------------------------------
     def adaptive_candidates(
-        self, node: int, dst: int, require_safe: Optional[bool],
+        self, node: int, dst: int, sig: int, require_safe: Optional[bool],
         honor_restrictions: bool = True,
     ) -> Tuple[Candidate, ...]:
         """Profitable ports passing the fault/safety filter, in order.
 
-        ``require_safe`` is the phase key: ``True`` admits only safe
-        channels, ``False`` only unsafe ones, ``None`` ignores the
-        designation.  ``honor_restrictions=False`` skips the
+        ``sig`` is the direction class of ``dst`` seen from ``node``
+        (:meth:`KAryNCube.direction_signature`).  ``require_safe`` is
+        the phase key: ``True`` admits only safe channels, ``False``
+        only unsafe ones, ``None`` ignores the designation.
+        ``honor_restrictions=False`` skips the
         reconfiguration-restriction filter (recovery searches only).
         Virtual-channel occupancy is deliberately *not* part of the
         entry — callers check free VCs live.
         """
-        self._sync()
-        key = (node, self._dst_class(node, dst), require_safe,
+        if self.faults.epoch != self._epoch:
+            self._new_epoch()
+        key = (node, dst if self._key_on_dst else sig, require_safe,
                honor_restrictions)
         cached = self._adaptive.get(key)
         if cached is None:
@@ -143,21 +143,24 @@ class RouteCache:
         self,
         node: int,
         dst: int,
+        sig: int,
         arrival: Optional[Tuple[int, int]],
         allow_u_turn: bool,
         honor_restrictions: bool = True,
     ) -> Tuple[Candidate, ...]:
         """Healthy unprofitable ports in the Theorem 2 preference order.
 
-        Premise (iii) of Theorem 2: when misrouting, prefer an output
-        channel in the *same dimension* as the input channel.  The
-        reverse of the arrival port (a U-turn) is appended last and
-        only when ``allow_u_turn``.  ``honor_restrictions=False``
-        skips the reconfiguration-restriction filter.
+        ``sig`` as for :meth:`adaptive_candidates`.  Premise (iii) of
+        Theorem 2: when misrouting, prefer an output channel in the
+        *same dimension* as the input channel.  The reverse of the
+        arrival port (a U-turn) is appended last and only when
+        ``allow_u_turn``.  ``honor_restrictions=False`` skips the
+        reconfiguration-restriction filter.
         """
-        self._sync()
-        key = (node, self._dst_class(node, dst), arrival, allow_u_turn,
-               honor_restrictions)
+        if self.faults.epoch != self._epoch:
+            self._new_epoch()
+        key = (node, dst if self._key_on_dst else sig, arrival,
+               allow_u_turn, honor_restrictions)
         cached = self._misroute.get(key)
         if cached is None:
             topo = self.topology
@@ -211,11 +214,10 @@ class RouteCache:
             return None
         entry = self._escape.get(key)
         if entry is None:
-            dim, direction, vclass = deterministic_route(
-                self.topology, node, dst
-            )
+            topo = self.topology
+            dim, direction, vclass = deterministic_route(topo, node, dst)
+            ch = topo.channel_id(node, dim, direction)
             entry = self._escape[key] = (
-                dim, direction, vclass,
-                self.topology.channel_id(node, dim, direction),
+                dim, direction, ch, topo.channel(ch).dst, vclass,
             )
         return entry

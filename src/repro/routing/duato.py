@@ -20,6 +20,7 @@ engine drops it); the paper only evaluates DP in the fault-free network
 from __future__ import annotations
 
 from repro.core.flow_control import FlowControlConfig
+from repro.network.channel import VCState
 from repro.routing.base import (
     WAIT,
     Action,
@@ -28,6 +29,9 @@ from repro.routing.base import (
 )
 from repro.routing.selection import adaptive_candidate
 from repro.sim.message import Message
+
+_RESERVE = Action.RESERVE
+_FREE = VCState.FREE
 
 
 class DuatoProtocol:
@@ -39,37 +43,32 @@ class DuatoProtocol:
     def __init__(self) -> None:
         self.flow_control = FlowControlConfig.wormhole()
 
-    def on_arrival(self, ctx: RoutingContext, message: Message) -> None:
-        """DP keeps no per-hop scratch state."""
-
     def decide(self, ctx: RoutingContext, message: Message) -> Decision:
-        node = message.current_node()
+        node = message.path_nodes[message.header_router]
         dst = message.dst
 
         # Unrestricted partition: any profitable adaptive channel.  DP
         # has no unsafe store, so safety is ignored (require_safe=None).
-        candidate = adaptive_candidate(ctx, node, dst, require_safe=None)
+        candidate = adaptive_candidate(
+            ctx, node, dst, message.header.sig, None
+        )
         if candidate is not None:
-            dim, direction, vc = candidate
-            return Decision(
-                action=Action.RESERVE, vc=vc, port=(dim, direction), k=0
-            )
+            hop, vc = candidate
+            return Decision(_RESERVE, vc, hop)
 
         # Restricted partition: the dimension-order escape channel.
         det = ctx.cache.escape(node, dst)
         assert det is not None, "decide() must not be called at destination"
-        dim, direction, vclass, ch = det
+        ch = det[2]
         if ctx.faults.channel_faulty[ch]:
             # A wormhole header cannot retreat; the message is stuck.
             return Decision(
                 action=Action.ABORT,
                 reason="deterministic channel faulty (DP is not fault-tolerant)",
             )
-        vc = ctx.channels.deterministic(ch, vclass)
-        if vc.is_free:
-            return Decision(
-                action=Action.RESERVE, vc=vc, port=(dim, direction), k=0
-            )
+        vc = ctx.channels.deterministic(ch, det[4])
+        if vc.state is _FREE:
+            return Decision(_RESERVE, vc, det)
         # Busy escape channel: block and wait; an adaptive channel that
         # frees first will be taken on a later cycle's re-evaluation.
         return WAIT

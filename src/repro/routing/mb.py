@@ -22,13 +22,17 @@ message undeliverable (the higher-level-protocol escape of Section
 from __future__ import annotations
 
 from repro.core.flow_control import FlowControlConfig
-from repro.routing.base import WAIT, Action, Decision, RoutingContext
+from repro.routing.base import (
+    BACKTRACK, WAIT, Action, Decision, RoutingContext,
+)
 from repro.routing.selection import free_vc_any_class
 from repro.sim.message import Message
 
 #: Default misroute budget; Theorem 2 shows 6 suffices to search every
 #: input link of the destination within a plane.
 DEFAULT_MISROUTE_LIMIT = 6
+
+_RESERVE = Action.RESERVE
 
 
 class MBmProtocol:
@@ -46,16 +50,14 @@ class MBmProtocol:
         self.max_retries = max_retries
         self.flow_control = FlowControlConfig.pcs()
 
-    def on_arrival(self, ctx: RoutingContext, message: Message) -> None:
-        """History is initialized per visited node by the engine."""
-
     def decide(self, ctx: RoutingContext, message: Message) -> Decision:
         if ctx.cycle < message.retry_wait:
             return WAIT
 
-        node = message.current_node()
-        dst = message.dst
         j = message.header_router
+        node = message.path_nodes[j]
+        dst = message.dst
+        sig = message.header.sig
         tried = message.tried[j]
         # Self-avoiding depth-first search: never re-enter a node on
         # the current path (the walk would cycle); backtracking is the
@@ -63,45 +65,31 @@ class MBmProtocol:
         on_path = set(message.path_nodes)
 
         # Profitable, healthy, not-yet-searched channels with a free VC.
-        for dim, direction, ch, next_node in ctx.cache.adaptive_candidates(
-            node, dst, None
-        ):
-            if ch in tried:
-                continue
-            if next_node in on_path:
+        for hop in ctx.cache.adaptive_candidates(node, dst, sig, None):
+            ch = hop[2]
+            if ch in tried or hop[3] in on_path:
                 continue
             vc = free_vc_any_class(ctx, ch)
             if vc is not None:
-                return Decision(
-                    action=Action.RESERVE, vc=vc, port=(dim, direction)
-                )
+                return Decision(_RESERVE, vc, hop)
 
         # Misroute (preferred over backtracking, Section 3.0) while the
         # budget allows; U-turns are not taken — MB-m backtracks instead.
         if message.header.misroutes < self.misroute_limit:
-            arrival = message.arrival_dims[j]
-            for dim, direction, ch, next_node in (
-                ctx.cache.misroute_candidates(
-                    node, dst, arrival, allow_u_turn=False
-                )
+            for hop in ctx.cache.misroute_candidates(
+                node, dst, sig, message.arrival_dims[j], False
             ):
-                if ch in tried:
-                    continue
-                if next_node in on_path:
+                ch = hop[2]
+                if ch in tried or hop[3] in on_path:
                     continue
                 vc = free_vc_any_class(ctx, ch)
                 if vc is not None:
-                    return Decision(
-                        action=Action.RESERVE,
-                        vc=vc,
-                        port=(dim, direction),
-                        is_misroute=True,
-                    )
+                    return Decision(_RESERVE, vc, hop, is_misroute=True)
 
         # Nothing searchable here: retreat (releasing the channel) or,
         # at the source, retry the whole search after a backoff.
         if j > 0:
-            return Decision(action=Action.BACKTRACK)
+            return BACKTRACK
 
         if message.retries < self.max_retries:
             message.retries += 1

@@ -26,8 +26,8 @@ cyclic deadlocks rather than simulated stalls.
 
 from __future__ import annotations
 
-from repro.core.flow_control import FlowControlConfig, FlowControlKind
-from repro.network.channel import VCClass
+from repro.core.flow_control import FlowControlConfig
+from repro.network.channel import VCClass, VCState
 from repro.routing.base import WAIT, Action, Decision, RoutingContext
 from repro.sim.message import Message
 
@@ -54,15 +54,16 @@ class DimensionOrderProtocol:
             raise ValueError(
                 f"flow must be 'wr', 'sr', or 'pcs', got {flow!r}"
             )
-
-    def on_arrival(self, ctx: RoutingContext, message: Message) -> None:
-        """No per-hop scratch state."""
+        #: K programmed on every hop (under SR ``k_safe == k_unsafe``,
+        #: so the header's SR bit plays no part).
+        self._k = self.flow_control.k_for(False)
 
     def decide(self, ctx: RoutingContext, message: Message) -> Decision:
-        node = message.current_node()
+        node = message.path_nodes[message.header_router]
         det = ctx.cache.escape(node, message.dst)
         assert det is not None, "decide() must not be called at destination"
-        dim, direction, vclass, ch = det
+        ch = det[2]
+        vclass = det[4]
         if not self.dateline:
             vclass = VCClass.DETERMINISTIC_0  # naive: cycle NOT broken
         if ctx.faults.channel_faulty[ch]:
@@ -71,11 +72,6 @@ class DimensionOrderProtocol:
                 reason="faulty channel on dimension-order path",
             )
         vc = ctx.channels.deterministic(ch, vclass)
-        if vc.is_free:
-            k = self.flow_control.k_for(message.header.sr)
-            if self.flow_control.kind is FlowControlKind.SCOUTING:
-                k = self.flow_control.k_safe
-            return Decision(
-                action=Action.RESERVE, vc=vc, port=(dim, direction), k=k
-            )
+        if vc.state is VCState.FREE:
+            return Decision(Action.RESERVE, vc, det, self._k)
         return WAIT

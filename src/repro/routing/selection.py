@@ -9,20 +9,25 @@ protocols then apply their priority ordering.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.network.channel import VirtualChannel
+from repro.network.channel import VCState, VirtualChannel
 from repro.routing.base import RoutingContext
+from repro.routing.cache import Candidate
+
+_FREE = VCState.FREE
 
 
 def adaptive_candidate(
     ctx: RoutingContext,
     node: int,
     dst: int,
+    sig: int,
     require_safe: Optional[bool],
-) -> Optional[Tuple[int, int, VirtualChannel]]:
-    """First profitable port with a free adaptive VC.
+) -> Optional[Tuple[Candidate, VirtualChannel]]:
+    """First profitable port with a free adaptive VC, as (hop, vc).
 
+    ``sig`` is the direction class the header carries.
     ``require_safe`` filters on the unsafe-channel designation:
     ``True`` admits only safe channels, ``False`` only unsafe ones,
     ``None`` ignores the designation (the fault-free DP baseline has no
@@ -32,12 +37,10 @@ def adaptive_candidate(
     runs live.
     """
     free_adaptive = ctx.channels.free_adaptive
-    for dim, direction, ch, _ in ctx.cache.adaptive_candidates(
-        node, dst, require_safe
-    ):
-        vc = free_adaptive(ch)
+    for hop in ctx.cache.adaptive_candidates(node, dst, sig, require_safe):
+        vc = free_adaptive(hop[2])
         if vc is not None:
-            return (dim, direction, vc)
+            return hop, vc
     return None
 
 
@@ -51,36 +54,6 @@ def free_vc_any_class(
     channel of a physical channel.
     """
     for vc in ctx.channels.vcs(channel_id):
-        if vc.is_free:
+        if vc.state is _FREE:
             return vc
     return None
-
-
-def port_usable(ctx: RoutingContext, node: int, dim: int,
-                direction: int) -> bool:
-    """Whether the port's channel is healthy (ignores reservations)."""
-    ch = ctx.topology.channel_id(node, dim, direction)
-    return not ctx.faults.channel_faulty[ch]
-
-
-def misroute_ports(
-    ctx: RoutingContext,
-    node: int,
-    dst: int,
-    arrival: Optional[Tuple[int, int]],
-    allow_u_turn: bool,
-) -> List[Tuple[int, int]]:
-    """Healthy unprofitable ports, in the Theorem 2 preference order.
-
-    Premise (iii) of Theorem 2: when misrouting, prefer an output
-    channel in the *same dimension* as the input channel.  The reverse
-    of the arrival port (a U-turn) is appended last and only when
-    ``allow_u_turn`` — the aggressive TP variant turns around inside an
-    alley instead of backtracking.
-    """
-    return [
-        (dim, direction)
-        for dim, direction, _, _ in ctx.cache.misroute_candidates(
-            node, dst, arrival, allow_u_turn
-        )
-    ]

@@ -224,6 +224,19 @@ class Engine:
         self._inline_header = self.protocol.inline_header
         self._depth = config.buffer_depth
         self._tail_ack_mode = config.recovery.tail_ack
+        self._k = self.topology.k
+        #: Reverse channel of every channel: the shared topology's table.
+        self._reverse = self.topology.reverse_channels
+        fc = self.protocol.flow_control
+        #: PCS gates data on the path acknowledgment on every link.
+        self._pcs = fc.kind is FlowControlKind.PCS
+        #: Whether a header hop sends a positive (forward) or negative
+        #: (backtrack) scouting acknowledgment, by the header's SR bit:
+        #: only scouting flow control with a nonzero K acknowledges.
+        self._acks_by_sr = tuple(
+            fc.kind is FlowControlKind.SCOUTING and fc.k_for(sr) > 0
+            for sr in (False, True)
+        )
 
         num_ch = self.topology.num_channels
         #: Control flits queued per physical channel; a channel costs
@@ -233,6 +246,11 @@ class Engine:
         #: only used when ``config.hardware_acks`` — one ack per channel
         #: per cycle, not competing with the flit slot.
         self.ack_out: ControlPlane = ControlPlane()
+        #: Where scouting acknowledgments queue: their own wires under
+        #: ``hardware_acks``, else the shared control channels.
+        self._ack_plane = (
+            self.ack_out if config.hardware_acks else self.control_out
+        )
         #: Round-robin pointer per physical channel: the VC index with
         #: the highest priority at the next contended grant.
         self._rr_next: List[int] = [0] * num_ch
@@ -930,34 +948,32 @@ class Engine:
 
     def _execute_reserve(self, msg: Message, decision) -> None:
         vc = decision.vc
-        dim, direction = decision.port
+        # The decision's hop is the RouteCache entry the protocol chose:
+        # (dim, direction, channel_id, next_node[, vclass]).
+        hop = decision.hop
+        dim = hop[0]
+        direction = hop[1]
         vc.reserve(msg.msg_id)
         # The path grows a position and the head gate state changes:
         # the data pipeline may have new work.
         msg.dm_quiet = False
-        self._ch_resident[vc.channel_id] += 1
-        k = decision.k
-        if self.protocol.flow_control.kind is FlowControlKind.PCS:
-            k = K_INFINITE
-        next_node = self.topology.channel(vc.channel_id).dst
-        msg.extend_path(
-            vc, next_node, k, decision.hold, dim, direction,
-            is_misroute=decision.is_misroute,
-        )
-        if k > 0 or decision.hold:
+        ch = vc.channel_id
+        self._ch_resident[ch] += 1
+        k = K_INFINITE if self._pcs else decision.k
+        hold = decision.hold
+        is_misroute = decision.is_misroute
+        msg.extend_path(vc, hop[3], k, hold, dim, direction, is_misroute)
+        if k > 0 or hold:
             msg.needs_path_ack = True
         # Misroute / detour accounting happens at reservation time.
         if msg.tp_mode is TPMode.DETOUR:
-            detour_rules.record_forward_hop(
-                msg, dim, direction, decision.is_misroute
-            )
-        elif decision.is_misroute:
+            detour_rules.record_forward_hop(msg, dim, direction, is_misroute)
+        elif is_misroute:
             msg.header.misroutes += 1
             msg.misroute_total += 1
-        msg.header.apply_hop(dim, direction, self.topology.k)
+        msg.header.apply_hop(dim, direction, self._k)
         msg.hops_taken += 1
         self._progress = True
-        self.pending.pop(msg.msg_id, None)
         # An in-band header is the message's first flit and advances
         # through the data phase: nothing more to do until it arrives
         # at the next router.
@@ -967,15 +983,13 @@ class Engine:
                 ControlFlit(
                     ControlKind.HEADER, msg, msg.header_router + 1, self.cycle
                 ),
-                vc.channel_id,
+                ch,
             )
 
     def _execute_backtrack(self, msg: Message) -> None:
         j = msg.header_router
         assert j > 0, "cannot backtrack from the source"
-        assert not self.protocol.inline_header, (
-            "in-band headers cannot backtrack"
-        )
+        assert not self._inline_header, "in-band headers cannot backtrack"
         msg.header.backtrack = True
         msg.header_phase = HeaderPhase.IN_FLIGHT
         msg.backtrack_count += 1
@@ -986,14 +1000,10 @@ class Engine:
         # clear it.
         msg.backtrack_lock = j - 1
         msg.dm_quiet = False
-        self.pending.pop(msg.msg_id, None)
         self._progress = True
-        reverse_ch = self.topology.reverse_channel_id(
-            msg.path[j - 1].channel_id
-        )
         self._push_control(
             ControlFlit(ControlKind.HEADER_BACK, msg, j - 1, self.cycle),
-            reverse_ch,
+            self._reverse[msg.path[j - 1].channel_id],
         )
 
     # ==================================================================
@@ -1002,18 +1012,21 @@ class Engine:
     def _phase_control_transfers(self) -> Set[int]:
         used: Set[int] = set()
         cycle = self.cycle
+        deliver = self._deliver
+        sent = 0
         # Dedicated ack wires first: they never consume the flit slot.
-        for plane, slots in ((self.ack_out, None), (self.control_out, used)):
-            for ch in plane.channels():
-                head = plane.peek(ch)
-                if head is None or head.ready_cycle > cycle:
-                    continue
-                token = plane.pop(ch)
-                if slots is not None:
-                    slots.add(ch)
-                self.control_flits_sent += 1
-                self._progress = True
-                self._deliver(token)
+        if self.ack_out:
+            for _, token in self.ack_out.pop_ready(cycle):
+                sent += 1
+                deliver(token)
+        if self.control_out:
+            for ch, token in self.control_out.pop_ready(cycle):
+                used.add(ch)
+                sent += 1
+                deliver(token)
+        if sent:
+            self.control_flits_sent += sent
+            self._progress = True
         return used
 
     def _push_control(self, token: ControlFlit, channel_id: int) -> None:
@@ -1027,12 +1040,23 @@ class Engine:
         if self.faults.channel_faulty[channel_id]:
             self._handle_stranded_token(token)
             return
-        if self.config.hardware_acks and token.kind in (
-            ControlKind.ACK_POS, ControlKind.ACK_NEG
-        ):
-            self.ack_out.push(channel_id, token)
-            return
         self.control_out.push(channel_id, token)
+
+    def _push_ack(self, token: ControlFlit, channel_id: int) -> None:
+        """Queue a scouting acknowledgment (lost if the channel failed)."""
+        if not self.faults.channel_faulty[channel_id]:
+            self._ack_plane.push(channel_id, token)
+
+    def _relay(self, token: ControlFlit, position: int,
+               channel_id: int) -> None:
+        """Send an arrived token on toward router ``position``.
+
+        The token itself travels on — one :class:`ControlFlit` per
+        chain of hops — arriving no earlier than next cycle.
+        """
+        token.position = position
+        token.ready_cycle = self.cycle + 1
+        self._push_control(token, channel_id)
 
     def _deliver(self, token: ControlFlit) -> None:
         kind = token.kind
@@ -1042,42 +1066,25 @@ class Engine:
             self._arrive_header(msg, p)
         elif kind is ControlKind.HEADER_BACK:
             self._arrive_header_back(msg, p)
-        elif kind is ControlKind.ACK_POS:
-            self._arrive_ack(msg, p, +1)
-        elif kind is ControlKind.ACK_NEG:
-            self._arrive_ack(msg, p, -1)
-        elif kind is ControlKind.PATH_ACK:
-            self._arrive_path_ack(msg, p, establish=True)
-        elif kind is ControlKind.RESUME:
-            self._arrive_path_ack(msg, p, establish=False)
+        elif kind is ControlKind.ACK_POS or kind is ControlKind.ACK_NEG:
+            self._arrive_ack(token, msg, p)
+        elif kind is ControlKind.PATH_ACK or kind is ControlKind.RESUME:
+            self._arrive_path_ack(token, msg, p)
         elif kind is ControlKind.KILL_UP:
             nxt = self._arrive_kill_up(msg, p)
             if nxt is not None:
-                self._push_control(
-                    ControlFlit(ControlKind.KILL_UP, msg, nxt, self.cycle + 1),
-                    self.topology.reverse_channel_id(
-                        msg.path[nxt].channel_id
-                    ),
+                self._relay(
+                    token, nxt, self._reverse[msg.path[nxt].channel_id]
                 )
         elif kind is ControlKind.KILL_DOWN:
             nxt = self._arrive_kill_down(msg, p)
             if nxt is not None:
-                self._push_control(
-                    ControlFlit(
-                        ControlKind.KILL_DOWN, msg, nxt, self.cycle + 1
-                    ),
-                    msg.path[nxt - 1].channel_id,
-                )
+                self._relay(token, nxt, msg.path[nxt - 1].channel_id)
         elif kind is ControlKind.TAIL_ACK:
             nxt = self._arrive_tail_ack(msg, p)
             if nxt is not None:
-                self._push_control(
-                    ControlFlit(
-                        ControlKind.TAIL_ACK, msg, nxt, self.cycle + 1
-                    ),
-                    self.topology.reverse_channel_id(
-                        msg.path[nxt].channel_id
-                    ),
+                self._relay(
+                    token, nxt, self._reverse[msg.path[nxt].channel_id]
                 )
         else:  # pragma: no cover - exhaustive dispatch
             raise AssertionError(f"unknown control kind {kind}")
@@ -1092,21 +1099,19 @@ class Engine:
         msg.dm_quiet = False
         msg.header_router = p
         msg.header_phase = HeaderPhase.PENDING
-        self.protocol.on_arrival(self.ctx, msg)
         node = msg.path_nodes[p]
+        header = msg.header
         # Positive acknowledgment: SR mode, not constructing a detour.
         # At the destination the path acknowledgment subsumes it.
-        fc = self.protocol.flow_control
         if (
-            fc.kind is FlowControlKind.SCOUTING
-            and not msg.header.detour
-            and fc.k_for(msg.header.sr) > 0
+            self._acks_by_sr[header.sr]
+            and not header.detour
             and p >= 1
             and node != msg.dst
         ):
-            self._push_control(
+            self._push_ack(
                 ControlFlit(ControlKind.ACK_POS, msg, p - 1, self.cycle + 1),
-                self.topology.reverse_channel_id(msg.path[p - 1].channel_id),
+                self._reverse[msg.path[p - 1].channel_id],
             )
         if node == msg.dst:
             self._header_reached_destination(msg)
@@ -1120,9 +1125,7 @@ class Engine:
                     ControlFlit(
                         ControlKind.RESUME, msg, p - 1, self.cycle + 1
                     ),
-                    self.topology.reverse_channel_id(
-                        msg.path[p - 1].channel_id
-                    ),
+                    self._reverse[msg.path[p - 1].channel_id],
                 )
         self.pending[msg.msg_id] = msg
 
@@ -1136,7 +1139,7 @@ class Engine:
                     ControlKind.PATH_ACK, msg, len(msg.path) - 1,
                     self.cycle + 1,
                 ),
-                self.topology.reverse_channel_id(msg.path[-1].channel_id),
+                self._reverse[msg.path[-1].channel_id],
             )
 
     def _arrive_header_back(self, msg: Message, p: int) -> None:
@@ -1153,58 +1156,54 @@ class Engine:
         msg.released[-1] = True
         msg.pop_path()
         msg.tried[p].add(popped_vc.channel_id)
+        header = msg.header
         if msg.tp_mode is TPMode.DETOUR:
             detour_rules.record_backtrack(msg, dim, direction, was_misroute)
         elif was_misroute:
-            msg.header.misroutes = max(0, msg.header.misroutes - 1)
-        msg.header.apply_hop(dim, -direction, self.topology.k)
-        msg.header.backtrack = False
+            header.misroutes = max(0, header.misroutes - 1)
+        header.apply_hop(dim, -direction, self._k)
+        header.backtrack = False
         msg.header_router = p
         msg.header_phase = HeaderPhase.PENDING
         msg.hops_taken += 1
         # Negative acknowledgment decrements the upstream counters.
-        fc = self.protocol.flow_control
-        if (
-            fc.kind is FlowControlKind.SCOUTING
-            and not msg.header.detour
-            and fc.k_for(msg.header.sr) > 0
-            and p >= 1
-        ):
-            self._push_control(
+        if self._acks_by_sr[header.sr] and not header.detour and p >= 1:
+            self._push_ack(
                 ControlFlit(ControlKind.ACK_NEG, msg, p - 1, self.cycle + 1),
-                self.topology.reverse_channel_id(msg.path[p - 1].channel_id),
+                self._reverse[msg.path[p - 1].channel_id],
             )
         self.pending[msg.msg_id] = msg
 
     # ---------------- acknowledgment arrivals --------------------------
-    def _arrive_ack(self, msg: Message, p: int, delta: int) -> None:
+    def _arrive_ack(self, token: ControlFlit, msg: Message, p: int) -> None:
         if msg.teardown or msg.is_terminal():
             return
         if p >= len(msg.acks_at):
             return  # path shrank past this position (backtracking race)
-        self._staged_acks.append((msg, p, delta))
-        if p > 0 and p > msg.head_router:
-            kind = ControlKind.ACK_POS if delta > 0 else ControlKind.ACK_NEG
-            self._push_control(
-                ControlFlit(kind, msg, p - 1, self.cycle + 1),
-                self.topology.reverse_channel_id(msg.path[p - 1].channel_id),
-            )
+        self._staged_acks.append(
+            (msg, p, 1 if token.kind is ControlKind.ACK_POS else -1)
+        )
+        if p > 0 and p > msg.head_link + 1:
+            # Relayed as by _relay, but on the acknowledgment wires.
+            token.position = p - 1
+            token.ready_cycle = self.cycle + 1
+            self._push_ack(token, self._reverse[msg.path[p - 1].channel_id])
         # Otherwise: not propagated beyond the first data flit.
 
-    def _arrive_path_ack(self, msg: Message, p: int, establish: bool) -> None:
+    def _arrive_path_ack(self, token: ControlFlit, msg: Message,
+                         p: int) -> None:
         if msg.teardown or msg.is_terminal():
             return
+        establish = token.kind is ControlKind.PATH_ACK
         if establish and p < len(msg.acks_at):
             # The path acknowledgment is the destination's positive
             # acknowledgment: it increments the scouting counters it
             # passes (the per-hop ack is suppressed at the destination).
             self._staged_acks.append((msg, p, +1))
-        if p > 0 and p > msg.head_router:
+        if p > 0 and p > msg.head_link + 1:
             self._staged_path.append((msg, p, False))
-            kind = ControlKind.PATH_ACK if establish else ControlKind.RESUME
-            self._push_control(
-                ControlFlit(kind, msg, p - 1, self.cycle + 1),
-                self.topology.reverse_channel_id(msg.path[p - 1].channel_id),
+            self._relay(
+                token, p - 1, self._reverse[msg.path[p - 1].channel_id]
             )
             return
         self._staged_path.append((msg, p, establish))
@@ -1313,9 +1312,7 @@ class Engine:
                 ControlFlit(
                     ControlKind.KILL_UP, msg, fail_idx - 1, self.cycle + 1
                 ),
-                self.topology.reverse_channel_id(
-                    msg.path[fail_idx - 1].channel_id
-                ),
+                self._reverse[msg.path[fail_idx - 1].channel_id],
             )
         # Downstream side: toward the destination / header end.
         self._kill_buffer(msg, fail_idx)
@@ -1352,9 +1349,7 @@ class Engine:
             ControlFlit(
                 ControlKind.KILL_UP, msg, from_router - 1, self.cycle + 1
             ),
-            self.topology.reverse_channel_id(
-                msg.path[from_router - 1].channel_id
-            ),
+            self._reverse[msg.path[from_router - 1].channel_id],
         )
 
     def _kill_reached_source(self, msg: Message) -> None:
@@ -1639,9 +1634,7 @@ class Engine:
     def _inline_header_arrived(self, msg: Message, router_idx: int) -> None:
         """In-band header flit reached a new router."""
         msg.header_router = router_idx
-        node = msg.path_nodes[router_idx]
-        self.protocol.on_arrival(self.ctx, msg)
-        if node == msg.dst:
+        if msg.path_nodes[router_idx] == msg.dst:
             msg.header_phase = HeaderPhase.DELIVERED
         else:
             msg.header_phase = HeaderPhase.PENDING
@@ -1680,9 +1673,7 @@ class Engine:
                         ControlKind.TAIL_ACK, msg, len(msg.path) - 1,
                         self.cycle + 1,
                     ),
-                    self.topology.reverse_channel_id(
-                        msg.path[-1].channel_id
-                    ),
+                    self._reverse[msg.path[-1].channel_id],
                 )
             else:
                 msg.status = MessageStatus.DELIVERED
@@ -1781,12 +1772,11 @@ class Engine:
             dst=dst,
             length=length if length is not None else cfg.message_length,
             offsets=self.topology.offsets(src, dst),
+            sig=self.topology.direction_signature(src, dst),
             created_cycle=created_cycle,
             inline_header=self._inline_header,
         )
-        msg.hop_cap = cfg.hop_cap_base + cfg.hop_cap_factor * (
-            self.topology.distance(src, dst)
-        )
+        msg.hop_cap = cfg.hop_cap_base + cfg.hop_cap_factor * msg.distance
         self._next_msg_id += 1
         self.messages[msg.msg_id] = msg
         return msg
@@ -1822,7 +1812,7 @@ class Engine:
                 created=msg.created_cycle,
                 injected=msg.injected_cycle,
                 delivered=msg.delivered_cycle,
-                distance=self.topology.distance(msg.src, msg.dst),
+                distance=msg.distance,
                 hops=msg.hops_taken,
                 misroutes=msg.misroute_total,
                 backtracks=msg.backtrack_count,

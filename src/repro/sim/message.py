@@ -74,7 +74,10 @@ class ControlFlit:
     ``position`` is the router path-index the token is currently
     *heading to*; arrival processing happens when the token wins link
     arbitration and crosses.  ``ready_cycle`` enforces one hop per
-    cycle.
+    cycle.  A token that propagates hop by hop (acknowledgments, path
+    and resume tokens, kills, tail acknowledgments) is the same object
+    all the way: each arrival moves ``position`` and ``ready_cycle`` on
+    and queues it again, so one flit is built per chain, not per hop.
     """
 
     __slots__ = ("kind", "message", "position", "ready_cycle")
@@ -117,7 +120,7 @@ class Message:
     """One message and all of its pipeline / routing state."""
 
     __slots__ = (
-        "msg_id", "src", "dst", "length", "inline_header",
+        "msg_id", "src", "dst", "length", "distance", "inline_header",
         "created_cycle", "injected_cycle", "delivered_cycle",
         "status", "drop_reason",
         "header", "header_phase", "header_router",
@@ -135,14 +138,21 @@ class Message:
     )
 
     def __init__(self, msg_id: int, src: int, dst: int, length: int,
-                 offsets: Tuple[int, ...], created_cycle: int,
+                 offsets: Tuple[int, ...], sig: int, created_cycle: int,
                  inline_header: bool):
+        """``offsets`` and ``sig`` describe ``dst`` seen from ``src``:
+        :meth:`KAryNCube.offsets` and
+        :meth:`KAryNCube.direction_signature` (the header carries and
+        updates both)."""
         self.msg_id = msg_id
         self.src = src
         self.dst = dst
         #: Number of data flits (the paper's L); the routing header is
         #: one additional flit.
         self.length = length
+        #: Minimal hop count from ``src`` to ``dst`` (offsets are
+        #: shortest): the hop cap's base and the record's distance.
+        self.distance = sum(map(abs, offsets))
         #: True when the header travels in-band as the first flit on
         #: data channels (pure wormhole, e.g. the DP baseline); False
         #: when it travels on the control channels (PCS/SR/TP).
@@ -154,7 +164,7 @@ class Message:
         self.status = MessageStatus.QUEUED
         self.drop_reason: Optional[str] = None
 
-        self.header = Header(offsets=list(offsets))
+        self.header = Header(offsets=list(offsets), sig=sig)
         self.header_phase = HeaderPhase.PENDING
         #: Path index of the router where the header is (or is heading).
         self.header_router = 0
@@ -208,9 +218,9 @@ class Message:
         self.backtrack_lock = -1
         self.misroute_total = 0
         self.hops_taken = 0
-        #: Livelock hop budget (engine-assigned; depends on src-dst
-        #: distance and the config's cap parameters, both constant for
-        #: the message's lifetime).
+        #: Livelock hop budget (engine-assigned; depends on ``distance``
+        #: and the config's cap parameters, both constant for the
+        #: message's lifetime).
         self.hop_cap = 0
         self.retries = 0
         #: Cycle until which a retry is deferred (simple backoff).

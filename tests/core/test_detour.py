@@ -7,6 +7,7 @@ from repro.sim.message import Message, TPMode
 def make_msg() -> Message:
     return Message(
         msg_id=1, src=0, dst=5, length=4, offsets=(2, 1),
+        sig=0b0101,  # plus in both dimensions
         created_cycle=0, inline_header=False,
     )
 

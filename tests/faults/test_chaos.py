@@ -41,7 +41,8 @@ class TestTriggerMatching:
     def _msg(self) -> Message:
         return Message(
             msg_id=1, src=0, dst=3, length=8,
-            offsets=(3, 0), created_cycle=0, inline_header=False,
+            offsets=(3, 0), sig=0b0001,  # plus along dimension 0
+            created_cycle=0, inline_header=False,
         )
 
     def test_setup_matches_pending_header(self):

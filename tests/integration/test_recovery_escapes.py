@@ -23,7 +23,8 @@ class TestSelfOwnedEscape:
         dst = topo.node_id((2, 0))
         msg = Message(
             msg_id=1, src=0, dst=dst, length=4,
-            offsets=topo.offsets(0, dst), created_cycle=0,
+            offsets=topo.offsets(0, dst),
+            sig=topo.direction_signature(0, dst), created_cycle=0,
             inline_header=False,
         )
         ch = topo.channel_id(0, 0, PLUS)
@@ -44,7 +45,8 @@ class TestSelfOwnedEscape:
         dst = torus8.node_id((2, 0))
         msg = Message(
             msg_id=1, src=0, dst=dst, length=4,
-            offsets=torus8.offsets(0, dst), created_cycle=0,
+            offsets=torus8.offsets(0, dst),
+            sig=torus8.direction_signature(0, dst), created_cycle=0,
             inline_header=False,
         )
         ch = torus8.channel_id(0, 0, PLUS)

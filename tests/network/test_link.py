@@ -2,45 +2,81 @@
 
 import pytest
 
-from repro.network.link import ControlQueue, RoundRobinArbiter
+from repro.network.link import ControlPlane, RoundRobinArbiter
+from repro.sim.message import ControlFlit, ControlKind
 
 
 class TestControlQueue:
+    """One channel's control FIFO inside a :class:`ControlPlane`."""
+
     def test_fifo_order(self):
-        q = ControlQueue()
+        plane = ControlPlane()
         for i in range(5):
-            q.push(i)
-        assert [q.pop() for _ in range(5)] == [0, 1, 2, 3, 4]
+            plane.push(3, i)
+        assert [plane.pop(3) for _ in range(5)] == [0, 1, 2, 3, 4]
 
     def test_len_and_bool(self):
-        q = ControlQueue()
-        assert not q
-        q.push("x")
-        assert q and len(q) == 1
+        plane = ControlPlane()
+        assert not plane
+        plane.push(3, "x")
+        plane.push(3, "y")
+        # Length counts busy channels, not queued flits.
+        assert plane and len(plane) == 1
 
     def test_peek_does_not_remove(self):
-        q = ControlQueue()
-        q.push("a")
-        assert q.peek() == "a"
-        assert len(q) == 1
+        plane = ControlPlane()
+        plane.push(3, "a")
+        assert plane.peek(3) == "a"
+        assert plane.peek(3) == "a"
+        assert list(plane) == ["a"]
 
     def test_peek_empty_returns_none(self):
-        assert ControlQueue().peek() is None
-
-    def test_sent_counter(self):
-        q = ControlQueue()
-        q.push(1)
-        q.push(2)
-        q.pop()
-        q.pop()
-        assert q.sent == 2
+        plane = ControlPlane()
+        assert plane.peek(3) is None
+        plane.push(3, "a")
+        plane.pop(3)
+        assert plane.peek(3) is None
 
     def test_drain_empties_and_returns_all(self):
-        q = ControlQueue()
+        plane = ControlPlane()
         for i in range(3):
-            q.push(i)
-        assert q.drain() == [0, 1, 2]
-        assert not q
+            plane.push(3, i)
+        assert plane.drain(3) == [0, 1, 2]
+        assert not plane
+        assert plane.drain(3) == []
+
+
+class TestPopReady:
+    @staticmethod
+    def _flit(ready_cycle):
+        return ControlFlit(ControlKind.ACK_POS, None, 0, ready_cycle)
+
+    def test_one_ready_head_per_channel_in_channel_order(self):
+        plane = ControlPlane()
+        a, b, c, late = (self._flit(5), self._flit(5), self._flit(4),
+                         self._flit(9))
+        plane.push(7, a)
+        plane.push(7, b)
+        plane.push(2, c)
+        plane.push(4, late)
+        assert list(plane.pop_ready(5)) == [(2, c), (7, a)]
+        assert plane.channels() == [4, 7]
+        assert list(plane.pop_ready(5)) == [(7, b)]
+        assert list(plane.pop_ready(8)) == []
+        assert list(plane.pop_ready(9)) == [(4, late)]
+        assert not plane
+
+    def test_flits_pushed_during_the_walk_wait(self):
+        plane = ControlPlane()
+        plane.push(1, self._flit(0))
+        plane.push(5, self._flit(0))
+        seen = []
+        for ch, flit in plane.pop_ready(0):
+            seen.append(ch)
+            plane.push(3, self._flit(0))  # a new busy channel
+            plane.push(ch, flit)          # and the channel just popped
+        assert seen == [1, 5]
+        assert plane.channels() == [1, 3, 5]
 
 
 class TestRoundRobinArbiter:

@@ -27,6 +27,7 @@ from repro.network.topology import KAryNCube
 from repro.routing.cache import RouteCache
 
 TOPOLOGY = KAryNCube(5, 2)
+_sig = TOPOLOGY.direction_signature
 NUM_NODES = TOPOLOGY.num_nodes
 NUM_CHANNELS = TOPOLOGY.num_channels
 
@@ -68,14 +69,14 @@ def test_sync_invalidates_exactly_on_epoch_bump(src, dst, step):
         return
     faults = FaultState(TOPOLOGY)
     cache = RouteCache(TOPOLOGY, faults)
-    before = cache.adaptive_candidates(src, dst, None)
+    before = cache.adaptive_candidates(src, dst, _sig(src, dst), None)
     # No epoch movement: the exact cached object comes back.
-    assert cache.adaptive_candidates(src, dst, None) is before
+    assert cache.adaptive_candidates(src, dst, _sig(src, dst), None) is before
     epoch = faults.epoch
     apply_step(faults, step)
     assert faults.epoch == epoch + 1, "every mutation bumps once"
     assert not cache._adaptive or cache._epoch == epoch
-    after = cache.adaptive_candidates(src, dst, None)
+    after = cache.adaptive_candidates(src, dst, _sig(src, dst), None)
     # The memo was rebuilt against the new epoch.
     assert cache._epoch == faults.epoch
     for _, _, ch, _ in after:
@@ -97,21 +98,21 @@ def test_candidates_never_mix_epochs(src, dst, sequence):
     faults = FaultState(TOPOLOGY)
     cache = RouteCache(TOPOLOGY, faults)
     for step in sequence:
-        cache.adaptive_candidates(src, dst, None)  # populate pre-step
-        cache.misroute_candidates(src, dst, None, allow_u_turn=False)
+        cache.adaptive_candidates(src, dst, _sig(src, dst), None)  # populate pre-step
+        cache.misroute_candidates(src, dst, _sig(src, dst), None, allow_u_turn=False)
         apply_step(faults, step)
         fresh = RouteCache(TOPOLOGY, faults)
         for honor in (True, False):
             assert cache.adaptive_candidates(
-                src, dst, None, honor_restrictions=honor
+                src, dst, _sig(src, dst), None, honor_restrictions=honor
             ) == fresh.adaptive_candidates(
-                src, dst, None, honor_restrictions=honor
+                src, dst, _sig(src, dst), None, honor_restrictions=honor
             )
             assert cache.misroute_candidates(
-                src, dst, None, allow_u_turn=False,
+                src, dst, _sig(src, dst), None, allow_u_turn=False,
                 honor_restrictions=honor,
             ) == fresh.misroute_candidates(
-                src, dst, None, allow_u_turn=False,
+                src, dst, _sig(src, dst), None, allow_u_turn=False,
                 honor_restrictions=honor,
             )
 
@@ -132,14 +133,14 @@ def test_restrictions_prune_optimistic_sets_except_final_hop(
     faults = FaultState(TOPOLOGY)
     faults.reconfigure(sorted(restricted))
     cache = RouteCache(TOPOLOGY, faults)
-    for _, _, ch, next_node in cache.adaptive_candidates(src, dst, None):
+    for _, _, ch, next_node in cache.adaptive_candidates(src, dst, _sig(src, dst), None):
         if faults.is_channel_restricted(ch):
             assert next_node == dst, (
                 "a restricted channel may only appear as the final "
                 "delivery hop"
             )
     for _, _, ch, next_node in cache.misroute_candidates(
-        src, dst, None, allow_u_turn=False
+        src, dst, _sig(src, dst), None, allow_u_turn=False
     ):
         if faults.is_channel_restricted(ch):
             assert next_node == dst
@@ -159,11 +160,11 @@ def test_detour_search_sees_unrestricted_sets(src, dst, restricted):
     faults = FaultState(TOPOLOGY)
     cache = RouteCache(TOPOLOGY, faults)
     unrestricted = cache.adaptive_candidates(
-        src, dst, None, honor_restrictions=False
+        src, dst, _sig(src, dst), None, honor_restrictions=False
     )
     faults.reconfigure(sorted(restricted))
     assert cache.adaptive_candidates(
-        src, dst, None, honor_restrictions=False
+        src, dst, _sig(src, dst), None, honor_restrictions=False
     ) == unrestricted
 
 

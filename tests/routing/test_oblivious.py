@@ -15,7 +15,8 @@ from tests.conftest import make_context
 def make_msg(topo, src, dst, inline):
     return Message(
         msg_id=1, src=src, dst=dst, length=4,
-        offsets=topo.offsets(src, dst), created_cycle=0,
+        offsets=topo.offsets(src, dst),
+        sig=topo.direction_signature(src, dst), created_cycle=0,
         inline_header=inline,
     )
 
@@ -48,7 +49,7 @@ class TestDecisions:
         msg = make_msg(torus8, 0, dst, inline=True)
         d = DimensionOrderProtocol(flow="wr").decide(ctx, msg)
         assert d.action is Action.RESERVE
-        assert d.port == (0, PLUS)
+        assert d.hop[:2] == (0, PLUS)
         assert d.vc.vclass.is_deterministic
 
     def test_waits_on_busy(self, torus8):

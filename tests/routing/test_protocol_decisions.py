@@ -18,7 +18,8 @@ def make_msg(topo: KAryNCube, src: int, dst: int,
              inline: bool = False) -> Message:
     return Message(
         msg_id=1, src=src, dst=dst, length=4,
-        offsets=topo.offsets(src, dst), created_cycle=0,
+        offsets=topo.offsets(src, dst),
+        sig=topo.direction_signature(src, dst), created_cycle=0,
         inline_header=inline,
     )
 
@@ -69,7 +70,7 @@ class TestDuatoDecisions:
         msg = make_msg(torus8, 0, dst, inline=True)
         d = DuatoProtocol().decide(ctx, msg)
         assert d.action is Action.RESERVE
-        assert d.port[0] == 1
+        assert d.hop[0] == 1
 
 
 class TestMBmDecisions:
@@ -295,4 +296,4 @@ class TestTwoPhaseDetour:
         d = TwoPhaseProtocol().decide(ctx, msg)
         assert d.action is Action.RESERVE
         assert d.is_misroute
-        assert d.port == (0, MINUS)
+        assert d.hop[:2] == (0, MINUS)

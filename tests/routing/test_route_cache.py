@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.header import Header
 from repro.core.two_phase import TwoPhaseProtocol
 from repro.faults.model import FaultState
 from repro.network.channel import VCClass
@@ -104,11 +105,12 @@ def test_cached_sets_equal_fresh_enumeration_across_epochs(
                 dst %= topo.num_nodes
                 if node == dst:
                     continue
+                sig = topo.direction_signature(node, dst)
                 assert cache.adaptive_candidates(
-                    node, dst, safe, honor
+                    node, dst, sig, safe, honor
                 ) == _fresh_adaptive(topo, faults, node, dst, safe, honor)
                 assert cache.misroute_candidates(
-                    node, dst, arrival, u_turn, honor
+                    node, dst, sig, arrival, u_turn, honor
                 ) == _fresh_misroute(
                     topo, faults, node, dst, arrival, u_turn, honor
                 )
@@ -136,20 +138,100 @@ def test_cached_sets_equal_fresh_enumeration_across_epochs(
     check()
 
 
+#: One hop of a header walk: a profitable hop, a misroute, a U-turn
+#: onto the reverse of the last hop, a backtrack (the last hop undone,
+#: as the engine does: ``apply_hop`` with the direction reversed), or a
+#: hop that lands on a half-way tie of an even ring when there is one.
+_MOVES = st.sampled_from(
+    ["profitable", "misroute", "u_turn", "backtrack", "tie"]
+)
+
+
+def _tie_ports(topo, node, dst):
+    """Ports whose hop leaves an exact half-way offset behind."""
+    k = topo.k
+    return [
+        (dim, direction) for dim, direction in topo.ports(node)
+        if k % 2 == 0
+        and 2 * abs(topo.offset(topo.neighbor(node, dim, direction), dst,
+                                dim)) == k
+    ]
+
+
+@settings(max_examples=150)
+@given(k=st.integers(3, 9), n=st.integers(1, 3), data=st.data())
+def test_header_carries_its_direction_class(k, n, data):
+    """The class a header carries is the destination's direction class
+    seen from wherever the header is, after any walk — profitable hops,
+    misroutes, U-turns, backtracks and half-way ties included — and the
+    cache keyed on it serves what an uncached enumeration returns, cold,
+    warm and across fault epochs.  A header that lost the tie digit
+    (an even ring's half-way offset carried as plain "plus") fails the
+    first comparison after a hop onto a tie."""
+    topo = cube(k, n)
+    faults = FaultState(topo)
+    cache = RouteCache(topo, faults)
+    node = data.draw(st.integers(0, topo.num_nodes - 1), label="src")
+    dst = data.draw(st.integers(0, topo.num_nodes - 1), label="dst")
+    header = Header(offsets=list(topo.offsets(node, dst)),
+                    sig=topo.direction_signature(node, dst))
+    trail = []  # (dim, direction) of every hop not yet backtracked
+    for move in data.draw(st.lists(_MOVES, max_size=30), label="walk"):
+        if move == "backtrack":
+            if not trail:
+                continue
+            dim, direction = trail.pop()
+            header.apply_hop(dim, -direction, k)
+            node = topo.neighbor(node, dim, -direction)
+        else:
+            profitable = topo.profitable_ports(node, dst)
+            ports = {
+                "profitable": list(profitable),
+                "misroute": [p for p in topo.ports(node)
+                             if p not in profitable],
+                "u_turn": [(trail[-1][0], -trail[-1][1])] if trail else [],
+                "tie": _tie_ports(topo, node, dst),
+            }[move]
+            if not ports:
+                continue
+            dim, direction = data.draw(st.sampled_from(ports))
+            header.apply_hop(dim, direction, k)
+            node = topo.neighbor(node, dim, direction)
+            trail.append((dim, direction))
+        assert header.sig == topo.direction_signature(node, dst)
+        assert tuple(header.offsets) == topo.offsets(node, dst)
+        if data.draw(st.integers(0, 5), label="fault?") == 0:
+            faults.fail_link(
+                data.draw(st.integers(0, topo.num_channels - 1))
+            )
+        if node == dst:
+            continue
+        arrival = trail[-1] if trail else None
+        for safe in (None, True, False):
+            assert cache.adaptive_candidates(
+                node, dst, header.sig, safe
+            ) == _fresh_adaptive(topo, faults, node, dst, safe)
+        assert cache.misroute_candidates(
+            node, dst, header.sig, arrival, True, False
+        ) == _fresh_misroute(topo, faults, node, dst, arrival, True, False)
+
+
 def test_adaptive_candidates_match_fresh_computation():
     topo, faults, cache = _setup()
     for require_safe in (None, True, False):
         for dst in (7, 13, 24):
-            got = cache.adaptive_candidates(0, dst, require_safe)
+            sig = topo.direction_signature(0, dst)
+            got = cache.adaptive_candidates(0, dst, sig, require_safe)
             assert got == _fresh_adaptive(topo, faults, 0, dst, require_safe)
             # Second lookup hits the memo and must be the same object.
-            assert cache.adaptive_candidates(0, dst, require_safe) is got
+            assert cache.adaptive_candidates(0, dst, sig, require_safe) is got
 
 
 def test_epoch_bump_invalidates_fault_dependent_entries():
     topo, faults, cache = _setup()
     dst = 13
-    before = cache.adaptive_candidates(0, dst, None)
+    sig = topo.direction_signature(0, dst)
+    before = cache.adaptive_candidates(0, dst, sig, None)
     assert before  # there are profitable healthy ports initially
 
     # Kill one of the cached candidate channels; the stale entry would
@@ -159,7 +241,7 @@ def test_epoch_bump_invalidates_fault_dependent_entries():
     faults.fail_link(victim)
     assert faults.epoch > epoch0, "every fault mutation must bump epoch"
 
-    after = cache.adaptive_candidates(0, dst, None)
+    after = cache.adaptive_candidates(0, dst, sig, None)
     assert victim not in [ch for _, _, ch, _ in after]
     assert after == _fresh_adaptive(topo, faults, 0, dst, None)
 
@@ -167,12 +249,13 @@ def test_epoch_bump_invalidates_fault_dependent_entries():
 def test_node_fault_and_unsafe_marking_invalidate():
     topo, faults, cache = _setup()
     dst = 13
-    cache.adaptive_candidates(0, dst, True)
+    sig = topo.direction_signature(0, dst)
+    cache.adaptive_candidates(0, dst, sig, True)
     epoch0 = faults.epoch
     faults.fail_node(12)
     assert faults.epoch > epoch0
     # Safe-only view reflects the new unsafe designations immediately.
-    assert cache.adaptive_candidates(0, dst, True) == _fresh_adaptive(
+    assert cache.adaptive_candidates(0, dst, sig, True) == _fresh_adaptive(
         topo, faults, 0, dst, True
     )
 
@@ -181,7 +264,8 @@ def test_misroute_candidates_theorem2_order():
     topo, faults, cache = _setup()
     node, dst = 0, 6  # both dimensions profitable
     arrival = (0, +1)
-    out = cache.misroute_candidates(node, dst, arrival, allow_u_turn=True)
+    sig = topo.direction_signature(node, dst)
+    out = cache.misroute_candidates(node, dst, sig, arrival, allow_u_turn=True)
     assert out, "torus routers always have unprofitable ports"
     # No profitable ports, no faulty channels.
     for dim, direction, ch, nxt in out:
@@ -196,7 +280,9 @@ def test_misroute_candidates_theorem2_order():
     assert out[-1][:2] == (arrival[0], -arrival[1])
     assert all(i < j for i in same[:-1] for j in other if i != len(out) - 1)
     # Without permission there is no U-turn.
-    no_u = cache.misroute_candidates(node, dst, arrival, allow_u_turn=False)
+    no_u = cache.misroute_candidates(
+        node, dst, sig, arrival, allow_u_turn=False
+    )
     assert (arrival[0], -arrival[1]) not in [c[:2] for c in no_u]
 
 
@@ -206,8 +292,8 @@ def test_escape_cache_survives_epoch_bumps():
     first = cache.escape(node, dst)
     det = deterministic_route(topo, node, dst)
     assert det is not None and first is not None
-    assert first[:3] == det
-    assert first[3] == topo.channel_id(node, det[0], det[1])
+    ch = topo.channel_id(node, det[0], det[1])
+    assert first == (det[0], det[1], ch, topo.channel(ch).dst, det[2])
     faults.fail_node(24)
     # Pure topology function: the identical memoized entry survives.
     assert cache.escape(node, dst) is first
@@ -219,7 +305,9 @@ def _fresh_escape(topo, node, dst):
     det = deterministic_route(topo, node, dst)
     if det is None:
         return None
-    return det + (topo.channel_id(node, det[0], det[1]),)
+    dim, direction, vclass = det
+    ch = topo.channel_id(node, dim, direction)
+    return (dim, direction, ch, topo.channel(ch).dst, vclass)
 
 
 @pytest.mark.parametrize("k, n", [(3, 1), (4, 2), (5, 2), (8, 2), (4, 3)])
@@ -238,7 +326,7 @@ def test_class_keyed_escape_is_the_escape_function(k, n):
                 hop = cache.escape(node, dst)
                 assert hop == _fresh_escape(topo, node, dst), (node, dst)
                 if hop is not None:
-                    classes.add(hop[2])
+                    classes.add(hop[4])
     assert cache.escape(0, 0) is None
     assert classes == {VCClass.DETERMINISTIC_0, VCClass.DETERMINISTIC_1}
     assert cache._escape is topo.escape_hops
@@ -273,14 +361,15 @@ class TestEscapeCacheFaultSafety:
         det_ch = torus8.channel_id(0, 0, PLUS)
         # Warm the escape memo before any fault exists.
         entry = ctx.cache.escape(0, dst)
-        assert entry is not None and entry[3] == det_ch
+        assert entry is not None and entry[2] == det_ch
         return ctx, faults, dst, det_ch, entry
 
     @staticmethod
     def _msg(topo, dst):
         return Message(
             msg_id=1, src=0, dst=dst, length=4,
-            offsets=topo.offsets(0, dst), created_cycle=0,
+            offsets=topo.offsets(0, dst),
+            sig=topo.direction_signature(0, dst), created_cycle=0,
             inline_header=True,
         )
 
@@ -321,7 +410,9 @@ class TestEscapeCacheFaultSafety:
         assert ctx.cache.escape(0, dst) is entry
         # Restrictions prune the optimistic adaptive set ...
         assert det_ch not in [
-            c[2] for c in ctx.cache.adaptive_candidates(0, dst, None)
+            c[2] for c in ctx.cache.adaptive_candidates(
+                0, dst, torus8.direction_signature(0, dst), None
+            )
         ]
         # ... but the escape layer is exempt (steering, not
         # correctness): DP falls back to the deterministic escape VC

@@ -2,28 +2,39 @@
 
 from repro.faults.model import FaultState
 from repro.network.topology import MINUS, PLUS, KAryNCube
-from repro.routing.selection import (
-    adaptive_candidate,
-    free_vc_any_class,
-    misroute_ports,
-    port_usable,
-)
+from repro.routing.selection import adaptive_candidate, free_vc_any_class
 
 from tests.conftest import make_context
+
+
+def _candidate(ctx, node, dst, require_safe):
+    sig = ctx.topology.direction_signature(node, dst)
+    return adaptive_candidate(ctx, node, dst, sig, require_safe)
+
+
+def misroute_ports(ctx, node, dst, arrival, allow_u_turn):
+    """The (dim, direction) ports of the cached misroute candidates."""
+    sig = ctx.topology.direction_signature(node, dst)
+    return [
+        hop[:2] for hop in ctx.cache.misroute_candidates(
+            node, dst, sig, arrival, allow_u_turn
+        )
+    ]
 
 
 class TestAdaptiveCandidate:
     def test_finds_profitable_adaptive(self, torus8):
         ctx = make_context(torus8)
-        got = adaptive_candidate(ctx, 0, 9, require_safe=None)
+        got = _candidate(ctx, 0, 9, require_safe=None)
         assert got is not None
-        dim, direction, vc = got
+        (dim, direction, ch, next_node), vc = got
         assert torus8.is_profitable(0, 9, dim, direction)
-        assert vc.is_free
+        assert vc.is_free and vc.channel_id == ch
+        assert torus8.channel(ch).dst == next_node
 
     def test_none_at_destination(self, torus8):
         ctx = make_context(torus8)
-        assert adaptive_candidate(ctx, 4, 4, require_safe=None) is None
+        assert _candidate(ctx, 4, 4, require_safe=None) is None
 
     def test_skips_faulty_channel(self, torus8):
         faults = FaultState(torus8)
@@ -31,14 +42,14 @@ class TestAdaptiveCandidate:
         dst = torus8.neighbor(0, 0, PLUS)
         faults.fail_link(torus8.channel_id(0, 0, PLUS))
         ctx = make_context(torus8, faults=faults)
-        assert adaptive_candidate(ctx, 0, dst, require_safe=None) is None
+        assert _candidate(ctx, 0, dst, require_safe=None) is None
 
     def test_skips_busy_adaptive(self, torus8):
         ctx = make_context(torus8)
         dst = torus8.neighbor(0, 0, PLUS)
         ch = torus8.channel_id(0, 0, PLUS)
         ctx.channels.free_adaptive(ch).reserve(7)
-        assert adaptive_candidate(ctx, 0, dst, require_safe=None) is None
+        assert _candidate(ctx, 0, dst, require_safe=None) is None
 
     def test_require_safe_filters_unsafe(self, torus8):
         faults = FaultState(torus8)
@@ -49,15 +60,15 @@ class TestAdaptiveCandidate:
         ctx = make_context(torus8, faults=faults)
         ch = torus8.channel_id(0, 0, PLUS)
         assert ctx.faults.channel_unsafe[ch]
-        assert adaptive_candidate(ctx, 0, mid, require_safe=True) is None
-        got = adaptive_candidate(ctx, 0, mid, require_safe=False)
-        assert got is not None and got[:2] == (0, PLUS)
+        assert _candidate(ctx, 0, mid, require_safe=True) is None
+        got = _candidate(ctx, 0, mid, require_safe=False)
+        assert got is not None and got[0][:2] == (0, PLUS)
 
     def test_prefers_earlier_dimension(self, torus8):
         ctx = make_context(torus8)
         dst = torus8.node_id((2, 2))
-        got = adaptive_candidate(ctx, 0, dst, require_safe=None)
-        assert got[:2] == (0, PLUS)
+        got = _candidate(ctx, 0, dst, require_safe=None)
+        assert got[0][:2] == (0, PLUS)
 
 
 class TestFreeVCAnyClass:
@@ -74,6 +85,8 @@ class TestFreeVCAnyClass:
 
 
 class TestMisroutePorts:
+    """The Theorem 2 misroute ports, read off the RouteCache."""
+
     def test_excludes_profitable(self, torus8):
         ctx = make_context(torus8)
         dst = torus8.node_id((3, 3))
@@ -119,12 +132,25 @@ class TestMisroutePorts:
 
 
 class TestPortUsable:
+    """A port is a routing candidate only while its channel is healthy."""
+
+    @staticmethod
+    def _ports(ctx, dst):
+        sig = ctx.topology.direction_signature(0, dst)
+        adaptive = ctx.cache.adaptive_candidates(0, dst, sig, None)
+        misroute = ctx.cache.misroute_candidates(0, dst, sig, None, False)
+        return [hop[:2] for hop in adaptive + misroute]
+
     def test_healthy(self, torus8):
         ctx = make_context(torus8)
-        assert port_usable(ctx, 0, 0, PLUS)
+        dst = torus8.node_id((3, 0))
+        assert (0, PLUS) in self._ports(ctx, dst)
+        assert (1, PLUS) in self._ports(ctx, dst)
 
     def test_faulty(self, torus8):
         faults = FaultState(torus8)
         faults.fail_link(torus8.channel_id(0, 0, PLUS))
         ctx = make_context(torus8, faults=faults)
-        assert not port_usable(ctx, 0, 0, PLUS)
+        dst = torus8.node_id((3, 0))
+        assert (0, PLUS) not in self._ports(ctx, dst)
+        assert (1, PLUS) in self._ports(ctx, dst)

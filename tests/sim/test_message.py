@@ -15,6 +15,7 @@ from repro.sim.message import (
 def make_msg(inline=False, length=8) -> Message:
     return Message(
         msg_id=3, src=0, dst=9, length=length, offsets=(2, 1),
+        sig=0b0101,  # plus in both dimensions
         created_cycle=5, inline_header=inline,
     )
 
