@@ -28,10 +28,11 @@ of the invocation: ``--key construct_kb`` regresses when it *rises*.
 CI runs this three times against the committed snapshot: once over
 every workload informationally (the numbers are machine-dependent, so
 small deltas are hints, not verdicts), once as a hard gate with
-``--workloads tp-high,dp-high,tp-k3-recovery --threshold 0.25`` — a
-saturated (data-path) or control-heavy (header-hop) workload losing
-more than a quarter of its cycles/s is an engine regression, not runner
-noise — and once as a hard gate with
+``--workloads tp-high,dp-high,tp-k3-recovery,tp-idle-long
+--threshold 0.25`` — a saturated (data-path), control-heavy
+(header-hop) or idle (fast-forward) workload losing more than a quarter
+of its cycles/s is an engine regression, not runner noise — and once
+as a hard gate with
 ``--key construct_kb --threshold 0.25``: a simulator's construction
 footprint is deterministic on one Python version, so it cannot flake.
 Run it locally against a baseline produced on the same machine to

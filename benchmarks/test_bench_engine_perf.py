@@ -4,16 +4,19 @@ Times simulation runs across a small protocol / load / fault grid and
 records wall-clock time plus simulated cycles per second in
 ``BENCH_engine.json`` at the repository root, which CI uploads as an
 artifact.  The *gated* workloads — the saturated ``tp-high`` and
-``dp-high`` (data path) and the control-heavy ``tp-k3-recovery``
-(routing decisions and control flits) — are timed three times and
-report the median wall clock — they gate CI, so their figure should
-not hinge on one scheduler hiccup; the rest run once and stay
-informational.  Every row also records ``events`` (data
+``dp-high`` (data path), the control-heavy ``tp-k3-recovery``
+(routing decisions and control flits) and the ultra-low-load
+``tp-idle-long`` (header set-up and worm jumps of the steady-state
+fast-forward) — are timed three times and report the median wall
+clock — they gate CI, so their figure should not hinge on one
+scheduler hiccup; the rest run once and stay informational.  Every
+row also records ``events`` (data
 flit hops + ejections + header routing decisions — the simulation's
 unit of real work) and ``events_per_sec``, which tracks interpreter
 cost per event independently of how many empty cycles the steady-state
-fast-forward skipped (hops it applies to streaming worms in closed form
-are events too, so the idle rows' figure rises with them), and
+fast-forward skipped (flit hops it applies to streaming worms and
+header hops it applies to a lone set-up in closed form are events too,
+so the idle rows' figure rises with them), and
 ``construct_kb``: the bytes ``tracemalloc`` sees a second simulator of
 the row's config allocate before its first cycle — what a simulator
 costs once the geometry shared per ``(k, n)`` exists, and exactly
@@ -82,8 +85,9 @@ WORKLOADS = (
 
 #: Workloads whose cycles/s figure gates CI: timed ``_GATED_ROUNDS``
 #: times, reporting the median wall clock.  The two saturated rows
-#: gate the data path, ``tp-k3-recovery`` the header / control path.
-GATED = frozenset({"tp-high", "dp-high", "tp-k3-recovery"})
+#: gate the data path, ``tp-k3-recovery`` the header / control path,
+#: ``tp-idle-long`` the idle path (header set-up and worm jumps).
+GATED = frozenset({"tp-high", "dp-high", "tp-k3-recovery", "tp-idle-long"})
 _GATED_ROUNDS = 3
 
 
@@ -129,7 +133,7 @@ def run_matrix():
             walls.append(wall)
         wall = statistics.median(walls)
         events = (engine.data_flits_moved + engine.flits_ejected
-                  + engine.header_decisions)
+                  + engine.header_decisions + engine.setup_hops)
         rows.append({
             "workload": name,
             "protocol": protocol,

@@ -38,6 +38,8 @@ Two standard configurations from the evaluation:
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.core import detour as detour_rules
 from repro.core.flow_control import FlowControlConfig
 from repro.network.channel import VCState
@@ -94,17 +96,37 @@ class TwoPhaseProtocol:
     # ------------------------------------------------------------------
     # Optimistic phase: DP routing restrictions over safe channels.
     # ------------------------------------------------------------------
+    def setup_hop(self, ctx: RoutingContext,
+                  message: Message) -> Optional[Decision]:
+        """Step 1 of the DP phase: reserve a safe profitable adaptive
+        channel, or ``None`` when no such channel has a free VC.
+
+        A pure function of the header, the fault state and the channel
+        occupancy: it mutates nothing, reads no clock and draws no
+        random number.  That is what lets the engine advance a lone
+        header's set-up in closed form by calling it once per hop
+        (``Engine._advance_setup``) — the verdict it applies is the one
+        :meth:`decide` would have returned in that cycle.
+        """
+        candidate = adaptive_candidate(
+            ctx, message.path_nodes[message.header_router], message.dst,
+            message.header.sig, True,
+        )
+        if candidate is None:
+            return None
+        hop, vc = candidate
+        return Decision(_RESERVE, vc, hop, self._k_by_sr[message.header.sr])
+
     def _decide_dp(self, ctx: RoutingContext, message: Message) -> Decision:
+        # 1. Safe profitable adaptive channel.
+        decision = self.setup_hop(ctx, message)
+        if decision is not None:
+            return decision
+
         node = message.path_nodes[message.header_router]
         dst = message.dst
         header = message.header
         sig = header.sig
-
-        # 1. Safe profitable adaptive channel.
-        candidate = adaptive_candidate(ctx, node, dst, sig, True)
-        if candidate is not None:
-            hop, vc = candidate
-            return Decision(_RESERVE, vc, hop, self._k_by_sr[header.sr])
 
         # 2. Safe deterministic channel: take it, or block while busy.
         det = ctx.cache.escape(node, dst)

@@ -45,8 +45,14 @@ possible injection (known exactly from the geometric gap), the next
 armed dynamic fault, the next invariant-audit tick, the hook's declared
 next event, and the cycle a worm's source runs dry or its tail ejects —
 and shifts every worm by that many hops in one pass.  The empty network
-is the zero-worm case of the same code.  The jump is cycle-for-cycle
-and RNG-stream identical to stepping each cycle
+is the zero-worm case of the same code.  The state that is steady but
+for one lone message's decoupled header setting up — TP's DP phase at
+K = 0, no token in flight — is jumped too (:meth:`Engine._advance_setup`):
+each cycle the header reserves the protocol's pure ``setup_hop`` verdict
+and crosses it on the control slot while the data train shifts one hop
+behind, one more cycle ejects the first flit at the destination, and
+the worm it leaves streams on in the same jump.  The jump is
+cycle-for-cycle and RNG-stream identical to stepping each cycle
 (``tests/sim/reference_engine.py`` steps every cycle;
 ``tests/sim/test_determinism.py`` pins results and
 ``tests/sim/test_reference_lockstep.py`` full state after chunks of
@@ -237,6 +243,14 @@ class Engine:
             fc.kind is FlowControlKind.SCOUTING and fc.k_for(sr) > 0
             for sr in (False, True)
         )
+        #: The protocol's pure set-up verdict (TP's DP step 1), through
+        #: which :meth:`_advance_setup` jumps a lone decoupled header's
+        #: set-up; ``None`` — never jumped — for in-band headers and for
+        #: protocols without one.
+        self._setup_hop = (
+            None if self._inline_header
+            else getattr(self.protocol, "setup_hop", None)
+        )
 
         num_ch = self.topology.num_channels
         #: Control flits queued per physical channel; a channel costs
@@ -296,6 +310,11 @@ class Engine:
         self.kernel_cycles = 0
         #: Routing-protocol ``decide`` invocations (header decisions).
         self.header_decisions = 0
+        #: Header hops the set-up jump applied in closed form, each one
+        #: protocol ``setup_hop`` verdict instead of a ``decide`` call
+        #: (:meth:`_advance_setup`); with ``header_decisions``, every
+        #: routing decision a run made.
+        self.setup_hops = 0
         #: Data flits delivered during the measurement window.
         self.measured_delivered_flits = 0
         self.measured_offered_flits = 0
@@ -458,22 +477,23 @@ class Engine:
         return not self.active and not any(self.queues)
 
     def _steady_cycles(self) -> int:
-        """How many cycles ahead every cycle is provably a pure shift.
+        """How many cycles ahead every cycle is provably a pure shift,
+        given that no phase but data movement has anything to do (no
+        pending header, no control or ack token, no staged gate update,
+        nothing for the launch phase to attend: :meth:`_fast_forward`
+        checks that first).
 
-        The state is *steady* when no phase but data movement has
-        anything to do — no pending header, no control or ack token, no
-        staged gate update, nothing for the launch phase to attend,
-        every busy injection queue headed by an ACTIVE message — and
-        every active message, possibly none, is an isolated,
-        established worm: header delivered, first flit across the last
-        link and at least one flit ejected (so an in-band header flit
-        is gone), at most one flit per buffer and none in the last
-        (cut-through ejection), buffers at least two deep (a one-flit
-        buffer refuses a flit in the cycle it drains), every link still
-        ahead of the tail unreleased and alone on its physical channel,
-        and no other active message bound for the same destination.
-        Each cycle then moves every flit one hop: the one reaching the
-        destination ejects and the source feeds one while it has any.
+        The state is then *steady* when every active message, possibly
+        none, is an isolated, established worm: header delivered, first
+        flit across the last link and at least one flit ejected (so an
+        in-band header flit is gone), at most one flit per buffer and
+        none in the last (cut-through ejection), buffers at least two
+        deep (a one-flit buffer refuses a flit in the cycle it drains),
+        every link still ahead of the tail unreleased and alone on its
+        physical channel, and no other active message bound for the
+        same destination.  Each cycle then moves every flit one hop:
+        the one reaching the destination ejects and the source feeds
+        one while it has any.
 
         Returns 0 when the state is not steady, ``_NEVER`` for the
         empty network, else the shortest stretch over which every worm
@@ -484,15 +504,6 @@ class Engine:
         active = self.active
         if active and self._depth < 2:
             return 0
-        if (
-            self.pending
-            or self._launch_attn
-            or self.control_out
-            or self.ack_out
-            or self._staged_acks
-            or self._staged_path
-        ):
-            return 0
         delivered = HeaderPhase.DELIVERED
         resident = self._ch_resident
         destinations: Set[int] = set()
@@ -501,14 +512,16 @@ class Engine:
             path = msg.path
             last = len(path) - 1
             buffered = msg.buffered
+            # Cheapest and likeliest rejections first: a flit waiting in
+            # the last buffer (a contended ejection port) is the usual.
             if (
-                msg.teardown
-                or msg.header_phase is not delivered
+                msg.header_phase is not delivered
+                or buffered[last]
                 or msg.head_link != last
                 or msg.ejected == 0
-                or buffered[last]
-                or max(buffered) > 1
                 or msg.dst in destinations
+                or msg.teardown
+                or max(buffered) > 1
             ):
                 return 0
             destinations.add(msg.dst)
@@ -526,13 +539,35 @@ class Engine:
                     return 0
             if room < steady:
                 steady = room
-        active_status = MessageStatus.ACTIVE
-        queues = self.queues
-        for node in self._busy_queues:
-            queue = queues[node]
-            if queue and queue[0].status is not active_status:
-                return 0
         return steady
+
+    def _setup_message(self) -> Optional[Message]:
+        """The lone active message, if its header set-up is all that
+        keeps the state from being steady.
+
+        The predicate of :meth:`_advance_setup`, beyond
+        :meth:`_fast_forward`'s checks (one active message, nothing but
+        routing and data movement to do): no reconfiguration freeze,
+        buffers at least two deep, and the message's decoupled header
+        PENDING (at the end of its path) and not parked, in TP's DP
+        phase with no acknowledgment or hold ever programmed
+        (``needs_path_ack`` unset: every link is a plain K = 0
+        reservation), with at most one flit per buffer and none at the
+        header's router.
+        """
+        if self.routing_freeze or self._depth < 2:
+            return None
+        msg = next(iter(self.active.values()))
+        buffered = msg.buffered
+        if (
+            msg.header_phase is not HeaderPhase.PENDING
+            or msg.parked
+            or msg.needs_path_ack
+            or msg.tp_mode is TPMode.DETOUR
+            or (buffered and (buffered[-1] or max(buffered) > 1))
+        ):
+            return None
+        return msg
 
     def next_event_horizon(self, limit: int, hook_horizon=None) -> int:
         """Latest cycle a steady clock may jump to without skipping an
@@ -577,32 +612,70 @@ class Engine:
         draws so the stream continues precisely where the
         cycle-by-cycle path would have left it.  Every worm in flight
         is shifted by that many hops in closed form
-        (:meth:`_advance_worm`); the first cycle that can do anything
-        else is then executed by the ordinary :meth:`step`.
+        (:meth:`_advance_worm`).  A state that is steady but for one
+        lone header setting up (:meth:`_setup_message`) first has that
+        set-up advanced in closed form (:meth:`_advance_setup`); once its
+        first flit has ejected, the worm it leaves streams on in the
+        same call.  The first cycle that can do anything else is then
+        executed by the ordinary :meth:`step`.
+
+        Every phase but routing and data movement must be idle: an empty
+        launch attention set also means every busy injection queue is
+        empty or headed by an ACTIVE message, because the launch phase
+        leaves each queue it attends so and every change of a queue's
+        head attends it.
         """
-        skip = self._steady_cycles()
-        if not skip:
+        pending = self.pending
+        # The usual rejection first, in O(1): headers pending in a
+        # crowded network.  Only a lone header's set-up is jumped.
+        if pending and (len(self.active) != 1 or self._setup_hop is None):
             return
-        stop = self.next_event_horizon(limit, hook_horizon) - self.cycle
-        if stop < skip:
-            skip = stop
-        if skip <= 0:
+        if (
+            self._launch_attn
+            or self.control_out
+            or self.ack_out
+            or self._staged_acks
+            or self._staged_path
+        ):
             return
-        if self.traffic_enabled and self.injection.enabled:
-            num_healthy = len(self.traffic.healthy_nodes)
+        if pending:
+            setup = self._setup_message()
+            if setup is None:
+                return
+            steady = 0
+        else:
+            setup = None
+            steady = self._steady_cycles()
+            if not steady:
+                return
+        start = self.cycle
+        stop = self.next_event_horizon(limit, hook_horizon)
+        if stop <= start:
+            return
+        num_healthy = (
+            len(self.traffic.healthy_nodes)
+            if self.traffic_enabled and self.injection.enabled else 0
+        )
+        if num_healthy:
+            stop = min(stop, start + self.injection.idle_cycles(num_healthy))
+            if stop <= start:
+                return
+        if setup is not None:
+            self._advance_setup(setup, stop - start)
+            if self.cycle < stop and not self.pending:
+                steady = self._steady_cycles()
+        if steady:
+            skip = min(steady, stop - self.cycle)
+            for msg in self.active.values():
+                self._advance_worm(msg, skip)
+            self.cycle += skip
+        jumped = self.cycle - start
+        if jumped:
             if num_healthy:
-                idle_cycles = self.injection.idle_cycles(num_healthy)
-                if idle_cycles < skip:
-                    skip = idle_cycles
-                if skip <= 0:
-                    return
-                self.injection.skip_cycles(skip, num_healthy)
-        for msg in self.active.values():
-            self._advance_worm(msg, skip)
-        self._idle_streak = 0
-        self.cycle += skip
-        self.ctx.cycle = self.cycle
-        self.fast_forwarded_cycles += skip
+                self.injection.skip_cycles(jumped, num_healthy)
+            self._idle_streak = 0
+            self.ctx.cycle = self.cycle
+            self.fast_forwarded_cycles += jumped
 
     def _advance_worm(self, msg: Message, hops: int) -> None:
         """Shift an isolated worm ``hops`` cycles ahead in one pass.
@@ -647,6 +720,62 @@ class Engine:
             hi = min(last + hops, final - self._measuring_from)
             if lo < hi:
                 self.measured_delivered_flits += before[hi] - before[lo]
+
+    def _advance_setup(self, msg: Message, cycles: int) -> None:
+        """Advance a lone header's set-up, and the clock, by up to
+        ``cycles`` cycles in one pass.
+
+        Each set-up cycle is a shift on a path that grows one link: the
+        header takes the protocol's ``setup_hop`` verdict, reserves the
+        link and crosses it on the control slot, and the data train
+        moves one hop behind it — the source feeds one flit, every
+        buffered flit advances, and the front never reaches the new
+        link, which the header's control flit holds this cycle (from
+        the source, the first hop moves no data at all).  Once the
+        header is at the destination, one more cycle moves the front
+        over the last link and ejects it through the cut-through port.
+        The data side of all of it is one :meth:`_advance_worm` shift.
+
+        The jump stops before the first hop whose verdict is not a plain
+        K = 0 reservation (no free safe profitable adaptive VC) and
+        before the hop cap, and it keeps the source feeding: the cycle
+        its last flit leaves is stepped.  Each hop is
+        :meth:`_execute_reserve` plus :meth:`_arrive_header`'s
+        bookkeeping, without building the :class:`ControlFlit`.
+        """
+        lag = 0 if msg.path else 1
+        cycles = min(cycles, msg.at_source - 1 + lag)
+        hops = 0
+        while (
+            hops < cycles
+            and msg.hops_taken <= msg.hop_cap
+            and msg.path_nodes[-1] != msg.dst
+        ):
+            decision = self._setup_hop(self.ctx, msg)
+            if decision is None or decision.k:
+                break
+            self._execute_reserve(msg, decision)
+            msg.header_router += 1
+            hops += 1
+        if not hops:
+            return
+        self.setup_hops += hops
+        self.control_flits_sent += hops
+        msg.consecutive_waits = 0
+        advanced = hops
+        if msg.path_nodes[-1] == msg.dst:
+            msg.header_phase = HeaderPhase.DELIVERED
+            del self.pending[msg.msg_id]
+            if hops < cycles:
+                advanced += 1  # the first-ejection cycle
+        self.cycle += lag
+        shifts = advanced - lag
+        if shifts:
+            if msg.injected_cycle is None:
+                msg.injected_cycle = self.cycle + 1
+            msg.head_link += shifts
+            self._advance_worm(msg, shifts)
+            self.cycle += shifts
 
     def step(self) -> None:
         """Advance one cycle through the five phases."""
@@ -866,6 +995,7 @@ class Engine:
         active = MessageStatus.ACTIVE
         pending_phase = HeaderPhase.PENDING
         freeze = self.routing_freeze
+        inline_header = self._inline_header
         cycle = self.cycle
         epoch = self.faults.epoch
         rel_ver = self._node_rel_ver
@@ -941,12 +1071,26 @@ class Engine:
             msg.consecutive_waits = 0
             if action is Action.RESERVE:
                 self._execute_reserve(msg, decision)
+                # An in-band header is the message's first flit and
+                # advances through the data phase: nothing more to do
+                # until it arrives at the next router.
+                if not inline_header:
+                    msg.header_phase = HeaderPhase.IN_FLIGHT
+                    self._push_control(
+                        ControlFlit(ControlKind.HEADER, msg,
+                                    msg.header_router + 1, cycle),
+                        decision.vc.channel_id,
+                    )
             elif action is Action.BACKTRACK:
                 self._execute_backtrack(msg)
             elif action is Action.ABORT:
                 self._abort(msg, decision.reason)
 
     def _execute_reserve(self, msg: Message, decision) -> None:
+        """Reserve the decision's VC: the path grows one link at the
+        header's end.  Moving the header over it is the caller's part —
+        a control flit, the in-band header's own data move, or
+        :meth:`_advance_setup`'s closed form."""
         vc = decision.vc
         # The decision's hop is the RouteCache entry the protocol chose:
         # (dim, direction, channel_id, next_node[, vclass]).
@@ -957,8 +1101,7 @@ class Engine:
         # The path grows a position and the head gate state changes:
         # the data pipeline may have new work.
         msg.dm_quiet = False
-        ch = vc.channel_id
-        self._ch_resident[ch] += 1
+        self._ch_resident[vc.channel_id] += 1
         k = K_INFINITE if self._pcs else decision.k
         hold = decision.hold
         is_misroute = decision.is_misroute
@@ -974,17 +1117,6 @@ class Engine:
         msg.header.apply_hop(dim, direction, self._k)
         msg.hops_taken += 1
         self._progress = True
-        # An in-band header is the message's first flit and advances
-        # through the data phase: nothing more to do until it arrives
-        # at the next router.
-        if not self._inline_header:
-            msg.header_phase = HeaderPhase.IN_FLIGHT
-            self._push_control(
-                ControlFlit(
-                    ControlKind.HEADER, msg, msg.header_router + 1, self.cycle
-                ),
-                ch,
-            )
 
     def _execute_backtrack(self, msg: Message) -> None:
         j = msg.header_router

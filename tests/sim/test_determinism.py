@@ -395,23 +395,27 @@ class DeclaredHook:
 def test_fast_forward_actually_skips_cycles():
     """The low-load pinned config must exercise the skip path.  Executed
     steps repeat exactly, so the count is pinned: jumping the empty
-    network alone leaves 567, a shortened worm jump something between —
-    caught here without a timer."""
+    network alone leaves 567, the worm jump without the set-up jump
+    342, a shortened jump something between — caught here without a
+    timer."""
     sim = NetworkSimulator(_low_load_idle_cfg())
     sim.run()
     assert sim.engine.cycle == 2800
-    assert executed_steps(sim.engine) == 342
+    assert executed_steps(sim.engine) == 185
 
 
 @pytest.mark.parametrize(
     "protocol,overrides,steps,delivered",
     [
-        # Header set-up, then one step each for the source running dry
-        # and the tail ejecting; every streaming cycle is jumped.
-        ("tp", {}, 8 + 1 + 2, 40),
+        # TP: the first hop (``inject`` arms the launch attention set),
+        # then one step each for the source running dry and the tail
+        # ejecting; the other seven hops, the first ejection and every
+        # streaming cycle are jumped.
+        ("tp", {}, 1 + 2, 40),
+        # In-band (DP) and PCS (MB-m) headers set up stepped.
         ("dp", {}, 8 + 2, 40),
         ("mb", {}, 8 + 8 + 8 + 2, 55),  # + path ack back, first flit out
-        ("tp", {"recovery": RecoveryConfig(tail_ack=True)}, 11 + 8, 40),
+        ("tp", {"recovery": RecoveryConfig(tail_ack=True)}, 3 + 8, 40),
     ],
     ids=["tp", "dp", "mb", "tp-tail-ack"],
 )

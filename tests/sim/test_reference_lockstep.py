@@ -18,12 +18,13 @@ Three families:
   bumps — the paths where the wake and re-arm notifications are
   hardest to get right.
 * **steady-state fast-forward** — ``Engine.run`` jumps over cycles in
-  which nothing is in flight but isolated, established worms (DESIGN.md
-  §8), advancing them in closed form.  ``step()`` never enters that
-  jump, so production ``run(c)`` is compared with the reference's
-  (which steps all ``c`` cycles) over hypothesis-drawn chunk lengths at
-  light load, full state after every chunk, and one named test pins
-  each edge of the predicate and of the window accounting.
+  which nothing is in flight but isolated, established worms or one
+  lone header setting up (DESIGN.md §8), advancing them in closed form.
+  ``step()`` never enters that jump, so production ``run(c)`` is
+  compared with the reference's (which steps all ``c`` cycles) over
+  hypothesis-drawn chunk lengths at light load, full state after every
+  chunk, and one named test pins each edge of the predicates and of the
+  window accounting.
 * **control-plane order** — :class:`ControlPlane` (the control and ack
   queues, kept only on busy channels) must list exactly the channels
   with a flit queued, in the ascending order a fresh ``sorted()`` would
@@ -38,7 +39,7 @@ import random
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.faults.chaos import ChaosController
@@ -50,6 +51,7 @@ from repro.sim.config import (
     SimulationConfig,
 )
 from repro.network.link import ControlPlane
+from repro.sim.message import HeaderPhase
 from repro.sim.simulator import NetworkSimulator
 from tests.sim.reference_engine import ReferenceSimulator
 from tests.sim.test_determinism import (
@@ -242,18 +244,27 @@ CHUNKED_PROTOCOLS = {
 }
 
 
+def _headers_in_setup(engine):
+    """Ids of the messages whose header is PENDING at a router."""
+    return {
+        mid for mid, msg in engine.active.items()
+        if msg.header_phase is HeaderPhase.PENDING
+    }
+
+
 def test_chunked_run_matches_reference():
     """``production.run(c)`` equals ``reference.run(c)`` chunk by chunk.
 
     ``step()`` never enters ``run()``'s jump, and ``RunResult`` holds
     neither ``vc.grants`` nor ``_eject_last``: only a full-state
     comparison around ``run()`` sees a slip in the closed-form worm
-    advance.  Light loads keep worms isolated; the warm-up and the end
-    of the window land mid-stream, and chunk ends cut jumps short at
-    arbitrary cycles.  The advance draws no random number, so the RNG
-    states must agree too.
+    advance or header set-up.  Light loads keep worms isolated; the
+    warm-up and the end of the window land mid-stream, and chunk ends
+    cut jumps short at arbitrary cycles.  The advance draws no random
+    number, so the RNG states must agree too.
     """
     worm_jumps = []
+    setup_jumps = []
 
     @given(
         protocol=st.sampled_from(sorted(CHUNKED_PROTOCOLS)),
@@ -272,7 +283,24 @@ def test_chunked_run_matches_reference():
         static_node_faults=st.sampled_from([0, 2]),
         dynamic_faults=st.integers(0, 2),
         warmup=st.integers(20, 150),
-        chunks=st.lists(st.integers(1, 80), min_size=5, max_size=10),
+        # (length, past): a ``past`` ends the chunk in the past-th cycle
+        # counted from the next injection arrival (1: the arrival's own
+        # cycle, which launches a header) or, with a header already
+        # setting up, after ``past`` cycles — so chunk ends land inside
+        # header set-ups, which last only a few cycles at this size.
+        chunks=st.lists(
+            st.tuples(st.integers(1, 80), st.none() | st.integers(1, 3)),
+            min_size=5, max_size=10,
+        ),
+    )
+    # Always run: the second chunk starts one cycle after a launch and
+    # ends one hop into the set-up (the vacuity guard below).
+    @example(
+        protocol="tp-k0", k=6, load=0.01, message_length=16, seed=1,
+        traffic="uniform", recovery="off", hardware_acks=False,
+        num_adaptive_vcs=1, buffer_depth=2, static_node_faults=0,
+        dynamic_faults=0, warmup=20,
+        chunks=[(80, 1), (80, 1), (80, None), (80, 1), (80, 1)],
     )
     @settings(max_examples=100)
     def check(
@@ -296,9 +324,23 @@ def test_chunked_run_matches_reference():
         )
         production = NetworkSimulator(cfg).engine
         reference = ReferenceSimulator(cfg).engine
-        for chunk in chunks:
+        for chunk, past in chunks:
             skipped = production.fast_forwarded_cycles
             in_flight = set(production.active)
+            in_setup = _headers_in_setup(production)
+            if past is not None:
+                if in_setup:
+                    chunk = past
+                else:
+                    # Whole cycles without an arrival.  A bursty dwell it
+                    # settles early draws at the same stream position as
+                    # the next step would — ``run()``'s jump relies on
+                    # that too, and the RNG states are compared below.
+                    idle = production.injection.idle_cycles(
+                        len(production.traffic.healthy_nodes)
+                    )
+                    if idle + past <= 80:
+                        chunk = idle + past
             production.run(chunk)
             reference.run(chunk)
             assert _engine_state(production) == _engine_state(reference), (
@@ -313,15 +355,25 @@ def test_chunked_run_matches_reference():
                 and in_flight & set(production.active)
             ):
                 worm_jumps.append(production.cycle)
+            # A header setting up at both ends: a set-up jump ran.
+            if (
+                production.fast_forwarded_cycles > skipped
+                and in_setup & _headers_in_setup(production)
+            ):
+                setup_jumps.append(production.cycle)
 
     check()
     assert worm_jumps, "no chunk ever fast-forwarded a worm in flight"
+    assert setup_jumps, "no chunk ever jumped a header in set-up"
 
 
 # ----------------------------------------------------------------------
 # Named edges of the steady predicate: a lone 32-flit message over 8
 # hops of an idle 16-ary 2-cube (TP: header at the destination in cycle
 # 8, flit i ejected in cycle 8 + i, delivered in cycle 40 = l + L).
+# The first hop is stepped (``inject`` arms the launch attention set);
+# one jump then covers hops 2-8, the first ejection (cycle 9) and the
+# feed (cycles 10-32).
 # ----------------------------------------------------------------------
 def _node(x: int, y: int) -> int:
     return x + 16 * y
@@ -349,11 +401,19 @@ def _run_both(production, reference, cycles, on_cycle=None):
 @pytest.mark.parametrize(
     "window,counted",
     [
-        # The feed jump covers cycles 10-32.
+        # The jump covers cycles 2-32.
         ({"warmup_cycles": 20, "measure_cycles": 180}, 20),
         ({"warmup_cycles": 0, "measure_cycles": 25}, 17),
+        # The edge on the first-ejection cycle (9), which the set-up
+        # jump folds in: inside (warmup, total] or just outside it.
+        ({"warmup_cycles": 8, "measure_cycles": 192}, 32),
+        ({"warmup_cycles": 9, "measure_cycles": 191}, 31),
+        ({"warmup_cycles": 0, "measure_cycles": 9}, 1),
+        ({"warmup_cycles": 0, "measure_cycles": 8}, 0),
     ],
-    ids=["warmup", "total"],
+    ids=["warmup", "total", "first-ejection-after-warmup",
+         "first-ejection-in-warmup", "first-ejection-at-total",
+         "first-ejection-after-total"],
 )
 def test_jump_straddles_measurement_window_edge(window, counted):
     """Only the ejections inside ``(warmup, total]`` are measured when
@@ -363,7 +423,7 @@ def test_jump_straddles_measurement_window_edge(window, counted):
     )
     _run_both(production, reference, 200)
     assert production.measured_delivered_flits == counted
-    assert executed_steps(production) == 11  # no jump was cut short
+    assert executed_steps(production) == 3  # no jump was cut short
 
 
 def test_dynamic_fault_on_streaming_worms_own_channel():
@@ -380,7 +440,7 @@ def test_dynamic_fault_on_streaming_worms_own_channel():
             FaultEvent(cycle=20, kind="link", target=msg.path[3].channel_id)
         ])
     _run_both(production, reference, 19)
-    assert production.fast_forwarded_cycles == 10  # cycles 10-19
+    assert production.fast_forwarded_cycles == 18  # cycles 2-19
     assert not production.active[0].teardown
     _run_both(production, reference, 1)
     assert production.teardown_counts == {"fault": 1}
@@ -459,11 +519,11 @@ def test_tail_ack_holds_links_through_the_drain_jump():
     )
     msg = production.active[0]
     _run_both(production, reference, 39)  # the drain jump ends here
-    assert production.fast_forwarded_cycles == 23 + 6
+    assert production.fast_forwarded_cycles == 31 + 6
     assert msg.tail_idx == 6 and not any(msg.released)
     assert all(vc.owner == msg.msg_id for vc in msg.path)
     _run_both(production, reference, 161)
-    assert executed_steps(production) == 11 + 8  # one step per ack hop
+    assert executed_steps(production) == 3 + 8  # one step per ack hop
     assert production.channels.all_free()
 
 
@@ -482,6 +542,144 @@ def test_audit_ticks_bound_the_jump_and_find_it_clean():
         assert production.auditor.audit(production) == []
     assert production.auditor.checks_run == 200 // 5 + 3
     assert reference.auditor.checks_run == 200 // 5
+
+
+# ----------------------------------------------------------------------
+# Named edges of the set-up jump (Engine._advance_setup): where the lone
+# header above stops being jumped, and the reference agrees.
+# ----------------------------------------------------------------------
+def test_setup_jump_cut_by_injection_arrival():
+    """At this seed the first injection arrives in cycle 5: the set-up
+    jump ends at cycle 4, cycle 5 is stepped and launches the newcomer,
+    and with two messages active nothing more is jumped."""
+    production, reference = _engine_pair(
+        lone_message_cfg(offered_load=0.01, seed=7),
+        (_node(0, 0), _node(4, 4)),
+    )
+    _run_both(production, reference, 1)
+    _run_both(production, reference, 8)
+    assert production.fast_forwarded_cycles == 3  # hops 2-4
+    assert production.offered_messages == 1
+    assert len(production.active) == 2
+    _run_both(production, reference, 191)
+    assert production.rng.getstate() == reference.rng.getstate()
+    assert production.delivered_messages >= 2
+
+
+def test_setup_jump_stops_before_fault_on_next_channel():
+    """A link fault armed for cycle 5 on the channel the header would
+    reserve in cycle 5: the jump ends at cycle 4 and the fault lands in
+    the stepped cycle 5, where the header — its one profitable channel
+    at (4, 0) gone — starts a detour, which is stepped."""
+    probe = NetworkSimulator(lone_message_cfg()).engine
+    msg = probe.inject(_node(0, 0), _node(4, 4))
+    probe.run(9)
+    target = msg.path[4].channel_id
+    production, reference = _engine_pair(
+        lone_message_cfg(), (_node(0, 0), _node(4, 4))
+    )
+    for engine in (production, reference):
+        engine.dynamic_schedule = DynamicFaultSchedule([
+            FaultEvent(cycle=5, kind="link", target=target)
+        ])
+    _run_both(production, reference, 1)
+    _run_both(production, reference, 5)
+    assert production.fast_forwarded_cycles == 3  # hops 2-4
+    head = production.active[0]
+    assert _headers_in_setup(production) == {0} and len(head.path) == 6
+    assert production.faults.channel_faulty[target]
+    assert head.path[4].channel_id != target and head.needs_path_ack
+    _run_both(production, reference, 194)
+    assert production.delivered_messages == 1
+
+
+def test_setup_jump_cut_by_audit_tick():
+    """Audit ticks at cycles 4 and 8 are executed cycles: the set-up
+    jumps are cycles 2-3 and 5-7, and the auditor is clean at each
+    tick."""
+    cfg = lone_message_cfg(
+        resilience=ResilienceConfig(audit_invariants=True, audit_every=4)
+    )
+    production, reference = _engine_pair(cfg, (_node(0, 0), _node(4, 4)))
+    _run_both(production, reference, 1)
+    _run_both(production, reference, 7)
+    assert production.fast_forwarded_cycles == 2 + 3
+    assert production.auditor.checks_run == reference.auditor.checks_run == 2
+    assert production.active[0].header_phase is HeaderPhase.DELIVERED
+    _run_both(production, reference, 192)
+    assert production.auditor.checks_run == reference.auditor.checks_run
+    assert production.delivered_messages == 1
+
+
+@pytest.mark.parametrize(
+    "k_unsafe,steps",
+    [
+        # Cycles 1 and 4, then the source running dry and the tail.
+        (0, 2 + 2),
+        # Cycles 1 and 4-10: the last hop, the path acknowledgment's
+        # walk back and the data gated behind it.
+        (3, 1 + 7 + 2),
+    ],
+)
+def test_setup_jump_stops_at_unsafe_channel(k_unsafe, steps):
+    """Node (4, 1) failed makes (3, 0) -> (4, 0) unsafe, the only
+    profitable hop of (0, 0) -> (5, 0): the header's fourth hop is
+    TP's SR switch (step 3 of the DP phase), so the jump ends before it
+    and the switch is stepped.  With K = 0 the last hop, the first
+    ejection and the feed are one jump again; with K = 3 the scouting
+    acknowledgments keep the rest of the set-up stepped."""
+    cfg = lone_message_cfg(protocol_params={"k_unsafe": k_unsafe})
+    production, reference = _engine_pair(cfg)
+    for engine in (production, reference):
+        engine.faults.fail_node(_node(4, 1))
+        engine.inject(_node(0, 0), _node(5, 0))
+    msg = production.active[0]
+    _run_both(production, reference, 1)
+    _run_both(production, reference, 2)
+    assert production.fast_forwarded_cycles == 2  # hops 2-3
+    assert not msg.header.sr
+    _run_both(production, reference, 1)
+    assert msg.header.sr
+    assert production.faults.channel_unsafe[msg.path[3].channel_id]
+    _run_both(production, reference, 196)
+    assert production.delivered_messages == 1
+    assert executed_steps(production) == steps
+
+
+def test_setup_jump_stops_before_source_runs_dry():
+    """A 3-flit message over 8 hops: the jump covers hops 2-3, cycle 4
+    (its last flit leaves the source) is stepped, and so is the rest of
+    the set-up, the tail now in the network, up to the first ejection
+    (cycle 9); one drain cycle (10) is jumped before the tail ejects."""
+    production, reference = _engine_pair(lone_message_cfg())
+    for engine in (production, reference):
+        engine.inject(_node(0, 0), _node(4, 4), length=3)
+    msg = production.active[0]
+    _run_both(production, reference, 1)
+    _run_both(production, reference, 3)
+    assert production.fast_forwarded_cycles == 2
+    assert msg.at_source == 0 and _headers_in_setup(production) == {0}
+    _run_both(production, reference, 196)
+    assert production.fast_forwarded_cycles == 2 + 1 + 189
+    assert production.records[0].delivered == 8 + 3
+
+
+def test_second_launch_during_setup_is_never_jumped():
+    """A second message launched while the first header sets up: two
+    headers decide each cycle, and nothing is jumped until both are
+    delivered."""
+    production, reference = _engine_pair(
+        lone_message_cfg(), (_node(0, 0), _node(4, 4))
+    )
+    _run_both(production, reference, 4)
+    assert production.fast_forwarded_cycles == 3
+    for engine in (production, reference):
+        engine.inject(_node(8, 0), _node(8, 6))
+    while _headers_in_setup(production):
+        _run_both(production, reference, 1)
+    assert production.fast_forwarded_cycles == 3
+    _run_both(production, reference, 200 - production.cycle)
+    assert production.delivered_messages == 2
 
 
 # ======================================================================
