@@ -16,8 +16,9 @@ The Two-Phase header carries six fields:
 
 :class:`Header` is the live, mutable routing state the simulator works
 with; :func:`encode` / :func:`decode` round-trip it through the packed
-bit format of Figure 9, which pins down the hardware cost and is used
-by the router-architecture tests.
+bit format of Figure 9, which pins down the hardware cost
+(:func:`header_bits`).  ``tests/core/test_header.py`` pins the layout
+with literal words.
 """
 
 from __future__ import annotations

@@ -191,12 +191,6 @@ class FaultState:
     def is_node_faulty(self, node: int) -> bool:
         return node in self.faulty_nodes
 
-    def is_channel_faulty(self, channel_id: int) -> bool:
-        return self.channel_faulty[channel_id]
-
-    def is_channel_unsafe(self, channel_id: int) -> bool:
-        return self.channel_unsafe[channel_id]
-
     def is_channel_restricted(self, channel_id: int) -> bool:
         return self.channel_restricted[channel_id]
 

@@ -83,6 +83,21 @@ class TestEncoding:
         h = Header(offsets=[0, 0])
         assert decode(encode(h, 16), 16, 2) == h
 
+    # Literal words pin the Figure 9 bit order, which a round trip cannot:
+    # the last case has detour != SR and a non-palindromic misroute count,
+    # so swapping any two one-bit fields, or reversing the misroute
+    # field, changes the word.
+    @pytest.mark.parametrize("header, k, word", [
+        (Header([0, 0]), 16, 65536),
+        (Header([3, -2], backtrack=True, misroutes=5, detour=True, sr=True),
+         16, 0b1_1_101_1_1_00011_11110),
+        (Header([3, -2], misroutes=6, detour=True),
+         16, 0b1_0_110_1_0_00011_11110),
+    ])
+    def test_figure9_literal_words(self, header, k, word):
+        assert encode(header, k) == word
+        assert decode(word, k, len(header.offsets)) == header
+
     def test_misroute_field_overflow(self):
         h = Header(offsets=[0, 0], misroutes=MAX_MISROUTES + 1)
         with pytest.raises(ValueError):
