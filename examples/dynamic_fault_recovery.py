@@ -11,13 +11,10 @@ message.
 Run:  python examples/dynamic_fault_recovery.py
 """
 
-import random
-
 from repro.faults.injection import DynamicFaultSchedule, FaultEvent
 from repro.network.topology import KAryNCube, PLUS
-from repro.sim.config import RecoveryConfig, SimulationConfig
-from repro.sim.engine import Engine
-from repro.sim.simulator import make_protocol
+from repro.sim.config import RecoveryConfig
+from repro.sim.simulator import idle_engine
 
 
 def run_scenario(reliable: bool) -> None:
@@ -27,15 +24,11 @@ def run_scenario(reliable: bool) -> None:
     # The link (1,0) -> (2,0) on the minimal path fails at cycle 10,
     # while the 32-flit pipeline occupies it.
     victim_link = topo.channel_id(topo.node_id((1, 0)), 0, PLUS)
-    cfg = SimulationConfig(
-        k=8, n=2, protocol="tp", offered_load=0.0, message_length=32,
-        warmup_cycles=0, measure_cycles=0,
+    engine = idle_engine(
+        "tp", message_length=32,
         recovery=RecoveryConfig(
             tail_ack=reliable, retransmit=reliable, max_retransmits=3
         ),
-    )
-    engine = Engine(
-        cfg, make_protocol("tp"), topology=topo, rng=random.Random(1),
         dynamic_schedule=DynamicFaultSchedule(
             events=[FaultEvent(cycle=10, kind="link", target=victim_link)]
         ),

@@ -11,13 +11,9 @@ conservative (K = 3) flow control, and TP against the MB-m baseline.
 Run:  python examples/fault_tolerant_routing.py
 """
 
-import random
-
 from repro.faults.model import FaultState
 from repro.network.topology import KAryNCube
-from repro.sim.config import SimulationConfig
-from repro.sim.engine import Engine
-from repro.sim.simulator import make_protocol
+from repro.sim.simulator import idle_engine, probe
 
 
 def build_walled_network() -> tuple:
@@ -38,20 +34,10 @@ def build_walled_network() -> tuple:
 
 
 def route_once(protocol_name: str, **params) -> dict:
-    topo, faults, src, dst = build_walled_network()
-    cfg = SimulationConfig(
-        k=8, n=2, protocol=protocol_name, offered_load=0.0,
-        message_length=32, warmup_cycles=0, measure_cycles=0,
-    )
-    engine = Engine(
-        cfg, make_protocol(protocol_name, **params),
-        topology=topo, fault_state=faults, rng=random.Random(1),
-    )
-    msg = engine.inject(src, dst, length=32)
-    for _ in range(4000):
-        engine.step()
-        if msg.is_terminal():
-            break
+    _, faults, src, dst = build_walled_network()
+    engine = idle_engine(protocol_name, params, fault_state=faults,
+                         message_length=32)
+    (msg,) = probe(engine, [(src, dst)], 32, 4000)
     assert msg.status.name == "DELIVERED", msg
     return {
         "latency": msg.delivered_cycle - msg.created_cycle,

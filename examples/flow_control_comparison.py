@@ -10,21 +10,10 @@ printing the measured latency next to the paper's Section 2.2 formula
 Run:  python examples/flow_control_comparison.py
 """
 
-from repro.core.latency_model import t_pcs, t_scouting, t_wormhole
-from repro.experiments.formula_table import measure_single_message
+from repro.experiments.formula_table import analytic, measure_single_message
 
 LINKS = 6       # path length in hops
 LENGTH = 32     # data flits per message
-
-
-def analytic(flow: str, k: int) -> int:
-    if flow == "wr":
-        return t_wormhole(LINKS, LENGTH)
-    if flow == "pcs":
-        return t_pcs(LINKS, LENGTH)
-    if k <= LINKS:
-        return t_scouting(LINKS, LENGTH, k)
-    return t_pcs(LINKS, LENGTH)
 
 
 def main() -> None:
@@ -35,7 +24,8 @@ def main() -> None:
     rows += [("PCS", "pcs", 0)]
     for label, flow, k in rows:
         measured = measure_single_message(flow, LINKS, LENGTH, k)
-        print(f"{label:<18}{analytic(flow, k):>10}{measured:>11}")
+        expected = analytic(flow, LINKS, LENGTH, k)
+        print(f"{label:<18}{expected:>10}{measured:>11}")
     print()
     print("Scouting with K = 0 is wormhole; K >= path length behaves")
     print("like PCS — one router implements the whole spectrum, which")

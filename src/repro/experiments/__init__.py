@@ -10,8 +10,15 @@ One module per figure (see DESIGN.md's experiment index):
 * :mod:`repro.experiments.fig15_aggressive_vs_conservative` — Figure 15
 * :mod:`repro.experiments.fig17_dynamic_faults` — Figure 17
 * :mod:`repro.experiments.ablation_k` — design-space ablations
+* :mod:`repro.experiments.ablation_hw_acks` — Section 7.0 hardware acks
+* :mod:`repro.experiments.message_length_sweep` — Section 1.0 claim
 * :mod:`repro.experiments.saturation` — auto-knee saturation sweeps
   over the workload catalog (DESIGN.md §9)
+
+Every point of every figure is one
+:func:`~repro.experiments.common.run_point`; the two tables measure
+single messages on an idle network with
+:func:`repro.sim.simulator.probe`.
 """
 
 from repro.experiments.common import (

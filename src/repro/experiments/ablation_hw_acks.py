@@ -22,11 +22,9 @@ from typing import Optional, Sequence
 from repro.experiments.common import (
     DEFAULT_LOADS,
     Experiment,
-    Point,
     Scale,
-    Series,
     experiment_scale,
-    run_point,
+    sweep_loads,
 )
 
 
@@ -36,36 +34,22 @@ def run(scale: Optional[Scale] = None,
         k_unsafe: int = 3) -> Experiment:
     scale = scale if scale is not None else experiment_scale()
     faults = scale.faults(paper_faults)
-    exp = Experiment(
+    return Experiment(
         figure="HW-ack ablation",
         title=(
             f"Conservative TP (K={k_unsafe}), flit acks vs dedicated "
             f"ack signals, {paper_faults} paper-scale faults"
         ),
         scale_name=scale.name,
-    )
-    for label, hardware in (("Flit acks", False), ("HW acks", True)):
-        series = Series(label=label)
-        for i, load in enumerate(loads):
-            rep = run_point(
-                scale, "tp", {"k_unsafe": k_unsafe}, load,
-                static_faults=faults,
-                base_seed=500 + 97 * i,
+        series=[
+            sweep_loads(
+                scale, label, "tp", {"k_unsafe": k_unsafe}, loads=loads,
+                base_seed=500, seed_stride=97, static_faults=faults,
                 hardware_acks=hardware,
             )
-            series.points.append(
-                Point(
-                    offered_load=load,
-                    latency=rep.latency_mean,
-                    latency_ci=rep.latency_ci95,
-                    throughput=rep.throughput_mean,
-                    delivered=rep.delivered,
-                    dropped=rep.dropped,
-                    killed=rep.killed,
-                )
-            )
-        exp.series.append(series)
-    return exp
+            for label, hardware in (("Flit acks", False), ("HW acks", True))
+        ],
+    )
 
 
 def main() -> None:  # pragma: no cover - CLI entry

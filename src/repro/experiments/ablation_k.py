@@ -35,59 +35,34 @@ def run(scale: Optional[Scale] = None,
         m_values: Sequence[int] = M_VALUES) -> Experiment:
     scale = scale if scale is not None else experiment_scale()
     faults = scale.faults(paper_faults)
-    exp = Experiment(
+    return Experiment(
         figure="Ablation",
         title=(
             f"TP design-space sweep (K, m) at {paper_faults} paper-scale "
             f"faults, load {load}"
         ),
         scale_name=scale.name,
+        series=[
+            Series("K sweep", [
+                Point.of(load, run_point(
+                    scale, "tp", {"k_unsafe": k}, load,
+                    static_faults=faults, base_seed=17 + k,
+                ), K=k)
+                for k in k_values
+            ]),
+            Series("m sweep", [
+                Point.of(load, run_point(
+                    scale, "tp", {"k_unsafe": 0, "misroute_limit": m}, load,
+                    static_faults=faults, base_seed=57 + m,
+                ), m=m)
+                for m in m_values
+            ]),
+        ],
     )
-
-    k_series = Series(label="K sweep")
-    for k in k_values:
-        rep = run_point(
-            scale, "tp", {"k_unsafe": k}, load,
-            static_faults=faults, base_seed=17 + k,
-        )
-        k_series.points.append(
-            Point(
-                offered_load=load,
-                latency=rep.latency_mean,
-                latency_ci=rep.latency_ci95,
-                throughput=rep.throughput_mean,
-                delivered=rep.delivered,
-                dropped=rep.dropped,
-                killed=rep.killed,
-                extra={"K": k},
-            )
-        )
-    exp.series.append(k_series)
-
-    m_series = Series(label="m sweep")
-    for m in m_values:
-        rep = run_point(
-            scale, "tp", {"k_unsafe": 0, "misroute_limit": m}, load,
-            static_faults=faults, base_seed=57 + m,
-        )
-        m_series.points.append(
-            Point(
-                offered_load=load,
-                latency=rep.latency_mean,
-                latency_ci=rep.latency_ci95,
-                throughput=rep.throughput_mean,
-                delivered=rep.delivered,
-                dropped=rep.dropped,
-                killed=rep.killed,
-                extra={"m": m},
-            )
-        )
-    exp.series.append(m_series)
-    return exp
 
 
 def render(exp: Experiment) -> str:
-    lines = [f"=== {exp.figure}: {exp.title} [{exp.scale_name} scale] ==="]
+    lines = [exp.heading]
     for series in exp.series:
         lines.append(f"-- {series.label} --")
         key = "K" if series.label.startswith("K") else "m"

@@ -7,7 +7,10 @@ Every figure driver builds on the same pieces:
   full 16-ary 2-cube restored under ``REPRO_PAPER_SCALE=1``;
 * :func:`run_point` — one (protocol, load, faults) point, replicated
   until the 95% latency CI is below 5% of the mean (the paper's
-  stopping rule), returning a :class:`Point`;
+  stopping rule).  Every point of every figure is measured by it and
+  plotted by :meth:`Point.of`;
+* :func:`sweep_loads` — a latency-throughput curve, one
+  :func:`run_point` per offered load;
 * :class:`Series` / :class:`Experiment` — the figure's data, printable
   as an aligned ASCII table via :mod:`repro.experiments.report`.
 
@@ -138,6 +141,18 @@ class Point:
     killed: int
     extra: Dict[str, float] = field(default_factory=dict)
 
+    @classmethod
+    def of(cls, offered_load: float, rep: ReplicatedResult,
+           **extra: float) -> "Point":
+        """The point a :func:`run_point` result plots at
+        ``offered_load``; ``extra`` places it on the figure's other
+        axis (node faults, K, m, message length)."""
+        return cls(
+            offered_load, rep.latency_mean, rep.latency_ci95,
+            rep.throughput_mean, rep.delivered, rep.dropped, rep.killed,
+            extra,
+        )
+
 
 @dataclass
 class Series:
@@ -173,6 +188,13 @@ class Experiment:
     scale_name: str
     series: List[Series] = field(default_factory=list)
 
+    @property
+    def heading(self) -> str:
+        """The title line every report of this figure opens with."""
+        return (
+            f"=== {self.figure}: {self.title} [{self.scale_name} scale] ==="
+        )
+
     def series_by_label(self, label: str) -> Series:
         for s in self.series:
             if s.label == label:
@@ -190,13 +212,16 @@ def run_point(
     dynamic_kind: str = "link",
     recovery: Optional[RecoveryConfig] = None,
     base_seed: int = 1,
-    target_ci: float = 0.05,
     hardware_acks: bool = False,
     traffic: str = "uniform",
     traffic_params: Optional[dict] = None,
+    message_length: int = MESSAGE_LENGTH,
     jobs: Optional[int] = None,
 ) -> ReplicatedResult:
     """One experiment point, replicated per the paper's CI rule.
+
+    The one measurement of every figure point: drivers plot its result
+    with :meth:`Point.of`.
 
     ``jobs`` (default: the ``REPRO_JOBS`` environment variable, else
     serial) fans the replications out over a process pool; the
@@ -216,6 +241,7 @@ def run_point(
             hardware_acks=hardware_acks,
             traffic=traffic,
             traffic_params=dict(traffic_params or {}),
+            message_length=message_length,
         )
         fault_cfg = FaultConfig(
             static_node_faults=static_faults,
@@ -233,7 +259,6 @@ def run_point(
             make_cfg,
             min_runs=scale.replications,
             max_runs=scale.max_replications,
-            target_relative_ci=target_ci,
             base_seed=base_seed,
             jobs=jobs,
         )
@@ -242,7 +267,6 @@ def run_point(
             lambda seed: NetworkSimulator(make_cfg(seed)).run(),
             min_runs=scale.replications,
             max_runs=scale.max_replications,
-            target_relative_ci=target_ci,
             base_seed=base_seed,
         )
 
@@ -273,25 +297,15 @@ def sweep_loads(
     protocol_params: Optional[dict] = None,
     loads: Sequence[float] = DEFAULT_LOADS,
     base_seed: int = 1,
-    jobs: Optional[int] = None,
+    seed_stride: int = 100,
     **point_kwargs,
 ) -> Series:
-    """A latency-throughput curve: one point per offered load."""
-    series = Series(label=label)
-    for i, load in enumerate(loads):
-        rep = run_point(
+    """A latency-throughput curve: one :func:`run_point` per offered
+    load, the ``i``-th seeded from ``base_seed + seed_stride * i``."""
+    return Series(label, [
+        Point.of(load, run_point(
             scale, protocol, protocol_params, load,
-            base_seed=base_seed + 100 * i, jobs=jobs, **point_kwargs,
-        )
-        series.points.append(
-            Point(
-                offered_load=load,
-                latency=rep.latency_mean,
-                latency_ci=rep.latency_ci95,
-                throughput=rep.throughput_mean,
-                delivered=rep.delivered,
-                dropped=rep.dropped,
-                killed=rep.killed,
-            )
-        )
-    return series
+            base_seed=base_seed + seed_stride * i, **point_kwargs,
+        ))
+        for i, load in enumerate(loads)
+    ])

@@ -47,34 +47,21 @@ def run(scale: Optional[Scale] = None,
         ("MB-m", "mb", {}),
     ):
         for msgs in loads_msg:
-            series = Series(label=f"{label} ({msgs})")
             load = fig14_load(msgs)
-            for paper_faults in fault_sweep:
-                faults = scale.faults(paper_faults)
-                rep = run_point(
+            exp.series.append(Series(f"{label} ({msgs})", [
+                Point.of(load, run_point(
                     scale, protocol, params, load,
-                    static_faults=faults,
+                    static_faults=scale.faults(paper_faults),
                     base_seed=7000 + 31 * paper_faults,
-                )
-                series.points.append(
-                    Point(
-                        offered_load=load,
-                        latency=rep.latency_mean,
-                        latency_ci=rep.latency_ci95,
-                        throughput=rep.throughput_mean,
-                        delivered=rep.delivered,
-                        dropped=rep.dropped,
-                        killed=rep.killed,
-                        extra={"node_faults": paper_faults},
-                    )
-                )
-            exp.series.append(series)
+                ), node_faults=paper_faults)
+                for paper_faults in fault_sweep
+            ]))
     return exp
 
 
 def render(exp: Experiment) -> str:
     """Figure 14's layout: rows are fault counts, columns are loads."""
-    lines = [f"=== {exp.figure}: {exp.title} [{exp.scale_name} scale] ==="]
+    lines = [exp.heading]
     if not exp.series:
         return lines[0]
     fault_axis = [

@@ -9,14 +9,11 @@ pair must agree exactly; this is the simulator's validation table.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.core.latency_model import t_pcs, t_scouting, t_wormhole
-from repro.sim.config import SimulationConfig
-from repro.sim.engine import Engine
-from repro.sim.simulator import make_protocol
+from repro.sim.simulator import idle_engine, probe
 
 
 @dataclass(frozen=True)
@@ -36,21 +33,10 @@ class FormulaRow:
 def measure_single_message(flow: str, links: int, length: int,
                            k: int = 3, radix: int = 16) -> int:
     """Idle-network latency of one message over ``links`` hops."""
-    cfg = SimulationConfig(
-        k=radix, n=2, protocol="det", offered_load=0.0,
-        message_length=length, warmup_cycles=0, measure_cycles=0,
-    )
-    params = {"flow": flow}
-    if flow == "sr":
-        params["k"] = k
-    engine = Engine(cfg, make_protocol("det", **params),
-                    rng=random.Random(1))
-    msg = engine.inject(0, links, length=length)
-    budget = 6 * links + 4 * length + 8 * max(k, 1) + 60
-    for _ in range(budget):
-        engine.step()
-        if msg.is_terminal():
-            break
+    engine = idle_engine("det", {"flow": flow, "k": k}, k=radix,
+                         message_length=length)
+    (msg,) = probe(engine, [(0, links)], length,
+                   6 * links + 4 * length + 8 * max(k, 1) + 60)
     if msg.status.name != "DELIVERED":
         raise RuntimeError(f"single message not delivered: {msg!r}")
     return msg.delivered_cycle - msg.created_cycle

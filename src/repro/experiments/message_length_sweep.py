@@ -19,8 +19,8 @@ from repro.experiments.common import (
     Scale,
     Series,
     experiment_scale,
+    run_point,
 )
-from repro.sim.simulator import NetworkSimulator
 
 LENGTHS = (4, 8, 16, 32, 64)
 
@@ -29,53 +29,25 @@ def run(scale: Optional[Scale] = None,
         lengths: Sequence[int] = LENGTHS,
         load: float = 0.10) -> Experiment:
     scale = scale if scale is not None else experiment_scale()
-    exp = Experiment(
+    return Experiment(
         figure="Length sweep",
         title=f"Latency vs message length at load {load} (fault-free)",
         scale_name=scale.name,
+        series=[
+            Series(label, [
+                Point.of(load, run_point(
+                    scale, protocol, {}, load, message_length=length,
+                    base_seed=31 + 11 * i,
+                ), length=length)
+                for i, length in enumerate(lengths)
+            ])
+            for label, protocol in (("TP", "tp"), ("MB-m", "mb"))
+        ],
     )
-    for label, protocol, params in (
-        ("TP", "tp", {}),
-        ("MB-m", "mb", {}),
-    ):
-        series = Series(label=label)
-        for i, length in enumerate(lengths):
-            def run_one(seed: int):
-                from repro.experiments.common import base_config
-
-                cfg = base_config(
-                    scale, protocol, params,
-                    offered_load=load, seed=seed,
-                    message_length=length,
-                )
-                return NetworkSimulator(cfg).run()
-
-            from repro.sim.stats import repeat_until_confident
-
-            rep = repeat_until_confident(
-                run_one,
-                min_runs=scale.replications,
-                max_runs=scale.max_replications,
-                base_seed=31 + 11 * i,
-            )
-            series.points.append(
-                Point(
-                    offered_load=load,
-                    latency=rep.latency_mean,
-                    latency_ci=rep.latency_ci95,
-                    throughput=rep.throughput_mean,
-                    delivered=rep.delivered,
-                    dropped=rep.dropped,
-                    killed=rep.killed,
-                    extra={"length": length},
-                )
-            )
-        exp.series.append(series)
-    return exp
 
 
 def render(exp: Experiment) -> str:
-    lines = [f"=== {exp.figure}: {exp.title} [{exp.scale_name} scale] ==="]
+    lines = [exp.heading]
     tp, mb = exp.series_by_label("TP"), exp.series_by_label("MB-m")
     lines.append(
         f"{'length':>8}{'TP lat':>10}{'MB-m lat':>10}{'ratio':>8}"

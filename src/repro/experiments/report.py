@@ -68,7 +68,7 @@ def render_saturation_summary(series: Sequence[Series]) -> str:
 def render_experiment(exp: Experiment) -> str:
     """Full report for one figure."""
     parts = [
-        f"=== {exp.figure}: {exp.title} [{exp.scale_name} scale] ===",
+        exp.heading,
         render_series_table(exp.series),
         render_saturation_summary(exp.series),
     ]

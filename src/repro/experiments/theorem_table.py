@@ -8,7 +8,6 @@ comparing against Theorem 1's ``b = (f - 1) div (2n - 2)`` bound.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -18,9 +17,7 @@ from repro.core.theorems import (
 )
 from repro.faults.model import FaultState
 from repro.network.topology import KAryNCube, cube
-from repro.sim.config import SimulationConfig
-from repro.sim.engine import Engine
-from repro.sim.simulator import make_protocol
+from repro.sim.simulator import idle_engine, probe
 
 
 def build_alley(topology: KAryNCube, depth: int) -> Tuple[FaultState, int, int]:
@@ -60,26 +57,14 @@ def measure_alley_backtracks(radix: int, n: int, depth: int) -> TheoremRow:
     """Send one MB-m message into the alley and count its retreat."""
     topology = cube(radix, n)
     faults, src, end = build_alley(topology, depth)
-    cfg = SimulationConfig(
-        k=radix, n=n, protocol="mb", offered_load=0.0,
-        message_length=4, warmup_cycles=0, measure_cycles=0,
-    )
-    engine = Engine(
-        cfg,
-        make_protocol("mb", misroute_limit=0, max_retries=0),
-        topology=topology,
-        fault_state=faults,
-        rng=random.Random(1),
+    engine = idle_engine(
+        "mb", {"misroute_limit": 0, "max_retries": 0}, fault_state=faults,
+        k=radix, n=n, message_length=4,
     )
     # Destination deep in the alley's dead end direction: the only
     # minimal port at the mouth leads into the alley.
-    dst = topology.neighbor(end, 0, +1)
-    dst = topology.neighbor(dst, 0, +1)
-    msg = engine.inject(src, dst, length=4)
-    for _ in range(40 * depth + 400):
-        engine.step()
-        if msg.is_terminal():
-            break
+    dst = topology.neighbor(topology.neighbor(end, 0, +1), 0, +1)
+    (msg,) = probe(engine, [(src, dst)], 4, 40 * depth + 400)
     return TheoremRow(
         depth=depth,
         faults=faults.num_faults,

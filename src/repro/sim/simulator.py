@@ -17,7 +17,7 @@ True
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Iterable, List, Optional, Tuple
 
 from repro.core.two_phase import TwoPhaseProtocol
 from repro.faults.injection import (
@@ -33,6 +33,7 @@ from repro.routing.mb import MBmProtocol
 from repro.routing.oblivious import DimensionOrderProtocol
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Engine, HookChain
+from repro.sim.message import Message
 from repro.sim.stats import RunResult, summarize
 from repro.sim.traffic import TrafficGenerator
 
@@ -59,6 +60,47 @@ def make_protocol(name: str, **params):
             f"unknown protocol {name!r}; choose from {sorted(PROTOCOLS)}"
         ) from None
     return cls(**params)
+
+
+def idle_engine(protocol: str, protocol_params: Optional[dict] = None, *,
+                fault_state: Optional[FaultState] = None,
+                dynamic_schedule: Optional[DynamicFaultSchedule] = None,
+                **config) -> Engine:
+    """An engine that generates no traffic, for hand-injected messages.
+
+    Offered load 0 and no warm-up or measurement window unless
+    ``config`` — any other :class:`SimulationConfig` fields (``k``,
+    ``n``, ``message_length``, ``seed``, ``recovery``, …) — says
+    otherwise.  A ``fault_state`` brings its own topology.
+    """
+    params = dict(protocol_params or {})
+    cfg = SimulationConfig(
+        protocol=protocol, protocol_params=params, offered_load=0.0,
+        warmup_cycles=0, measure_cycles=0,
+    ).with_(**config)
+    return Engine(
+        cfg, make_protocol(protocol, **params),
+        topology=None if fault_state is None else fault_state.topology,
+        fault_state=fault_state, dynamic_schedule=dynamic_schedule,
+    )
+
+
+def probe(engine: Engine, routes: Iterable[Tuple[int, int]], length: int,
+          max_cycles: int) -> List[Message]:
+    """Inject a ``length``-flit message on every ``(src, dst)`` route at
+    once, then step until all of them are terminal or ``max_cycles``
+    cycles have passed; returns the messages in route order.
+
+    The one measurement behind every idle-network table: the Section
+    2.2 formula table, the Theorem 1 alleys and the validation
+    battery's nearest-neighbour pattern.
+    """
+    messages = [engine.inject(src, dst, length=length) for src, dst in routes]
+    for _ in range(max_cycles):
+        engine.step()
+        if all(m.is_terminal() for m in messages):
+            break
+    return messages
 
 
 class NetworkSimulator:

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional
 
 from repro.sim.engine import Engine
 from repro.sim.message import ControlKind, HeaderPhase, Message
+from repro.sim.simulator import idle_engine
 
 #: Control-token kinds drawn as backward-flowing acknowledgments.
 _ACK_KINDS = (
@@ -155,19 +156,8 @@ def trace_single_message(protocol: str, src: int, dst: int,
                          protocol_params: Optional[dict] = None,
                          max_cycles: int = 500) -> MessageTracer:
     """Convenience: trace one message on an idle network."""
-    import random
-
-    from repro.sim.config import SimulationConfig
-    from repro.sim.simulator import make_protocol
-
-    cfg = SimulationConfig(
-        k=k, n=n, protocol=protocol, offered_load=0.0,
-        message_length=length, warmup_cycles=0, measure_cycles=0,
-    )
-    engine = Engine(
-        cfg, make_protocol(protocol, **(protocol_params or {})),
-        rng=random.Random(1),
-    )
+    engine = idle_engine(protocol, protocol_params, k=k, n=n,
+                         message_length=length)
     msg = engine.inject(src, dst, length=length)
     tracer = MessageTracer(engine, msg)
     tracer.sample()

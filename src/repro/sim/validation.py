@@ -22,14 +22,11 @@ validation produced.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List
 
 from repro.core.latency_model import t_pcs, t_wormhole
-from repro.sim.config import SimulationConfig
-from repro.sim.engine import Engine
-from repro.sim.simulator import make_protocol
+from repro.sim.simulator import idle_engine, probe
 
 
 @dataclass(frozen=True)
@@ -48,19 +45,6 @@ class ValidationCheck:
         )
 
 
-def _nearest_neighbor_engine(flow: str, k: int, length: int,
-                             load_interval: int):
-    """All nodes sending +x neighbor traffic at a fixed interval."""
-    cfg = SimulationConfig(
-        k=k, n=2, protocol="det", offered_load=0.0,
-        message_length=length, warmup_cycles=0, measure_cycles=0,
-    )
-    params = {"flow": flow}
-    engine = Engine(cfg, make_protocol("det", **params),
-                    rng=random.Random(1))
-    return engine
-
-
 def nearest_neighbor_latency(flow: str, k: int = 8,
                              length: int = 8) -> List[ValidationCheck]:
     """Simultaneous nearest-neighbor messages: zero contention.
@@ -69,23 +53,15 @@ def nearest_neighbor_latency(flow: str, k: int = 8,
     cycle; paths are disjoint, so each must finish in exactly the
     idle-network time.
     """
-    engine = _nearest_neighbor_engine(flow, k, length, 0)
+    engine = idle_engine("det", {"flow": flow}, k=k, message_length=length)
     topo = engine.topology
-    messages = []
-    for node in range(topo.num_nodes):
-        dst = topo.neighbor(node, 0, +1)
-        messages.append(engine.inject(node, dst, length=length))
-    budget = 10 * (length + 10)
-    for _ in range(budget):
-        engine.step()
-        if all(m.is_terminal() for m in messages):
-            break
-    if flow == "wr":
-        expected = t_wormhole(1, length)
-    elif flow == "pcs":
-        expected = t_pcs(1, length)
-    else:
-        expected = t_pcs(1, length)  # K=3 > 1 link degenerates to PCS
+    messages = probe(
+        engine,
+        [(node, topo.neighbor(node, 0, +1)) for node in range(topo.num_nodes)],
+        length, 10 * (length + 10),
+    )
+    # SR's default K = 3 exceeds the one link, so SR degenerates to PCS.
+    expected = t_wormhole(1, length) if flow == "wr" else t_pcs(1, length)
     checks = []
     latencies = {
         m.delivered_cycle - m.created_cycle
@@ -120,12 +96,7 @@ def ring_utilization(distance: int = 3, k: int = 8, length: int = 4,
     rounds.  Every +x channel then carries exactly
     ``length * distance / interval`` flits/cycle.
     """
-    cfg = SimulationConfig(
-        k=k, n=2, protocol="det", offered_load=0.0,
-        message_length=length, warmup_cycles=0, measure_cycles=0,
-    )
-    engine = Engine(cfg, make_protocol("det", flow="wr"),
-                    rng=random.Random(1))
+    engine = idle_engine("det", {"flow": "wr"}, k=k, message_length=length)
     topo = engine.topology
     rounds = 5
     injected = 0

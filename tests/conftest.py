@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.faults.model import FaultState
 from repro.network.channel import ChannelBank
 from repro.network.topology import KAryNCube
 from repro.routing.base import RoutingContext
-from repro.sim.config import SimulationConfig
 from repro.sim.engine import Engine
-from repro.sim.simulator import make_protocol
+from repro.sim.simulator import idle_engine
 
 try:
     from hypothesis import settings
@@ -54,27 +51,11 @@ def build_engine(protocol_name: str, k: int = 8, n: int = 2, seed: int = 1,
                  protocol_params: dict = None,
                  **config_overrides) -> Engine:
     """An idle engine (no traffic) for hand-injected messages."""
-    cfg = SimulationConfig(
-        k=k, n=n,
-        protocol=protocol_name,
-        protocol_params=protocol_params or {},
-        offered_load=0.0,
-        message_length=message_length,
-        warmup_cycles=0,
-        measure_cycles=0,
-    )
-    if config_overrides:
-        cfg = cfg.with_(**config_overrides)
-    topology = KAryNCube(k, n)
     if faults is not None:
-        assert faults.topology.num_nodes == topology.num_nodes
-        topology = faults.topology
-    return Engine(
-        cfg,
-        make_protocol(protocol_name, **(protocol_params or {})),
-        topology=topology,
-        fault_state=faults,
-        rng=random.Random(seed),
+        assert faults.topology.num_nodes == k**n
+    return idle_engine(
+        protocol_name, protocol_params, fault_state=faults, k=k, n=n,
+        seed=seed, message_length=message_length, **config_overrides,
     )
 
 

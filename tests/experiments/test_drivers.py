@@ -1,10 +1,12 @@
 """Smoke tests of the figure drivers at quick scale."""
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.experiments import QUICK, Series
+from repro.experiments import ablation_hw_acks
 from repro.experiments import ablation_k
 from repro.experiments import fig12_fault_free
 from repro.experiments import fig13_static_faults
@@ -12,6 +14,7 @@ from repro.experiments import fig14_fault_sweep
 from repro.experiments import fig15_aggressive_vs_conservative
 from repro.experiments import fig17_dynamic_faults
 from repro.experiments import formula_table
+from repro.experiments import message_length_sweep
 from repro.experiments import theorem_table
 from repro.experiments.common import fig14_load
 from repro.experiments.report import (
@@ -75,6 +78,27 @@ class TestFigureDrivers:
         )
         text = ablation_k.render(exp)
         assert "K sweep" in text and "m sweep" in text
+
+    def test_hw_acks(self):
+        exp = ablation_hw_acks.run(scale=QUICK, loads=(0.05,))
+        assert [s.label for s in exp.series] == ["Flit acks", "HW acks"]
+        assert all(s.points[0].delivered > 0 for s in exp.series)
+
+    def test_length_sweep(self):
+        exp = message_length_sweep.run(scale=QUICK, lengths=(4, 32))
+        tp = exp.series_by_label("TP")
+        assert [p.extra["length"] for p in tp.points] == [4, 32]
+        assert "ratio" in message_length_sweep.render(exp)
+
+    def test_length_sweep_points_are_run_points(self):
+        """A length-sweep point that never drains fails the way every
+        figure point does, instead of charting truncated latencies."""
+        no_drain = dataclasses.replace(
+            QUICK, k=4, warmup=50, measure=200, drain=0,
+            replications=1, max_replications=1,
+        )
+        with pytest.raises(RuntimeError, match="never drained"):
+            message_length_sweep.run(scale=no_drain, lengths=(64,), load=0.3)
 
     def test_fig14_load_conversion(self):
         assert fig14_load(50) == pytest.approx(0.32)

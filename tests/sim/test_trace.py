@@ -65,15 +65,9 @@ class TestRendering:
         assert "H" in text
 
     def test_render_empty(self):
-        import random
+        from repro.sim.simulator import idle_engine
 
-        from repro.sim.config import SimulationConfig
-        from repro.sim.engine import Engine
-        from repro.sim.simulator import make_protocol
-
-        cfg = SimulationConfig(k=4, n=2, protocol="tp", offered_load=0.0,
-                               warmup_cycles=0, measure_cycles=0)
-        engine = Engine(cfg, make_protocol("tp"), rng=random.Random(1))
+        engine = idle_engine("tp", k=4)
         msg = engine.inject(0, 1)
         assert MessageTracer(engine, msg).render() == "(no samples)"
 
