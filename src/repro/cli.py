@@ -445,7 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "sweep" and args.out and not args.find_knee:
+        parser.error("sweep: --out writes a knee snapshot; it needs "
+                     "--find-knee")
     if getattr(args, "profile", False):
         return _run_profiled(args)
     return args.func(args)

@@ -31,6 +31,19 @@ from typing import List
 MISROUTE_FIELD_BITS = 3
 #: Largest representable misroute budget.
 MAX_MISROUTES = (1 << MISROUTE_FIELD_BITS) - 1
+#: Misroute budget of TP's detour search and of MB-m: 6 guarantees
+#: delivery with up to 2n-1 node faults (Theorem 2) and fits the field.
+DEFAULT_MISROUTE_LIMIT = 6
+
+
+def check_misroute_limit(limit: int) -> int:
+    """``limit``, if the header's misroute field can count up to it."""
+    if not 0 <= limit <= MAX_MISROUTES:
+        raise ValueError(
+            f"misroute limit {limit} is outside 0..{MAX_MISROUTES}, the "
+            f"range of the {MISROUTE_FIELD_BITS}-bit header field"
+        )
+    return limit
 
 
 @dataclass

@@ -42,6 +42,7 @@ from typing import Optional
 
 from repro.core import detour as detour_rules
 from repro.core.flow_control import FlowControlConfig
+from repro.core.header import DEFAULT_MISROUTE_LIMIT, check_misroute_limit
 from repro.network.channel import VCState
 from repro.routing.base import (
     BACKTRACK, WAIT, Action, Decision, RoutingContext,
@@ -49,9 +50,11 @@ from repro.routing.base import (
 from repro.routing.selection import adaptive_candidate
 from repro.sim.message import Message, TPMode
 
-#: Misroute budget of the detour search; 6 guarantees delivery with up
-#: to 2n-1 node faults (Theorem 2) and fits the 3-bit header field.
-DEFAULT_MISROUTE_LIMIT = 6
+#: A probe stuck at its first data flit (or the source) retries in
+#: place this many times, each after this many cycles, before the
+#: message is handed to the recovery mechanism.
+MAX_RETRIES = 3
+RETRY_BACKOFF = 16
 
 _RESERVE = Action.RESERVE
 _DETOUR = TPMode.DETOUR
@@ -65,27 +68,14 @@ class TwoPhaseProtocol:
     inline_header = False
 
     def __init__(self, k_unsafe: int = 0,
-                 misroute_limit: int = DEFAULT_MISROUTE_LIMIT,
-                 retry_backoff: int = 16, max_retries: int = 3):
-        self.misroute_limit = misroute_limit
-        self.retry_backoff = retry_backoff
-        self.max_retries = max_retries
+                 misroute_limit: int = DEFAULT_MISROUTE_LIMIT):
+        self.misroute_limit = check_misroute_limit(misroute_limit)
         self.flow_control = FlowControlConfig.scouting(
             k_safe=0, k_unsafe=k_unsafe
         )
         #: Scouting distance to program, indexed by the header's SR bit.
         self._k_by_sr = (self.flow_control.k_for(False),
                          self.flow_control.k_for(True))
-
-    @staticmethod
-    def aggressive(**kwargs) -> "TwoPhaseProtocol":
-        """TP that keeps K = 0 across unsafe channels (no ack traffic)."""
-        return TwoPhaseProtocol(k_unsafe=0, **kwargs)
-
-    @staticmethod
-    def conservative(k: int = 3, **kwargs) -> "TwoPhaseProtocol":
-        """TP that programs K on channels past the first unsafe one."""
-        return TwoPhaseProtocol(k_unsafe=k, **kwargs)
 
     # ------------------------------------------------------------------
     def decide(self, ctx: RoutingContext, message: Message) -> Decision:
@@ -235,9 +225,9 @@ class TwoPhaseProtocol:
 
         # Stuck at the first data flit (or the source): retry in place,
         # then hand the message to the recovery mechanism.
-        if message.retries < self.max_retries:
+        if message.retries < MAX_RETRIES:
             message.retries += 1
-            message.retry_wait = ctx.cycle + self.retry_backoff
+            message.retry_wait = ctx.cycle + RETRY_BACKOFF
             tried.clear()
             return WAIT
         return Decision(

@@ -123,7 +123,6 @@ def base_config(scale: Scale, protocol: str,
         warmup_cycles=scale.warmup,
         measure_cycles=scale.measure,
         drain_cycles=scale.drain,
-        injection_queue_limit=8,
     )
     return cfg.with_(**overrides) if overrides else cfg
 
@@ -209,7 +208,6 @@ def run_point(
     offered_load: float,
     static_faults: int = 0,
     dynamic_faults: int = 0,
-    dynamic_kind: str = "link",
     recovery: Optional[RecoveryConfig] = None,
     base_seed: int = 1,
     hardware_acks: bool = False,
@@ -246,7 +244,6 @@ def run_point(
         fault_cfg = FaultConfig(
             static_node_faults=static_faults,
             dynamic_faults=dynamic_faults,
-            dynamic_kind=dynamic_kind,
             dynamic_start=scale.warmup,
         )
         cfg = cfg.with_(faults=fault_cfg)

@@ -68,7 +68,6 @@ def run(scale: Optional[Scale] = None,
                 kwargs["static_faults"] = max(1, faults // 2)
             else:
                 kwargs["dynamic_faults"] = faults
-                kwargs["dynamic_kind"] = "link"
             exp.series.append(
                 sweep_loads(
                     scale, f"{label} ({paper_faults}F)", "tp",

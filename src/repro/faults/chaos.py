@@ -59,10 +59,11 @@ AUDIT_EVERY = 20
 MAX_DEADLOCK_RECOVERIES = 512
 
 #: Where the ``reconfig`` arm departs from the ResilienceConfig
-#: defaults (window 512, threshold 4, unsafe radius 2 stay): check
-#: often — storms are short — and hold each committed plan for a while,
-#: so the arm reconfigures once per genuine pocket instead of churning
-#: epochs and paying drain downtime for marginal plans.
+#: defaults (window 512 and threshold 4 stay; every plan commits the
+#: fixed ``restrictions.UNSAFE_RADIUS`` of 2 with dead-end pruning):
+#: check often — storms are short — and hold each committed plan for a
+#: while, so the arm reconfigures once per genuine pocket instead of
+#: churning epochs and paying drain downtime for marginal plans.
 RECONFIG_KNOBS = dict(
     reconfig_check_every=16, reconfig_drain_timeout=200,
     reconfig_cooldown=600,

@@ -5,13 +5,14 @@ throughout the network"; its dynamic-fault experiments "probabilistically
 insert f faults dynamically" during the run and compare against f/2
 static faults.  This module generates both kinds of scenarios:
 
-* :func:`place_random_node_faults` — random static node faults, with an
-  option to keep the healthy portion of the network connected (the
-  paper notes networks usually stay connected well past the 2n-1
-  theoretical budget, and undeliverable messages are handled by
-  recovery; keeping connectivity makes delivery statistics meaningful).
+* :func:`place_random_node_faults` — random static node faults that
+  keep the healthy portion of the network connected (the paper notes
+  networks usually stay connected well past the 2n-1 theoretical
+  budget, and undeliverable messages are handled by recovery; keeping
+  connectivity makes delivery statistics meaningful).
 * :class:`DynamicFaultSchedule` — fault events at random cycles on
-  random live links/nodes, driven by the engine each cycle.
+  random links (:func:`random_dynamic_schedule`) or on chosen
+  links/nodes, driven by the engine each cycle.
 """
 
 from __future__ import annotations
@@ -28,15 +29,14 @@ def place_random_node_faults(
     fault_state: FaultState,
     count: int,
     rng: random.Random,
-    keep_connected: bool = True,
     protected: Sequence[int] = (),
     max_attempts: int = 10_000,
 ) -> List[int]:
     """Fail ``count`` random distinct nodes; returns the failed node ids.
 
-    With ``keep_connected`` the placement rejects nodes whose failure
-    would disconnect the healthy portion of the network (retrying up to
-    ``max_attempts`` candidate draws).  ``protected`` nodes are never
+    The placement rejects nodes whose failure would disconnect the
+    healthy portion of the network (retrying up to ``max_attempts``
+    candidate draws).  ``protected`` nodes are never
     failed.
     """
     topo = fault_state.topology
@@ -58,7 +58,7 @@ def place_random_node_faults(
             continue
         snapshot = _snapshot_before_fail(fault_state, node)
         fault_state.fail_node(node)
-        if keep_connected and not fault_state.healthy_nodes_connected():
+        if not fault_state.healthy_nodes_connected():
             _restore_after_rejected_fail(fault_state, node, snapshot)
             continue
         failed.append(node)
@@ -179,14 +179,13 @@ def random_dynamic_schedule(
     count: int,
     horizon: int,
     rng: random.Random,
-    kind: str = "link",
     start_cycle: int = 0,
 ) -> DynamicFaultSchedule:
-    """Schedule ``count`` dynamic faults uniformly over ``[start, horizon)``.
+    """Schedule ``count`` dynamic link faults (the paper's Figure 16
+    scenario) uniformly over ``[start, horizon)``.
 
-    Link faults (the paper's Figure 16 scenario) pick a random physical
-    link; node faults pick a random node.  Targets may repeat draws but
-    duplicates are filtered so exactly ``count`` distinct components
+    Each fault picks a random physical link.  Targets may repeat draws
+    but duplicates are filtered so exactly ``count`` distinct links
     fail.
     """
     if horizon <= start_cycle:
@@ -198,21 +197,15 @@ def random_dynamic_schedule(
         guard += 1
         if guard > 100 * max(count, 1) + 100:
             raise RuntimeError("could not draw enough distinct fault targets")
-        if kind == "link":
-            target = rng.randrange(topology.num_channels)
-            # Normalize to the link (unordered pair) so both directions
-            # count as one component.
-            rev = topology.reverse_channel_id(target)
-            key = (min(target, rev), max(target, rev))
-        elif kind == "node":
-            target = rng.randrange(topology.num_nodes)
-            key = ("node", target)
-        else:
-            raise ValueError(f"unknown fault kind {kind!r}")
+        target = rng.randrange(topology.num_channels)
+        # Normalize to the link (unordered pair) so both directions
+        # count as one component.
+        rev = topology.reverse_channel_id(target)
+        key = (min(target, rev), max(target, rev))
         if key in chosen:
             continue
         chosen.add(key)
         cycle = rng.randrange(start_cycle, horizon)
-        events.append(FaultEvent(cycle=cycle, kind=kind, target=target))
+        events.append(FaultEvent(cycle=cycle, kind="link", target=target))
     events.sort(key=lambda e: e.cycle)
     return DynamicFaultSchedule(events=events)

@@ -1,8 +1,8 @@
 """Virtual channel trio model (paper Section 2.3, Figure 2).
 
-Every unidirectional *physical* channel carries a configurable number of
-data virtual channels.  Each data channel is conceptually one third of a
-*virtual channel trio* ``(v_d, v_c, v_*)``:
+Every unidirectional *physical* channel carries data virtual channels,
+each conceptually one third of a *virtual channel trio*
+``(v_d, v_c, v_*)``:
 
 * ``v_d`` — the data channel, crossed by data flits;
 * ``v_c`` — the corresponding channel, crossed by routing headers;
@@ -18,16 +18,21 @@ control channel is a FIFO per physical channel managed by the link layer
 (:mod:`repro.network.link`), and complementary-channel traffic of a data
 channel rides the control channel of the reverse physical channel.
 
-Data virtual channels are partitioned into routing classes for Duato's
-Protocol: two *deterministic* (escape) classes that break torus
-wraparound cycles via datelines, and one or more fully *adaptive*
-classes (Section 4.0).
+Every physical channel carries three data virtual channels, one per
+routing class of Duato's Protocol: two *deterministic* (escape) classes
+that break torus wraparound cycles via datelines, and one fully
+*adaptive* class (Section 4.0).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
+
+#: Flits a data virtual channel's buffer holds.  Two is the least that
+#: streams a flit per cycle: a one-flit buffer refuses a flit in the
+#: cycle it drains.
+BUFFER_DEPTH = 2
 
 
 class VCClass(enum.Enum):
@@ -126,18 +131,11 @@ class ChannelStateError(RuntimeError):
     """Raised on an illegal virtual-channel state transition."""
 
 
-def build_vc_classes(num_adaptive: int) -> List[VCClass]:
-    """Class layout of the data VCs on every physical channel.
-
-    Duato's Protocol on a torus needs two deterministic (dateline)
-    classes plus at least one adaptive class; ``num_adaptive`` scales
-    the unrestricted partition.
-    """
-    if num_adaptive < 1:
-        raise ValueError("at least one adaptive virtual channel is required")
-    return [VCClass.DETERMINISTIC_0, VCClass.DETERMINISTIC_1] + [
-        VCClass.ADAPTIVE
-    ] * num_adaptive
+#: Data virtual channels of every physical channel, by VC index: the
+#: two dateline escape classes, then the adaptive class.
+VC_CLASSES = (
+    VCClass.DETERMINISTIC_0, VCClass.DETERMINISTIC_1, VCClass.ADAPTIVE,
+)
 
 
 class ChannelBank:
@@ -145,24 +143,22 @@ class ChannelBank:
 
     Provides the free-channel queries that routing functions use
     ("select safe profitable adaptive channel", etc.).  The virtual
-    channels are one flat tuple, channel-major, plus each channel's
-    adaptive partition as its own tuple: a free-adaptive scan never
-    looks at a deterministic VC or a class, and every query tests
+    channels are one flat tuple, channel-major in :data:`VC_CLASSES`
+    order, plus a tuple of every channel's adaptive VC: a free-adaptive
+    lookup is one index, and every query tests
     ``vc.state`` directly.
     """
 
-    def __init__(self, num_channels: int, num_adaptive: int):
-        self.classes = build_vc_classes(num_adaptive)
-        per = self.vcs_per_channel = len(self.classes)
+    vcs_per_channel = len(VC_CLASSES)
+
+    def __init__(self, num_channels: int):
         self._vcs: Tuple[VirtualChannel, ...] = tuple(
             VirtualChannel(ch, idx, vclass)
             for ch in range(num_channels)
-            for idx, vclass in enumerate(self.classes)
+            for idx, vclass in enumerate(VC_CLASSES)
         )
-        first = self.classes.index(VCClass.ADAPTIVE)
-        self._adaptive: List[Tuple[VirtualChannel, ...]] = [
-            self._vcs[base + first:base + per]
-            for base in range(0, len(self._vcs), per)
+        self._adaptive: Tuple[VirtualChannel, ...] = self._vcs[
+            VC_CLASSES.index(VCClass.ADAPTIVE)::self.vcs_per_channel
         ]
 
     def set_release_notify(self, callback) -> None:
@@ -183,11 +179,9 @@ class ChannelBank:
         return self._vcs[channel_id * self.vcs_per_channel + index]
 
     def free_adaptive(self, channel_id: int) -> Optional[VirtualChannel]:
-        """First free adaptive VC on a physical channel, if any."""
-        for vc in self._adaptive[channel_id]:
-            if vc.state is _FREE:
-                return vc
-        return None
+        """The adaptive VC of a physical channel, if it is free."""
+        vc = self._adaptive[channel_id]
+        return vc if vc.state is _FREE else None
 
     def deterministic(self, channel_id: int, vclass: VCClass) -> VirtualChannel:
         """The deterministic VC of the requested dateline class."""

@@ -214,12 +214,7 @@ class ReconfigController:
     # COMMIT
     # ------------------------------------------------------------------
     def _commit(self, engine, ejected: int) -> None:
-        res = self.settings
-        plan = compute_plan(
-            engine.faults,
-            unsafe_radius=res.reconfig_unsafe_radius,
-            prune_dead_ends=res.reconfig_prune_dead_ends,
-        )
+        plan = compute_plan(engine.faults)
         engine.faults.reconfigure(
             plan.restricted_channels, unsafe_radius=plan.unsafe_radius
         )
@@ -231,7 +226,9 @@ class ReconfigController:
         engine.last_recovery_cycle = engine.cycle
         engine.routing_freeze = False
         self.state = self.MONITOR
-        self._cooldown_until = engine.cycle + res.reconfig_cooldown
+        self._cooldown_until = (
+            engine.cycle + self.settings.reconfig_cooldown
+        )
         self._snap = self._counters(engine)
         self._snap_cycle = engine.cycle
         self.events.append(

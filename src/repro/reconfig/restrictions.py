@@ -5,9 +5,10 @@ routing-restriction epoch the controller commits through
 :meth:`FaultState.reconfigure`:
 
 * a **widened unsafe radius** — the at-risk ball around faulty
-  components grows from the paper's 1-hop adjacency to an r-hop BFS
-  ball, so TP headers switch to the conservative (scouting/detour)
-  flow control *before* they are already inside a fault pocket; and
+  components grows from the paper's 1-hop adjacency to the
+  :data:`UNSAFE_RADIUS`-hop BFS ball, so TP headers switch to the
+  conservative (scouting/detour) flow control *before* they are
+  already inside a fault pocket; and
 * **dead-end pruning** — inbound channels of healthy nodes left with
   at most one usable outgoing link are restricted, iterated to a
   fixpoint, so adaptive and misroute candidates stop steering traffic
@@ -31,6 +32,10 @@ from dataclasses import dataclass
 from typing import List, Set, Tuple
 
 from repro.faults.model import FaultState
+
+#: Unsafe-ball radius every plan commits: the lever that switches TP to
+#: its conservative phase one hop earlier around pockets.
+UNSAFE_RADIUS = 2
 
 
 @dataclass(frozen=True)
@@ -136,29 +141,18 @@ def _non_pocket_connected(
     return len(seen) == len(nodes)
 
 
-def compute_plan(
-    faults: FaultState,
-    unsafe_radius: int = 2,
-    prune_dead_ends: bool = True,
-) -> RestrictionPlan:
+def compute_plan(faults: FaultState) -> RestrictionPlan:
     """Derive the restriction epoch for the current fault set."""
-    if unsafe_radius < 1:
-        raise ValueError("unsafe_radius must be >= 1")
-    restricted: Set[int] = set()
-    pruned: List[int] = []
     connected = True
-    if prune_dead_ends:
-        restricted, pruned = _prune_dead_ends(faults)
-        if restricted:
-            connected = _non_pocket_connected(
-                faults, restricted, set(pruned)
-            )
-            if not connected:
-                restricted = set()
-                pruned = []
+    restricted, pruned = _prune_dead_ends(faults)
+    if restricted:
+        connected = _non_pocket_connected(faults, restricted, set(pruned))
+        if not connected:
+            restricted = set()
+            pruned = []
     return RestrictionPlan(
         epoch_basis=faults.epoch,
-        unsafe_radius=unsafe_radius,
+        unsafe_radius=UNSAFE_RADIUS,
         restricted_channels=tuple(sorted(restricted)),
         pruned_nodes=tuple(pruned),
         connected=connected,

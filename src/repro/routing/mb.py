@@ -22,15 +22,15 @@ message undeliverable (the higher-level-protocol escape of Section
 from __future__ import annotations
 
 from repro.core.flow_control import FlowControlConfig
+from repro.core.header import DEFAULT_MISROUTE_LIMIT, check_misroute_limit
 from repro.routing.base import (
     BACKTRACK, WAIT, Action, Decision, RoutingContext,
 )
 from repro.routing.selection import free_vc_any_class
 from repro.sim.message import Message
 
-#: Default misroute budget; Theorem 2 shows 6 suffices to search every
-#: input link of the destination within a plane.
-DEFAULT_MISROUTE_LIMIT = 6
+#: Cycles a search that retreated to the source waits before retrying.
+RETRY_BACKOFF = 16
 
 _RESERVE = Action.RESERVE
 
@@ -42,11 +42,8 @@ class MBmProtocol:
     inline_header = False
 
     def __init__(self, misroute_limit: int = DEFAULT_MISROUTE_LIMIT,
-                 retry_backoff: int = 16, max_retries: int = 3):
-        if misroute_limit < 0:
-            raise ValueError("misroute limit must be non-negative")
-        self.misroute_limit = misroute_limit
-        self.retry_backoff = retry_backoff
+                 max_retries: int = 3):
+        self.misroute_limit = check_misroute_limit(misroute_limit)
         self.max_retries = max_retries
         self.flow_control = FlowControlConfig.pcs()
 
@@ -93,7 +90,7 @@ class MBmProtocol:
 
         if message.retries < self.max_retries:
             message.retries += 1
-            message.retry_wait = ctx.cycle + self.retry_backoff
+            message.retry_wait = ctx.cycle + RETRY_BACKOFF
             message.tried[0].clear()
             return WAIT
         return Decision(

@@ -2,8 +2,11 @@
 
 The defaults mirror the paper's evaluation setup where practical: a
 torus (16-ary 2-cube in the paper), 32-flit messages with a one-flit
-routing header, uniformly distributed destinations, and congestion
-control limiting each injection channel to eight buffered messages.
+routing header, uniformly distributed destinations.  What no
+experiment varies is a constant of the module that reads it, not a
+field here: the virtual-channel layout and two-flit buffers
+(:mod:`repro.network.channel`), the eight-message injection queue, the
+livelock hop cap and the source retry budget (:mod:`repro.sim.engine`).
 The benchmark harness scales the radix and run length down by default
 so the full figure suite regenerates in laptop wall-clock time, and
 restores the paper-scale parameters under ``REPRO_PAPER_SCALE=1``.
@@ -12,7 +15,7 @@ restores the paper-scale parameters under ``REPRO_PAPER_SCALE=1``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.sim.traffic import TRAFFIC_PARAM_KEYS
 
@@ -21,18 +24,13 @@ from repro.sim.traffic import TRAFFIC_PARAM_KEYS
 class FaultConfig:
     """Static and dynamic fault injection for one run."""
 
-    #: Static node faults placed randomly before the run.
+    #: Static node faults placed randomly before the run, never
+    #: disconnecting the healthy network.
     static_node_faults: int = 0
-    #: Reject placements that disconnect the healthy network.
-    keep_connected: bool = True
-    #: Dynamic faults injected at random cycles during measurement.
+    #: Dynamic link faults (Figure 16's scenario) injected at random
+    #: cycles in ``[dynamic_start, total_cycles)``.
     dynamic_faults: int = 0
-    #: Dynamic fault kind: "link" (Figure 16's scenario) or "node".
-    dynamic_kind: str = "link"
-    #: Cycle window [start, stop) in which dynamic faults may strike;
-    #: ``None`` stop defaults to the full run length.
     dynamic_start: int = 0
-    dynamic_stop: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.static_node_faults < 0:
@@ -54,15 +52,10 @@ class RecoveryConfig:
     retransmit: bool = False
     #: Maximum retransmissions per original message.
     max_retransmits: int = 2
-    #: Source-level retries after a failed path construction (the
-    #: "re-try from the source" of Section 4.0).
-    max_source_retries: int = 2
 
     def __post_init__(self) -> None:
         if self.max_retransmits < 0:
             raise ValueError("max_retransmits must be >= 0")
-        if self.max_source_retries < 0:
-            raise ValueError("max_source_retries must be >= 0")
 
 
 @dataclass
@@ -70,29 +63,20 @@ class ResilienceConfig:
     """Deadlock diagnosis/recovery and runtime auditing knobs.
 
     On watchdog expiry the engine builds the message wait-for graph
-    (:mod:`repro.sim.postmortem`), then — unless ``deadlock_strict`` —
-    ejects a victim message through the kill-flit teardown path so the
-    network resumes.  The invariant auditor
-    (:mod:`repro.sim.invariants`) cross-checks flit conservation, VC
+    (:mod:`repro.sim.postmortem`), then — within
+    ``max_deadlock_recoveries`` — ejects a victim message through the
+    kill-flit teardown path so the network resumes.  The invariant
+    auditor (:mod:`repro.sim.invariants`) cross-checks flit conservation, VC
     state legality, buffer bounds, and reservation ownership every
     ``audit_every`` cycles when enabled.
     """
 
-    #: Raise :class:`~repro.sim.engine.DeadlockError` (with the rendered
-    #: wait-for diagnosis) on watchdog expiry instead of recovering.
-    deadlock_strict: bool = False
-    #: Safety valve: give up (raise) after this many victim ejections
-    #: in one run — a network needing more is systemically wedged.
+    #: Safety valve: give up (raise
+    #: :class:`~repro.sim.engine.DeadlockError` with the rendered
+    #: wait-for diagnosis) after this many victim ejections in one run —
+    #: a network needing more is systemically wedged.  0 is strict mode:
+    #: the first watchdog expiry raises.
     max_deadlock_recoveries: int = 256
-    #: Per-original-message cap on deadlock-recovery ejections: a
-    #: message (counted across its retry clones) ejected this many
-    #: times is no longer an eligible victim, and when *only* capped
-    #: candidates remain the run fails hard instead of livelocking
-    #: recovery on the same pathological cycle.  The natural retry
-    #: budget (``RecoveryConfig.max_source_retries``) bounds ejections
-    #: per origin well below the default, so default behavior is
-    #: unchanged.
-    max_victim_ejections: int = 16
     #: Run the runtime invariant auditor during :meth:`Engine.step`.
     audit_invariants: bool = False
     #: Audit every N cycles (1 = every cycle; audits are O(network)).
@@ -118,20 +102,12 @@ class ResilienceConfig:
     reconfig_drain_timeout: int = 400
     #: Cycles after a commit before the controller may trigger again.
     reconfig_cooldown: int = 1024
-    #: Unsafe-ball radius committed at reconfiguration (the lever that
-    #: switches TP to its conservative phase earlier around pockets).
-    reconfig_unsafe_radius: int = 2
-    #: Restrict inbound channels of near-dead-end pockets (iterative
-    #: pruning, see :func:`repro.reconfig.restrictions.compute_plan`).
-    reconfig_prune_dead_ends: bool = True
 
     def __post_init__(self) -> None:
         if self.audit_every < 1:
             raise ValueError("audit_every must be >= 1")
         if self.max_deadlock_recoveries < 0:
             raise ValueError("max_deadlock_recoveries must be >= 0")
-        if self.max_victim_ejections < 1:
-            raise ValueError("max_victim_ejections must be >= 1")
         if self.reconfig_check_every < 1:
             raise ValueError("reconfig_check_every must be >= 1")
         if self.reconfig_window < self.reconfig_check_every:
@@ -144,8 +120,6 @@ class ResilienceConfig:
             raise ValueError("reconfig_drain_timeout must be >= 1")
         if self.reconfig_cooldown < 0:
             raise ValueError("reconfig_cooldown must be >= 0")
-        if self.reconfig_unsafe_radius < 1:
-            raise ValueError("reconfig_unsafe_radius must be >= 1")
 
 
 @dataclass
@@ -156,9 +130,6 @@ class SimulationConfig:
     k: int = 8
     n: int = 2
 
-    # Router resources.
-    num_adaptive_vcs: int = 1
-    buffer_depth: int = 2
     #: Implement positive/negative acknowledgment flits as dedicated
     #: control signals on the physical channel instead of multiplexed
     #: control-channel flits (the paper's Section 7.0 future-work
@@ -182,7 +153,6 @@ class SimulationConfig:
     #: Offered load in data flits per node per cycle (time-averaged —
     #: bursty injection concentrates it into ON windows).
     offered_load: float = 0.1
-    injection_queue_limit: int = 8
 
     # Protocol selection: "dp", "mb", "tp", or "det" (the validation
     # dimension-order protocol), with constructor kwargs.
@@ -198,10 +168,6 @@ class SimulationConfig:
     seed: int = 1
 
     # Safety valves.
-    #: A header that exceeds ``hop_cap_base + hop_cap_factor * distance``
-    #: hops is declared livelocked and aborted to recovery.
-    hop_cap_base: int = 64
-    hop_cap_factor: int = 8
     #: Cycles without any network activity before declaring deadlock.
     watchdog_cycles: int = 2000
     #: A header blocked (WAIT) this many consecutive cycles is handed
@@ -219,10 +185,6 @@ class SimulationConfig:
             raise ValueError("message_length must be >= 1")
         if not 0.0 <= self.offered_load <= 1.0:
             raise ValueError("offered_load must be in [0, 1] flits/node/cycle")
-        if self.injection_queue_limit < 1:
-            raise ValueError("injection_queue_limit must be >= 1")
-        if self.buffer_depth < 1:
-            raise ValueError("buffer_depth must be >= 1")
         if self.warmup_cycles < 0:
             raise ValueError("warmup_cycles must be >= 0")
         # 0 is legal here: code that drives an Engine by hand (traces,
@@ -236,10 +198,6 @@ class SimulationConfig:
             raise ValueError("watchdog_cycles must be >= 1")
         if self.max_header_wait < 1:
             raise ValueError("max_header_wait must be >= 1")
-        if self.hop_cap_base < 0:
-            raise ValueError("hop_cap_base must be >= 0")
-        if self.hop_cap_factor < 0:
-            raise ValueError("hop_cap_factor must be >= 0")
         unknown = sorted(set(self.traffic_params) - set(TRAFFIC_PARAM_KEYS))
         if unknown:
             raise ValueError(
@@ -255,12 +213,3 @@ class SimulationConfig:
         """A copy with the given fields replaced (sweep helper)."""
         return replace(self, **overrides)
 
-
-def paper_scale(config: SimulationConfig) -> SimulationConfig:
-    """Rescale a config to the paper's full 16-ary 2-cube setup."""
-    return config.with_(
-        k=16,
-        warmup_cycles=2000,
-        measure_cycles=10_000,
-        drain_cycles=10_000,
-    )

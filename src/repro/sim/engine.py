@@ -109,7 +109,7 @@ from repro.core import detour as detour_rules
 from repro.core.flow_control import K_INFINITE, FlowControlKind
 from repro.faults.injection import DynamicFaultSchedule
 from repro.faults.model import FaultState
-from repro.network.channel import ChannelBank
+from repro.network.channel import BUFFER_DEPTH, ChannelBank
 from repro.network.link import ControlPlane
 from repro.network.topology import KAryNCube, cube
 from repro.routing.base import Action, RoutingContext
@@ -131,14 +131,27 @@ from repro.sim.traffic import TrafficGenerator, make_injection_process
 #: only a channel release or a fault-epoch change can wake them.
 _NEVER = 1 << 62
 
+#: Messages an injection queue holds: the paper's congestion control
+#: (Section 6.0) refuses a new message at a source with this many
+#: waiting.
+INJECTION_QUEUE_LIMIT = 8
+#: A header that exceeds ``HOP_CAP_BASE + HOP_CAP_FACTOR * distance``
+#: hops is declared livelocked and aborted to recovery.
+HOP_CAP_BASE = 64
+HOP_CAP_FACTOR = 8
+#: Source-level retries of a message whose path construction failed
+#: (the "re-try from the source" of Section 4.0), counted across its
+#: retry clones.
+MAX_SOURCE_RETRIES = 2
+
 
 class DeadlockError(RuntimeError):
     """Raised when the network makes no progress for the watchdog window.
 
     Carries the rendered wait-for-graph diagnosis
-    (:class:`~repro.sim.postmortem.DeadlockDiagnosis`) when the engine
-    could build one: strict mode always raises with it; lenient mode
-    raises only when victim ejection is impossible or exhausted.
+    (:class:`~repro.sim.postmortem.DeadlockDiagnosis`): raised when
+    victim ejection is impossible or its budget is exhausted — at once
+    with ``max_deadlock_recoveries=0``.
     """
 
     def __init__(self, message: str, diagnosis=None):
@@ -217,9 +230,7 @@ class Engine:
         self.faults = fault_state if fault_state is not None else FaultState(
             self.topology
         )
-        self.channels = ChannelBank(
-            self.topology.num_channels, config.num_adaptive_vcs
-        )
+        self.channels = ChannelBank(self.topology.num_channels)
         self.traffic = traffic if traffic is not None else TrafficGenerator(
             config.traffic, self.topology, self.rng,
             params=config.traffic_params,
@@ -228,7 +239,6 @@ class Engine:
         # Hot-path constants, hoisted once (immutable for the engine's
         # lifetime by construction).
         self._inline_header = self.protocol.inline_header
-        self._depth = config.buffer_depth
         self._tail_ack_mode = config.recovery.tail_ack
         self._k = self.topology.k
         #: Reverse channel of every channel: the shared topology's table.
@@ -276,7 +286,7 @@ class Engine:
         self.active: Dict[int, Message] = {}
         self.pending: Dict[int, Message] = {}
         #: Per-node injection FIFOs, head first; plain lists — at most
-        #: ``injection_queue_limit`` long, and an empty one costs 56 B.
+        #: ``INJECTION_QUEUE_LIMIT`` long, and an empty one costs 56 B.
         self.queues: List[List[Message]] = [
             [] for _ in range(self.topology.num_nodes)
         ]
@@ -328,7 +338,7 @@ class Engine:
         #: Message ids ejected by deadlock recovery, in order.
         self.deadlock_victims: List[int] = []
         #: Deadlock-recovery ejections per original message id — the
-        #: re-ejection cap (``resilience.max_victim_ejections``) counts
+        #: re-ejection cap (``postmortem.MAX_VICTIM_EJECTIONS``) counts
         #: a message and all its retry clones as one origin.
         self._ejections_by_origin: Dict[int, int] = {}
         #: Victim selections where at least one candidate was excluded
@@ -486,10 +496,10 @@ class Engine:
         The state is then *steady* when every active message, possibly
         none, is an isolated, established worm: header delivered, first
         flit across the last link and at least one flit ejected (so an
-        in-band header flit is gone), at most one flit per buffer and
-        none in the last (cut-through ejection), buffers at least two
-        deep (a one-flit buffer refuses a flit in the cycle it drains),
-        every link still ahead of the tail unreleased and alone on its
+        in-band header flit is gone), at most one flit per two-flit
+        buffer (:data:`~repro.network.channel.BUFFER_DEPTH`) and none in
+        the last (cut-through ejection), every link still ahead of the
+        tail unreleased and alone on its
         physical channel, and no other active message bound for the
         same destination.  Each cycle then moves every flit one hop:
         the one reaching the destination ejects and the source feeds
@@ -502,8 +512,6 @@ class Engine:
         message finalizes).
         """
         active = self.active
-        if active and self._depth < 2:
-            return 0
         delivered = HeaderPhase.DELIVERED
         resident = self._ch_resident
         destinations: Set[int] = set()
@@ -547,15 +555,15 @@ class Engine:
 
         The predicate of :meth:`_advance_setup`, beyond
         :meth:`_fast_forward`'s checks (one active message, nothing but
-        routing and data movement to do): no reconfiguration freeze,
-        buffers at least two deep, and the message's decoupled header
+        routing and data movement to do): no reconfiguration freeze, and
+        the message's decoupled header
         PENDING (at the end of its path) and not parked, in TP's DP
         phase with no acknowledgment or hold ever programmed
         (``needs_path_ack`` unset: every link is a plain K = 0
         reservation), with at most one flit per buffer and none at the
         header's router.
         """
-        if self.routing_freeze or self._depth < 2:
+        if self.routing_freeze:
             return None
         msg = next(iter(self.active.values()))
         buffered = msg.buffered
@@ -808,11 +816,11 @@ class Engine:
         """Diagnose the stall; recover by victim ejection or raise.
 
         The wait-for graph is built from live state
-        (:func:`repro.sim.postmortem.diagnose`).  In strict mode, or
-        when no eligible victim exists, or after
-        ``resilience.max_deadlock_recoveries`` ejections, the run fails
-        with the rendered diagnosis.  Otherwise the victim is driven
-        through the ordinary kill-flit teardown (Section 2.4) — its
+        (:func:`repro.sim.postmortem.diagnose`).  When no eligible victim
+        exists, or after ``resilience.max_deadlock_recoveries`` ejections
+        (at once when that is 0), the run fails with the rendered
+        diagnosis.  Otherwise the victim is driven through the ordinary
+        kill-flit teardown (Section 2.4) — its
         virtual channels free, the network resumes, and the victim
         retries from its source under the usual recovery bounds.
         """
@@ -822,17 +830,13 @@ class Engine:
             f"no progress for {self._idle_streak} cycles at cycle "
             f"{self.cycle}; {len(self.active)} active messages"
         )
-        if resilience.deadlock_strict:
-            raise DeadlockError(
-                f"{summary}\n{diagnosis.render()}", diagnosis
-            )
         cap_hits_before = self.victim_cap_hits
         victim = postmortem.select_victim(diagnosis, self)
         if victim is None:
             if self.victim_cap_hits > cap_hits_before:
                 raise DeadlockError(
                     f"{summary}; victim re-ejection budget "
-                    f"({resilience.max_victim_ejections}) exhausted — "
+                    f"({postmortem.MAX_VICTIM_EJECTIONS}) exhausted — "
                     f"every remaining candidate was already ejected "
                     f"that many times\n{diagnosis.render()}",
                     diagnosis,
@@ -1507,7 +1511,7 @@ class Engine:
             if (
                 msg.injected_flits == 0
                 and retryable
-                and msg.retransmits < rec.max_source_retries
+                and msg.retransmits < MAX_SOURCE_RETRIES
             ):
                 # No data had been committed (PCS-style setup): the
                 # source simply retries the path construction.
@@ -1521,7 +1525,7 @@ class Engine:
             return
         # Aborted path construction: retry from the source a bounded
         # number of times (Section 4.0's higher-level retry).
-        if retryable and msg.retransmits < rec.max_source_retries:
+        if retryable and msg.retransmits < MAX_SOURCE_RETRIES:
             self._requeue_clone(msg)
             self.source_retries += 1
             msg.status = MessageStatus.DROPPED
@@ -1550,7 +1554,7 @@ class Engine:
     # Phase 4: data movement
     # ==================================================================
     def _phase_data_movement(self, used_by_control: Set[int]) -> None:
-        depth = self._depth
+        depth = BUFFER_DEPTH
         # channel id -> (message, position, is_last, vc): the channel's
         # round-robin winner among the candidates seen so far.
         candidates: Dict[int, tuple] = {}
@@ -1826,7 +1830,7 @@ class Engine:
                 # draw for each arrival happens *between* two yields,
                 # preserving the historical RNG interleaving exactly.
                 length = cfg.message_length
-                limit = cfg.injection_queue_limit
+                limit = INJECTION_QUEUE_LIMIT
                 measuring = self.in_measure_window()
                 queues = self.queues
                 busy_queues = self._busy_queues
@@ -1908,7 +1912,7 @@ class Engine:
             created_cycle=created_cycle,
             inline_header=self._inline_header,
         )
-        msg.hop_cap = cfg.hop_cap_base + cfg.hop_cap_factor * msg.distance
+        msg.hop_cap = HOP_CAP_BASE + HOP_CAP_FACTOR * msg.distance
         self._next_msg_id += 1
         self.messages[msg.msg_id] = msg
         return msg

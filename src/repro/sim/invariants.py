@@ -13,7 +13,8 @@ Checked invariants:
 * **flit conservation** — for every live message, injected flits equal
   buffered + ejected + killed flits (:meth:`Message.flit_conservation_ok`);
 * **buffer-depth bounds** — no per-link occupancy below zero or above
-  ``config.buffer_depth``; no negative source backlog;
+  :data:`~repro.network.channel.BUFFER_DEPTH`; no negative source
+  backlog;
 * **release consistency** — a link is released exactly when the tail
   flit has crossed it: for a live message that is not being torn down
   (and not holding its path for a tail acknowledgment),
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Set
 
-from repro.network.channel import VCState
+from repro.network.channel import BUFFER_DEPTH, VCState
 from repro.sim.message import MessageStatus
 
 
@@ -110,7 +111,7 @@ class InvariantAuditor:
     # ------------------------------------------------------------------
     def _check_messages(self, engine, out: List[InvariantViolation]) -> None:
         cycle = engine.cycle
-        depth = engine.config.buffer_depth
+        depth = BUFFER_DEPTH
         tail_ack = engine.config.recovery.tail_ack
         for msg in engine.messages.values():
             if not msg.flit_conservation_ok():

@@ -10,8 +10,9 @@ signature of a routing deadlock.
 
 Diagnosis feeds two consumers:
 
-* **strict mode** (``ResilienceConfig.deadlock_strict``) renders the
-  graph and cycles into the :class:`~repro.sim.engine.DeadlockError`
+* **strict mode** (``ResilienceConfig(max_deadlock_recoveries=0)``)
+  renders the graph and cycles into the
+  :class:`~repro.sim.engine.DeadlockError`
   message, so a crashed run explains *which* messages blocked each
   other instead of only saying "no progress";
 * **recovery mode** (the default) selects a victim message from the
@@ -37,6 +38,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.sim.message import HeaderPhase, Message, MessageStatus
+
+#: Deadlock-recovery ejections of one original message (counted across
+#: its retry clones) after which it is no longer an eligible victim;
+#: when *only* capped candidates remain the run fails hard instead of
+#: livelocking recovery on the same pathological cycle.  The source
+#: retry budget (``engine.MAX_SOURCE_RETRIES``) keeps ejections per
+#: origin well below it.
+MAX_VICTIM_EJECTIONS = 16
 
 
 @dataclass(frozen=True)
@@ -271,7 +280,7 @@ def select_victim(diagnosis: DeadlockDiagnosis, engine) -> Optional[Message]:
 
     * **re-ejection cap** — a message whose origin (itself plus its
       retry clones, keyed by ``original_id``) has already been ejected
-      ``resilience.max_victim_ejections`` times is skipped; when the
+      :data:`MAX_VICTIM_EJECTIONS` times is skipped; when the
       cap excluded at least one candidate the engine's
       ``victim_cap_hits`` counter is bumped, and if *no* victim
       remains at all the engine escalates to a hard
@@ -283,7 +292,7 @@ def select_victim(diagnosis: DeadlockDiagnosis, engine) -> Optional[Message]:
       cycle, and ejecting it could not unblock anything, so it is
       never selected.
     """
-    cap = engine.config.resilience.max_victim_ejections
+    cap = MAX_VICTIM_EJECTIONS
     ejections = engine._ejections_by_origin
     freeze = engine.routing_freeze
     capped = False

@@ -127,10 +127,7 @@ class NetworkSimulator:
 
         if config.faults.static_node_faults:
             place_random_node_faults(
-                self.faults,
-                config.faults.static_node_faults,
-                self.rng,
-                keep_connected=config.faults.keep_connected,
+                self.faults, config.faults.static_node_faults, self.rng,
             )
 
         healthy = [
@@ -144,15 +141,11 @@ class NetworkSimulator:
 
         schedule: Optional[DynamicFaultSchedule] = None
         if config.faults.dynamic_faults:
-            stop = config.faults.dynamic_stop
-            if stop is None:
-                stop = config.total_cycles
             schedule = random_dynamic_schedule(
                 self.topology,
                 config.faults.dynamic_faults,
-                horizon=stop,
+                horizon=config.total_cycles,
                 rng=self.rng,
-                kind=config.faults.dynamic_kind,
                 start_cycle=config.faults.dynamic_start,
             )
 

@@ -111,7 +111,7 @@ class RunResult:
     #: "reconfig").
     teardown_counts: dict = field(default_factory=dict)
     #: Victim selections where the per-origin re-ejection cap
-    #: (``resilience.max_victim_ejections``) excluded a candidate.
+    #: (``postmortem.MAX_VICTIM_EJECTIONS``) excluded a candidate.
     victim_cap_hits: int = 0
     #: Online reconfigurations committed (repro.reconfig) and their
     #: cumulative drain downtime in cycles.

@@ -20,6 +20,7 @@ flit, ``*`` destination delivery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional
 
 from repro.sim.engine import Engine
@@ -76,7 +77,10 @@ class MessageTracer:
         }
         acks: List[int] = []
         kills: List[int] = []
-        for token in self.engine.control_out:
+        # Scouting acknowledgments ride their own wires under
+        # ``hardware_acks``; every other token the control channels.
+        engine = self.engine
+        for token in chain(engine.control_out, engine.ack_out):
             if token.message is not msg:
                 continue
             if token.kind in _ACK_KINDS:

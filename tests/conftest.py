@@ -37,12 +37,12 @@ def torus3d() -> KAryNCube:
     return KAryNCube(4, 3)
 
 
-def make_context(topology: KAryNCube, num_adaptive: int = 1,
+def make_context(topology: KAryNCube,
                  faults: FaultState = None) -> RoutingContext:
     """A routing context over a fresh channel bank."""
     if faults is None:
         faults = FaultState(topology)
-    bank = ChannelBank(topology.num_channels, num_adaptive)
+    bank = ChannelBank(topology.num_channels)
     return RoutingContext(topology, faults, bank, cycle=1)
 
 

@@ -16,8 +16,12 @@ from repro.core.theorems import (
 class TestConservativeDefaults:
     def test_conservative_tp_uses_theorem_k(self):
         from repro.core.two_phase import TwoPhaseProtocol
+        from repro.experiments.fig15_aggressive_vs_conservative import (
+            VARIANTS,
+        )
 
-        proto = TwoPhaseProtocol.conservative()
+        params = dict(VARIANTS)["Conservative"]
+        proto = TwoPhaseProtocol(**params)
         assert proto.flow_control.k_unsafe == sufficient_scouting_distance()
 
     def test_theorem_k_fits_paper_counter(self):
@@ -27,7 +31,7 @@ class TestConservativeDefaults:
     def test_aggressive_tp_sends_no_acks(self):
         from repro.core.two_phase import TwoPhaseProtocol
 
-        fc = TwoPhaseProtocol.aggressive().flow_control
+        fc = TwoPhaseProtocol().flow_control
         assert fc.k_for(True) == 0
         assert not fc.sends_acks_when_safe
 

@@ -49,7 +49,6 @@ class TestBaseConfig:
         cfg = base_config(REDUCED, "tp")
         assert cfg.message_length == MESSAGE_LENGTH == 32
         assert cfg.traffic == "uniform"
-        assert cfg.injection_queue_limit == 8
 
     def test_overrides(self):
         cfg = base_config(QUICK, "mb", offered_load=0.25, seed=9)

@@ -148,7 +148,6 @@ class TestTailAck:
             message_length=8, warmup_cycles=0, measure_cycles=0,
             recovery=RecoveryConfig(
                 tail_ack=True, retransmit=True, max_retransmits=2,
-                max_source_retries=1,
             ),
         )
         events = [

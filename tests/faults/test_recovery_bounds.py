@@ -9,6 +9,7 @@ and the dead-endpoint short-circuits.
 
 from repro.network.topology import KAryNCube
 from repro.sim.config import RecoveryConfig
+from repro.sim.engine import MAX_SOURCE_RETRIES
 from repro.sim.message import MessageStatus
 
 from tests.conftest import build_engine, drain_engine, run_to_completion
@@ -87,11 +88,7 @@ class TestRetransmitBounds:
 
 class TestSourceRetryBounds:
     def test_aborted_setup_retries_until_budget_then_drops(self):
-        max_retries = 2
-        engine = build_engine(
-            "tp", k=8, n=2,
-            recovery=RecoveryConfig(max_source_retries=max_retries),
-        )
+        engine = build_engine("tp", k=8, n=2)
         topo = engine.topology
         msg = engine.inject(0, topo.node_id((4, 0)))
         lineage = [msg]
@@ -105,8 +102,8 @@ class TestSourceRetryBounds:
                 break
             lineage.append(clone)
             current = clone
-        # Original + exactly max_source_retries clones.
-        assert len(lineage) == 1 + max_retries
+        # Original + exactly MAX_SOURCE_RETRIES clones.
+        assert len(lineage) == 1 + MAX_SOURCE_RETRIES
         assert current.status is MessageStatus.DROPPED
         assert current.drop_reason == "undeliverable"
         for earlier in lineage[:-1]:

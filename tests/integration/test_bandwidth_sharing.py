@@ -10,6 +10,7 @@ exactly the slots they occupy.
 import random
 
 from repro.core.latency_model import t_wormhole
+from repro.network.channel import VCClass
 from repro.network.topology import KAryNCube, PLUS
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Engine
@@ -18,12 +19,11 @@ from repro.sim.simulator import make_protocol
 from tests.conftest import drain_engine
 
 
-def shared_link_engine(num_adaptive=2, length=16):
+def shared_link_engine(length=16):
     """Two messages whose minimal paths share the link (1,0)->(2,0)."""
     cfg = SimulationConfig(
         k=8, n=2, protocol="tp", offered_load=0.0,
-        message_length=length, num_adaptive_vcs=num_adaptive,
-        warmup_cycles=0, measure_cycles=0,
+        message_length=length, warmup_cycles=0, measure_cycles=0,
     )
     engine = Engine(cfg, make_protocol("tp"), rng=random.Random(1))
     topo = engine.topology
@@ -71,12 +71,17 @@ class TestInterleaving:
         assert total == 32
 
     def test_single_adaptive_vc_serializes(self):
-        """With one adaptive VC and the escape channels, at most 3
-        messages hold the channel; blocking (not loss) results."""
-        engine, topo, a, b = shared_link_engine(num_adaptive=1)
+        """One adaptive VC per channel: the second message over the
+        shared link cannot share it and takes an escape VC instead —
+        blocking onto the escape layer, not loss."""
+        engine, topo, a, b = shared_link_engine()
         drain_engine(engine)
         assert a.status.name == "DELIVERED"
         assert b.status.name == "DELIVERED"
+        ch = topo.channel_id(topo.node_id((1, 0)), 0, PLUS)
+        classes = [vc.vclass for vc in engine.channels.vcs(ch) if vc.grants]
+        assert len(classes) == 2
+        assert classes.count(VCClass.ADAPTIVE) == 1
 
     def test_fairness_latency_gap_bounded(self):
         engine, topo, a, b = shared_link_engine()

@@ -1,4 +1,4 @@
-"""Cross-configuration matrix tests: dimensions, radices, VCs, buffers.
+"""Cross-configuration matrix tests: dimensions, radices, traffic.
 
 The paper's analysis is parametric in n and k (Theorems 1/2, the 2n-1
 fault budget); the simulator must honor that generality, not just the
@@ -25,7 +25,7 @@ class TestThreeDimensions:
         rng = random.Random(seed)
         topo = KAryNCube(4, 3)
         faults = FaultState(topo)
-        place_random_node_faults(faults, 5, rng, keep_connected=True)
+        place_random_node_faults(faults, 5, rng)
         engine = build_engine(protocol, k=4, n=3, faults=faults, seed=seed)
         healthy = [
             n for n in range(topo.num_nodes)
@@ -67,51 +67,6 @@ class TestOddRadix:
         for dst in range(1, 7):
             ports = topo.profitable_ports(0, topo.node_id((dst, 0)))
             assert len(ports) == 1  # never both directions
-
-
-class TestResourceKnobs:
-    @pytest.mark.parametrize("depth", [1, 2, 4])
-    def test_buffer_depth_still_delivers(self, depth):
-        engine = build_engine("tp", k=6, buffer_depth=depth)
-        msg = engine.inject(0, 9, length=8)
-        drain_engine(engine)
-        assert msg.status.name == "DELIVERED"
-
-    def test_deeper_buffers_never_slower(self):
-        def latency(depth):
-            engine = build_engine("tp", k=6, buffer_depth=depth)
-            msg = engine.inject(0, 3, length=8)
-            drain_engine(engine)
-            return msg.delivered_cycle - msg.created_cycle
-
-        assert latency(4) <= latency(1)
-
-    @pytest.mark.parametrize("adaptive", [1, 2, 3])
-    def test_adaptive_vc_count(self, adaptive):
-        engine = build_engine("tp", k=6, num_adaptive_vcs=adaptive)
-        assert engine.channels.vcs_per_channel == 2 + adaptive
-        msg = engine.inject(0, 9, length=6)
-        drain_engine(engine)
-        assert msg.status.name == "DELIVERED"
-
-    def test_saturation_comparable_across_vc_counts(self):
-        # More VCs trade head-of-line blocking against deeper
-        # interleaving on each physical channel; either way the
-        # saturated network must keep moving a comparable flit volume.
-        from repro.sim.config import SimulationConfig
-        from repro.sim.simulator import NetworkSimulator
-
-        def throughput(adaptive):
-            cfg = SimulationConfig(
-                k=6, n=2, protocol="tp", offered_load=0.5,
-                num_adaptive_vcs=adaptive, warmup_cycles=300,
-                measure_cycles=1200, seed=4,
-            )
-            return NetworkSimulator(cfg).run().throughput
-
-        t1, t3 = throughput(1), throughput(3)
-        assert t1 > 0.3 and t3 > 0.3
-        assert abs(t1 - t3) < 0.3 * max(t1, t3)
 
 
 class TestTrafficPatternsEndToEnd:

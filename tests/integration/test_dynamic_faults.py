@@ -6,15 +6,13 @@ from repro.sim.config import FaultConfig, RecoveryConfig, SimulationConfig
 from repro.sim.simulator import NetworkSimulator
 
 
-def run_dynamic(dynamic_faults, tail_ack, retransmit, seed=11, load=0.08,
-                kind="link"):
+def run_dynamic(dynamic_faults, tail_ack, retransmit, seed=11, load=0.08):
     cfg = SimulationConfig(
         k=8, n=2, protocol="tp", offered_load=load,
         warmup_cycles=300, measure_cycles=2000, drain_cycles=8000,
         seed=seed,
         faults=FaultConfig(
-            dynamic_faults=dynamic_faults, dynamic_kind=kind,
-            dynamic_start=400,
+            dynamic_faults=dynamic_faults, dynamic_start=400,
         ),
         recovery=RecoveryConfig(
             tail_ack=tail_ack, retransmit=retransmit, max_retransmits=3
@@ -42,12 +40,6 @@ class TestRecoveryOnly:
         assert delivered > 0
         # "a very low probability of losing a message"
         assert losses < delivered * 0.05
-
-    def test_node_faults_also_recovered(self):
-        sim, result = run_dynamic(
-            2, tail_ack=False, retransmit=False, kind="node"
-        )
-        assert sim.engine.network_drained()
 
 
 class TestReliableDelivery:

@@ -24,7 +24,7 @@ def run_messages_with_faults(protocol, num_faults, seed, k=8,
     rng = random.Random(seed)
     topo = KAryNCube(k, 2)
     faults = FaultState(topo)
-    place_random_node_faults(faults, num_faults, rng, keep_connected=True)
+    place_random_node_faults(faults, num_faults, rng)
     engine = build_engine(
         protocol, k=k, faults=faults, seed=seed,
         protocol_params=protocol_params,

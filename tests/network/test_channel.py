@@ -6,27 +6,22 @@ from repro.network.channel import (
     ChannelBank,
     ChannelStateError,
     VCClass,
+    VC_CLASSES,
     VCState,
     VirtualChannel,
-    build_vc_classes,
 )
 
 
 class TestVCClasses:
     def test_layout_has_two_deterministic_classes(self):
-        classes = build_vc_classes(1)
-        assert classes == [
+        assert VC_CLASSES == (
             VCClass.DETERMINISTIC_0,
             VCClass.DETERMINISTIC_1,
             VCClass.ADAPTIVE,
-        ]
-
-    def test_adaptive_count_scales(self):
-        assert build_vc_classes(3).count(VCClass.ADAPTIVE) == 3
+        )
 
     def test_requires_one_adaptive(self):
-        with pytest.raises(ValueError):
-            build_vc_classes(0)
+        assert VC_CLASSES.count(VCClass.ADAPTIVE) == 1
 
     def test_deterministic_predicate(self):
         assert VCClass.DETERMINISTIC_0.is_deterministic
@@ -75,54 +70,54 @@ class TestVirtualChannel:
 
 class TestChannelBank:
     def test_vcs_per_channel(self):
-        bank = ChannelBank(num_channels=10, num_adaptive=2)
-        assert bank.vcs_per_channel == 4
-        assert len(bank.vcs(0)) == 4
+        bank = ChannelBank(num_channels=10)
+        assert bank.vcs_per_channel == 3
+        assert [vc.vclass for vc in bank.vcs(9)] == list(VC_CLASSES)
 
     def test_free_adaptive_prefers_adaptive_class(self):
-        bank = ChannelBank(4, 1)
+        bank = ChannelBank(4)
         vc = bank.free_adaptive(2)
         assert vc is not None
         assert vc.vclass is VCClass.ADAPTIVE
 
     def test_free_adaptive_skips_reserved(self):
-        bank = ChannelBank(4, 2)
-        first = bank.free_adaptive(0)
-        first.reserve(1)
-        second = bank.free_adaptive(0)
-        assert second is not first
-        assert second.vclass is VCClass.ADAPTIVE
+        bank = ChannelBank(4)
+        for vc in bank.vcs(0)[:2]:
+            vc.reserve(1)
+        vc = bank.free_adaptive(0)
+        assert vc is not None and vc.vclass is VCClass.ADAPTIVE
+        assert bank.free_adaptive(1) is bank.vc(1, 2)
 
     def test_free_adaptive_none_when_exhausted(self):
-        bank = ChannelBank(4, 1)
+        bank = ChannelBank(4)
         bank.free_adaptive(0).reserve(1)
         assert bank.free_adaptive(0) is None
 
     def test_deterministic_lookup_by_class(self):
-        bank = ChannelBank(4, 1)
+        bank = ChannelBank(4)
         vc0 = bank.deterministic(1, VCClass.DETERMINISTIC_0)
         vc1 = bank.deterministic(1, VCClass.DETERMINISTIC_1)
         assert vc0.index == 0 and vc1.index == 1
 
     def test_deterministic_rejects_adaptive_class(self):
-        bank = ChannelBank(4, 1)
+        bank = ChannelBank(4)
         with pytest.raises(ValueError):
             bank.deterministic(0, VCClass.ADAPTIVE)
 
     def test_all_free_initially(self):
-        bank = ChannelBank(6, 1)
+        bank = ChannelBank(6)
         assert bank.all_free()
         assert bank.reserved_count() == 0
 
     def test_reserved_count_tracks(self):
-        bank = ChannelBank(6, 1)
+        bank = ChannelBank(6)
         bank.vc(0, 0).reserve(1)
         bank.vc(3, 2).reserve(2)
         assert bank.reserved_count() == 2
         assert not bank.all_free()
 
     def test_any_free(self):
-        bank = ChannelBank(2, 1)
+        bank = ChannelBank(2)
         assert bank.any_free(0)
         for vc in bank.vcs(0):
             vc.reserve(9)

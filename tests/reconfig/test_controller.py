@@ -16,7 +16,7 @@ def settings(**overrides) -> ResilienceConfig:
     base = dict(
         reconfig=True, reconfig_check_every=8, reconfig_window=64,
         reconfig_threshold=3, reconfig_drain_timeout=20,
-        reconfig_cooldown=100, reconfig_unsafe_radius=2,
+        reconfig_cooldown=100,
     )
     base.update(overrides)
     return ResilienceConfig(**base)

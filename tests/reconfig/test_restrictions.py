@@ -5,7 +5,7 @@ import pytest
 
 from repro.faults.model import FaultState
 from repro.network.topology import KAryNCube
-from repro.reconfig.restrictions import compute_plan
+from repro.reconfig.restrictions import UNSAFE_RADIUS, compute_plan
 
 
 def fresh_faults(k=5, n=2) -> FaultState:
@@ -28,12 +28,12 @@ class TestComputePlan:
         assert plan.connected
 
     def test_radius_is_committed_verbatim(self):
-        plan = compute_plan(fresh_faults(), unsafe_radius=3)
-        assert plan.unsafe_radius == 3
+        plan = compute_plan(fresh_faults())
+        assert plan.unsafe_radius == UNSAFE_RADIUS == 2
 
     def test_radius_below_one_rejected(self):
         with pytest.raises(ValueError):
-            compute_plan(fresh_faults(), unsafe_radius=0)
+            fresh_faults().reconfigure([], unsafe_radius=0)
 
     def test_epoch_basis_tracks_fault_state(self):
         faults = fresh_faults()
@@ -66,13 +66,6 @@ class TestComputePlan:
             return compute_plan(faults)
 
         assert build() == build()
-
-    def test_prune_disabled_yields_radius_only_plan(self):
-        faults = fresh_faults()
-        isolate_node(faults, 6, keep=1)
-        plan = compute_plan(faults, prune_dead_ends=False)
-        assert plan.restricted_channels == ()
-        assert plan.pruned_nodes == ()
 
     def test_restricted_channels_are_healthy_and_sorted(self):
         faults = fresh_faults()

@@ -2,10 +2,15 @@
 
 import pytest
 
+from repro.core import two_phase
+from repro.core.header import (
+    DEFAULT_MISROUTE_LIMIT, MAX_MISROUTES, Header, encode,
+)
 from repro.core.two_phase import TwoPhaseProtocol
 from repro.faults.model import FaultState
 from repro.network.channel import VCClass
 from repro.network.topology import MINUS, PLUS, KAryNCube
+from repro.routing import mb
 from repro.routing.base import Action
 from repro.routing.duato import DuatoProtocol
 from repro.routing.mb import MBmProtocol
@@ -126,12 +131,12 @@ class TestMBmDecisions:
         for dim in range(torus8.n):
             for direction in (PLUS, MINUS):
                 msg.tried[0].add(torus8.channel_id(0, dim, direction))
-        proto = MBmProtocol(max_retries=2, retry_backoff=10)
+        proto = MBmProtocol(max_retries=2)
         msg.header.misroutes = proto.misroute_limit
         d = proto.decide(ctx, msg)
         assert d.action is Action.WAIT
         assert msg.retries == 1
-        assert msg.retry_wait == ctx.cycle + 10
+        assert msg.retry_wait == ctx.cycle + mb.RETRY_BACKOFF
         assert not msg.tried[0]  # history cleared for the retry
 
     def test_aborts_after_max_retries(self, torus8):
@@ -159,6 +164,29 @@ class TestMBmDecisions:
     def test_invalid_limit(self):
         with pytest.raises(ValueError):
             MBmProtocol(misroute_limit=-1)
+
+
+@pytest.mark.parametrize(
+    "protocol", [TwoPhaseProtocol, MBmProtocol], ids=["tp", "mb"]
+)
+class TestMisrouteBudgetFitsHeader:
+    """Figure 9's misroute field is 3 bits: a budget it cannot count to
+    is refused when the protocol is built, not when ``encode`` meets
+    the header that spent it."""
+
+    def test_default_budget_is_shared(self, protocol):
+        assert protocol().misroute_limit == DEFAULT_MISROUTE_LIMIT
+
+    def test_budget_below_zero_rejected(self, protocol):
+        assert protocol(misroute_limit=0).misroute_limit == 0
+        with pytest.raises(ValueError, match="misroute limit"):
+            protocol(misroute_limit=-1)
+
+    def test_budget_above_field_rejected(self, protocol):
+        top = protocol(misroute_limit=MAX_MISROUTES).misroute_limit
+        encode(Header(offsets=[0, 0], misroutes=top), 8)
+        with pytest.raises(ValueError, match="misroute limit"):
+            protocol(misroute_limit=MAX_MISROUTES + 1)
 
 
 class TestTwoPhaseDP:
@@ -202,7 +230,7 @@ class TestTwoPhaseDP:
         faults.fail_node(torus8.neighbor(beyond, 0, PLUS))
         ctx = make_context(torus8, faults=faults)
         msg = make_msg(torus8, mid, beyond)
-        d = TwoPhaseProtocol.aggressive().decide(ctx, msg)
+        d = TwoPhaseProtocol(k_unsafe=0).decide(ctx, msg)
         assert d.action is Action.RESERVE
         assert d.k == 0
 
@@ -241,22 +269,25 @@ class TestTwoPhaseDetour:
     def test_retry_then_abort_at_source(self, torus8):
         ctx = make_context(torus8)
         dst = torus8.node_id((2, 0))
-        proto = TwoPhaseProtocol(max_retries=1, retry_backoff=5)
+        proto = TwoPhaseProtocol()
         msg = self._detour_msg(torus8, ctx, 0, dst)
         msg.header.misroutes = proto.misroute_limit
+        for retry in range(1, two_phase.MAX_RETRIES + 1):
+            for dim in range(torus8.n):
+                for direction in (PLUS, MINUS):
+                    msg.tried[0].add(torus8.channel_id(0, dim, direction))
+            d = proto.decide(ctx, msg)
+            assert d.action is Action.WAIT and msg.retries == retry
+            assert msg.retry_wait == ctx.cycle + two_phase.RETRY_BACKOFF
+            # History was cleared by the retry; re-fill it once the
+            # backoff has elapsed.
+            assert not msg.tried[0]
+            ctx.cycle = msg.retry_wait
         for dim in range(torus8.n):
             for direction in (PLUS, MINUS):
                 msg.tried[0].add(torus8.channel_id(0, dim, direction))
-        d1 = proto.decide(ctx, msg)
-        assert d1.action is Action.WAIT and msg.retries == 1
-        # History was cleared by the retry; re-fill and let the backoff
-        # elapse to exhaust the budget.
-        ctx.cycle += 10
-        for dim in range(torus8.n):
-            for direction in (PLUS, MINUS):
-                msg.tried[0].add(torus8.channel_id(0, dim, direction))
-        d2 = proto.decide(ctx, msg)
-        assert d2.action is Action.ABORT
+        d = proto.decide(ctx, msg)
+        assert d.action is Action.ABORT
 
     def test_backtrack_preferred_over_u_turn(self, torus8):
         ctx = make_context(torus8)

@@ -21,6 +21,7 @@ simulation on it with :class:`ReferenceSimulator`.
 """
 
 from repro.core.flow_control import K_INFINITE
+from repro.network.channel import BUFFER_DEPTH
 from repro.network.link import RoundRobinArbiter
 from repro.sim.engine import Engine
 from repro.sim.message import HeaderPhase, MessageStatus
@@ -73,7 +74,7 @@ class ReferenceEngine(Engine):
         return k < K_INFINITE and msg.acks_at[p] >= k
 
     def _phase_data_movement(self, used_by_control):
-        depth = self.config.buffer_depth
+        depth = BUFFER_DEPTH
         requests = {}  # channel id -> [(message, link)], first-seen order
         eject = {}     # node -> {msg_id: message}
 

@@ -47,6 +47,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--profile"])
 
+    def test_sweep_out_without_find_knee_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_QUICK", "1")
+        out = tmp_path / "knee.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--loads", "0.05", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--find-knee" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExecution:
     def test_run_prints_summary(self, capsys):

@@ -8,7 +8,6 @@ from repro.sim.config import (
     FaultConfig,
     RecoveryConfig,
     SimulationConfig,
-    paper_scale,
 )
 from repro.sim.simulator import NetworkSimulator
 
@@ -28,22 +27,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             SimulationConfig(message_length=0)
 
-    def test_rejects_bad_queue_limit(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(injection_queue_limit=0)
-
-    def test_rejects_bad_depth(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(buffer_depth=0)
-
     @pytest.mark.parametrize("field,value", [
         ("warmup_cycles", -5),
         ("measure_cycles", -1),
         ("drain_cycles", -1),
         ("watchdog_cycles", 0),
         ("max_header_wait", 0),
-        ("hop_cap_base", -1),
-        ("hop_cap_factor", -1),
         pytest.param(
             "traffic_params", {"hotspot_fracton": 0.3},
             id="traffic_params-misspelt-key",
@@ -51,7 +40,6 @@ class TestValidation:
         ("static_node_faults", -1),
         ("dynamic_faults", -1),
         ("max_retransmits", -1),
-        ("max_source_retries", -1),
     ])
     def test_rejects_bad_run_control(self, field, value):
         owner = next(
@@ -83,20 +71,15 @@ class TestWith:
         with pytest.raises(ValueError):
             SimulationConfig().with_(offered_load=2.0)
 
-    def test_paper_scale(self):
-        cfg = paper_scale(SimulationConfig(k=8))
-        assert cfg.k == 16
-        assert cfg.measure_cycles >= 10_000
-
 
 class TestSubConfigs:
     def test_fault_config_defaults(self):
         fc = FaultConfig()
         assert fc.static_node_faults == 0
-        assert fc.keep_connected
+        assert fc.dynamic_faults == 0
 
     def test_recovery_defaults(self):
         rc = RecoveryConfig()
         assert not rc.tail_ack
         assert not rc.retransmit
-        assert rc.max_source_retries >= 1
+        assert rc.max_retransmits >= 1

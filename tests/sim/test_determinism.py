@@ -165,7 +165,6 @@ def _reconfig_cfg():
             reconfig=True, reconfig_check_every=16,
             reconfig_window=256, reconfig_threshold=2,
             reconfig_drain_timeout=120, reconfig_cooldown=300,
-            reconfig_unsafe_radius=2,
         ),
     )
 

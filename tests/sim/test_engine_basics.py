@@ -6,7 +6,7 @@ import pytest
 
 from repro.network.topology import PLUS
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import DeadlockError, Engine
+from repro.sim.engine import INJECTION_QUEUE_LIMIT, DeadlockError, Engine
 from repro.sim.message import MessageStatus
 from repro.sim.simulator import NetworkSimulator, make_protocol
 
@@ -61,14 +61,13 @@ class TestCongestionControl:
     def test_queue_limit_rejects_offered_traffic(self):
         cfg = SimulationConfig(
             k=4, n=2, protocol="tp", offered_load=1.0,
-            message_length=32, injection_queue_limit=2,
-            warmup_cycles=0, measure_cycles=300,
+            message_length=32, warmup_cycles=0, measure_cycles=300,
         )
         sim = NetworkSimulator(cfg)
         sim.engine.run(300)
         assert sim.engine.rejected_messages > 0
         for queue in sim.engine.queues:
-            assert len(queue) <= 2
+            assert len(queue) <= INJECTION_QUEUE_LIMIT
 
     def test_accepted_not_above_offered(self):
         cfg = SimulationConfig(

@@ -87,7 +87,7 @@ def _strict_deadlock():
         k=6, n=2, protocol="det", protocol_params={"dateline": False},
         offered_load=0.30, message_length=16, warmup_cycles=100,
         measure_cycles=3000, watchdog_cycles=120, max_header_wait=6000,
-        resilience=ResilienceConfig(deadlock_strict=True), seed=0,
+        resilience=ResilienceConfig(max_deadlock_recoveries=0), seed=0,
     ))
     try:
         sim.run()

@@ -5,6 +5,7 @@ pinned to a message/channel/cycle, and the engine raises
 
 import pytest
 
+from repro.network.channel import BUFFER_DEPTH
 from repro.sim.config import ResilienceConfig, SimulationConfig
 from repro.sim.invariants import InvariantAuditor, InvariantError, audit
 from repro.sim.message import MessageStatus
@@ -63,7 +64,7 @@ class TestCorruptionDetection:
         for _ in range(6):
             engine.step()
         assert msg.path, "message should have reserved its first link"
-        msg.buffered[0] = engine.config.buffer_depth + 5
+        msg.buffered[0] = BUFFER_DEPTH + 5
         violations = InvariantAuditor().audit(engine)
         assert any(v.kind == "buffer-bounds" for v in violations)
 

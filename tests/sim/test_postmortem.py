@@ -94,10 +94,10 @@ class TestSelectVictim:
         assert postmortem.select_victim(diagnosis, engine) is None
 
     def test_capped_origins_are_skipped_and_counted(self):
-        """A message ejected max_victim_ejections times (by origin, so
+        """A message ejected MAX_VICTIM_EJECTIONS times (by origin, so
         retry clones share the budget) is never selected again."""
         engine, msg_a, msg_b = wedged_engine()
-        cap = engine.config.resilience.max_victim_ejections
+        cap = postmortem.MAX_VICTIM_EJECTIONS
         engine._ejections_by_origin[msg_a.original_id] = cap
         diagnosis = postmortem.diagnose(engine)
         victim = postmortem.select_victim(diagnosis, engine)
@@ -106,7 +106,7 @@ class TestSelectVictim:
 
     def test_all_candidates_capped_returns_none(self):
         engine, msg_a, msg_b = wedged_engine()
-        cap = engine.config.resilience.max_victim_ejections
+        cap = postmortem.MAX_VICTIM_EJECTIONS
         engine._ejections_by_origin[msg_a.original_id] = cap
         engine._ejections_by_origin[msg_b.original_id] = cap
         diagnosis = postmortem.diagnose(engine)
@@ -147,7 +147,7 @@ class TestWatchdogRecovery:
 
     def test_strict_mode_raises_with_rendered_diagnosis(self):
         cfg = gridlock_config(
-            resilience=ResilienceConfig(deadlock_strict=True)
+            resilience=ResilienceConfig(max_deadlock_recoveries=0)
         )
         with pytest.raises(DeadlockError) as excinfo:
             NetworkSimulator(cfg).run()

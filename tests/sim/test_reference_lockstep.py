@@ -187,14 +187,12 @@ RECOVERY_MODES = {
     ]),
     recovery=st.sampled_from(sorted(RECOVERY_MODES)),
     hardware_acks=st.booleans(),
-    num_adaptive_vcs=st.sampled_from([1, 2]),
-    buffer_depth=st.sampled_from([1, 2, 3]),
     static_node_faults=st.sampled_from([0, 2]),
 )
 @settings(max_examples=100)
 def test_ready_sets_match_brute_force_lockstep(
     protocol, load, seed, dynamic_faults, traffic, recovery,
-    hardware_acks, num_adaptive_vcs, buffer_depth, static_node_faults,
+    hardware_acks, static_node_faults,
 ):
     """Cycle-for-cycle, the production engine equals the reference.
 
@@ -207,8 +205,7 @@ def test_ready_sets_match_brute_force_lockstep(
         k=5, n=2, protocol=protocol,
         protocol_params={"k_unsafe": 3} if protocol == "tp" else {},
         offered_load=load, message_length=6, traffic=traffic,
-        hardware_acks=hardware_acks, num_adaptive_vcs=num_adaptive_vcs,
-        buffer_depth=buffer_depth,
+        hardware_acks=hardware_acks,
         warmup_cycles=30, measure_cycles=90, drain_cycles=0,
         seed=seed, watchdog_cycles=60, max_header_wait=4000,
         faults=FaultConfig(
@@ -278,8 +275,6 @@ def test_chunked_run_matches_reference():
         ]),
         recovery=st.sampled_from(sorted(RECOVERY_MODES)),
         hardware_acks=st.booleans(),
-        num_adaptive_vcs=st.sampled_from([1, 2]),
-        buffer_depth=st.sampled_from([1, 2, 3]),
         static_node_faults=st.sampled_from([0, 2]),
         dynamic_faults=st.integers(0, 2),
         warmup=st.integers(20, 150),
@@ -298,22 +293,19 @@ def test_chunked_run_matches_reference():
     @example(
         protocol="tp-k0", k=6, load=0.01, message_length=16, seed=1,
         traffic="uniform", recovery="off", hardware_acks=False,
-        num_adaptive_vcs=1, buffer_depth=2, static_node_faults=0,
-        dynamic_faults=0, warmup=20,
+        static_node_faults=0, dynamic_faults=0, warmup=20,
         chunks=[(80, 1), (80, 1), (80, None), (80, 1), (80, 1)],
     )
     @settings(max_examples=100)
     def check(
         protocol, k, load, message_length, seed, traffic, recovery,
-        hardware_acks, num_adaptive_vcs, buffer_depth,
-        static_node_faults, dynamic_faults, warmup, chunks,
+        hardware_acks, static_node_faults, dynamic_faults, warmup, chunks,
     ):
         name, params = CHUNKED_PROTOCOLS[protocol]
         cfg = SimulationConfig(
             k=k, n=2, protocol=name, protocol_params=params,
             offered_load=load, message_length=message_length,
             traffic=traffic, hardware_acks=hardware_acks,
-            num_adaptive_vcs=num_adaptive_vcs, buffer_depth=buffer_depth,
             warmup_cycles=warmup, measure_cycles=100, drain_cycles=0,
             seed=seed, watchdog_cycles=60, max_header_wait=4000,
             faults=FaultConfig(
@@ -483,19 +475,6 @@ def test_two_worms_on_one_physical_channel_are_never_jumped():
     reference.run(3)
     assert max(production._ch_resident) == 2
     _assert_never_jumped_together(production, reference)
-
-
-def test_one_flit_buffers_are_never_worm_jumped():
-    """A one-flit buffer refuses a flit in the cycle it drains, so the
-    worm does not advance every cycle; the empty network still jumps."""
-    production, reference = _engine_pair(
-        lone_message_cfg(buffer_depth=1), (_node(0, 0), _node(4, 4))
-    )
-    while production.active:
-        _run_both(production, reference, 1)
-    assert production.fast_forwarded_cycles == 0
-    _run_both(production, reference, 200 - production.cycle)
-    assert executed_steps(production) == production.records[0].delivered
 
 
 def test_hooked_run_jumps_only_the_empty_network():
@@ -750,7 +729,6 @@ def _gridlock_reconfig_cfg() -> SimulationConfig:
             reconfig=True, reconfig_check_every=16,
             reconfig_window=256, reconfig_threshold=2,
             reconfig_drain_timeout=120, reconfig_cooldown=300,
-            reconfig_unsafe_radius=1,
         ),
     )
 

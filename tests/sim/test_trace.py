@@ -1,6 +1,7 @@
 """Unit tests for the time-space diagram tracer."""
 
 from repro.core.latency_model import t_pcs, t_scouting, t_wormhole
+from repro.sim.simulator import idle_engine
 from repro.sim.trace import MessageTracer, trace_single_message
 
 
@@ -76,3 +77,25 @@ class TestRendering:
                                       protocol_params={"flow": "wr"})
         text = tracer.render(max_width=2)
         assert "R0" in text and "R3" not in text
+
+
+class TestHardwareAcks:
+    @staticmethod
+    def _diagram(hardware_acks: bool) -> str:
+        engine = idle_engine(
+            "det", {"flow": "sr", "k": 3}, k=8, message_length=8,
+            hardware_acks=hardware_acks,
+        )
+        tracer = MessageTracer(engine, engine.inject(0, 5, length=8))
+        tracer.sample()
+        tracer.run(200)
+        assert tracer.message.status.name == "DELIVERED"
+        return tracer.render()
+
+    def test_acks_on_their_own_wires_are_drawn(self):
+        """The ack wires run opposite to the data, so a lone message
+        keeps its timing and its diagram — acknowledgments included —
+        whichever wires carry them."""
+        shared = self._diagram(hardware_acks=False)
+        assert "<" in shared.split("legend")[0]
+        assert self._diagram(hardware_acks=True) == shared
