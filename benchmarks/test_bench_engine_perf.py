@@ -6,8 +6,9 @@ records wall-clock time plus simulated cycles per second in
 artifact.  The *gated* workloads — the saturated ``tp-high`` and
 ``dp-high`` (data path), the control-heavy ``tp-k3-recovery``
 (routing decisions and control flits) and the ultra-low-load
-``tp-idle-long`` (header set-up and worm jumps of the steady-state
-fast-forward) — are timed three times and report the median wall
+``tp-idle-long`` and ``mb-idle-long`` (header set-up, worm jumps and
+folded events of the fast-forward; MB-m's probe, path acknowledgment
+walk and front fill) — are timed three times and report the median wall
 clock — they gate CI, so their figure should not hinge on one
 scheduler hiccup; the rest run once and stay informational.  Every
 row also records ``events`` (data
@@ -44,10 +45,10 @@ BENCH_JSON = REPO_ROOT / "BENCH_engine.json"
 
 #: (name, protocol, params, offered load, dynamic faults, overrides) —
 #: low and near-saturation load for the paper's default protocol, a
-#: dynamic-fault storm, the two comparison protocols, and two
-#: ultra-low-load long-horizon workloads where the steady-state
-#: fast-forward dominates (most cycles have nothing in flight, most of
-#: the rest only uncontended worms).
+#: dynamic-fault storm, the two comparison protocols, and three
+#: ultra-low-load long-horizon workloads where the fast-forward
+#: dominates (most cycles have nothing in flight, most of the rest one
+#: message alone on its channels).
 WORKLOADS = (
     ("tp-low", "tp", {"k_unsafe": 0}, 0.10, 0, {}),
     ("tp-high", "tp", {"k_unsafe": 0}, 0.28, 0, {}),
@@ -59,6 +60,10 @@ WORKLOADS = (
      {"warmup_cycles": 2000, "measure_cycles": 60_000,
       "drain_cycles": 4000}),
     ("tp-idle-faults", "tp", {"k_unsafe": 0}, 0.002, 2,
+     {"warmup_cycles": 2000, "measure_cycles": 60_000,
+      "drain_cycles": 4000}),
+    # PCS set-up in closed form: MB-m over the tp-idle-long horizon.
+    ("mb-idle-long", "mb", {}, 0.002, 0,
      {"warmup_cycles": 2000, "measure_cycles": 60_000,
       "drain_cycles": 4000}),
     # Workload-catalog patterns: hotspot concentrates contention on a
@@ -86,8 +91,11 @@ WORKLOADS = (
 #: Workloads whose cycles/s figure gates CI: timed ``_GATED_ROUNDS``
 #: times, reporting the median wall clock.  The two saturated rows
 #: gate the data path, ``tp-k3-recovery`` the header / control path,
-#: ``tp-idle-long`` the idle path (header set-up and worm jumps).
-GATED = frozenset({"tp-high", "dp-high", "tp-k3-recovery", "tp-idle-long"})
+#: ``tp-idle-long`` and ``mb-idle-long`` the idle path (header set-up,
+#: worm jumps and folded events; MB-m's PCS set-up).
+GATED = frozenset({
+    "tp-high", "dp-high", "tp-k3-recovery", "tp-idle-long", "mb-idle-long",
+})
 _GATED_ROUNDS = 3
 
 

@@ -86,31 +86,42 @@ def _pattern_params(pairs: Optional[List[str]]) -> dict:
     return params
 
 
+class _UsageError(Exception):
+    """A command's arguments were rejected: :func:`main` reports it as
+    ``parser.error`` (exit 2) instead of a traceback."""
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     params = {}
     if args.protocol == "tp":
         params["k_unsafe"] = args.k_unsafe
-    cfg = SimulationConfig(
-        k=args.k,
-        n=args.n,
-        protocol=args.protocol,
-        protocol_params=params,
-        message_length=args.message_length,
-        traffic=args.pattern,
-        traffic_params=_pattern_params(args.pattern_param),
-        offered_load=args.load,
-        warmup_cycles=args.warmup,
-        measure_cycles=args.cycles,
-        seed=args.seed,
-        faults=FaultConfig(
-            static_node_faults=args.faults,
-            dynamic_faults=args.dynamic_faults,
-        ),
-        recovery=RecoveryConfig(
-            tail_ack=args.tail_ack, retransmit=args.tail_ack
-        ),
-    )
-    result = NetworkSimulator(cfg).run()
+    try:
+        cfg = SimulationConfig(
+            k=args.k,
+            n=args.n,
+            protocol=args.protocol,
+            protocol_params=params,
+            message_length=args.message_length,
+            traffic=args.pattern,
+            traffic_params=_pattern_params(args.pattern_param),
+            offered_load=args.load,
+            warmup_cycles=args.warmup,
+            measure_cycles=args.cycles,
+            seed=args.seed,
+            faults=FaultConfig(
+                static_node_faults=args.faults,
+                dynamic_faults=args.dynamic_faults,
+            ),
+            recovery=RecoveryConfig(
+                tail_ack=args.tail_ack, retransmit=args.tail_ack
+            ),
+        )
+        simulator = NetworkSimulator(cfg)
+    except ValueError as exc:
+        # A value the config, the topology or the fault placement
+        # rejects; an error of the run itself keeps its traceback.
+        raise _UsageError(f"run: {exc}") from exc
+    result = simulator.run()
     print(
         f"protocol={args.protocol} pattern={args.pattern} "
         f"load={args.load} faults={args.faults} "
@@ -452,7 +463,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                      "--find-knee")
     if getattr(args, "profile", False):
         return _run_profiled(args)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

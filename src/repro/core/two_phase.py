@@ -93,10 +93,11 @@ class TwoPhaseProtocol:
 
         A pure function of the header, the fault state and the channel
         occupancy: it mutates nothing, reads no clock and draws no
-        random number.  That is what lets the engine advance a lone
-        header's set-up in closed form by calling it once per hop
-        (``Engine._advance_setup``) — the verdict it applies is the one
-        :meth:`decide` would have returned in that cycle.
+        random number.  That is what lets the engine advance a header's
+        set-up over channels no other message holds in closed form by
+        calling it once per hop (``repro.sim.fast_forward``) — the
+        verdict it applies is the one :meth:`decide` would have returned
+        in that cycle.
         """
         candidate = adaptive_candidate(
             ctx, message.path_nodes[message.header_router], message.dst,

@@ -21,6 +21,8 @@ message undeliverable (the higher-level-protocol escape of Section
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.core.flow_control import FlowControlConfig
 from repro.core.header import DEFAULT_MISROUTE_LIMIT, check_misroute_limit
 from repro.routing.base import (
@@ -47,28 +49,50 @@ class MBmProtocol:
         self.max_retries = max_retries
         self.flow_control = FlowControlConfig.pcs()
 
-    def decide(self, ctx: RoutingContext, message: Message) -> Decision:
-        if ctx.cycle < message.retry_wait:
-            return WAIT
+    def setup_hop(self, ctx: RoutingContext,
+                  message: Message) -> Optional[Decision]:
+        """The search's first choice: the first profitable, healthy,
+        not-yet-searched channel off the current path with a free VC,
+        or ``None`` when there is none.
 
+        A pure function of the header, the fault state and the channel
+        occupancy: it mutates nothing, reads no clock and draws no
+        random number, so the engine can advance a probe over an idle
+        network in closed form by calling it once per hop
+        (``repro.sim.fast_forward``) — :meth:`decide` returns the same
+        verdict whenever its retry backoff is over.
+        """
         j = message.header_router
-        node = message.path_nodes[j]
-        dst = message.dst
-        sig = message.header.sig
         tried = message.tried[j]
         # Self-avoiding depth-first search: never re-enter a node on
         # the current path (the walk would cycle); backtracking is the
         # only way back.
-        on_path = set(message.path_nodes)
-
-        # Profitable, healthy, not-yet-searched channels with a free VC.
-        for hop in ctx.cache.adaptive_candidates(node, dst, sig, None):
+        on_path = message.path_nodes
+        for hop in ctx.cache.adaptive_candidates(
+            message.path_nodes[j], message.dst, message.header.sig, None
+        ):
             ch = hop[2]
             if ch in tried or hop[3] in on_path:
                 continue
             vc = free_vc_any_class(ctx, ch)
             if vc is not None:
                 return Decision(_RESERVE, vc, hop)
+        return None
+
+    def decide(self, ctx: RoutingContext, message: Message) -> Decision:
+        if ctx.cycle < message.retry_wait:
+            return WAIT
+
+        decision = self.setup_hop(ctx, message)
+        if decision is not None:
+            return decision
+
+        j = message.header_router
+        node = message.path_nodes[j]
+        dst = message.dst
+        sig = message.header.sig
+        tried = message.tried[j]
+        on_path = set(message.path_nodes)
 
         # Misroute (preferred over backtracking, Section 3.0) while the
         # budget allows; U-turns are not taken — MB-m backtracks instead.

@@ -28,31 +28,20 @@ Every cycle advances the network through five phases:
    on-off/MMBP for bursty workloads): per-node-per-cycle trials are
    realized by inversion-method geometric gap sampling over the flat
    (cycle, node) trial sequence, so a cycle with no injection costs
-   O(1) and the steady-state fast-forward below can jump over whole
+   O(1) and the fast-forward below can jump over whole
    stretches without an arrival while consuming the RNG identically
    (the ``arrivals``/``idle_cycles``/``skip_cycles`` contract,
    DESIGN.md §9).
 
-Steady-state fast-forward: when no phase but data movement has work —
-no pending header, no control/ack token, no staged gate update, nothing
-to launch — and every active message is an isolated, established worm
-(:meth:`Engine._steady_cycles`), each cycle is a pure shift: every flit
-moves one hop, the one reaching the destination ejects, the source feeds
-one.  That is the uncontended streaming Section 2.2 gives in closed
-form, and :meth:`Engine.run` applies it in closed form too: it jumps the
-clock to just before the *event horizon* — the earliest of the next
-possible injection (known exactly from the geometric gap), the next
-armed dynamic fault, the next invariant-audit tick, the hook's declared
-next event, and the cycle a worm's source runs dry or its tail ejects —
-and shifts every worm by that many hops in one pass.  The empty network
-is the zero-worm case of the same code.  The state that is steady but
-for one lone message's decoupled header setting up — TP's DP phase at
-K = 0, no token in flight — is jumped too (:meth:`Engine._advance_setup`):
-each cycle the header reserves the protocol's pure ``setup_hop`` verdict
-and crosses it on the control slot while the data train shifts one hop
-behind, one more cycle ejects the first flit at the destination, and
-the worm it leaves streams on in the same jump.  The jump is
-cycle-for-cycle and RNG-stream identical to stepping each cycle
+Fast-forward: :meth:`Engine.run` advances in closed form every stretch
+in which no two messages interact and no timed event falls
+(:mod:`repro.sim.fast_forward`): established worms streaming alone on
+their channels (Section 2.2's uncontended t_WR = l + L), the empty
+network, one header setting up beside them (TP's K = 0 DP phase, or
+MB-m's probe, path acknowledgment walk and front fill: t_PCS =
+3l + L − 1), and each message's own events — an injection arrival, its
+source running dry, its tail ejecting.  The jump is cycle-for-cycle and
+RNG-stream identical to stepping each cycle
 (``tests/sim/reference_engine.py`` steps every cycle;
 ``tests/sim/test_determinism.py`` pins results and
 ``tests/sim/test_reference_lockstep.py`` full state after chunks of
@@ -84,11 +73,8 @@ whose data pipeline proved immovable are flagged quiet and skipped
 until a state-change notification (reservation, backtrack, header
 arrival, staged gate update) re-arms them; and the launch loop visits
 only nodes whose injection queue was touched this cycle (arrival,
-requeue, head freed) instead of every busy queue.  Timed events
-(armed dynamic faults, audit ticks, hook events) share one
-:meth:`Engine.next_event_horizon`, which the steady-state fast-forward
-also jumps by.  All of this is behavior-preserving: the same seed
-replays the exact cycle-for-cycle execution of an engine that skips
+requeue, head freed) instead of every busy queue.  All of this is
+behavior-preserving: the same seed replays the exact cycle-for-cycle execution of an engine that skips
 nothing — ``tests/sim/reference_engine.py`` is that engine, restating
 the data-phase rules independently and re-deriving every parked, quiet
 or unattended item each cycle; ``tests/sim/test_determinism.py`` and
@@ -103,8 +89,6 @@ import random
 import warnings
 from typing import Dict, List, Optional, Set, Tuple
 
-from itertools import accumulate
-
 from repro.core import detour as detour_rules
 from repro.core.flow_control import K_INFINITE, FlowControlKind
 from repro.faults.injection import DynamicFaultSchedule
@@ -113,7 +97,7 @@ from repro.network.channel import BUFFER_DEPTH, ChannelBank
 from repro.network.link import ControlPlane
 from repro.network.topology import KAryNCube, cube
 from repro.routing.base import Action, RoutingContext
-from repro.sim import postmortem
+from repro.sim import fast_forward, postmortem
 from repro.sim.config import SimulationConfig
 from repro.sim.invariants import InvariantAuditor, InvariantError
 from repro.sim.message import (
@@ -253,9 +237,10 @@ class Engine:
             fc.kind is FlowControlKind.SCOUTING and fc.k_for(sr) > 0
             for sr in (False, True)
         )
-        #: The protocol's pure set-up verdict (TP's DP step 1), through
-        #: which :meth:`_advance_setup` jumps a lone decoupled header's
-        #: set-up; ``None`` — never jumped — for in-band headers and for
+        #: The protocol's pure set-up verdict (TP's DP step 1, MB-m's
+        #: first choice), through which ``run()``'s jump advances a
+        #: decoupled header's set-up (:mod:`repro.sim.fast_forward`);
+        #: ``None`` — never jumped — for in-band headers and for
         #: protocols without one.
         self._setup_hop = (
             None if self._inline_header
@@ -322,8 +307,8 @@ class Engine:
         self.header_decisions = 0
         #: Header hops the set-up jump applied in closed form, each one
         #: protocol ``setup_hop`` verdict instead of a ``decide`` call
-        #: (:meth:`_advance_setup`); with ``header_decisions``, every
-        #: routing decision a run made.
+        #: (:mod:`repro.sim.fast_forward`); with ``header_decisions``,
+        #: every routing decision a run made.
         self.setup_hops = 0
         #: Data flits delivered during the measurement window.
         self.measured_delivered_flits = 0
@@ -368,10 +353,10 @@ class Engine:
         self._measuring_to = config.total_cycles
         self._progress = False
         self._idle_streak = 0
-        #: Cycles ``step()`` did not execute: jumped by the steady-state
-        #: fast-forward, over an empty network or over streaming worms
-        #: (diagnostics only — deliberately not part of RunResult, which
-        #: must be byte-identical to a run that steps every cycle).
+        #: Cycles ``step()`` did not execute: jumped by ``run()``'s
+        #: fast-forward (:mod:`repro.sim.fast_forward`; diagnostics
+        #: only — deliberately not part of RunResult, which must be
+        #: byte-identical to a run that steps every cycle).
         self.fast_forwarded_cycles = 0
         #: Injection timing, gap-sampled (Bernoulli by default; on-off
         #: MMBP for bursty workloads — see repro.sim.traffic).  One
@@ -463,7 +448,7 @@ class Engine:
         hooked = on_cycle is not None
         while self.cycle < target:
             if fast and not (hooked and self.active):
-                self._fast_forward(target, hook_horizon)
+                fast_forward.jump(self, target, hook_horizon)
                 if self.cycle >= target:
                     break
             self.step()
@@ -485,305 +470,6 @@ class Engine:
                 return True
             self.step()
         return not self.active and not any(self.queues)
-
-    def _steady_cycles(self) -> int:
-        """How many cycles ahead every cycle is provably a pure shift,
-        given that no phase but data movement has anything to do (no
-        pending header, no control or ack token, no staged gate update,
-        nothing for the launch phase to attend: :meth:`_fast_forward`
-        checks that first).
-
-        The state is then *steady* when every active message, possibly
-        none, is an isolated, established worm: header delivered, first
-        flit across the last link and at least one flit ejected (so an
-        in-band header flit is gone), at most one flit per two-flit
-        buffer (:data:`~repro.network.channel.BUFFER_DEPTH`) and none in
-        the last (cut-through ejection), every link still ahead of the
-        tail unreleased and alone on its
-        physical channel, and no other active message bound for the
-        same destination.  Each cycle then moves every flit one hop:
-        the one reaching the destination ejects and the source feeds
-        one while it has any.
-
-        Returns 0 when the state is not steady, ``_NEVER`` for the
-        empty network, else the shortest stretch over which every worm
-        stays that way — up to but not including the cycle its source
-        runs dry (the queue head retires) or its tail flit ejects (the
-        message finalizes).
-        """
-        active = self.active
-        delivered = HeaderPhase.DELIVERED
-        resident = self._ch_resident
-        destinations: Set[int] = set()
-        steady = _NEVER
-        for msg in active.values():
-            path = msg.path
-            last = len(path) - 1
-            buffered = msg.buffered
-            # Cheapest and likeliest rejections first: a flit waiting in
-            # the last buffer (a contended ejection port) is the usual.
-            if (
-                msg.header_phase is not delivered
-                or buffered[last]
-                or msg.head_link != last
-                or msg.ejected == 0
-                or msg.dst in destinations
-                or msg.teardown
-                or max(buffered) > 1
-            ):
-                return 0
-            destinations.add(msg.dst)
-            if msg.at_source:
-                first = 0
-                room = msg.at_source - 1
-            else:
-                first = msg.tail_idx + 1
-                room = last - first
-            if room <= 0:
-                return 0
-            released = msg.released
-            for p in range(first, last + 1):
-                if released[p] or resident[path[p].channel_id] != 1:
-                    return 0
-            if room < steady:
-                steady = room
-        return steady
-
-    def _setup_message(self) -> Optional[Message]:
-        """The lone active message, if its header set-up is all that
-        keeps the state from being steady.
-
-        The predicate of :meth:`_advance_setup`, beyond
-        :meth:`_fast_forward`'s checks (one active message, nothing but
-        routing and data movement to do): no reconfiguration freeze, and
-        the message's decoupled header
-        PENDING (at the end of its path) and not parked, in TP's DP
-        phase with no acknowledgment or hold ever programmed
-        (``needs_path_ack`` unset: every link is a plain K = 0
-        reservation), with at most one flit per buffer and none at the
-        header's router.
-        """
-        if self.routing_freeze:
-            return None
-        msg = next(iter(self.active.values()))
-        buffered = msg.buffered
-        if (
-            msg.header_phase is not HeaderPhase.PENDING
-            or msg.parked
-            or msg.needs_path_ack
-            or msg.tp_mode is TPMode.DETOUR
-            or (buffered and (buffered[-1] or max(buffered) > 1))
-        ):
-            return None
-        return msg
-
-    def next_event_horizon(self, limit: int, hook_horizon=None) -> int:
-        """Latest cycle a steady clock may jump to without skipping an
-        event.
-
-        Every source of *timed* events is folded into one horizon: the
-        instrumentation hook's declared next event, the next armed
-        dynamic fault, and the next invariant-audit tick.  The return
-        value is the cycle just *before* the earliest of them, capped
-        at ``limit`` (the run target).  Two event sources are
-        intentionally not folded in here: the next injection arrival,
-        known only from the injection process's private gap/dwell
-        state, and the worms' own source-runs-dry and tail-ejection
-        cycles (:meth:`_steady_cycles`); :meth:`_fast_forward` clips on
-        both separately.
-        """
-        stop = limit
-        if hook_horizon is not None:
-            horizon = hook_horizon(self)
-            if horizon is not None and horizon - 1 < stop:
-                stop = horizon - 1
-        if self.dynamic_schedule is not None:
-            nxt = self.dynamic_schedule.next_cycle()
-            if nxt is not None and nxt - 1 < stop:
-                stop = nxt - 1
-        if self.auditor is not None:
-            tick = self.auditor.next_audit_cycle(self) - 1
-            if tick < stop:
-                stop = tick
-        return stop
-
-    def _fast_forward(self, limit: int, hook_horizon=None) -> None:
-        """From a steady state, jump to just before the event horizon.
-
-        The jump is the shortest of the steady stretch
-        (:meth:`_steady_cycles`), the timed horizon
-        (:meth:`next_event_horizon`; :meth:`run` calls this with a hook
-        only while the network is empty, the one state the hook's
-        declaration covers) and the next injection arrival — known
-        exactly from the injection process's gap/dwell state
-        (``idle_cycles``), which ``skip_cycles`` then debits without RNG
-        draws so the stream continues precisely where the
-        cycle-by-cycle path would have left it.  Every worm in flight
-        is shifted by that many hops in closed form
-        (:meth:`_advance_worm`).  A state that is steady but for one
-        lone header setting up (:meth:`_setup_message`) first has that
-        set-up advanced in closed form (:meth:`_advance_setup`); once its
-        first flit has ejected, the worm it leaves streams on in the
-        same call.  The first cycle that can do anything else is then
-        executed by the ordinary :meth:`step`.
-
-        Every phase but routing and data movement must be idle: an empty
-        launch attention set also means every busy injection queue is
-        empty or headed by an ACTIVE message, because the launch phase
-        leaves each queue it attends so and every change of a queue's
-        head attends it.
-        """
-        pending = self.pending
-        # The usual rejection first, in O(1): headers pending in a
-        # crowded network.  Only a lone header's set-up is jumped.
-        if pending and (len(self.active) != 1 or self._setup_hop is None):
-            return
-        if (
-            self._launch_attn
-            or self.control_out
-            or self.ack_out
-            or self._staged_acks
-            or self._staged_path
-        ):
-            return
-        if pending:
-            setup = self._setup_message()
-            if setup is None:
-                return
-            steady = 0
-        else:
-            setup = None
-            steady = self._steady_cycles()
-            if not steady:
-                return
-        start = self.cycle
-        stop = self.next_event_horizon(limit, hook_horizon)
-        if stop <= start:
-            return
-        num_healthy = (
-            len(self.traffic.healthy_nodes)
-            if self.traffic_enabled and self.injection.enabled else 0
-        )
-        if num_healthy:
-            stop = min(stop, start + self.injection.idle_cycles(num_healthy))
-            if stop <= start:
-                return
-        if setup is not None:
-            self._advance_setup(setup, stop - start)
-            if self.cycle < stop and not self.pending:
-                steady = self._steady_cycles()
-        if steady:
-            skip = min(steady, stop - self.cycle)
-            for msg in self.active.values():
-                self._advance_worm(msg, skip)
-            self.cycle += skip
-        jumped = self.cycle - start
-        if jumped:
-            if num_healthy:
-                self.injection.skip_cycles(jumped, num_healthy)
-            self._idle_streak = 0
-            self.ctx.cycle = self.cycle
-            self.fast_forwarded_cycles += jumped
-
-    def _advance_worm(self, msg: Message, hops: int) -> None:
-        """Shift an isolated worm ``hops`` cycles ahead in one pass.
-
-        ``line`` is the start-of-jump occupancy by position, extended
-        ``hops`` places upstream of buffer 0: the source backlog (one
-        flit per place — the jump ends before it runs dry) or the void
-        behind the tail.  Every flit ends ``hops`` places downstream, so
-        link ``p`` carried the flits that started within ``hops`` places
-        upstream of it — a difference of two prefix sums — and the last
-        link's count is the ejections: the flit at ``line[j]`` ejects in
-        cycle ``self.cycle + last + hops - j``.
-        """
-        path = msg.path
-        last = len(path) - 1
-        buffered = msg.buffered
-        feeding = msg.at_source > 0
-        line = [1 if feeding else 0] * hops + buffered[:last]
-        before = list(accumulate(line, initial=0))
-        moved = 0
-        for p in range(0 if feeding else msg.tail_idx + 1, last + 1):
-            carried = before[p + hops] - before[p]
-            path[p].grants += carried
-            moved += carried
-        self.data_flits_moved += moved
-        buffered[:last] = line[:last]
-        if feeding:
-            msg.at_source -= hops
-        else:
-            tail = msg.tail_idx
-            msg.tail_idx = tail + hops
-            if not self._tail_ack_mode:
-                for p in range(tail + 1, tail + hops + 1):
-                    self._release_link(msg, p)
-        ejected = before[last + hops] - before[last]
-        if ejected:
-            msg.ejected += ejected
-            self.flits_ejected += ejected
-            self._eject_last[msg.dst] = msg.msg_id
-            final = self.cycle + last + hops
-            lo = max(last, final - self._measuring_to)
-            hi = min(last + hops, final - self._measuring_from)
-            if lo < hi:
-                self.measured_delivered_flits += before[hi] - before[lo]
-
-    def _advance_setup(self, msg: Message, cycles: int) -> None:
-        """Advance a lone header's set-up, and the clock, by up to
-        ``cycles`` cycles in one pass.
-
-        Each set-up cycle is a shift on a path that grows one link: the
-        header takes the protocol's ``setup_hop`` verdict, reserves the
-        link and crosses it on the control slot, and the data train
-        moves one hop behind it — the source feeds one flit, every
-        buffered flit advances, and the front never reaches the new
-        link, which the header's control flit holds this cycle (from
-        the source, the first hop moves no data at all).  Once the
-        header is at the destination, one more cycle moves the front
-        over the last link and ejects it through the cut-through port.
-        The data side of all of it is one :meth:`_advance_worm` shift.
-
-        The jump stops before the first hop whose verdict is not a plain
-        K = 0 reservation (no free safe profitable adaptive VC) and
-        before the hop cap, and it keeps the source feeding: the cycle
-        its last flit leaves is stepped.  Each hop is
-        :meth:`_execute_reserve` plus :meth:`_arrive_header`'s
-        bookkeeping, without building the :class:`ControlFlit`.
-        """
-        lag = 0 if msg.path else 1
-        cycles = min(cycles, msg.at_source - 1 + lag)
-        hops = 0
-        while (
-            hops < cycles
-            and msg.hops_taken <= msg.hop_cap
-            and msg.path_nodes[-1] != msg.dst
-        ):
-            decision = self._setup_hop(self.ctx, msg)
-            if decision is None or decision.k:
-                break
-            self._execute_reserve(msg, decision)
-            msg.header_router += 1
-            hops += 1
-        if not hops:
-            return
-        self.setup_hops += hops
-        self.control_flits_sent += hops
-        msg.consecutive_waits = 0
-        advanced = hops
-        if msg.path_nodes[-1] == msg.dst:
-            msg.header_phase = HeaderPhase.DELIVERED
-            del self.pending[msg.msg_id]
-            if hops < cycles:
-                advanced += 1  # the first-ejection cycle
-        self.cycle += lag
-        shifts = advanced - lag
-        if shifts:
-            if msg.injected_cycle is None:
-                msg.injected_cycle = self.cycle + 1
-            msg.head_link += shifts
-            self._advance_worm(msg, shifts)
-            self.cycle += shifts
 
     def step(self) -> None:
         """Advance one cycle through the five phases."""
@@ -880,10 +566,21 @@ class Engine:
 
         Equivalent to the message having been generated by the traffic
         phase of the current cycle: its header makes its first routing
-        decision next cycle.
+        decision next cycle.  Both nodes must exist (failed ones are
+        allowed: recovery handles them) and ``length``, when given, must
+        be at least 1, as :class:`SimulationConfig` requires of
+        ``message_length``.
         """
+        nodes = range(self.topology.num_nodes)
+        if src not in nodes or dst not in nodes:
+            raise ValueError(
+                f"source {src} and destination {dst} must be nodes "
+                f"0..{len(nodes) - 1}"
+            )
         if src == dst:
             raise ValueError("source and destination must differ")
+        if length is not None and length < 1:
+            raise ValueError("length must be >= 1")
         msg = self._new_message(src, dst, self.cycle, length=length)
         self.queues[src].append(msg)
         self._busy_queues.add(src)
@@ -1093,8 +790,8 @@ class Engine:
     def _execute_reserve(self, msg: Message, decision) -> None:
         """Reserve the decision's VC: the path grows one link at the
         header's end.  Moving the header over it is the caller's part —
-        a control flit, the in-band header's own data move, or
-        :meth:`_advance_setup`'s closed form."""
+        a control flit, the in-band header's own data move, or the
+        fast-forward's closed form."""
         vc = decision.vc
         # The decision's hop is the RouteCache entry the protocol chose:
         # (dim, direction, channel_id, next_node[, vclass]).
@@ -1799,21 +1496,25 @@ class Engine:
         ):
             self.measured_delivered_flits += 1
         if msg.ejected == msg.total_flits:
-            # Drained: the tail flit left the last buffer.
-            msg.tail_idx = len(msg.path)
-            msg.delivered_cycle = self.cycle
-            if self._tail_ack_mode:
-                # Hold the path; tear it down with the tail ack.
-                self._push_control(
-                    ControlFlit(
-                        ControlKind.TAIL_ACK, msg, len(msg.path) - 1,
-                        self.cycle + 1,
-                    ),
-                    self._reverse[msg.path[-1].channel_id],
-                )
-            else:
-                msg.status = MessageStatus.DELIVERED
-                self._finalize(msg, count_delivered=True)
+            self._drained(msg)
+
+    def _drained(self, msg: Message) -> None:
+        """The tail flit left the last buffer in this cycle: deliver, or
+        hold the path and send the tail acknowledgment back."""
+        msg.tail_idx = len(msg.path)
+        msg.delivered_cycle = self.cycle
+        if self._tail_ack_mode:
+            # Hold the path; tear it down with the tail ack.
+            self._push_control(
+                ControlFlit(
+                    ControlKind.TAIL_ACK, msg, len(msg.path) - 1,
+                    self.cycle + 1,
+                ),
+                self._reverse[msg.path[-1].channel_id],
+            )
+        else:
+            msg.status = MessageStatus.DELIVERED
+            self._finalize(msg, count_delivered=True)
 
     # ==================================================================
     # Phase 5: traffic generation and launches
@@ -1855,17 +1556,18 @@ class Engine:
                             busy_queues.add(node)
                             attn.add(node)
             # else: no trial slots this cycle; the process is frozen.
+        if self._launch_attn:
+            self._launch()
 
-        # Launch / advance injection queues, visiting only the
-        # attention set — nodes whose queue head could act this cycle
-        # (fresh arrival, head finished injecting or tail-acked, head
-        # finalized or requeued, queue dropped by a fault); every other
-        # busy node's visit is provably a no-op (an ACTIVE head
-        # mid-injection breaks immediately), so the ascending-order
-        # launch sequence matches a scan of every busy queue exactly.
+    def _launch(self) -> None:
+        """Launch / advance injection queues, visiting only the
+        attention set — nodes whose queue head could act this cycle
+        (fresh arrival, head finished injecting or tail-acked, head
+        finalized or requeued, queue dropped by a fault); every other
+        busy node's visit is provably a no-op (an ACTIVE head
+        mid-injection breaks immediately), so the ascending-order
+        launch sequence matches a scan of every busy queue exactly."""
         attn = self._launch_attn
-        if not attn:
-            return
         nodes = sorted(attn)
         attn.clear()
         busy = self._busy_queues

@@ -77,6 +77,21 @@ class TestExecution:
         assert rc == 0
         assert "delivered" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--message-length", "0"], "message_length must be >= 1"),
+        (["--k", "2"], "radix k must be >= 3"),
+        (["--k", "4", "--faults", "20"], "cannot fail that many nodes"),
+    ], ids=["message-length", "radix", "faults"])
+    def test_run_rejects_bad_values_as_usage_errors(self, flags, message,
+                                                    capsys):
+        """Rejected by the config, the topology or the fault placement:
+        a usage error (exit 2, the reason on stderr), not a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_unknown_figure_errors(self, capsys):
         assert main(["figure", "99"]) == 2
         assert "validation" in capsys.readouterr().err

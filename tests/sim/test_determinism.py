@@ -395,26 +395,31 @@ def test_fast_forward_actually_skips_cycles():
     """The low-load pinned config must exercise the skip path.  Executed
     steps repeat exactly, so the count is pinned: jumping the empty
     network alone leaves 567, the worm jump without the set-up jump
-    342, a shortened jump something between — caught here without a
-    timer."""
+    342, stepping each message's own events as well 185, a shortened
+    jump something between — caught here without a timer."""
     sim = NetworkSimulator(_low_load_idle_cfg())
     sim.run()
     assert sim.engine.cycle == 2800
-    assert executed_steps(sim.engine) == 185
+    assert executed_steps(sim.engine) == 4
 
 
 @pytest.mark.parametrize(
     "protocol,overrides,steps,delivered",
     [
-        # TP: the first hop (``inject`` arms the launch attention set),
-        # then one step each for the source running dry and the tail
-        # ejecting; the other seven hops, the first ejection and every
-        # streaming cycle are jumped.
-        ("tp", {}, 1 + 2, 40),
-        # In-band (DP) and PCS (MB-m) headers set up stepped.
-        ("dp", {}, 8 + 2, 40),
-        ("mb", {}, 8 + 8 + 8 + 2, 55),  # + path ack back, first flit out
-        ("tp", {"recovery": RecoveryConfig(tail_ack=True)}, 3 + 8, 40),
+        # TP: the first hop (``inject`` arms the launch attention set);
+        # the other seven hops, the first ejection, every streaming
+        # cycle, the source running dry and the tail ejecting are
+        # jumped.
+        ("tp", {}, 1, 40),
+        # An in-band (DP) header is a data flit: its eight hops are
+        # stepped.
+        ("dp", {}, 8, 40),
+        # MB-m: the first probe hop; the other seven, the path
+        # acknowledgment's walk back and the front filling the path
+        # are jumped (t_PCS = 3l + L - 1).
+        ("mb", {}, 1, 55),
+        # The tail acknowledgment's walk back is stepped, one per hop.
+        ("tp", {"recovery": RecoveryConfig(tail_ack=True)}, 1 + 8, 40),
     ],
     ids=["tp", "dp", "mb", "tp-tail-ack"],
 )

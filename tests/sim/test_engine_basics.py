@@ -19,6 +19,24 @@ class TestInjection:
         with pytest.raises(ValueError):
             engine.inject(3, 3)
 
+    @pytest.mark.parametrize("src,dst,length", [
+        (0, 5, 0),     # a message with no flit never delivers
+        (0, 16, None),  # one past the last node of the 4-ary 2-cube
+        (-1, 5, None),
+    ], ids=["zero-length", "destination-past-end", "negative-source"])
+    def test_inject_rejects_what_the_config_would(self, src, dst, length):
+        """Rejected at the call, as ``SimulationConfig`` rejects a
+        ``message_length`` below 1, not cycles later inside routing."""
+        engine = build_engine("tp", k=4)
+        with pytest.raises(ValueError):
+            engine.inject(src, dst, length=length)
+        assert not engine.active and not any(engine.queues)
+
+    def test_inject_accepts_a_failed_destination(self):
+        engine = build_engine("tp")
+        engine.faults.fail_node(5)
+        assert engine.inject(0, 5).status is MessageStatus.ACTIVE
+
     def test_second_message_waits_in_queue(self):
         engine = build_engine("tp", k=8)
         first = engine.inject(0, 4, length=8)

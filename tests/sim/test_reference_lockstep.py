@@ -18,8 +18,9 @@ Three families:
   bumps — the paths where the wake and re-arm notifications are
   hardest to get right.
 * **steady-state fast-forward** — ``Engine.run`` jumps over cycles in
-  which nothing is in flight but isolated, established worms or one
-  lone header setting up (DESIGN.md §8), advancing them in closed form.
+  which no two messages interact (DESIGN.md §8): isolated worms, one
+  header setting up or one path acknowledgment walking beside them, and
+  each message's own events, all advanced in closed form.
   ``step()`` never enters that jump, so production ``run(c)`` is
   compared with the reference's (which steps all ``c`` cycles) over
   hypothesis-drawn chunk lengths at light load, full state after every
@@ -51,6 +52,8 @@ from repro.sim.config import (
     SimulationConfig,
 )
 from repro.network.link import ControlPlane
+from repro.sim import fast_forward
+from repro.sim.engine import Engine
 from repro.sim.message import HeaderPhase
 from repro.sim.simulator import NetworkSimulator
 from tests.sim.reference_engine import ReferenceSimulator
@@ -249,17 +252,97 @@ def _headers_in_setup(engine):
     }
 
 
-def test_chunked_run_matches_reference():
+#: Every kind of work the jump does in closed form.
+JUMP_KINDS = (
+    "arrival", "source-dry", "tail-ejection", "setup-beside-worm",
+    "pcs-probe", "path-ack-walk", "front-fill",
+)
+
+
+class JumpSpy:
+    """Counts, per kind, the closed-form work ``run()``'s jump did.
+
+    Spies on ``repro.sim.fast_forward``: a folded arrival is a traffic
+    phase run inside a jump segment that offered a message, a folded
+    tail ejection an ``Engine._drained`` call inside one, a source-dry
+    or front-fill shift an ``_advance_worm`` call that ran the source
+    dry or moved a delivered header's first flit toward the
+    destination, and the set-up kinds the header hops and walk
+    positions applied.  The reference engine never jumps, so only the
+    production engine's calls count.
+    """
+
+    def __init__(self, monkeypatch):
+        self.fired = dict.fromkeys(JUMP_KINDS, 0)
+        self._depth = 0
+        segment = fast_forward._segment
+        reserve_hops = fast_forward._reserve_hops
+        walk = fast_forward._walk_path_ack
+        advance = fast_forward._advance_worm
+        drained = Engine._drained
+        traffic = Engine._phase_traffic
+
+        def spy_segment(engine, *args):
+            self._depth += 1
+            try:
+                return segment(engine, *args)
+            finally:
+                self._depth -= 1
+
+        def spy_reserve_hops(engine, lead, cycles, worms):
+            hops = reserve_hops(engine, lead, cycles, worms)
+            if hops and engine._pcs:
+                self.fired["pcs-probe"] += 1
+            elif hops and worms:
+                self.fired["setup-beside-worm"] += 1
+            return hops
+
+        def spy_walk(engine, lead, cycles):
+            walked = walk(engine, lead, cycles)
+            self.fired["path-ack-walk"] += bool(walked)
+            return walked
+
+        def spy_advance(engine, msg, start, hops):
+            feeding = msg.at_source > 0
+            filling = (msg.header_phase is HeaderPhase.DELIVERED
+                       and msg.head_link < len(msg.path) - 1)
+            advance(engine, msg, start, hops)
+            self.fired["source-dry"] += feeding and not msg.at_source
+            self.fired["front-fill"] += filling
+
+        def spy_drained(engine, msg):
+            self.fired["tail-ejection"] += self._depth > 0
+            drained(engine, msg)
+
+        def spy_traffic(engine):
+            offered = engine.offered_messages
+            traffic(engine)
+            self.fired["arrival"] += (
+                self._depth > 0 and engine.offered_messages > offered
+            )
+
+        monkeypatch.setattr(fast_forward, "_segment", spy_segment)
+        monkeypatch.setattr(fast_forward, "_reserve_hops", spy_reserve_hops)
+        monkeypatch.setattr(fast_forward, "_walk_path_ack", spy_walk)
+        monkeypatch.setattr(fast_forward, "_advance_worm", spy_advance)
+        monkeypatch.setattr(Engine, "_drained", spy_drained)
+        monkeypatch.setattr(Engine, "_phase_traffic", spy_traffic)
+
+
+def test_chunked_run_matches_reference(monkeypatch):
     """``production.run(c)`` equals ``reference.run(c)`` chunk by chunk.
 
     ``step()`` never enters ``run()``'s jump, and ``RunResult`` holds
     neither ``vc.grants`` nor ``_eject_last``: only a full-state
     comparison around ``run()`` sees a slip in the closed-form worm
-    advance or header set-up.  Light loads keep worms isolated; the
-    warm-up and the end of the window land mid-stream, and chunk ends
-    cut jumps short at arbitrary cycles.  The advance draws no random
-    number, so the RNG states must agree too.
+    advance, header set-up, path acknowledgment walk or folded event.
+    Light loads keep worms isolated; the warm-up and the end of the
+    window land mid-stream, and chunk ends cut jumps short at arbitrary
+    cycles.  The advance draws no random number, so the RNG states must
+    agree too — and every kind of jump must have fired over the
+    examples, or the comparison proved nothing about it.
     """
+    spy = JumpSpy(monkeypatch)
     worm_jumps = []
     setup_jumps = []
 
@@ -357,6 +440,7 @@ def test_chunked_run_matches_reference():
     check()
     assert worm_jumps, "no chunk ever fast-forwarded a worm in flight"
     assert setup_jumps, "no chunk ever jumped a header in set-up"
+    assert all(spy.fired.values()), f"jump kinds never fired: {spy.fired}"
 
 
 # ----------------------------------------------------------------------
@@ -364,8 +448,9 @@ def test_chunked_run_matches_reference():
 # hops of an idle 16-ary 2-cube (TP: header at the destination in cycle
 # 8, flit i ejected in cycle 8 + i, delivered in cycle 40 = l + L).
 # The first hop is stepped (``inject`` arms the launch attention set);
-# one jump then covers hops 2-8, the first ejection (cycle 9) and the
-# feed (cycles 10-32).
+# one jump then covers hops 2-8, the first ejection (cycle 9), the feed,
+# the source running dry (cycle 33), the drain, the tail's ejection
+# (cycle 40) and the empty network after it.
 # ----------------------------------------------------------------------
 def _node(x: int, y: int) -> int:
     return x + 16 * y
@@ -393,7 +478,7 @@ def _run_both(production, reference, cycles, on_cycle=None):
 @pytest.mark.parametrize(
     "window,counted",
     [
-        # The jump covers cycles 2-32.
+        # The jump covers cycles 2-200.
         ({"warmup_cycles": 20, "measure_cycles": 180}, 20),
         ({"warmup_cycles": 0, "measure_cycles": 25}, 17),
         # The edge on the first-ejection cycle (9), which the set-up
@@ -415,7 +500,7 @@ def test_jump_straddles_measurement_window_edge(window, counted):
     )
     _run_both(production, reference, 200)
     assert production.measured_delivered_flits == counted
-    assert executed_steps(production) == 3  # no jump was cut short
+    assert executed_steps(production) == 1  # no jump was cut short
 
 
 def test_dynamic_fault_on_streaming_worms_own_channel():
@@ -491,18 +576,22 @@ def test_hooked_run_jumps_only_the_empty_network():
 
 def test_tail_ack_holds_links_through_the_drain_jump():
     """Tail-ack mode: the tail crosses links in the jump without
-    releasing them; the TAIL_ACK walk back is stepped."""
+    releasing them, its ejection sends the TAIL_ACK (the jump ends
+    there) and the walk back is stepped."""
     production, reference = _engine_pair(
         lone_message_cfg(recovery=RecoveryConfig(tail_ack=True)),
         (_node(0, 0), _node(4, 4)),
     )
     msg = production.active[0]
-    _run_both(production, reference, 39)  # the drain jump ends here
-    assert production.fast_forwarded_cycles == 31 + 6
+    _run_both(production, reference, 39)
+    assert production.fast_forwarded_cycles == 38  # cycles 2-39
     assert msg.tail_idx == 6 and not any(msg.released)
     assert all(vc.owner == msg.msg_id for vc in msg.path)
-    _run_both(production, reference, 161)
-    assert executed_steps(production) == 3 + 8  # one step per ack hop
+    _run_both(production, reference, 1)  # the tail ejects, jumped
+    assert production.fast_forwarded_cycles == 39
+    assert msg.delivered_cycle == 40 and len(production.control_out) == 1
+    _run_both(production, reference, 160)
+    assert executed_steps(production) == 1 + 8  # one step per ack hop
     assert production.channels.all_free()
 
 
@@ -524,22 +613,28 @@ def test_audit_ticks_bound_the_jump_and_find_it_clean():
 
 
 # ----------------------------------------------------------------------
-# Named edges of the set-up jump (Engine._advance_setup): where the lone
-# header above stops being jumped, and the reference agrees.
+# Named edges of the set-up jump (fast_forward._reserve_hops): where the
+# lone header above stops being jumped, and the reference agrees.
 # ----------------------------------------------------------------------
 def test_setup_jump_cut_by_injection_arrival():
-    """At this seed the first injection arrives in cycle 5: the set-up
-    jump ends at cycle 4, cycle 5 is stepped and launches the newcomer,
-    and with two messages active nothing more is jumped."""
+    """At this seed the first injection arrives in cycle 5: the jump
+    folds it in and launches the newcomer, and with two headers setting
+    up it ends there; cycles 6-8 are stepped until the first header is
+    delivered, and the newcomer's set-up is jumped beside that worm."""
     production, reference = _engine_pair(
         lone_message_cfg(offered_load=0.01, seed=7),
         (_node(0, 0), _node(4, 4)),
     )
     _run_both(production, reference, 1)
-    _run_both(production, reference, 8)
-    assert production.fast_forwarded_cycles == 3  # hops 2-4
+    _run_both(production, reference, 4)
+    assert production.fast_forwarded_cycles == 4  # hops 2-5, arrival
     assert production.offered_messages == 1
-    assert len(production.active) == 2
+    assert _headers_in_setup(production) == {0, 1}
+    _run_both(production, reference, 3)
+    assert production.fast_forwarded_cycles == 4  # cycles 6-8 stepped
+    _run_both(production, reference, 1)
+    assert production.fast_forwarded_cycles == 5
+    assert _headers_in_setup(production) == {1}
     _run_both(production, reference, 191)
     assert production.rng.getstate() == reference.rng.getstate()
     assert production.delivered_messages >= 2
@@ -593,11 +688,12 @@ def test_setup_jump_cut_by_audit_tick():
 @pytest.mark.parametrize(
     "k_unsafe,steps",
     [
-        # Cycles 1 and 4, then the source running dry and the tail.
-        (0, 2 + 2),
-        # Cycles 1 and 4-10: the last hop, the path acknowledgment's
-        # walk back and the data gated behind it.
-        (3, 1 + 7 + 2),
+        # Cycles 1 and 4.
+        (0, 2),
+        # Cycles 1 and 4-10: the last hop, the scouting acknowledgments
+        # and the path acknowledgment's walk back, with the data gated
+        # behind them.
+        (3, 1 + 7),
     ],
 )
 def test_setup_jump_stops_at_unsafe_channel(k_unsafe, steps):
@@ -625,28 +721,31 @@ def test_setup_jump_stops_at_unsafe_channel(k_unsafe, steps):
     assert executed_steps(production) == steps
 
 
-def test_setup_jump_stops_before_source_runs_dry():
-    """A 3-flit message over 8 hops: the jump covers hops 2-3, cycle 4
-    (its last flit leaves the source) is stepped, and so is the rest of
-    the set-up, the tail now in the network, up to the first ejection
-    (cycle 9); one drain cycle (10) is jumped before the tail ejects."""
+def test_setup_jump_folds_the_source_running_dry():
+    """A 3-flit message over 8 hops: its last flit leaves the source in
+    cycle 4, mid set-up.  The jump folds that cycle in (link 0 released,
+    the source queue attended) and sets up the rest with the tail in the
+    network: hops 2-8, the drain and the tail's ejection in cycle 11 are
+    all one jump."""
     production, reference = _engine_pair(lone_message_cfg())
     for engine in (production, reference):
         engine.inject(_node(0, 0), _node(4, 4), length=3)
     msg = production.active[0]
     _run_both(production, reference, 1)
     _run_both(production, reference, 3)
-    assert production.fast_forwarded_cycles == 2
+    assert production.fast_forwarded_cycles == 3
     assert msg.at_source == 0 and _headers_in_setup(production) == {0}
+    assert msg.released[0] and not any(production.queues)
     _run_both(production, reference, 196)
-    assert production.fast_forwarded_cycles == 2 + 1 + 189
+    assert executed_steps(production) == 1
     assert production.records[0].delivered == 8 + 3
 
 
 def test_second_launch_during_setup_is_never_jumped():
     """A second message launched while the first header sets up: two
-    headers decide each cycle, and nothing is jumped until both are
-    delivered."""
+    headers decide each cycle, and nothing is jumped until the first is
+    delivered (cycle 8); the second's set-up is then jumped beside the
+    first's worm."""
     production, reference = _engine_pair(
         lone_message_cfg(), (_node(0, 0), _node(4, 4))
     )
@@ -654,11 +753,292 @@ def test_second_launch_during_setup_is_never_jumped():
     assert production.fast_forwarded_cycles == 3
     for engine in (production, reference):
         engine.inject(_node(8, 0), _node(8, 6))
-    while _headers_in_setup(production):
+    while len(_headers_in_setup(production)) == 2:
         _run_both(production, reference, 1)
-    assert production.fast_forwarded_cycles == 3
+    assert production.cycle == 8 and production.fast_forwarded_cycles == 3
+    _run_both(production, reference, 2)
+    assert not _headers_in_setup(production)
+    assert production.fast_forwarded_cycles == 5
     _run_both(production, reference, 200 - production.cycle)
     assert production.delivered_messages == 2
+
+
+# ----------------------------------------------------------------------
+# Named edges of the folded events, the set-up beside worms and MB-m's
+# PCS set-up (probe, path acknowledgment walk, front fill: delivered in
+# cycle 3l + L - 1 = 55 for the lone message above).
+# ----------------------------------------------------------------------
+def test_queued_message_launches_when_its_predecessor_runs_dry():
+    """Two messages queued at one source: the first's last flit leaves
+    in cycle 33, and the jump folds that cycle's launch of the second —
+    whose set-up then runs beside the first's draining worm, on
+    channels of its own."""
+    production, reference = _engine_pair(
+        lone_message_cfg(),
+        (_node(0, 0), _node(4, 4)), (_node(0, 0), _node(12, 0)),
+    )
+    _run_both(production, reference, 33)
+    second = production.active[1]
+    assert second.header_phase is HeaderPhase.PENDING and not second.path
+    _run_both(production, reference, 167)
+    assert executed_steps(production) == 1
+    assert [(r.msg_id, r.injected, r.delivered)
+            for r in production.records] == [(0, 2, 40), (1, 35, 69)]
+
+
+def test_two_tail_ejections_in_one_cycle(monkeypatch):
+    """Equal lengths over equal distances: both tails eject in cycle 40,
+    inside one jump, and the records are appended in the order the
+    ejections are granted."""
+    spy = JumpSpy(monkeypatch)
+    production, reference = _engine_pair(
+        lone_message_cfg(),
+        (_node(0, 0), _node(4, 4)), (_node(8, 8), _node(12, 12)),
+    )
+    _run_both(production, reference, 200)
+    assert executed_steps(production) == 8  # two headers set up stepped
+    assert spy.fired["tail-ejection"] == 2
+    assert [(r.msg_id, r.delivered) for r in production.records] == [
+        (0, 40), (1, 40),
+    ]
+
+
+def test_setup_hop_onto_a_streaming_worms_channel_is_stepped():
+    """MB-m draws any free VC, so the probe from (2, 0) to (5, 0) finds
+    one on the channels the worm from (0, 0) to (6, 0) streams over: its
+    control flit would take the worm's data slot, so its hops are
+    stepped, and the worm's flits wait for them."""
+    production, reference = _engine_pair(
+        lone_message_cfg(protocol="mb"), (_node(0, 0), _node(6, 0))
+    )
+    _run_both(production, reference, 30)
+    worm = production.active[0]
+    assert worm.path_established and executed_steps(production) == 1
+    for engine in (production, reference):
+        engine.inject(_node(2, 0), _node(5, 0))
+    _run_both(production, reference, 2)
+    assert executed_steps(production) == 3
+    probe = production.active[1]
+    assert [vc.channel_id for vc in probe.path] == [
+        vc.channel_id for vc in worm.path[2:4]
+    ]
+    _run_both(production, reference, 168)
+    assert [(r.msg_id, r.delivered) for r in production.records] == [
+        (0, 60), (1, 81),
+    ]
+
+
+def test_setup_right_behind_a_draining_worms_tail():
+    """A 4-flit worm from (0, 0) to (8, 0) drains, its tail releasing
+    one link per cycle; a header from (3, 0) to (7, 3) follows it,
+    taking each of those links the cycle after the tail left it (first
+    choice: x before y).  A jumped hop must see the releases of the
+    cycles before it, not the state the jump started from."""
+    production, reference = _engine_pair(lone_message_cfg())
+    for engine in (production, reference):
+        engine.inject(_node(0, 0), _node(8, 0), length=4)
+    _run_both(production, reference, 8)
+    for engine in (production, reference):
+        engine.inject(_node(3, 0), _node(7, 3))
+    follower = production.active[1]
+    for _ in range(8):
+        _run_both(production, reference, 24)
+    assert [(node % 16, node // 16) for node in follower.path_nodes] == [
+        (3, 0), (4, 0), (5, 0), (6, 0), (7, 0), (7, 1), (7, 2), (7, 3),
+    ]
+    assert executed_steps(production) == 2
+    assert [(r.msg_id, r.delivered) for r in production.records] == [
+        (0, 12), (1, 47),
+    ]
+
+
+def test_path_ack_walk_over_a_streaming_worms_channel_is_stepped():
+    """An MB-m probe from (0, 0) to (4, 0) is established while a worm
+    streams from (6, 0) to (1, 0): the path acknowledgment walks back
+    over the worm's channels, taking their data slots, so those cycles
+    are stepped."""
+    production, reference = _engine_pair(
+        lone_message_cfg(protocol="mb"), (_node(6, 0), _node(1, 0))
+    )
+    _run_both(production, reference, 12)
+    assert production.active[0].path_established
+    for engine in (production, reference):
+        engine.inject(_node(0, 0), _node(4, 0))
+    for _ in range(8):
+        _run_both(production, reference, 23)
+    assert executed_steps(production) == 5
+    assert [(r.msg_id, r.delivered) for r in production.records] == [
+        (0, 47), (1, 55),
+    ]
+
+
+def _hold(engines, node, ports):
+    """Reserve every VC of ``node``'s channels on ``ports`` ((dim,
+    direction) pairs) for a circuit that is not simulated, as
+    ``_execute_reserve`` would; returns a callable that releases them."""
+    channels = [engines[0].topology.channel_id(node, dim, direction)
+                for dim, direction in ports]
+    for engine in engines:
+        for ch in channels:
+            for vc in engine.channels.vcs(ch):
+                vc.reserve(-1)
+                engine._ch_resident[ch] += 1
+
+    def release():
+        for engine in engines:
+            for ch in channels:
+                for vc in engine.channels.vcs(ch):
+                    vc.release()
+    return release
+
+
+def _step_both(production, reference, cycles):
+    """``_run_both`` one cycle at a time: a jump that diverges and
+    converges again inside a longer chunk is seen too."""
+    for _ in range(cycles):
+        _run_both(production, reference, 1)
+
+
+def test_parked_probe_waits_out_its_retry_backoff():
+    """Every channel out of the source held: the MB-m probe's first
+    decision is a retry, 16 cycles of backoff, parked.  The channels
+    free in cycle 5, but a parked header's next decision is still WAIT
+    (the release only re-decides it in cycle 6): the probe is stepped,
+    not jumped, until its timer wakes it in cycle 17."""
+    production, reference = _engine_pair(
+        lone_message_cfg(protocol="mb"), (_node(0, 0), _node(1, 0))
+    )
+    release = _hold((production, reference), _node(0, 0),
+                    [(0, 1), (0, -1), (1, 1), (1, -1)])
+    _step_both(production, reference, 5)
+    probe = production.active[0]
+    assert probe.parked and probe.wake_at == 17
+    release()
+    _step_both(production, reference, 195)
+    assert [(r.injected, r.delivered) for r in production.records] == [
+        (19, 50),
+    ]
+
+
+def test_reconfiguration_freeze_holds_a_header_at_its_source():
+    """Under ``routing_freeze`` a header with no path is held, not
+    jumped; once the freeze lifts its whole set-up, first hop included,
+    is jumped."""
+    production, reference = _engine_pair(
+        lone_message_cfg(), (_node(0, 0), _node(4, 4))
+    )
+    for engine in (production, reference):
+        engine.routing_freeze = True
+    _step_both(production, reference, 10)
+    assert not production.active[0].path
+    for engine in (production, reference):
+        engine.routing_freeze = False
+    _run_both(production, reference, 190)
+    assert [(r.injected, r.delivered) for r in production.records] == [
+        (12, 50),
+    ]
+    assert executed_steps(production) == 10
+
+
+def test_setup_after_a_wait_is_stepped_while_its_train_is_packed():
+    """The header waits at (3, 0) for a held channel while its train
+    packs two flits per buffer behind it; once it moves on, a packed
+    buffer both sends and receives each cycle, so the train is no shift
+    of one flit per place and is stepped until it has spread out."""
+    production, reference = _engine_pair(
+        lone_message_cfg(), (_node(0, 0), _node(6, 0))
+    )
+    release = _hold((production, reference), _node(3, 0), [(0, 1)])
+    _step_both(production, reference, 12)
+    msg = production.active[0]
+    assert msg.parked and msg.buffered == [2, 2, 2]
+    release()
+    _step_both(production, reference, 188)
+    assert production.records[0].delivered == 47
+    assert executed_steps(production) == 14
+
+
+@pytest.mark.parametrize("protocol", ["tp", "mb"])
+def test_hop_cap_ends_a_setup_jump(protocol):
+    """With its livelock cap lowered to 3 hops, the header's fourth
+    decision is an abort to recovery: the jump stops before it, the
+    abort is stepped, and the retry clone (a fresh cap) is delivered."""
+    production, reference = _engine_pair(
+        lone_message_cfg(protocol=protocol), (_node(0, 0), _node(4, 4))
+    )
+    for engine in (production, reference):
+        engine.active[0].hop_cap = 3
+    for _ in range(10):
+        _run_both(production, reference, 20)
+    assert production.drop_reasons == {"livelock hop cap exceeded": 1}
+    assert [r.status for r in production.records] == ["DROPPED", "DELIVERED"]
+
+
+def test_header_bound_for_a_streaming_worms_destination_is_stepped():
+    """A header launched toward the destination a worm streams into
+    would share its ejection port: nothing is jumped while both are
+    active."""
+    production, reference = _engine_pair(
+        lone_message_cfg(), (_node(0, 0), _node(4, 4))
+    )
+    _run_both(production, reference, 15)
+    for engine in (production, reference):
+        engine.inject(_node(8, 8), _node(4, 4))
+    skipped = production.fast_forwarded_cycles
+    while len(production.active) == 2:
+        _run_both(production, reference, 1)
+    assert production.fast_forwarded_cycles == skipped
+    _run_both(production, reference, 200 - production.cycle)
+    assert production.delivered_messages == 2
+
+
+def test_audit_tick_inside_a_path_ack_walk(monkeypatch):
+    """MB-m's path acknowledgment walks back over cycles 9-16; an audit
+    tick at cycle 12 is stepped, so the walk is jumped in two pieces and
+    the auditor finds the half-walked state clean."""
+    spy = JumpSpy(monkeypatch)
+    cfg = lone_message_cfg(
+        protocol="mb",
+        resilience=ResilienceConfig(audit_invariants=True, audit_every=12),
+    )
+    production, reference = _engine_pair(cfg, (_node(0, 0), _node(4, 4)))
+    _run_both(production, reference, 11)
+    (token,) = production.control_out
+    assert token.position == 4 and spy.fired["path-ack-walk"] == 1
+    _run_both(production, reference, 1)
+    assert production.auditor.audit(production) == []
+    _run_both(production, reference, 188)
+    assert spy.fired["path-ack-walk"] == 2
+    assert production.records[0].delivered == 55
+    assert executed_steps(production) == 1 + 200 // 12
+
+
+def test_dynamic_fault_inside_a_path_ack_walk():
+    """A link fault in cycle 12 on the probe's third channel, with the
+    path acknowledgment walking back: the walk is jumped up to cycle 11,
+    the fault interrupts the circuit in the stepped cycle 12, and the
+    source retries the path set-up (no data had left it)."""
+    probe = NetworkSimulator(lone_message_cfg(protocol="mb")).engine
+    msg = probe.inject(_node(0, 0), _node(4, 4))
+    probe.run(9)
+    target = msg.path[2].channel_id
+    production, reference = _engine_pair(
+        lone_message_cfg(protocol="mb"), (_node(0, 0), _node(4, 4))
+    )
+    for engine in (production, reference):
+        engine.dynamic_schedule = DynamicFaultSchedule([
+            FaultEvent(cycle=12, kind="link", target=target)
+        ])
+    _run_both(production, reference, 11)
+    (token,) = production.control_out
+    assert token.position == 4 and production.fast_forwarded_cycles == 10
+    _run_both(production, reference, 1)
+    assert production.teardown_counts == {"fault": 1}
+    _run_both(production, reference, 188)
+    assert production.source_retries == 1
+    assert [(r.status, r.delivered) for r in production.records] == [
+        ("KILLED", None), ("DELIVERED", 69),
+    ]
 
 
 # ======================================================================
