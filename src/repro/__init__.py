@@ -23,8 +23,9 @@ from repro.sim.config import (
 )
 from repro.sim.engine import DeadlockError
 from repro.sim.invariants import InvariantError, InvariantViolation
+from repro.sim.parallel import replicate
 from repro.sim.simulator import NetworkSimulator, make_protocol, run_config
-from repro.sim.stats import RunResult, repeat_until_confident
+from repro.sim.stats import RunResult
 from repro.sim.trace import MessageTracer, trace_single_message
 
 __version__ = "1.0.0"
@@ -50,7 +51,7 @@ __all__ = [
     "SimulationConfig",
     "TwoPhaseProtocol",
     "make_protocol",
-    "repeat_until_confident",
+    "replicate",
     "run_campaign",
     "run_config",
     "trace_single_message",

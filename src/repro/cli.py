@@ -20,7 +20,9 @@ Examples::
     REPRO_PAPER_SCALE=1 repro-sim figure 13
     repro-sim sweep --protocol mb --loads 0.05,0.1,0.2
     repro-sim sweep --protocol tp --jobs 4
+    repro-sim sweep --pattern uniform,hotspot --loads 0.05,0.1
     repro-sim sweep --pattern transpose --find-knee
+    repro-sim sweep --pattern uniform,bursty --find-knee --out knees.json
     repro-sim sweep --pattern bursty --find-knee --knee-tol 0.01
     repro-sim sweep --loads 0.28 --profile
     repro-sim chaos --seeds 20 --protocols tp,dp
@@ -31,10 +33,12 @@ Examples::
 
 ``--pattern`` selects a workload from the catalog in EXPERIMENTS.md
 (uniform, hotspot, transpose, complement, tornado, nearest, bursty);
-``--pattern-param key=value`` (repeatable) sets its knobs.
-``--find-knee`` switches ``sweep`` from a fixed load grid to the
-adaptive saturation-knee search of
-:mod:`repro.experiments.saturation`.
+``--pattern-param key=value`` (repeatable) sets its knobs.  ``sweep``
+takes a comma-separated ``--pattern`` list: one series per pattern on
+the fixed load grid, or with ``--find-knee`` one knee per pattern from
+the adaptive saturation-knee search of
+:mod:`repro.experiments.saturation` (``--out`` writes them all to one
+``BENCH_saturation.json`` snapshot).
 
 ``--jobs N`` (or ``REPRO_JOBS=N``) fans replications / campaign runs
 out over N worker processes; aggregation order is deterministic, so
@@ -61,7 +65,7 @@ def _pattern_params(pairs: Optional[List[str]]) -> dict:
 
     Values are coerced int → float → comma-separated int list →
     string, covering every knob in the catalog (counts, fractions,
-    and explicit ``hotspot_nodes`` lists).
+    and explicit ``hotspot_nodes``: a list, or one id).
     """
     params: dict = {}
     for pair in pairs or ():
@@ -84,6 +88,18 @@ def _pattern_params(pairs: Optional[List[str]]) -> dict:
                         pass
         params[key] = value
     return params
+
+
+def _pattern_list(raw: str) -> List[str]:
+    """``sweep --pattern``: comma-separated catalog patterns."""
+    patterns = raw.split(",")
+    unknown = [p for p in patterns if p not in TrafficGenerator.PATTERNS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown pattern {', '.join(unknown)}; choose from "
+            f"{', '.join(TrafficGenerator.PATTERNS)}"
+        )
+    return patterns
 
 
 class _UsageError(Exception):
@@ -227,38 +243,45 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.find_knee:
         from repro.experiments import saturation
 
-        result = saturation.find_knee(
-            experiment_scale(),
-            args.protocol,
-            params,
-            traffic=args.pattern,
-            traffic_params=traffic_params,
-            tolerance=args.knee_tol,
-            jobs=args.jobs,
-        )
-        print(saturation.render([result]))
-        lo, hi = result.bracket
-        print(f"knee bracket: [{lo:.4f}, {hi:.4f}]")
+        results = [
+            saturation.find_knee(
+                experiment_scale(),
+                args.protocol,
+                params,
+                traffic=pattern,
+                traffic_params=traffic_params,
+                tolerance=args.knee_tol,
+                jobs=args.jobs,
+            )
+            for pattern in args.pattern
+        ]
+        print(saturation.render(results))
+        for result in results:
+            lo, hi = result.bracket
+            print(f"{result.pattern} knee bracket: [{lo:.4f}, {hi:.4f}]")
         if args.out:
             with open(args.out, "w") as fh:
-                json.dump(saturation.snapshot([result]), fh, indent=2)
+                json.dump(saturation.snapshot(results), fh, indent=2)
                 fh.write("\n")
             print(f"wrote {args.out}")
         return 0
     loads = [float(x) for x in args.loads.split(",")]
-    series = sweep_loads(
-        experiment_scale(),
-        args.protocol.upper(),
-        args.protocol,
-        params,
-        loads=loads,
-        static_faults=args.faults,
-        traffic=args.pattern,
-        traffic_params=traffic_params,
-        jobs=args.jobs,
-    )
-    title = f"sweep: {args.protocol} ({args.pattern})"
-    print(render_series_table([series], title=title))
+    series = [
+        sweep_loads(
+            experiment_scale(),
+            pattern,
+            args.protocol,
+            params,
+            loads=loads,
+            static_faults=args.faults,
+            traffic=pattern,
+            traffic_params=traffic_params,
+            jobs=args.jobs,
+        )
+        for pattern in args.pattern
+    ]
+    title = f"sweep: {args.protocol} ({', '.join(args.pattern)})"
+    print(render_series_table(series, title=title))
     return 0
 
 
@@ -373,9 +396,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--loads", default="0.05,0.1,0.2,0.3")
     sweep_p.add_argument("--faults", type=int, default=0)
     sweep_p.add_argument("--k-unsafe", type=int, default=0)
-    sweep_p.add_argument("--pattern", default="uniform",
-                         choices=TrafficGenerator.PATTERNS,
-                         help="workload pattern (EXPERIMENTS.md catalog)")
+    sweep_p.add_argument(
+        "--pattern", default="uniform", type=_pattern_list,
+        help=(
+            "comma-separated workload patterns (EXPERIMENTS.md catalog): "
+            "one series, or one knee, per pattern"
+        ),
+    )
     sweep_p.add_argument(
         "--pattern-param", action="append", metavar="KEY=VALUE",
         help="pattern knob, e.g. burst_on=64 (repeatable)",
@@ -461,6 +488,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "sweep" and args.out and not args.find_knee:
         parser.error("sweep: --out writes a knee snapshot; it needs "
                      "--find-knee")
+    if args.command == "sweep" and args.find_knee and args.faults > 0:
+        parser.error("sweep: --find-knee searches the fault-free "
+                     "network; --faults needs the fixed load grid")
     if getattr(args, "profile", False):
         return _run_profiled(args)
     try:

@@ -28,12 +28,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.sim.config import FaultConfig, RecoveryConfig, SimulationConfig
-from repro.sim.parallel import replicate_parallel, resolve_jobs
-from repro.sim.simulator import NetworkSimulator
-from repro.sim.stats import (
-    ReplicatedResult,
-    repeat_until_confident,
-)
+from repro.sim.parallel import replicate
+from repro.sim.stats import ReplicatedResult
 
 
 @dataclass(frozen=True)
@@ -222,9 +218,9 @@ def run_point(
     with :meth:`Point.of`.
 
     ``jobs`` (default: the ``REPRO_JOBS`` environment variable, else
-    serial) fans the replications out over a process pool; the
-    truncation rule in :mod:`repro.sim.parallel` guarantees the same
-    :class:`ReplicatedResult` as the serial path.
+    serial) fans the replications out over a process pool;
+    :func:`repro.sim.parallel.replicate` gives the same
+    :class:`ReplicatedResult` for every worker count.
 
     Replications whose network failed to drain contribute truncated
     latency samples; they are counted and warned about, and the point
@@ -251,21 +247,13 @@ def run_point(
             cfg = cfg.with_(recovery=recovery)
         return cfg
 
-    if resolve_jobs(jobs) > 1:
-        rep = replicate_parallel(
-            make_cfg,
-            min_runs=scale.replications,
-            max_runs=scale.max_replications,
-            base_seed=base_seed,
-            jobs=jobs,
-        )
-    else:
-        rep = repeat_until_confident(
-            lambda seed: NetworkSimulator(make_cfg(seed)).run(),
-            min_runs=scale.replications,
-            max_runs=scale.max_replications,
-            base_seed=base_seed,
-        )
+    rep = replicate(
+        make_cfg,
+        min_runs=scale.replications,
+        max_runs=scale.max_replications,
+        base_seed=base_seed,
+        jobs=jobs,
+    )
 
     undrained = rep.undrained_runs
     if undrained == len(rep.runs):

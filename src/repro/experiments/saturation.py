@@ -11,26 +11,20 @@ the load until a probe saturates, then bisects the bracket until it is
 narrower than ``tolerance`` — so the reported knee is within one
 bisection step of the true crossing.
 
-CLI: ``repro-sim sweep --pattern hotspot --find-knee``.  The module's
-``main()`` sweeps every catalog pattern and writes a
-``BENCH_saturation.json`` snapshot diffable with
-``benchmarks/compare_bench.py --key knee_throughput``.
+CLI: ``repro-sim sweep --pattern uniform,hotspot --find-knee`` (one
+knee per pattern; ``--out`` writes a ``BENCH_saturation.json``
+snapshot diffable with ``benchmarks/compare_bench.py --key
+knee_throughput``).
 """
 
 from __future__ import annotations
 
-import json
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.experiments.common import (
-    Scale,
-    experiment_scale,
-    run_point,
-)
+from repro.experiments.common import Scale, run_point
 
 #: Latency multiple over the zero-load baseline that defines saturation
 #: (matches ``Series.saturation_throughput``).
@@ -41,9 +35,6 @@ DEFAULT_LOW_LOAD = 0.02
 DEFAULT_MAX_LOAD = 0.72
 #: Bisection stops when the bracket is narrower than this.
 DEFAULT_TOLERANCE = 0.02
-
-#: Patterns swept by :func:`main` (catalog order; see EXPERIMENTS.md).
-CATALOG = ("uniform", "hotspot", "transpose", "complement", "bursty")
 
 
 @dataclass
@@ -278,42 +269,3 @@ def snapshot(results: List[KneeResult]) -> Dict:
             for r in results
         ],
     }
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Sweep the workload catalog and write the knee snapshot."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Auto-knee saturation sweep over the workload catalog."
-    )
-    parser.add_argument("--protocol", default="tp")
-    parser.add_argument("--patterns", default=",".join(CATALOG))
-    parser.add_argument("--tolerance", type=float,
-                        default=DEFAULT_TOLERANCE)
-    parser.add_argument("--jobs", type=int, default=None)
-    parser.add_argument("--out", default=None,
-                        help="write BENCH_saturation.json here")
-    args = parser.parse_args(argv)
-
-    scale = experiment_scale()
-    params = {"k_unsafe": 0} if args.protocol == "tp" else {}
-    results = []
-    for pattern in args.patterns.split(","):
-        results.append(
-            find_knee(
-                scale, args.protocol, params, traffic=pattern,
-                tolerance=args.tolerance, jobs=args.jobs,
-            )
-        )
-    print(render(results))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(snapshot(results), fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

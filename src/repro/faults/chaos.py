@@ -218,20 +218,18 @@ class ChaosController:
     def next_event_cycle(self, engine) -> Optional[int]:
         """First future cycle at which :meth:`__call__` might act.
 
-        The engine's fast-forward contract: on a quiescent network,
-        calling this hook at any cycle before the returned one is a
-        pure no-op (``None`` = the hook is spent).  Before a burst's
-        due cycle the hook returns immediately; at the due cycle with
-        no active messages there are no vulnerable targets, so the
-        burst is held until the patience deadline — the next cycle the
-        hook acts regardless of network state.
+        The engine's fast-forward contract: calling this hook at any
+        cycle before the returned one does nothing, whatever the network
+        holds (``None`` = the hook is spent).  Before a burst's due
+        cycle the hook returns at once; from then on it fires as soon
+        as a message is vulnerable, so it must see every cycle.
         """
         if self._next >= len(self.burst_cycles):
             return None
         due = self.burst_cycles[self._next]
         if engine.cycle < due:
             return due
-        return due + self.patience
+        return engine.cycle + 1
 
     def __call__(self, engine) -> None:
         if self._next >= len(self.burst_cycles):

@@ -31,9 +31,9 @@ per-message scheme cannot make, matching the DBR playbook.
 
 Fast-forward contract: :meth:`next_event_cycle` declares the next
 monitor tick (or the very next cycle while draining), and off-tick
-calls in MONITOR are pure no-ops, so the steady-state fast-forward —
-of which a hooked run takes only the empty-network case — stays
-byte-identical with the hook installed.
+calls in MONITOR do nothing whatever the network holds, so the
+fast-forward jumps a hooked run up to each tick exactly as it jumps an
+unhooked one, byte-identical to stepping.
 """
 
 from __future__ import annotations
@@ -98,10 +98,10 @@ class ReconfigController:
     def next_event_cycle(self, engine) -> Optional[int]:
         """First future cycle at which :meth:`__call__` might act.
 
-        While draining the controller must see every cycle (the
-        frozen-but-active network is never quiescent anyway); while
+        While draining the controller must see every cycle; while
         monitoring, only the periodic check tick mutates state, exactly
-        like the invariant auditor's audit tick.
+        like the invariant auditor's audit tick, whatever the network
+        holds.
         """
         if self.state == self.DRAIN:
             return engine.cycle + 1

@@ -20,13 +20,13 @@ from repro.sim.invariants import (
     InvariantViolation,
 )
 from repro.sim.message import ControlKind, Message, MessageStatus
+from repro.sim.parallel import replicate
 from repro.sim.postmortem import DeadlockDiagnosis, WaitEdge, diagnose
 from repro.sim.stats import (
     MessageRecord,
     ReplicatedResult,
     RunResult,
     mean_confidence_interval,
-    repeat_until_confident,
     summarize,
 )
 from repro.sim.traffic import TrafficGenerator
@@ -50,6 +50,6 @@ __all__ = [
     "WaitEdge",
     "diagnose",
     "mean_confidence_interval",
-    "repeat_until_confident",
+    "replicate",
     "summarize",
 ]

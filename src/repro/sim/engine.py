@@ -45,10 +45,9 @@ RNG-stream identical to stepping each cycle
 (``tests/sim/reference_engine.py`` steps every cycle;
 ``tests/sim/test_determinism.py`` pins results and
 ``tests/sim/test_reference_lockstep.py`` full state after chunks of
-``run()`` against it).  With an ``on_cycle`` hook only the empty
-network is jumped — ``next_event_cycle`` speaks for quiescent networks
-only — and a hook that does not declare its next event puts the run on
-the cycle-by-cycle path, with a warning.
+``run()`` against it).  An ``on_cycle`` hook bounds the jump by the
+cycle its ``next_event_cycle`` declares, whatever the network holds; a
+hook that declares none is a ``TypeError``.
 
 Timing convention: a flit or token that arrives at a router at the end
 of cycle *t* may move again during cycle *t+1*; a routing decision and
@@ -68,16 +67,14 @@ Per-cycle work is proportional to *events* rather than live messages
 any subsystem, passes ``VirtualChannel.release()``, which calls
 :func:`_release_funnel`'s closure over the engine's counters — the
 channels never hold the engine), a fault-epoch change, or their
-timed retry cycle — can change the decision's outcome; messages
-whose data pipeline proved immovable are flagged quiet and skipped
-until a state-change notification (reservation, backtrack, header
-arrival, staged gate update) re-arms them; and the launch loop visits
-only nodes whose injection queue was touched this cycle (arrival,
-requeue, head freed) instead of every busy queue.  All of this is
-behavior-preserving: the same seed replays the exact cycle-for-cycle execution of an engine that skips
-nothing — ``tests/sim/reference_engine.py`` is that engine, restating
-the data-phase rules independently and re-deriving every parked, quiet
-or unattended item each cycle; ``tests/sim/test_determinism.py`` and
+timed retry cycle — can change the decision's outcome; and the launch
+loop visits only nodes whose injection queue was touched this cycle
+(arrival, requeue, head freed) instead of every non-empty queue.  All
+of this is behavior-preserving: the same seed replays the exact
+cycle-for-cycle execution of an engine that skips nothing —
+``tests/sim/reference_engine.py`` is that engine, restating the
+data-phase rules independently and re-deriving every parked or
+unattended item each cycle; ``tests/sim/test_determinism.py`` and
 ``tests/sim/test_reference_lockstep.py`` compare the two — which is
 also what lets the parallel campaign runner guarantee
 serial-equivalent results.
@@ -86,7 +83,6 @@ serial-equivalent results.
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core import detour as detour_rules
@@ -162,23 +158,28 @@ def _release_funnel(rel_ver: List[int], resident: List[int],
     return note_release
 
 
+def _require_horizon(hook) -> None:
+    """Reject an ``on_cycle`` hook that declares no next event."""
+    if getattr(hook, "next_event_cycle", None) is None:
+        raise TypeError(
+            f"on_cycle hook of type {type(hook).__name__} declares no "
+            "next_event_cycle(engine) -> Optional[int] (the first cycle "
+            "at which calling it can act, whatever the network holds; "
+            "engine.cycle + 1 to see every cycle, None = never)"
+        )
+
+
 class HookChain:
     """Compose several ``on_cycle`` hooks into one.
 
-    Hooks run in list order after every cycle.  The chain declares a
-    ``next_event_cycle`` (the minimum of its members') only when every
-    member declares one — a single contract-less member must disable
-    fast-forward for the whole run, which the engine detects by the
-    attribute reading ``None``: such a chain shadows the method.
+    Hooks run in list order after every cycle; the chain's next event is
+    the earliest of its members'.  Every member must declare one.
     """
 
     def __init__(self, hooks):
         self.hooks = [h for h in hooks if h is not None]
-        if not all(
-            getattr(h, "next_event_cycle", None) is not None
-            for h in self.hooks
-        ):
-            self.next_event_cycle = None
+        for hook in self.hooks:
+            _require_horizon(hook)
 
     def next_event_cycle(self, engine) -> Optional[int]:
         horizons = [
@@ -275,10 +276,6 @@ class Engine:
         self.queues: List[List[Message]] = [
             [] for _ in range(self.topology.num_nodes)
         ]
-        #: Nodes whose injection queue may be non-empty (a superset —
-        #: the launch phase prunes the attended nodes it finds drained);
-        #: an ACTIVE head on each is one of the steady-state conditions.
-        self._busy_queues: Set[int] = set()
         self._next_msg_id = 0
         #: Per-node id of the message most recently granted ejection
         #: (round-robin fairness on the PE link).
@@ -372,9 +369,8 @@ class Engine:
         # ------------------------------------------------------------------
         # Event-driven core (DESIGN.md §11).  Per-cycle work tracks
         # *events* instead of live state: blocked headers park on wake
-        # conditions, immobile messages go quiet until a state-change
-        # notification, and the launch phase visits only nodes whose
-        # queue head could have changed.  The engine that skips none of
+        # conditions, and the launch phase visits only nodes whose queue
+        # head could have changed.  The engine that skips none of
         # this is ``tests/sim/reference_engine.py``, the equivalence
         # oracle.
         # ------------------------------------------------------------------
@@ -398,9 +394,9 @@ class Engine:
         ))
         #: Launch-phase attention set: nodes whose injection-queue head
         #: may act this cycle (new arrival, head finished injecting,
-        #: head finalized/tail-acked/requeued).  Visiting any other busy
-        #: node is provably a no-op, so the launch phase iterates this
-        #: set instead of every busy queue.
+        #: head finalized/tail-acked/requeued).  Visiting any other
+        #: non-empty queue is provably a no-op, so the launch phase
+        #: iterates this set instead of every non-empty queue.
         self._launch_attn: Set[int] = set()
 
     def in_measure_window(self) -> bool:
@@ -419,38 +415,23 @@ class Engine:
         """Advance the simulation by ``cycles`` cycles.
 
         ``on_cycle(engine)``, when given, is invoked after every
-        executed cycle.  A hook that exposes a
-        ``next_event_cycle(engine) -> Optional[int]`` method declares
-        that calling it before that cycle is a pure no-op on a
-        quiescent network (``None`` = never again); the fast-forward
-        path then skips those calls along with the cycles of an empty
-        network, and executes every cycle that has a message in flight.
-        A hook without the declaration disables fast-forward for this
-        run — correctness over speed for arbitrary instrumentation —
-        and the run says so with one ``RuntimeWarning``.
+        executed cycle.  It must have a
+        ``next_event_cycle(engine) -> Optional[int]`` method, which
+        promises that calling the hook before that cycle does nothing,
+        whatever the network holds (``None`` = never again;
+        ``engine.cycle + 1`` sees every cycle): the fast-forward jumps
+        no further than the cycle before it.  A hook without one is a
+        ``TypeError``, raised before any cycle runs.
         """
-        target = self.cycle + cycles
         hook_horizon = None
-        fast = True
         if on_cycle is not None:
-            hook_horizon = getattr(on_cycle, "next_event_cycle", None)
-            if hook_horizon is None:
-                fast = False
-                warnings.warn(
-                    f"on_cycle hook of type {type(on_cycle).__name__} "
-                    "declares no next_event_cycle(engine) -> Optional[int] "
-                    "(the first cycle it can act on a quiescent network, "
-                    "None = never): fast-forward is off for this run()",
-                    RuntimeWarning, stacklevel=2,
-                )
-        # ``next_event_cycle`` speaks for quiescent networks only, so a
-        # hooked run jumps the empty network and nothing else.
-        hooked = on_cycle is not None
+            _require_horizon(on_cycle)
+            hook_horizon = on_cycle.next_event_cycle
+        target = self.cycle + cycles
         while self.cycle < target:
-            if fast and not (hooked and self.active):
-                fast_forward.jump(self, target, hook_horizon)
-                if self.cycle >= target:
-                    break
+            fast_forward.jump(self, target, hook_horizon)
+            if self.cycle >= target:
+                break
             self.step()
             if on_cycle is not None:
                 on_cycle(self)
@@ -583,7 +564,6 @@ class Engine:
             raise ValueError("length must be >= 1")
         msg = self._new_message(src, dst, self.cycle, length=length)
         self.queues[src].append(msg)
-        self._busy_queues.add(src)
         self._launch_attn.add(src)
         if self.queues[src][0] is msg:
             msg.status = MessageStatus.ACTIVE
@@ -631,10 +611,6 @@ class Engine:
             ]
             self.traffic.set_healthy_nodes(healthy)
             for node in self.faults.faulty_nodes:
-                # The drop below may empty the queue: attend the node
-                # so the launch phase prunes it from the busy set this
-                # cycle.
-                self._launch_attn.add(node)
                 while self.queues[node]:
                     msg = self.queues[node].pop(0)
                     # An ACTIVE head from a now-dead source needs
@@ -799,9 +775,6 @@ class Engine:
         dim = hop[0]
         direction = hop[1]
         vc.reserve(msg.msg_id)
-        # The path grows a position and the head gate state changes:
-        # the data pipeline may have new work.
-        msg.dm_quiet = False
         self._ch_resident[vc.channel_id] += 1
         k = K_INFINITE if self._pcs else decision.k
         hold = decision.hold
@@ -832,7 +805,6 @@ class Engine:
         # not enough: an in-flight resume/path acknowledgment would
         # clear it.
         msg.backtrack_lock = j - 1
-        msg.dm_quiet = False
         self._progress = True
         self._push_control(
             ControlFlit(ControlKind.HEADER_BACK, msg, j - 1, self.cycle),
@@ -926,10 +898,8 @@ class Engine:
     def _arrive_header(self, msg: Message, p: int) -> None:
         if msg.teardown or msg.is_terminal():
             return
-        # The header moved: the routing decision is fresh (unpark) and
-        # the head data gate may have opened (possibly into ejection).
+        # The header moved: the routing decision is fresh (unpark).
         msg.parked = False
-        msg.dm_quiet = False
         msg.header_router = p
         msg.header_phase = HeaderPhase.PENDING
         node = msg.path_nodes[p]
@@ -979,7 +949,6 @@ class Engine:
         if msg.teardown or msg.is_terminal():
             return
         msg.parked = False
-        msg.dm_quiet = False
         msg.backtrack_lock = -1
         popped_vc = msg.path[-1]
         dim, direction = msg.arrival_dims[-1]
@@ -1047,8 +1016,6 @@ class Engine:
             for msg, p, delta in self._staged_acks:
                 if p < len(msg.acks_at):
                     msg.acks_at[p] += delta
-                # A gate input changed: the data pipeline may move now.
-                msg.dm_quiet = False
             self._staged_acks.clear()
         if self._staged_path:
             for msg, p, establish in self._staged_path:
@@ -1056,7 +1023,6 @@ class Engine:
                     msg.held[p] = False
                 if establish:
                     msg.path_established = True
-                msg.dm_quiet = False
             self._staged_path.clear()
 
     # ---------------- teardown token arrivals --------------------------
@@ -1240,7 +1206,6 @@ class Engine:
         clone.original_id = original.original_id
         clone.retransmits = original.retransmits + 1
         q = self.queues[original.src]
-        self._busy_queues.add(original.src)
         self._launch_attn.add(original.src)
         if q and q[0] is original:
             q[0] = clone
@@ -1272,21 +1237,11 @@ class Engine:
         moved = 0
 
         for msg in self.active.values():
-            # Quiet messages provably contribute nothing to this scan
-            # until a state-change notification clears the flag (every
-            # predicate below reads only the message's own state, and
-            # every mutation of that state funnels through a site that
-            # clears ``dm_quiet``) — skipping them enumerates the same
-            # candidates in the same order as a full scan.
-            if msg.dm_quiet:
-                continue
             if msg.teardown or msg.status is not active_status:
                 continue
             path = msg.path
             path_len = len(path)
             if path_len == 0:
-                # Nothing reserved yet: quiet until the first reserve.
-                msg.dm_quiet = True
                 continue
             buffered = msg.buffered
             head_move = msg.head_link + 1
@@ -1297,14 +1252,11 @@ class Engine:
                 msg.header_phase is delivered_phase
                 and buffered[last_link] > 0
             ):
-                contributed = True
                 bucket = eject_ready.get(msg.dst)
                 if bucket is None:
                     eject_ready[msg.dst] = {msg.msg_id: msg}
                 else:
                     bucket[msg.msg_id] = msg
-            else:
-                contributed = False
             released = msg.released
             backtrack_lock = msg.backtrack_lock
             # Crossing position p moves a flit from upstream of path[p]
@@ -1347,11 +1299,6 @@ class Engine:
                         # acknowledgment then releases the data (SR
                         # degenerates to PCS, Section 2.2).
                         continue
-                # Marked before the control-channel filter: a position
-                # suppressed only by this cycle's control traffic can
-                # move next cycle with no state change, so it must keep
-                # the message un-quiet.
-                contributed = True
                 vc = path[p]
                 ch = vc.channel_id
                 if ch in used_by_control:
@@ -1413,8 +1360,6 @@ class Engine:
                     ):
                         continue
                 candidates[ch] = (msg, p, p == last_link, vc)
-            if not contributed:
-                msg.dm_quiet = True
 
         # Grant one data flit per physical channel, in first-candidate
         # order.  The per-grant flit move is inlined here (it is the
@@ -1534,7 +1479,6 @@ class Engine:
                 limit = INJECTION_QUEUE_LIMIT
                 measuring = self.in_measure_window()
                 queues = self.queues
-                busy_queues = self._busy_queues
                 attn = self._launch_attn
                 destination = self.traffic.destination
                 cycle = self.cycle
@@ -1553,7 +1497,6 @@ class Engine:
                             if measuring:
                                 self.measured_accepted_flits += length
                             queue.append(self._new_message(node, dst, cycle))
-                            busy_queues.add(node)
                             attn.add(node)
             # else: no trial slots this cycle; the process is frozen.
         if self._launch_attn:
@@ -1563,14 +1506,13 @@ class Engine:
         """Launch / advance injection queues, visiting only the
         attention set — nodes whose queue head could act this cycle
         (fresh arrival, head finished injecting or tail-acked, head
-        finalized or requeued, queue dropped by a fault); every other
-        busy node's visit is provably a no-op (an ACTIVE head
-        mid-injection breaks immediately), so the ascending-order
-        launch sequence matches a scan of every busy queue exactly."""
+        finalized or requeued); every other non-empty queue's visit is
+        provably a no-op (an ACTIVE head mid-injection breaks
+        immediately), so the ascending-order launch sequence matches a
+        scan of every non-empty queue exactly."""
         attn = self._launch_attn
         nodes = sorted(attn)
         attn.clear()
-        busy = self._busy_queues
         tail_ack = self._tail_ack_mode
         active_status = MessageStatus.ACTIVE
         queued_status = MessageStatus.QUEUED
@@ -1598,8 +1540,6 @@ class Engine:
                 self.pending[head.msg_id] = head
                 self._progress = True
                 break
-            if not queue:
-                busy.discard(node)
 
     def _new_message(self, src: int, dst: int, created_cycle: int,
                      length: Optional[int] = None) -> Message:

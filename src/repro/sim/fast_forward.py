@@ -22,7 +22,8 @@ _SETUP, _PROBE, _WALK = "setup", "probe", "walk"
 
 def event_horizon(engine, limit: int, hook_horizon=None) -> int:
     """The cycle before the earliest timed event (hook, dynamic fault,
-    audit tick), capped at ``limit``."""
+    audit tick), capped at ``limit``.  A hook's next event holds
+    whatever the network holds, so it bounds every jump alike."""
     stop = limit
     if hook_horizon is not None:
         horizon = hook_horizon(engine)
@@ -40,9 +41,9 @@ def event_horizon(engine, limit: int, hook_horizon=None) -> int:
 
 
 # A busy network (two headers pending, control flits on two channels)
-# is rejected in O(1), before any message is looked at.  A hooked run
-# calls this only on an empty network and folds no event: the hook's
-# next_event_cycle speaks for quiescent networks only.
+# is rejected in O(1), and a timed event due next cycle (a hook that
+# sees every cycle) in one horizon read, before any message is looked
+# at.
 def jump(engine, limit: int, hook_horizon=None) -> None:
     """Advance the clock in closed form as far as nothing interacts."""
     if (
@@ -54,17 +55,18 @@ def jump(engine, limit: int, hook_horizon=None) -> None:
         or engine._staged_path
     ):
         return
+    start = engine.cycle
+    stop = event_horizon(engine, limit, hook_horizon)
+    if stop <= start:
+        return
     plan = _plan(engine)
     if plan is None:
         return
-    start = engine.cycle
-    stop = event_horizon(engine, limit, hook_horizon)
     slots = (
         len(engine.traffic.healthy_nodes)
         if engine.traffic_enabled and engine.injection.enabled else 0
     )
-    fold = hook_horizon is None
-    while engine.cycle < stop and _segment(engine, plan, stop, slots, fold):
+    while engine.cycle < stop and _segment(engine, plan, stop, slots):
         plan = _plan(engine)
         if plan is None:
             break
@@ -79,18 +81,17 @@ def jump(engine, limit: int, hook_horizon=None) -> None:
 
 # Apply one segment of ``plan``; return its length (0: none).  It ends
 # at the first event: a worm's source running dry or tail ejecting, an
-# arrival (only if ``fold``), the lead reaching the destination or the
-# source, or a hop it cannot take.  The last cycle runs in phase order:
-# hops, shifts, tail ejections in active order (their grant order),
-# traffic.
-def _segment(engine, plan, stop: int, slots: int, fold: bool) -> int:
+# arrival, the lead reaching the destination or the source, or a hop it
+# cannot take.  The last cycle runs in phase order: hops, shifts, tail
+# ejections in active order (their grant order), traffic.
+def _segment(engine, plan, stop: int, slots: int) -> int:
     lead, kind, worms, room = plan
     start = engine.cycle
     n = min(stop - start, room)
     arrival = _UNBOUNDED
     if slots:
         arrival = engine.injection.idle_cycles(slots) + 1
-        n = min(n, arrival if fold else arrival - 1)
+        n = min(n, arrival)
     if n <= 0:
         return 0
     lag = 0
@@ -335,7 +336,6 @@ def _walk_path_ack(engine, lead, cycles: int) -> int:
     if walked:
         control.drain(reverse[path[p].channel_id])
         engine.control_flits_sent += walked
-        lead.dm_quiet = False
         if not lead.path_established:
             token.position = p - walked
             token.ready_cycle = engine.cycle + walked + 1

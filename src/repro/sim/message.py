@@ -134,7 +134,6 @@ class Message:
         "wait_cycles", "consecutive_waits", "original_id", "retransmits",
         "tail_acked", "teardown", "teardown_reason",
         "parked", "park_node", "park_ver", "park_epoch", "wake_at",
-        "dm_quiet",
     )
 
     def __init__(self, msg_id: int, src: int, dst: int, length: int,
@@ -247,15 +246,12 @@ class Message:
         # of its wake conditions can change the outcome: a virtual
         # channel released at its router (``park_ver`` falls behind the
         # node's release version), a fault-epoch change, or the timed
-        # retry cycle ``wake_at``.  ``dm_quiet`` marks a message whose
-        # data pipeline cannot move until a state-change notification
-        # (acknowledgment, header arrival, path extension) clears it.
+        # retry cycle ``wake_at``.
         self.parked = False
         self.park_node = 0
         self.park_ver = 0
         self.park_epoch = 0
         self.wake_at = 0
-        self.dm_quiet = False
 
     # ------------------------------------------------------------------
     # Derived views

@@ -12,15 +12,13 @@ a serial campaign:
   picklable :class:`~repro.sim.stats.RunResult`;
 * results are collected **in submission order** (:func:`run_tasks`:
   ``Pool.starmap`` with ``chunksize=1``), never in completion order;
-* :func:`replicate_parallel` runs all ``max_runs`` candidate seeds
-  speculatively, then *truncates* the ordered result list with the same
-  stopping rule the serial loop applies incrementally
-  (:func:`~repro.sim.stats.replications_converged`), so the surviving
-  run list — and therefore the aggregated
-  :class:`~repro.sim.stats.ReplicatedResult` — matches the serial
-  campaign exactly.  The only difference is that converged points burn
-  a few extra speculative replications, which is the price of running
-  them concurrently.
+* :func:`replicate` runs seeds in batches of one per worker and keeps
+  the shortest prefix of the ordered result list that meets the
+  stopping rule (:func:`~repro.sim.stats.replications_converged`), so
+  the run list — and therefore the aggregated
+  :class:`~repro.sim.stats.ReplicatedResult` — is the same for every
+  worker count.  A parallel point runs at most one batch past the
+  prefix it keeps.
 
 Worker count resolution (:func:`resolve_jobs`): an explicit ``jobs``
 argument (the CLI ``--jobs`` flag) wins, else the ``REPRO_JOBS``
@@ -106,7 +104,7 @@ def run_configs(
     return run_tasks(run_one_config, [(cfg,) for cfg in configs], jobs)
 
 
-def replicate_parallel(
+def replicate(
     make_config: Callable[[int], SimulationConfig],
     min_runs: int = 2,
     max_runs: int = 8,
@@ -114,22 +112,32 @@ def replicate_parallel(
     base_seed: int = 1,
     jobs: Optional[int] = None,
 ) -> ReplicatedResult:
-    """Parallel ``repeat_until_confident`` with serial-identical output.
+    """The paper's protocol: replicate until the 95% CI is < 5% of mean.
 
-    ``make_config(seed)`` builds the replication config for one seed
-    (called in this process; only the finished configs cross the
-    process boundary).  All ``max_runs`` seeds run speculatively, then
-    the ordered results are truncated at the first prefix length
-    ``n >= min_runs`` satisfying the CI stopping rule — exactly the
-    prefix the serial loop would have produced — before aggregation.
+    ``make_config(seed)`` builds one replication's config for seeds
+    ``base_seed``, ``base_seed + 1``, … (called in this process; only
+    finished configs cross the process boundary).  They run in batches
+    of ``resolve_jobs(jobs)`` — one at a time when serial — until the
+    shortest prefix of ``n >= min_runs`` runs meets the CI stopping
+    rule, or ``max_runs`` have run; that prefix is aggregated, so the
+    result does not depend on the worker count.  Replication means
+    (not pooled samples) feed the interval, as in classic
+    independent-replications output analysis [Ferrari 78].  The result
+    carries ``converged=False`` when the rule was never satisfied — in
+    particular a single replication is always unconverged, since its
+    confidence interval is unbounded.
     """
     if min_runs < 1 or max_runs < min_runs:
         raise ValueError("need 1 <= min_runs <= max_runs")
-    configs = [make_config(base_seed + i) for i in range(max_runs)]
-    results = run_configs(configs, jobs=jobs)
-    keep = max_runs
-    for n in range(min_runs, max_runs + 1):
-        if replications_converged(results[:n], target_relative_ci):
-            keep = n
-            break
-    return aggregate_replications(results[:keep], target_relative_ci)
+    batch = resolve_jobs(jobs)
+    runs: List[RunResult] = []
+    while len(runs) < max_runs:
+        done = len(runs)
+        seeds = range(done, min(done + batch, max_runs))
+        runs += run_configs(
+            [make_config(base_seed + i) for i in seeds], jobs=batch
+        )
+        for n in range(max(min_runs, done + 1), len(runs) + 1):
+            if replications_converged(runs[:n], target_relative_ci):
+                return aggregate_replications(runs[:n], target_relative_ci)
+    return aggregate_replications(runs, target_relative_ci)

@@ -173,18 +173,16 @@ class NetworkSimulator:
         executed cycle of the warmup+measurement phase (not the
         drain).  The chaos harness uses it to watch live state and
         inject fault bursts at adversarial moments; tracing and custom
-        instrumentation fit the same hook.  A hook that declares
-        ``next_event_cycle(engine)`` keeps the empty-network case of
-        the steady-state fast-forward (the one state its declaration
-        covers: skipped cycles are provably no-ops for it; stretches
-        with worms in flight are stepped); any other hook falls back to
-        cycle-by-cycle execution — see
-        :meth:`repro.sim.engine.Engine.run`.
+        instrumentation fit the same hook.  The hook declares
+        ``next_event_cycle(engine)``, the first cycle at which calling
+        it can act whatever the network holds, and the fast-forward
+        jumps no further than the cycle before it; a hook without one
+        is a ``TypeError`` — see :meth:`repro.sim.engine.Engine.run`.
 
         With ``resilience.reconfig`` the
         :class:`~repro.reconfig.ReconfigController` runs as an
-        additional hook after the caller's (both declare their event
-        horizons, so fast-forward survives the composition); a
+        additional hook after the caller's (the chain's next event is
+        the earlier of the two); a
         reconfiguration still draining at the end of measurement is
         cancelled before the engine drain so the freeze cannot leak
         into it.

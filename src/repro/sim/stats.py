@@ -9,15 +9,16 @@ provides:
 * :class:`MessageRecord` — one finished message (the engine's output);
 * :func:`summarize` — per-run aggregates over a measurement window;
 * :func:`mean_confidence_interval` — Student-t 95% interval;
-* :func:`repeat_until_confident` — the paper's repeat-replications
-  protocol: independent seeds until the latency CI is tight enough.
+* :func:`aggregate_replications` / :func:`replications_converged` — the
+  aggregate and the stopping rule of the paper's repeat-replications
+  protocol, which :func:`repro.sim.parallel.replicate` runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 #: Two-sided 95% Student-t critical values by degrees of freedom (1-30);
 #: falls back to the normal 1.96 beyond the table.
@@ -286,31 +287,3 @@ def aggregate_replications(
         throughput_ci95=tput_half,
         converged=replications_converged(runs, target_relative_ci),
     )
-
-
-def repeat_until_confident(
-    run_one: Callable[[int], RunResult],
-    min_runs: int = 2,
-    max_runs: int = 8,
-    target_relative_ci: float = 0.05,
-    base_seed: int = 1,
-) -> ReplicatedResult:
-    """The paper's protocol: replicate until the 95% CI is < 5% of mean.
-
-    ``run_one(seed)`` performs one independent simulation.  Replication
-    means (not pooled samples) feed the interval, as in classic
-    independent-replications output analysis [Ferrari 78].  The result
-    carries ``converged=False`` when the rule was never satisfied
-    within ``max_runs`` — in particular a single replication is always
-    unconverged, since its confidence interval is unbounded.
-    """
-    if min_runs < 1 or max_runs < min_runs:
-        raise ValueError("need 1 <= min_runs <= max_runs")
-    runs: List[RunResult] = []
-    for i in range(max_runs):
-        runs.append(run_one(base_seed + i))
-        if len(runs) < min_runs:
-            continue
-        if replications_converged(runs, target_relative_ci):
-            break
-    return aggregate_replications(runs, target_relative_ci)

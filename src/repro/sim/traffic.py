@@ -159,7 +159,8 @@ class HotspotPattern(TrafficPattern):
     With probability ``hotspot_fraction`` the destination is drawn
     uniformly from the *healthy* hot nodes (excluding the source);
     otherwise it is uniform over all healthy nodes.  The hot set is
-    either given explicitly (``hotspot_nodes``) or chosen as
+    either given explicitly (``hotspot_nodes``: a list of node ids, or
+    one id for a one-node hot set) or chosen as
     ``hotspot_count`` evenly spaced node ids (deterministic — pattern
     construction never consumes RNG).
 
@@ -179,6 +180,8 @@ class HotspotPattern(TrafficPattern):
             raise ValueError("hotspot_fraction must be in [0, 1]")
         self.fraction = fraction
         nodes = params.get("hotspot_nodes")
+        if isinstance(nodes, int):
+            nodes = [nodes]
         if nodes is None:
             count = params.get("hotspot_count", 4)
             if count < 1:

@@ -3,6 +3,8 @@ vulnerable messages, the gridlock scenario exercises real deadlock
 recovery, and the CLI subcommand reports the verdict.
 """
 
+import random
+
 from repro.cli import main as cli_main
 from repro.faults.chaos import (
     ChaosController,
@@ -12,7 +14,9 @@ from repro.faults.chaos import (
     run_campaign,
     run_one,
 )
+from repro.faults.injection import DynamicFaultSchedule
 from repro.sim.message import HeaderPhase, Message
+from tests.conftest import build_engine
 
 
 def small_spec(**overrides) -> ChaosSpec:
@@ -61,6 +65,32 @@ class TestTriggerMatching:
         msg = self._msg()
         msg.backtrack_lock = 2
         assert ChaosController._matches(msg, "backtrack")
+
+
+class TestNextEventCycle:
+    """The hook's declared next event holds whatever the network holds:
+    the burst's due cycle before it, then every cycle until it fires."""
+
+    def _controller(self):
+        return ChaosController(
+            DynamicFaultSchedule(), random.Random(0), burst_cycles=[20],
+            burst_size=1, node_fault_fraction=0.0, patience=100,
+        )
+
+    def test_before_the_due_cycle_it_declares_the_due_cycle(self):
+        engine = build_engine("tp", k=4)
+        assert self._controller().next_event_cycle(engine) == 20
+
+    def test_after_the_due_cycle_it_declares_the_next_cycle(self):
+        ctl = self._controller()
+        engine = build_engine("tp", k=4)
+        engine.run(25)
+        assert not engine.active
+        assert ctl.next_event_cycle(engine) == 26
+        engine.inject(0, 5)
+        engine.run(1)
+        assert engine.active
+        assert ctl.next_event_cycle(engine) == 27
 
 
 class TestCampaign:

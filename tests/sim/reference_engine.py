@@ -50,7 +50,9 @@ class ReferenceEngine(Engine):
         super()._phase_routing_decisions()
 
     def _phase_traffic(self):
-        self._launch_attn.update(self._busy_queues)
+        self._launch_attn.update(
+            node for node, queue in enumerate(self.queues) if queue
+        )
         super()._phase_traffic()
 
     # ------------------------------------------------------------------

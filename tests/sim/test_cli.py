@@ -1,6 +1,7 @@
 """CLI tests (repro-sim)."""
 
 import importlib
+import json
 
 import pytest
 
@@ -58,6 +59,35 @@ class TestParser:
         assert "--find-knee" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_find_knee_with_faults_is_a_usage_error(
+        self, capsys, monkeypatch
+    ):
+        """The knee search runs fault-free: ``--faults`` would be
+        dropped silently."""
+        def never(*args, **kwargs):
+            raise AssertionError("the knee search ran")
+
+        monkeypatch.setattr(
+            "repro.experiments.saturation.find_knee", never
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--find-knee", "--faults", "3"])
+        assert exc.value.code == 2
+        assert "--faults" in capsys.readouterr().err
+
+    def test_sweep_patterns_parse_as_a_list(self):
+        args = build_parser().parse_args(
+            ["sweep", "--pattern", "uniform,hotspot"]
+        )
+        assert args.pattern == ["uniform", "hotspot"]
+        assert build_parser().parse_args(["sweep"]).pattern == ["uniform"]
+
+    def test_sweep_unknown_pattern_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep", "--pattern", "uniform,nope"])
+        assert exc.value.code == 2
+        assert "nope" in capsys.readouterr().err
+
 
 class TestExecution:
     def test_run_prints_summary(self, capsys):
@@ -91,6 +121,53 @@ class TestExecution:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    def test_run_single_hotspot_node(self, capsys):
+        rc = main([
+            "run", "--k", "4", "--load", "0.05", "--warmup", "100",
+            "--cycles", "300", "--pattern", "hotspot",
+            "--pattern-param", "hotspot_nodes=3",
+        ])
+        assert rc == 0
+        assert "delivered" in capsys.readouterr().out
+
+    def test_sweep_one_series_per_pattern(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_QUICK", "1")
+        rc = main(["sweep", "--loads", "0.05",
+                   "--pattern", "uniform,hotspot"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "sweep: tp (uniform, hotspot)" in out
+        assert "uniform lat" in out and "hotspot lat" in out
+
+    def test_sweep_one_knee_per_pattern_in_one_snapshot(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.experiments.saturation import KneeProbe, KneeResult
+
+        def fake_knee(scale, protocol, params, traffic, **kwargs):
+            return KneeResult(
+                pattern=traffic, protocol=protocol, scale_name=scale.name,
+                knee_load=0.1, knee_throughput=0.09, base_latency=30.0,
+                latency_factor=3.0, tolerance=0.02,
+                probes=[KneeProbe(0.1, 40.0, 0.09, False),
+                        KneeProbe(0.2, 200.0, 0.1, True)],
+            )
+
+        monkeypatch.setattr(
+            "repro.experiments.saturation.find_knee", fake_knee
+        )
+        out = tmp_path / "knees.json"
+        rc = main(["sweep", "--find-knee", "--pattern", "uniform,bursty",
+                   "--out", str(out)])
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert "uniform knee bracket" in text
+        assert "bursty knee bracket" in text
+        snapshot = json.loads(out.read_text())
+        assert [w["workload"] for w in snapshot["workloads"]] == [
+            "uniform/tp", "bursty/tp",
+        ]
 
     def test_unknown_figure_errors(self, capsys):
         assert main(["figure", "99"]) == 2

@@ -59,6 +59,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="measure_cycles"):
             NetworkSimulator(cfg)
 
+    def test_single_hotspot_node_is_a_one_node_hot_set(self):
+        cfg = SimulationConfig(
+            k=4, n=2, offered_load=0.05, warmup_cycles=50,
+            measure_cycles=200, traffic="hotspot",
+            traffic_params={"hotspot_nodes": 3, "hotspot_fraction": 1.0},
+        )
+        sim = NetworkSimulator(cfg)
+        assert sim.engine.traffic.pattern_impl.hotspots == [3]
+        sim.run()
+        # Node 3's own messages fall back to uniform destinations.
+        assert {r.dst for r in sim.engine.records if r.src != 3} == {3}
+
 
 class TestWith:
     def test_with_replaces_fields(self):

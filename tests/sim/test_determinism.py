@@ -382,7 +382,7 @@ def lone_message_cfg(**overrides) -> SimulationConfig:
 
 
 class DeclaredHook:
-    """Declares that it never acts — on a *quiescent* network."""
+    """Declares that it never acts."""
 
     def __call__(self, engine):
         pass
@@ -454,13 +454,13 @@ def _loaded_cfg():
     return _protocol_cfg("tp", {"k_unsafe": 0}).with_(offered_load=0.25)
 
 
-def test_event_engine_actually_parks_and_quiets():
+def test_event_engine_actually_parks_and_attends():
     """A loaded run must exercise every ready-set layer — otherwise the
     reference comparison proves nothing about the skip paths."""
     cfg = _loaded_cfg()
     sim = NetworkSimulator(cfg)
     engine = sim.engine
-    saw_parked = saw_quiet = False
+    saw_parked = False
     seen_attn = []
     # The launch phase consumes the attention set, so sample it on
     # entry (after the earlier phases added terminal/ejected sources).
@@ -477,12 +477,8 @@ def test_event_engine_actually_parks_and_quiets():
         saw_parked = saw_parked or any(
             m.parked for m in engine.pending.values()
         )
-        saw_quiet = saw_quiet or any(
-            m.dm_quiet for m in engine.active.values()
-        )
     saw_attn = bool(seen_attn)
     assert saw_parked, "no routing header ever parked"
-    assert saw_quiet, "no message ever went data-movement quiet"
     assert saw_attn, "the launch attention set never armed"
 
 
@@ -536,22 +532,23 @@ def test_chaos_hook_matches_reference():
     assert_identical(result, ref_result)
 
 
-def test_undeclared_hook_disables_fast_forward():
-    """A hook without next_event_cycle sees every single cycle, and the
-    run warns (once) that it gave up fast-forward for it."""
-    cfg = _low_load_idle_cfg()
+@pytest.mark.parametrize(
+    "cfg", [_low_load_idle_cfg(), _reconfig_idle_cfg()],
+    ids=["engine", "hook-chain"],
+)
+def test_undeclared_hook_is_rejected(cfg):
+    """A hook without next_event_cycle is a TypeError before any cycle
+    runs, alone or chained before the reconfiguration controller."""
     sim = NetworkSimulator(cfg)
     seen = []
-    with pytest.warns(RuntimeWarning, match="next_event_cycle") as caught:
+    with pytest.raises(TypeError, match="next_event_cycle"):
         sim.run(on_cycle=lambda engine: seen.append(engine.cycle))
-    assert len(caught) == 1 and "function" in str(caught[0].message)
-    assert seen == list(range(1, cfg.total_cycles + 1))
-    assert sim.engine.fast_forwarded_cycles == 0
+    assert sim.engine.cycle == 0 and not seen
 
 
 def test_declared_hooks_run_without_fallback_warning():
     """Hooks that declare the contract — a HookChain of them included —
-    keep fast-forward and stay silent."""
+    keep fast-forward and raise no warning."""
     sim = NetworkSimulator(_reconfig_idle_cfg())  # chains the controller
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -8,6 +8,7 @@ worker count resolved from the ``--jobs`` argument or the
 
 import dataclasses
 import time
+from unittest import mock
 
 import pytest
 
@@ -15,17 +16,13 @@ import repro.sim.parallel as parallel
 from repro.experiments.common import QUICK, Scale, run_point
 from repro.sim.config import SimulationConfig
 from repro.sim.parallel import (
-    replicate_parallel,
+    replicate,
     resolve_jobs,
     run_configs,
     run_one_config,
     run_tasks,
 )
-from repro.sim.stats import (
-    RunResult,
-    aggregate_replications,
-    repeat_until_confident,
-)
+from repro.sim.stats import RunResult, aggregate_replications
 
 
 def quick_config(seed: int, load: float = 0.05) -> SimulationConfig:
@@ -34,6 +31,13 @@ def quick_config(seed: int, load: float = 0.05) -> SimulationConfig:
         k=5, n=2, protocol="tp", offered_load=load,
         warmup_cycles=100, measure_cycles=400, seed=seed,
     )
+
+
+def replicate_fakes(run_one, **kwargs):
+    """Serial :func:`replicate` over ``run_one(seed)``'s results instead
+    of simulations."""
+    with mock.patch.object(parallel, "run_one_config", run_one):
+        return replicate(lambda seed: seed, jobs=1, **kwargs)
 
 
 def fake_run(latency: float, drained: bool = True) -> RunResult:
@@ -123,12 +127,11 @@ class TestRunConfigs:
 
 class TestParallelEqualsSerial:
     def test_replicate_parallel_matches_serial(self):
-        serial = repeat_until_confident(
-            lambda seed: run_one_config(quick_config(seed)),
-            min_runs=1, max_runs=2, base_seed=5,
+        serial = replicate(
+            quick_config, min_runs=1, max_runs=3, base_seed=5, jobs=1,
         )
-        parallel = replicate_parallel(
-            quick_config, min_runs=1, max_runs=2, base_seed=5, jobs=2,
+        parallel = replicate(
+            quick_config, min_runs=1, max_runs=3, base_seed=5, jobs=2,
         )
         assert len(parallel.runs) == len(serial.runs)
         for a, b in zip(serial.runs, parallel.runs):
@@ -154,9 +157,23 @@ class TestParallelEqualsSerial:
 
     def test_replicate_parallel_validation(self):
         with pytest.raises(ValueError):
-            replicate_parallel(quick_config, min_runs=0)
+            replicate(quick_config, min_runs=0)
         with pytest.raises(ValueError):
-            replicate_parallel(quick_config, min_runs=3, max_runs=2)
+            replicate(quick_config, min_runs=3, max_runs=2)
+
+    def test_parallel_point_stops_past_convergence(self):
+        """Batches of one seed per worker: a converged point builds no
+        config past the batch that converged it."""
+        seeds = []
+
+        def make_config(seed):
+            seeds.append(seed)
+            return quick_config(seed)
+
+        rep = replicate(make_config, min_runs=2, max_runs=8, jobs=2)
+        assert rep.converged and len(rep.runs) < 8
+        assert seeds == list(range(1, len(seeds) + 1))
+        assert len(rep.runs) <= len(seeds) < len(rep.runs) + 2
 
 
 class TestConvergedFlag:
@@ -172,7 +189,7 @@ class TestConvergedFlag:
         assert rep.relative_ci == 0.0
 
     def test_max_runs_one_flagged_unconverged(self):
-        rep = repeat_until_confident(
+        rep = replicate_fakes(
             lambda seed: fake_run(40.0), min_runs=1, max_runs=1,
         )
         assert len(rep.runs) == 1
@@ -180,7 +197,7 @@ class TestConvergedFlag:
 
     def test_noisy_runs_unconverged_at_cap(self):
         values = iter([10.0, 90.0, 50.0])
-        rep = repeat_until_confident(
+        rep = replicate_fakes(
             lambda seed: fake_run(next(values)), min_runs=2, max_runs=3,
         )
         assert rep.converged is False
@@ -212,7 +229,7 @@ class TestUndrainedHandling:
             [fake_run(40.0), fake_run(41.0, drained=False)]
         )
         monkeypatch.setattr(
-            "repro.experiments.common.repeat_until_confident",
+            "repro.experiments.common.replicate",
             lambda *a, **k: crafted,
         )
         with pytest.warns(RuntimeWarning, match="did not drain"):

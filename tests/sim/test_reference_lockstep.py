@@ -3,9 +3,9 @@
 Three families:
 
 * **ready-set membership** — the production engine's claim is that
-  every item it leaves out of a ready set (a ``dm_quiet`` message, a
-  ``parked`` header, an unattended injection queue) would have been a
-  no-op under a brute-force scan.  The reference engine
+  every item it leaves out of a ready set (a ``parked`` header, an
+  unattended injection queue) would have been a no-op under a
+  brute-force scan.  The reference engine
   (``reference_engine.py``) *is* that scan, with the data phase
   restated from the rules, so the two engines are run in lockstep over
   hypothesis-chosen workloads — protocol, traffic pattern, recovery
@@ -20,12 +20,12 @@ Three families:
 * **steady-state fast-forward** — ``Engine.run`` jumps over cycles in
   which no two messages interact (DESIGN.md §8): isolated worms, one
   header setting up or one path acknowledgment walking beside them, and
-  each message's own events, all advanced in closed form.
-  ``step()`` never enters that jump, so production ``run(c)`` is
-  compared with the reference's (which steps all ``c`` cycles) over
-  hypothesis-drawn chunk lengths at light load, full state after every
-  chunk, and one named test pins each edge of the predicates and of the
-  window accounting.
+  each message's own events, all advanced in closed form, with or
+  without an ``on_cycle`` hook.  ``step()`` never enters that jump, so
+  production ``run(c)`` is compared with the reference's (which steps
+  all ``c`` cycles) over hypothesis-drawn chunk lengths at light load,
+  full state after every chunk, and one named test pins each edge of
+  the predicates and of the window accounting.
 * **control-plane order** — :class:`ControlPlane` (the control and ack
   queues, kept only on busy channels) must list exactly the channels
   with a flit queued, in the ascending order a fresh ``sorted()`` would
@@ -142,7 +142,10 @@ def _engine_state(engine):
             mid: _msg_state(m) for mid, m in engine.active.items()
         },
         "pending": sorted(engine.pending),
-        "busy": sorted(engine._busy_queues),
+        "queues": {
+            node: [m.msg_id for m in queue]
+            for node, queue in enumerate(engine.queues) if queue
+        },
         "delivered": engine.delivered_messages,
         "dropped": engine.dropped_messages,
         "killed": engine.killed_messages,
@@ -199,9 +202,8 @@ def test_ready_sets_match_brute_force_lockstep(
 ):
     """Cycle-for-cycle, the production engine equals the reference.
 
-    Any ready-set membership error — a quiet message whose pipeline
-    could move, a parked header whose decision changed without a wake,
-    an unattended launchable queue — shows up as a state divergence on
+    Any ready-set membership error — a parked header whose decision
+    changed without a wake, an unattended launchable queue — shows up as a state divergence on
     the first cycle the reference engine acts on the skipped item.
     """
     cfg = SimulationConfig(
@@ -227,7 +229,7 @@ def test_ready_sets_match_brute_force_lockstep(
         )
     # That the skip paths genuinely engage (so this comparison proves
     # membership, not vacuity) is pinned separately by
-    # test_determinism.test_event_engine_actually_parks_and_quiets —
+    # test_determinism.test_event_engine_actually_parks_and_attends —
     # an uncongested low-load example here may legitimately never park.
 
 
@@ -329,6 +331,22 @@ class JumpSpy:
         monkeypatch.setattr(Engine, "_phase_traffic", spy_traffic)
 
 
+class EveryNth:
+    """An ``on_cycle`` hook that fires every ``every`` cycles, recording
+    the cycle and the active messages, and declares its next firing."""
+
+    def __init__(self, every):
+        self.every = every
+        self.seen = []
+
+    def next_event_cycle(self, engine):
+        return (engine.cycle // self.every + 1) * self.every
+
+    def __call__(self, engine):
+        if engine.cycle % self.every == 0:
+            self.seen.append((engine.cycle, sorted(engine.active)))
+
+
 def test_chunked_run_matches_reference(monkeypatch):
     """``production.run(c)`` equals ``reference.run(c)`` chunk by chunk.
 
@@ -340,9 +358,11 @@ def test_chunked_run_matches_reference(monkeypatch):
     window land mid-stream, and chunk ends cut jumps short at arbitrary
     cycles.  The advance draws no random number, so the RNG states must
     agree too — and every kind of jump must have fired over the
-    examples, or the comparison proved nothing about it.
+    examples, with and without a hook, or the comparison proved nothing
+    about it.  A hook must see the same cycles and state on both.
     """
     spy = JumpSpy(monkeypatch)
+    hooked_fired = dict.fromkeys(JUMP_KINDS, 0)
     worm_jumps = []
     setup_jumps = []
 
@@ -370,6 +390,7 @@ def test_chunked_run_matches_reference(monkeypatch):
             st.tuples(st.integers(1, 80), st.none() | st.integers(1, 3)),
             min_size=5, max_size=10,
         ),
+        hook_every=st.none() | st.integers(2, 40),
     )
     # Always run: the second chunk starts one cycle after a launch and
     # ends one hop into the set-up (the vacuity guard below).
@@ -378,11 +399,13 @@ def test_chunked_run_matches_reference(monkeypatch):
         traffic="uniform", recovery="off", hardware_acks=False,
         static_node_faults=0, dynamic_faults=0, warmup=20,
         chunks=[(80, 1), (80, 1), (80, None), (80, 1), (80, 1)],
+        hook_every=None,
     )
     @settings(max_examples=100)
     def check(
         protocol, k, load, message_length, seed, traffic, recovery,
         hardware_acks, static_node_faults, dynamic_faults, warmup, chunks,
+        hook_every,
     ):
         name, params = CHUNKED_PROTOCOLS[protocol]
         cfg = SimulationConfig(
@@ -399,6 +422,10 @@ def test_chunked_run_matches_reference(monkeypatch):
         )
         production = NetworkSimulator(cfg).engine
         reference = ReferenceSimulator(cfg).engine
+        hooks = (None, None)
+        if hook_every is not None:
+            hooks = (EveryNth(hook_every), EveryNth(hook_every))
+        fired = dict(spy.fired)
         for chunk, past in chunks:
             skipped = production.fast_forwarded_cycles
             in_flight = set(production.active)
@@ -416,13 +443,15 @@ def test_chunked_run_matches_reference(monkeypatch):
                     )
                     if idle + past <= 80:
                         chunk = idle + past
-            production.run(chunk)
-            reference.run(chunk)
+            production.run(chunk, on_cycle=hooks[0])
+            reference.run(chunk, on_cycle=hooks[1])
             assert _engine_state(production) == _engine_state(reference), (
                 f"divergence in the {chunk}-cycle chunk ending at cycle "
                 f"{production.cycle}: {cfg}"
             )
             assert production.rng.getstate() == reference.rng.getstate()
+            if hook_every is not None:
+                assert hooks[0].seen == hooks[1].seen
             # A message in flight at both ends kept the network busy
             # throughout, so any skipped cycle was a worm jump.
             if (
@@ -436,11 +465,17 @@ def test_chunked_run_matches_reference(monkeypatch):
                 and in_setup & _headers_in_setup(production)
             ):
                 setup_jumps.append(production.cycle)
+        if hook_every is not None:
+            for kind, count in spy.fired.items():
+                hooked_fired[kind] += count - fired[kind]
 
     check()
     assert worm_jumps, "no chunk ever fast-forwarded a worm in flight"
     assert setup_jumps, "no chunk ever jumped a header in set-up"
     assert all(spy.fired.values()), f"jump kinds never fired: {spy.fired}"
+    assert all(hooked_fired.values()), (
+        f"jump kinds never fired under a hook: {hooked_fired}"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -562,16 +597,16 @@ def test_two_worms_on_one_physical_channel_are_never_jumped():
     _assert_never_jumped_together(production, reference)
 
 
-def test_hooked_run_jumps_only_the_empty_network():
-    """``next_event_cycle`` speaks for quiescent networks only: with a
-    worm in flight the hook sees every cycle."""
+def test_hooked_run_jumps_like_an_unhooked_one():
+    """``next_event_cycle`` holds whatever the network holds: with a
+    worm in flight a hook that never acts costs no step."""
     production, reference = _engine_pair(
         lone_message_cfg(), (_node(0, 0), _node(4, 4))
     )
     _run_both(production, reference, 200, on_cycle=DeclaredHook())
     assert production.records[0].delivered == 40
-    assert executed_steps(production) == 40
-    assert production.fast_forwarded_cycles == 160
+    assert executed_steps(production) == 1
+    assert production.fast_forwarded_cycles == 199
 
 
 def test_tail_ack_holds_links_through_the_drain_jump():

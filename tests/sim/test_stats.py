@@ -7,9 +7,9 @@ import pytest
 from repro.sim.stats import (
     MessageRecord,
     mean_confidence_interval,
-    repeat_until_confident,
     t_critical_95,
 )
+from tests.sim.test_parallel import replicate_fakes
 
 
 class TestConfidenceInterval:
@@ -88,7 +88,7 @@ class TestRepeatUntilConfident:
             calls.append(seed)
             return self._fake_result(latency=40.0)
 
-        result = repeat_until_confident(run_one, min_runs=2, max_runs=8)
+        result = replicate_fakes(run_one, min_runs=2, max_runs=8)
         assert len(calls) == 2  # identical means -> zero-width CI
         assert result.latency_mean == 40.0
         assert result.relative_ci == 0.0
@@ -99,7 +99,7 @@ class TestRepeatUntilConfident:
         def run_one(seed):
             return self._fake_result(latency=next(values))
 
-        result = repeat_until_confident(
+        result = replicate_fakes(
             run_one, min_runs=2, max_runs=8, target_relative_ci=0.05
         )
         assert len(result.runs) > 2
@@ -112,7 +112,7 @@ class TestRepeatUntilConfident:
         def run_one(seed):
             return self._fake_result(latency=next(values))
 
-        result = repeat_until_confident(run_one, min_runs=2, max_runs=3)
+        result = replicate_fakes(run_one, min_runs=2, max_runs=3)
         assert len(result.runs) == 3
 
     def test_distinct_seeds(self):
@@ -122,17 +122,17 @@ class TestRepeatUntilConfident:
             seeds.append(seed)
             return self._fake_result(latency=40.0)
 
-        repeat_until_confident(run_one, min_runs=2, max_runs=4, base_seed=7)
+        replicate_fakes(run_one, min_runs=2, max_runs=4, base_seed=7)
         assert seeds == [7, 8]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            repeat_until_confident(lambda s: None, min_runs=0)
+            replicate_fakes(lambda s: None, min_runs=0)
 
     def test_aggregates_counts(self):
         def run_one(seed):
             return self._fake_result(latency=40.0)
 
-        result = repeat_until_confident(run_one, min_runs=2, max_runs=2)
+        result = replicate_fakes(run_one, min_runs=2, max_runs=2)
         assert result.delivered == 100
         assert result.dropped == 0
