@@ -53,7 +53,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.experiments import experiment_scale, sweep_loads
+from repro.experiments import base_config, experiment_scale, sweep_loads
 from repro.experiments.report import render_series_table
 from repro.sim.config import FaultConfig, RecoveryConfig, SimulationConfig
 from repro.sim.simulator import NetworkSimulator
@@ -236,13 +236,36 @@ def _add_profile_args(subparser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments import saturation
+
     params = {}
     if args.protocol == "tp":
         params["k_unsafe"] = args.k_unsafe
     traffic_params = _pattern_params(args.pattern_param)
+    try:
+        if args.find_knee:
+            saturation.check_search(
+                args.knee_tol, saturation.DEFAULT_LOW_LOAD,
+                saturation.DEFAULT_MAX_LOAD,
+            )
+            loads = [saturation.DEFAULT_LOW_LOAD]
+        else:
+            loads = [float(x) for x in args.loads.split(",")]
+        # Build every point's simulator before any run, as ``run``
+        # does: a value the config, the topology, the fault placement
+        # or the workload rejects is a usage error, not a traceback
+        # from the middle of a sweep.
+        for pattern in args.pattern:
+            for load in loads:
+                NetworkSimulator(base_config(
+                    experiment_scale(), args.protocol, params,
+                    offered_load=load, traffic=pattern,
+                    traffic_params=traffic_params,
+                    faults=FaultConfig(static_node_faults=args.faults),
+                ))
+    except ValueError as exc:
+        raise _UsageError(f"sweep: {exc}") from exc
     if args.find_knee:
-        from repro.experiments import saturation
-
         results = [
             saturation.find_knee(
                 experiment_scale(),
@@ -265,7 +288,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 fh.write("\n")
             print(f"wrote {args.out}")
         return 0
-    loads = [float(x) for x in args.loads.split(",")]
     series = [
         sweep_loads(
             experiment_scale(),

@@ -71,16 +71,6 @@ class FlowControlConfig:
         ):
             raise ValueError("wormhole flow control has no scouting distance")
 
-    @property
-    def sends_acks_when_safe(self) -> bool:
-        """Whether positive acks flow before any unsafe crossing.
-
-        The current design "eliminates any positive acknowledgments
-        from being transmitted when SR = 0" (Section 6.1), which is why
-        TP's fault-free performance tracks WR.
-        """
-        return self.kind is FlowControlKind.SCOUTING and self.k_safe > 0
-
     def k_for(self, sr_active: bool) -> int:
         """Scouting distance to program on the next reserved channel."""
         if self.kind is FlowControlKind.WORMHOLE:

@@ -54,28 +54,3 @@ def t_pcs(links: int, length: int) -> int:
     """
     _check(links, length)
     return 3 * links + length - 1
-
-
-def scouting_effective_k(links: int, k: int) -> int:
-    """Scouting distance actually experienced on a short path.
-
-    On a path of ``l`` links the header generates at most ``l`` positive
-    acknowledgments before reaching the destination, at which point the
-    data is released regardless of K (the path is complete, equivalent
-    to PCS).  The effective gating distance is ``min(k, l)``.
-    """
-    _check(links, 1)
-    if k < 0:
-        raise ValueError(f"scouting distance must be non-negative, got {k}")
-    return min(k, links)
-
-
-def crossover_length_pcs_vs_scouting(links: int, k: int) -> int:
-    """Message length above which PCS overhead exceeds SR overhead.
-
-    Both mechanisms add a length-independent setup penalty over
-    wormhole — SR adds ``2K - 1``, PCS adds ``2l - 1`` — so their gap is
-    independent of L; this helper documents the penalty difference used
-    in the short-message discussion of Section 1.0.
-    """
-    return (2 * links - 1) - (2 * max(k, 1) - 1)

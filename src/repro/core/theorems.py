@@ -19,7 +19,6 @@ and for sizing the scouting distance in the conservative TP variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 
 def _check_cube(n: int) -> None:
@@ -111,26 +110,3 @@ def cmu_counter_bits(k: int) -> int:
     if k == 0:
         return 0
     return max(1, k.bit_length())
-
-
-@dataclass(frozen=True)
-class TheoremSummary:
-    """Machine-checkable statement of the Section 3.0 guarantees."""
-
-    n: int
-
-    @property
-    def max_faults(self) -> int:
-        return fault_budget(self.n)
-
-    @property
-    def misroute_budget(self) -> int:
-        return SUFFICIENT_MISROUTES
-
-    @property
-    def scouting_distance(self) -> int:
-        return sufficient_scouting_distance()
-
-    def guarantees_delivery(self, faults: int) -> bool:
-        """Whether the theorems guarantee delivery under ``faults``."""
-        return faults <= self.max_faults

@@ -103,6 +103,23 @@ def _probe(
     return KneeProbe(load, latency, rep.throughput_mean, saturated)
 
 
+def check_search(tolerance: float, low_load: float,
+                 max_load: float) -> None:
+    """Reject a search :func:`find_knee` could not run: a tolerance
+    that is not finite and positive (the bisection would never
+    terminate) or an empty load range."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(
+            f"tolerance must be finite and > 0, got {tolerance} "
+            "(bisection would never terminate)"
+        )
+    if not 0 < low_load < max_load:
+        raise ValueError(
+            f"need 0 < low_load < max_load, got low_load={low_load}, "
+            f"max_load={max_load}"
+        )
+
+
 def find_knee(
     scale: Scale,
     protocol: str,
@@ -141,16 +158,7 @@ def find_knee(
     below — in both cases the honest answer is "the knee lies at or
     below the probe floor", not a fabricated ``knee_load == low_load``.
     """
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(
-            f"tolerance must be finite and > 0, got {tolerance} "
-            "(bisection would never terminate)"
-        )
-    if not 0 < low_load < max_load:
-        raise ValueError(
-            f"need 0 < low_load < max_load, got low_load={low_load}, "
-            f"max_load={max_load}"
-        )
+    check_search(tolerance, low_load, max_load)
     probes: List[KneeProbe] = []
 
     def measure(load: float, threshold: float) -> KneeProbe:

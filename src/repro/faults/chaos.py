@@ -38,12 +38,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.injection import DynamicFaultSchedule, FaultEvent
+from repro.network.topology import cube
 from repro.sim.config import ResilienceConfig, SimulationConfig
 from repro.sim.engine import DeadlockError
 from repro.sim.invariants import InvariantError
 from repro.sim.message import HeaderPhase, Message
 from repro.sim.parallel import run_tasks
 from repro.sim.simulator import PROTOCOLS, NetworkSimulator
+from repro.sim.traffic import make_injection_process, make_pattern
 
 #: Vulnerable message phases the controller aims its bursts at.
 TRIGGERS = ("setup", "backtrack", "teardown")
@@ -57,6 +59,16 @@ ARMS = ("tp-only", "reconfig")
 MAX_HEADER_WAIT = 6000
 AUDIT_EVERY = 20
 MAX_DEADLOCK_RECOVERIES = 512
+WARMUP_CYCLES = 200
+DRAIN_CYCLES = 30_000
+#: Extra cycles after the drain for residual teardown tokens.
+SETTLE_CYCLES = 200
+#: Message length of the chaos campaign's workload (a storm scenario
+#: sets its own).
+MESSAGE_LENGTH = 8
+#: Cycles a burst waits past its due cycle for a vulnerable message
+#: before falling back to a random healthy link.
+PATIENCE = 100
 
 #: Where the ``reconfig`` arm departs from the ResilienceConfig
 #: defaults (window 512 and threshold 4 stay; every plan commits the
@@ -147,13 +159,13 @@ class HarnessSpec:
     seeds: Sequence[int] = tuple(range(20))
     k: int = 6
     n: int = 2
-    warmup_cycles: int = 200
     measure_cycles: int = 1000
-    drain_cycles: int = 30_000
     #: Short watchdog so stalls are diagnosed and recovered quickly.
     watchdog_cycles: int = 120
-    #: Extra cycles after the drain for residual teardown tokens.
-    settle_cycles: int = 200
+
+    def __post_init__(self) -> None:
+        if not self.seeds:
+            raise ValueError("a campaign needs at least one seed")
 
 
 @dataclass
@@ -167,14 +179,25 @@ class ChaosSpec(HarnessSpec):
     #: machinery under skewed and clumped traffic.
     traffic: str = "uniform"
     traffic_params: dict = field(default_factory=dict)
-    message_length: int = 8
     #: The storm shape (see :class:`StormScenario`).
     bursts: int = 3
     burst_size: int = 2
     node_fault_fraction: float = 0.25
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         _check("protocol", *self.protocols)
+        if self.bursts < 1 or self.burst_size < 1:
+            raise ValueError("bursts and burst_size must be >= 1")
+        if not 0.0 <= self.node_fault_fraction <= 1.0:
+            raise ValueError("node_fault_fraction must be in [0, 1]")
+        # Build each run's workload now, so a value its run would
+        # reject fails here rather than inside the campaign.
+        for protocol in self.protocols:
+            config = _sim_config(self, 0, **_chaos_workload(self, protocol))
+            make_pattern(config.traffic, cube(config.k, config.n),
+                         config.traffic_params)
+            make_injection_process(config, random.Random(0))
 
 
 @dataclass
@@ -184,11 +207,10 @@ class StormSpec(HarnessSpec):
     seeds: Sequence[int] = tuple(range(4))
     measure_cycles: int = 1500
     scenarios: Sequence[str] = ("gridlock", "linkstorm")
-    arms: Sequence[str] = ARMS
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         _check("storm scenario", *self.scenarios)
-        _check("arm", *self.arms)
 
 
 class ChaosController:
@@ -202,15 +224,12 @@ class ChaosController:
 
     def __init__(self, schedule: DynamicFaultSchedule, rng: random.Random,
                  burst_cycles: Sequence[int], burst_size: int,
-                 node_fault_fraction: float, patience: int = 100):
+                 node_fault_fraction: float):
         self.schedule = schedule
         self.rng = rng
         self.burst_cycles = list(burst_cycles)
         self.burst_size = burst_size
         self.node_fault_fraction = node_fault_fraction
-        #: Cycles to wait past the due cycle for a vulnerable message
-        #: before falling back to a random healthy link.
-        self.patience = patience
         self.faults_injected = 0
         self.triggers_hit: List[str] = []
         self._next = 0
@@ -239,7 +258,7 @@ class ChaosController:
             return
         preferred = TRIGGERS[self._next % len(TRIGGERS)]
         trigger, targets = self._find_targets(engine, preferred)
-        if not targets and engine.cycle < due + self.patience:
+        if not targets and engine.cycle < due + PATIENCE:
             return  # hold the burst until someone is vulnerable
         self._fire(engine, trigger, targets)
         self._next += 1
@@ -465,7 +484,7 @@ class StormCampaignResult(_CampaignResult):
         """Aggregate bench rows, one per scenario/arm (JSON-ready)."""
         out = []
         for scenario in self.spec.scenarios:
-            for arm in self.spec.arms:
+            for arm in ARMS:
                 runs = self.arm_runs(scenario, arm)
                 if not runs:
                     continue
@@ -538,25 +557,20 @@ def burst_schedule(spec: HarnessSpec, shape=None) -> List[int]:
     shape) spread evenly across the spec's measurement window."""
     bursts = (shape or spec).bursts
     return [
-        spec.warmup_cycles + (i + 1) * spec.measure_cycles // (bursts + 1)
+        WARMUP_CYCLES + (i + 1) * spec.measure_cycles // (bursts + 1)
         for i in range(bursts)
     ]
 
 
-def _storm_run(spec: HarnessSpec, seed: int, shape, reconfig=False, **config):
-    """The one run body: build, storm, drain, settle, audit, account.
-
-    ``shape`` (a :class:`ChaosSpec` or a :class:`StormScenario`) gives
-    the burst count, size and node share; ``config`` is the workload as
-    :class:`SimulationConfig` fields.  Returns the engine, the chaos
-    controller, the non-superseded message records and the fields both
-    record types report alike.
-    """
-    sim = NetworkSimulator(SimulationConfig(
+def _sim_config(spec: HarnessSpec, seed: int, reconfig=False,
+                **config) -> SimulationConfig:
+    """A harness run's configuration: geometry, window and watchdog
+    from the spec, the workload ``config`` as SimulationConfig fields."""
+    return SimulationConfig(
         k=spec.k, n=spec.n,
-        warmup_cycles=spec.warmup_cycles,
+        warmup_cycles=WARMUP_CYCLES,
         measure_cycles=spec.measure_cycles,
-        drain_cycles=spec.drain_cycles,
+        drain_cycles=DRAIN_CYCLES,
         seed=seed,
         watchdog_cycles=spec.watchdog_cycles,
         max_header_wait=MAX_HEADER_WAIT,
@@ -568,7 +582,33 @@ def _storm_run(spec: HarnessSpec, seed: int, shape, reconfig=False, **config):
             **RECONFIG_KNOBS,
         ),
         **config,
-    ))
+    )
+
+
+def _chaos_workload(spec: ChaosSpec, protocol: str) -> dict:
+    """A chaos run's workload: the spec's traffic, overridden by what
+    ``protocol``'s pseudo-protocol entry names."""
+    config = dict(
+        protocol=protocol,
+        offered_load=spec.offered_load,
+        message_length=MESSAGE_LENGTH,
+        traffic=spec.traffic,
+        traffic_params=dict(spec.traffic_params),
+    )
+    config.update(SCENARIOS.get(protocol, {}))
+    return config
+
+
+def _storm_run(spec: HarnessSpec, seed: int, shape, reconfig=False, **config):
+    """The one run body: build, storm, drain, settle, audit, account.
+
+    ``shape`` (a :class:`ChaosSpec` or a :class:`StormScenario`) gives
+    the burst count, size and node share; ``config`` is the workload as
+    :class:`SimulationConfig` fields.  Returns the engine, the chaos
+    controller, the non-superseded message records and the fields both
+    record types report alike.
+    """
+    sim = NetworkSimulator(_sim_config(spec, seed, reconfig, **config))
     engine = sim.engine
     # No dynamic faults in the config, so no schedule attached yet.
     engine.dynamic_schedule = DynamicFaultSchedule()
@@ -582,7 +622,7 @@ def _storm_run(spec: HarnessSpec, seed: int, shape, reconfig=False, **config):
     error: Optional[str] = None
     try:
         sim.run(on_cycle=controller)
-        for _ in range(spec.settle_cycles):
+        for _ in range(SETTLE_CYCLES):
             if engine.network_drained():
                 break
             engine.step()
@@ -615,15 +655,9 @@ def run_one(spec: ChaosSpec, seed: int, protocol: str) -> ChaosRunRecord:
     """One chaos run: ``protocol`` (a pseudo-protocol overriding what
     its catalog entry names) under the spec's traffic and storm shape."""
     _check("protocol", protocol)
-    config = dict(
-        protocol=protocol,
-        offered_load=spec.offered_load,
-        message_length=spec.message_length,
-        traffic=spec.traffic,
-        traffic_params=dict(spec.traffic_params),
+    engine, controller, _, shared = _storm_run(
+        spec, seed, spec, **_chaos_workload(spec, protocol)
     )
-    config.update(SCENARIOS.get(protocol, {}))
-    engine, controller, _, shared = _storm_run(spec, seed, spec, **config)
     return ChaosRunRecord(
         protocol=protocol,
         triggers_hit=controller.triggers_hit,
@@ -712,7 +746,7 @@ def run_storm_campaign(
     tasks = [
         (spec, scenario, seed, arm)
         for scenario in spec.scenarios
-        for arm in spec.arms
+        for arm in ARMS
         for seed in spec.seeds
     ]
     return StormCampaignResult(spec, run_tasks(run_storm_one, tasks, jobs))

@@ -105,10 +105,6 @@ class FaultState:
         self.last_failed_channels = newly_failed
         self._recompute_unsafe()
 
-    def fail_nodes(self, nodes: Iterable[int]) -> None:
-        for node in nodes:
-            self.fail_node(node)
-
     @staticmethod
     def _link_key(a: int, b: int) -> Tuple[int, int]:
         return (a, b) if a < b else (b, a)
@@ -190,9 +186,6 @@ class FaultState:
 
     def is_node_faulty(self, node: int) -> bool:
         return node in self.faulty_nodes
-
-    def is_channel_restricted(self, channel_id: int) -> bool:
-        return self.channel_restricted[channel_id]
 
     @property
     def num_faults(self) -> int:

@@ -189,12 +189,6 @@ class ChannelBank:
             raise ValueError(f"{vclass} is not a deterministic class")
         return self._vcs[channel_id * self.vcs_per_channel + vclass.value]
 
-    def any_free(self, channel_id: int) -> bool:
-        return any(vc.state is _FREE for vc in self.vcs(channel_id))
-
     def all_free(self) -> bool:
         """Whether every VC in the bank is free (drained-network check)."""
         return all(vc.state is _FREE for vc in self._vcs)
-
-    def reserved_count(self) -> int:
-        return sum(1 for vc in self._vcs if vc.state is not _FREE)

@@ -132,23 +132,6 @@ class RoundRobinArbiter:
         self.size = size
         self._next = 0
 
-    def grant(self, requests: Sequence[bool]) -> Optional[int]:
-        """Pick the next requester in round-robin order, or ``None``.
-
-        ``requests[i]`` is True when requester ``i`` wants the resource
-        this cycle.
-        """
-        if len(requests) != self.size:
-            raise ValueError(
-                f"expected {self.size} request lines, got {len(requests)}"
-            )
-        for offset in range(self.size):
-            idx = (self._next + offset) % self.size
-            if requests[idx]:
-                self._next = (idx + 1) % self.size
-                return idx
-        return None
-
     def grant_from(self, candidates: Sequence[int]) -> Optional[int]:
         """Round-robin grant when requests arrive as a candidate list.
 

@@ -196,26 +196,6 @@ class KAryNCube:
         """Id of the channel in the opposite direction on the same link."""
         return self.reverse_channels[channel_id]
 
-    def channel_between(self, src: int, dst: int) -> int:
-        """Channel id ``src -> dst`` for adjacent nodes.
-
-        Raises ``ValueError`` if the nodes are not adjacent.
-        """
-        src_coords = self.coords(src)
-        dst_coords = self.coords(dst)
-        diff_dims = [d for d in range(self.n) if src_coords[d] != dst_coords[d]]
-        if len(diff_dims) != 1:
-            raise ValueError(f"nodes {src} and {dst} are not adjacent")
-        dim = diff_dims[0]
-        delta = (dst_coords[dim] - src_coords[dim]) % self.k
-        if delta == 1:
-            direction = PLUS
-        elif delta == self.k - 1:
-            direction = MINUS
-        else:
-            raise ValueError(f"nodes {src} and {dst} are not adjacent")
-        return self.channel_id(src, dim, direction)
-
     # ------------------------------------------------------------------
     # Minimal-path geometry
     # ------------------------------------------------------------------
@@ -336,10 +316,6 @@ class KAryNCube:
     # ------------------------------------------------------------------
     # Misc
     # ------------------------------------------------------------------
-    def random_node(self, rng) -> int:
-        """Uniform random node id using a ``random.Random``-like rng."""
-        return rng.randrange(self.num_nodes)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KAryNCube(k={self.k}, n={self.n})"
 

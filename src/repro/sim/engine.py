@@ -268,7 +268,6 @@ class Engine:
         self.cycle = 0
         self.ctx = RoutingContext(self.topology, self.faults, self.channels, 0)
 
-        self.messages: Dict[int, Message] = {}
         self.active: Dict[int, Message] = {}
         self.pending: Dict[int, Message] = {}
         #: Per-node injection FIFOs, head first; plain lists — at most
@@ -285,9 +284,6 @@ class Engine:
         self.offered_messages = 0
         self.accepted_messages = 0
         self.rejected_messages = 0
-        self.delivered_messages = 0
-        self.dropped_messages = 0
-        self.killed_messages = 0
         self.retransmissions = 0
         self.source_retries = 0
         self.killed_flits = 0
@@ -296,9 +292,10 @@ class Engine:
         #: Data flits handed to a PE over an ejection port.
         self.flits_ejected = 0
         #: Always 0.  ``benchmarks/perf`` (frozen by ``BENCHMARK.json``)
-        #: still reads this counter of the removed SoA kernel (DESIGN.md
-        #: §12); only the next ``benchmark`` PR can drop it, together
-        #: with the ``kernel.cycles`` / ``kernel.cycle_share`` metrics.
+        #: still reads this counter of the removed SoA kernel
+        #: (PERF_HISTORY.md); only the next ``benchmark`` PR can drop
+        #: it, together with the ``kernel.cycles`` /
+        #: ``kernel.cycle_share`` metrics.
         self.kernel_cycles = 0
         #: Routing-protocol ``decide`` invocations (header decisions).
         self.header_decisions = 0
@@ -439,8 +436,13 @@ class Engine:
     def drain(self, max_cycles: int) -> bool:
         """Stop traffic and run until in-flight messages finish.
 
-        Returns True when the network fully drained within the budget.
-        Every cycle is stepped — the fast-forward belongs to
+        Returns True once every message is terminal and every injection
+        queue empty within the budget.  It does not wait for the
+        virtual channels: a message a fault kills is terminal when the
+        upstream kill reaches its source, while the downstream kill
+        flit may hold a channel a few cycles longer, so
+        :meth:`network_drained` can still be False.  Every cycle is
+        stepped — the fast-forward belongs to
         :meth:`run`: with traffic disabled an empty network is the exit
         condition here, not a stretch to jump over.
         """
@@ -590,7 +592,7 @@ class Engine:
                 for vc in self.channels.vcs(ch):
                     if vc.owner is None:
                         continue
-                    msg = self.messages.get(vc.owner)
+                    msg = self.active.get(vc.owner)
                     if msg is None:
                         vc.release()
                         continue
@@ -618,7 +620,7 @@ class Engine:
                     # channel loop above interrupted it.
                     if msg.status is MessageStatus.QUEUED:
                         msg.status = MessageStatus.KILLED
-                        self._finalize(msg, count_killed=True)
+                        self._finalize(msg)
 
     def _path_index_of(self, msg: Message,
                        vc) -> Optional[int]:
@@ -1063,7 +1065,7 @@ class Engine:
             msg.delivered_cycle is not None
         ):
             msg.status = MessageStatus.DELIVERED
-            self._finalize(msg, count_delivered=True)
+            self._finalize(msg)
         return None
 
     def _finish_tail_ack(self, msg: Message, p: int) -> None:
@@ -1184,7 +1186,7 @@ class Engine:
                 self._finalize(msg, superseded=True)
                 return
             msg.status = MessageStatus.KILLED
-            self._finalize(msg, count_killed=True)
+            self._finalize(msg)
             return
         # Aborted path construction: retry from the source a bounded
         # number of times (Section 4.0's higher-level retry).
@@ -1196,7 +1198,7 @@ class Engine:
             return
         msg.status = MessageStatus.DROPPED
         msg.drop_reason = msg.drop_reason or "undeliverable"
-        self._finalize(msg, count_dropped=True)
+        self._finalize(msg)
 
     def _requeue_clone(self, original: Message) -> None:
         """Re-inject a fresh copy of an interrupted/aborted message."""
@@ -1459,7 +1461,7 @@ class Engine:
             )
         else:
             msg.status = MessageStatus.DELIVERED
-            self._finalize(msg, count_delivered=True)
+            self._finalize(msg)
 
     # ==================================================================
     # Phase 5: traffic generation and launches
@@ -1556,31 +1558,16 @@ class Engine:
         )
         msg.hop_cap = HOP_CAP_BASE + HOP_CAP_FACTOR * msg.distance
         self._next_msg_id += 1
-        self.messages[msg.msg_id] = msg
         return msg
 
     # ==================================================================
     # Finalization / bookkeeping
     # ==================================================================
-    def _finalize(
-        self,
-        msg: Message,
-        count_delivered: bool = False,
-        count_dropped: bool = False,
-        count_killed: bool = False,
-        superseded: bool = False,
-    ) -> None:
-        if count_delivered:
-            self.delivered_messages += 1
-        if count_dropped:
-            self.dropped_messages += 1
-        if count_killed:
-            self.killed_messages += 1
+    def _finalize(self, msg: Message, superseded: bool = False) -> None:
         # A terminal head unblocks its source queue: attend it.
         self._launch_attn.add(msg.src)
         self.active.pop(msg.msg_id, None)
         self.pending.pop(msg.msg_id, None)
-        self.messages.pop(msg.msg_id, None)
         self.records.append(
             MessageRecord(
                 msg_id=msg.msg_id,

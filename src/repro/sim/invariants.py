@@ -113,7 +113,7 @@ class InvariantAuditor:
         cycle = engine.cycle
         depth = BUFFER_DEPTH
         tail_ack = engine.config.recovery.tail_ack
-        for msg in engine.messages.values():
+        for msg in engine.active.values():
             if not msg.flit_conservation_ok():
                 out.append(InvariantViolation(
                     cycle, "flit-conservation",
@@ -178,7 +178,7 @@ class InvariantAuditor:
 
         A message can be finalized at its source while its downstream
         kill/tail tokens are still releasing channels; those channels
-        are legally reserved by an id no longer in ``engine.messages``.
+        are legally reserved by an id no longer in ``engine.active``.
         """
         return {
             token.message.msg_id
@@ -190,7 +190,7 @@ class InvariantAuditor:
         self, engine, out: List[InvariantViolation]
     ) -> None:
         cycle = engine.cycle
-        live = engine.messages
+        live = engine.active
         in_flight: Optional[Set[int]] = None  # computed lazily
         for ch in range(engine.topology.num_channels):
             for vc in engine.channels.vcs(ch):
@@ -242,12 +242,6 @@ class InvariantAuditor:
                 out.append(InvariantViolation(
                     cycle, "index",
                     f"active map holds {msg.status.name} message",
-                    msg_id=msg_id,
-                ))
-            if msg_id not in engine.messages:
-                out.append(InvariantViolation(
-                    cycle, "index",
-                    "active message missing from the message table",
                     msg_id=msg_id,
                 ))
         for msg_id in engine.pending:

@@ -257,11 +257,6 @@ class Message:
     # Derived views
     # ------------------------------------------------------------------
     @property
-    def head_router(self) -> int:
-        """Path index of the router holding the first data flit."""
-        return self.head_link + 1
-
-    @property
     def injected_flits(self) -> int:
         return self.total_flits - self.at_source
 

@@ -299,7 +299,7 @@ def select_victim(diagnosis: DeadlockDiagnosis, engine) -> Optional[Message]:
 
     def eligible(msg_id: int) -> Optional[Message]:
         nonlocal capped
-        msg = engine.messages.get(msg_id)
+        msg = engine.active.get(msg_id)
         if msg is None or msg.teardown or msg.is_terminal():
             return None
         if freeze and not msg.path:

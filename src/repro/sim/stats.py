@@ -122,10 +122,12 @@ class RunResult:
     reconfig_victims: List[int] = field(default_factory=list)
     #: Invariant audits run during the simulation (0 = auditor off).
     invariant_checks: int = 0
-    #: Whether the network fully drained (no active messages, empty
-    #: injection queues) before summarizing.  An undrained run holds
-    #: truncated latency samples — in-flight messages never produced a
-    #: record — and its figures must be treated with suspicion.
+    #: Whether the network drained (no active messages, empty
+    #: injection queues) before summarizing — as ``Engine.drain``
+    #: returns it, so a kill flit may still hold a virtual channel
+    #: (DESIGN.md §3).  An undrained run holds truncated latency
+    #: samples — in-flight messages never produced a record — and its
+    #: figures must be treated with suspicion.
     drained: bool = True
 
     @property

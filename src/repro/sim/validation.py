@@ -125,7 +125,7 @@ def ring_utilization(distance: int = 3, k: int = 8, length: int = 4,
         ValidationCheck(
             name="ring: all messages delivered",
             expected=injected,
-            measured=engine.delivered_messages,
+            measured=sum(r.status == "DELIVERED" for r in engine.records),
             tolerance=0,
         ),
         ValidationCheck(

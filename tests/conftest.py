@@ -70,6 +70,12 @@ def run_to_completion(engine: Engine, msg, max_cycles: int = 5000):
     )
 
 
+def delivered_count(engine: Engine) -> int:
+    """Messages the engine delivered (a delivered record is never
+    superseded by a retry)."""
+    return sum(r.status == "DELIVERED" for r in engine.records)
+
+
 def drain_engine(engine: Engine, max_cycles: int = 20_000) -> None:
     """Run until every message is terminal; assert full drain."""
     assert engine.drain(max_cycles), (

@@ -36,11 +36,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             FlowControlConfig.scouting(k_safe=-1)
 
-    def test_sends_acks_when_safe(self):
-        assert FlowControlConfig.scouting(k_safe=2).sends_acks_when_safe
-        assert not FlowControlConfig.scouting(k_safe=0).sends_acks_when_safe
-        assert not FlowControlConfig.pcs().sends_acks_when_safe
-
     def test_frozen(self):
         fc = FlowControlConfig.pcs()
         with pytest.raises(AttributeError):

@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.latency_model import (
-    crossover_length_pcs_vs_scouting,
-    scouting_effective_k,
     t_pcs,
     t_scouting,
     t_wormhole,
@@ -58,15 +56,3 @@ class TestFormulas:
     @settings(max_examples=60, deadline=None)
     def test_scouting_penalty(self, l, length, k):
         assert t_scouting(l, length, k) - t_wormhole(l, length) == 2 * k - 1
-
-
-class TestHelpers:
-    def test_effective_k_clamps_to_path(self):
-        assert scouting_effective_k(3, 5) == 3
-        assert scouting_effective_k(5, 3) == 3
-
-    def test_crossover_positive_when_k_small(self):
-        assert crossover_length_pcs_vs_scouting(8, 3) > 0
-
-    def test_crossover_zero_when_k_equals_l(self):
-        assert crossover_length_pcs_vs_scouting(4, 4) == 0

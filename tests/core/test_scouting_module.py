@@ -33,7 +33,7 @@ class TestConservativeDefaults:
 
         fc = TwoPhaseProtocol().flow_control
         assert fc.k_for(True) == 0
-        assert not fc.sends_acks_when_safe
+        assert fc.k_for(False) == 0
 
     def test_misroute_budget_fits_header_field(self):
         from repro.core.header import MAX_MISROUTES

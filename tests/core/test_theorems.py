@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.theorems import (
     MAX_CONSECUTIVE_BACKTRACKS,
     SUFFICIENT_MISROUTES,
-    TheoremSummary,
     cmu_counter_bits,
     fault_budget,
     max_backtrack_straight_alley,
@@ -87,13 +86,6 @@ class TestTheorem2:
     def test_fault_budget(self):
         assert fault_budget(2) == 3
         assert fault_budget(3) == 5
-
-    def test_summary_guarantees(self):
-        summary = TheoremSummary(n=2)
-        assert summary.guarantees_delivery(3)
-        assert not summary.guarantees_delivery(4)
-        assert summary.misroute_budget == 6
-        assert summary.scouting_distance == 3
 
 
 class TestCounterWidth:

@@ -10,6 +10,7 @@ from repro.faults.chaos import (
     ChaosController,
     ChaosSpec,
     SCENARIOS,
+    WARMUP_CYCLES,
     burst_schedule,
     run_campaign,
     run_one,
@@ -21,8 +22,7 @@ from tests.conftest import build_engine
 
 def small_spec(**overrides) -> ChaosSpec:
     base = dict(
-        seeds=(0, 1), protocols=("tp",), k=4,
-        warmup_cycles=100, measure_cycles=400, drain_cycles=10_000,
+        seeds=(0, 1), protocols=("tp",), k=4, measure_cycles=400,
         bursts=2, burst_size=1,
     )
     base.update(overrides)
@@ -35,7 +35,7 @@ class TestBurstSchedule:
         cycles = burst_schedule(spec)
         assert len(cycles) == spec.bursts
         assert all(
-            spec.warmup_cycles < c < spec.warmup_cycles + spec.measure_cycles
+            WARMUP_CYCLES < c < WARMUP_CYCLES + spec.measure_cycles
             for c in cycles
         )
         assert cycles == sorted(cycles)
@@ -74,7 +74,7 @@ class TestNextEventCycle:
     def _controller(self):
         return ChaosController(
             DynamicFaultSchedule(), random.Random(0), burst_cycles=[20],
-            burst_size=1, node_fault_fraction=0.0, patience=100,
+            burst_size=1, node_fault_fraction=0.0,
         )
 
     def test_before_the_due_cycle_it_declares_the_due_cycle(self):

@@ -130,7 +130,8 @@ class TestPlacementRollback:
 
         faults = FaultState(torus8)
         kept = [0, 1, 9]
-        faults.fail_nodes(kept)
+        for node in kept:
+            faults.fail_node(node)
         before = self._state_tuple(faults)
         prior_last = list(faults.last_failed_channels)
 
@@ -143,7 +144,8 @@ class TestPlacementRollback:
         assert faults.last_failed_channels == prior_last
 
         fresh = FaultState(torus8)
-        fresh.fail_nodes(kept)
+        for node in kept:
+            fresh.fail_node(node)
         assert self._state_tuple(faults) == self._state_tuple(fresh)
 
     def test_dense_connected_placement_matches_fresh_rebuild(self, torus8):
@@ -155,5 +157,6 @@ class TestPlacementRollback:
         assert len(failed) == 20
         assert faults.healthy_nodes_connected()
         fresh = FaultState(torus8)
-        fresh.fail_nodes(failed)
+        for node in failed:
+            fresh.fail_node(node)
         assert self._state_tuple(faults) == self._state_tuple(fresh)

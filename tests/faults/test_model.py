@@ -28,7 +28,8 @@ class TestNodeFaults:
 
     def test_num_faults_counts_nodes(self, torus8):
         faults = FaultState(torus8)
-        faults.fail_nodes([3, 9, 12])
+        for node in [3, 9, 12]:
+            faults.fail_node(node)
         assert faults.num_faults == 3
 
     def test_last_failed_channels_reported(self, torus8):
@@ -130,7 +131,8 @@ class TestConnectivity:
 
     def test_connected_with_scattered_faults(self, torus8):
         faults = FaultState(torus8)
-        faults.fail_nodes([0, 20, 45])
+        for node in [0, 20, 45]:
+            faults.fail_node(node)
         assert faults.healthy_nodes_connected()
 
     def test_healthy_neighbors_excludes_failed(self, torus8):

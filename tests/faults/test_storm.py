@@ -27,9 +27,7 @@ from tests.sim.reference_engine import ReferenceSimulator
 
 def small_spec(**overrides) -> StormSpec:
     base = dict(
-        seeds=(0,), scenarios=("linkstorm",), k=4,
-        warmup_cycles=100, measure_cycles=600, drain_cycles=10_000,
-        settle_cycles=100,
+        seeds=(0,), scenarios=("linkstorm",), k=4, measure_cycles=600,
     )
     base.update(overrides)
     return StormSpec(**base)
@@ -69,7 +67,7 @@ class TestStormCampaign:
         """Both campaigns come through the one ordered fan-out."""
         chaos_spec = ChaosSpec(
             seeds=(0, 1), protocols=("tp", "det-naive"), k=4,
-            warmup_cycles=100, measure_cycles=400, drain_cycles=10_000,
+            measure_cycles=400,
         )
         for campaign, spec in (
             (run_storm_campaign, small_spec(seeds=(0, 1))),
@@ -102,7 +100,6 @@ class TestStormCampaign:
     def test_default_spec_covers_acceptance_scenario(self):
         assert "gridlock" in StormSpec().scenarios
         assert "gridlock" in STORM_SCENARIOS
-        assert tuple(StormSpec().arms) == ARMS
 
 
 class TestUnknownNames:
@@ -119,12 +116,59 @@ class TestUnknownNames:
          r"unknown protocol 'nope'; choose from \['det', 'det-naive'"),
         (lambda: ChaosSpec(protocols=("tp", "nope")), "unknown protocol"),
         (lambda: StormSpec(scenarios=("nope",)), "unknown storm scenario"),
-        (lambda: StormSpec(arms=("nope",)), "unknown arm"),
-    ], ids=["scenario", "arm", "protocol", "chaos-spec", "storm-spec-scenario",
-            "storm-spec-arm"])
+    ], ids=["scenario", "arm", "protocol", "chaos-spec", "storm-spec-scenario"])
     def test_unknown_name_is_a_value_error(self, make, match):
         with pytest.raises(ValueError, match=match):
             make()
+
+
+class TestSpecValues:
+    """A spec rejects a value its runs would ignore or crash on, before
+    any run."""
+
+    @pytest.mark.parametrize("make,match", [
+        (lambda: ChaosSpec(seeds=()), "at least one seed"),
+        (lambda: StormSpec(seeds=()), "at least one seed"),
+        (lambda: ChaosSpec(bursts=-1), "bursts and burst_size"),
+        (lambda: ChaosSpec(burst_size=0), "bursts and burst_size"),
+        (lambda: ChaosSpec(node_fault_fraction=-0.1), "node_fault_fraction"),
+        (lambda: ChaosSpec(node_fault_fraction=1.5), "node_fault_fraction"),
+        (lambda: ChaosSpec(traffic="nope"), "unknown traffic pattern"),
+        (lambda: ChaosSpec(traffic_params={"bogus": 1}),
+         "unknown traffic_params keys"),
+        (lambda: ChaosSpec(traffic="hotspot",
+                           traffic_params={"hotspot_fraction": 2}),
+         "hotspot_fraction"),
+        # det-naive's own load and length overflow this duty cycle.
+        (lambda: ChaosSpec(protocols=("det-naive",), traffic_params={
+            "burst_on": 1, "burst_off": 60}), "cannot fit"),
+    ], ids=["chaos-no-seeds", "storm-no-seeds", "bursts", "burst-size",
+            "node-share-negative", "node-share-above-one", "pattern",
+            "param-key", "param-value", "scenario-load"])
+    def test_rejected_at_construction(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
+    def test_each_protocol_is_checked_with_its_own_workload(self):
+        """The duty cycle det-naive overflows fits tp's load."""
+        ChaosSpec(protocols=("tp",),
+                  traffic_params={"burst_on": 1, "burst_off": 60})
+
+    @pytest.mark.parametrize("argv,message", [
+        (["chaos", "--seeds", "1", "--bursts", "-1", "--protocols", "tp"],
+         "bursts and burst_size must be >= 1"),
+        (["chaos", "--pattern-param", "bogus=1"],
+         "unknown traffic_params keys"),
+        (["storm", "--seeds", "0"], "a campaign needs at least one seed"),
+    ], ids=["chaos-bursts", "chaos-param", "storm-seeds"])
+    def test_cli_exits_2(self, argv, message, capsys, monkeypatch):
+        def no_run(spec, jobs=None):
+            raise AssertionError("a campaign ran with a rejected spec")
+
+        monkeypatch.setattr(chaos, "run_campaign", no_run)
+        monkeypatch.setattr(chaos, "run_storm_campaign", no_run)
+        assert cli_main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestCliExitCodes:

@@ -107,19 +107,3 @@ class TestChannelBank:
     def test_all_free_initially(self):
         bank = ChannelBank(6)
         assert bank.all_free()
-        assert bank.reserved_count() == 0
-
-    def test_reserved_count_tracks(self):
-        bank = ChannelBank(6)
-        bank.vc(0, 0).reserve(1)
-        bank.vc(3, 2).reserve(2)
-        assert bank.reserved_count() == 2
-        assert not bank.all_free()
-
-    def test_any_free(self):
-        bank = ChannelBank(2)
-        assert bank.any_free(0)
-        for vc in bank.vcs(0):
-            vc.reserve(9)
-        assert not bank.any_free(0)
-        assert bank.any_free(1)

@@ -50,13 +50,15 @@ class TestFaultResilience:
             rng = random.Random(seed)
             faults = FaultState(topo)
             nodes = rng.sample(range(topo.num_nodes), 3)
-            faults.fail_nodes(nodes)
+            for node in nodes:
+                faults.fail_node(node)
             assert faults.healthy_nodes_connected(), nodes
 
     def test_2n_faults_can_disconnect(self):
         topo = KAryNCube(6, 2)
         faults = FaultState(topo)
-        faults.fail_nodes(topo.neighbors(0))  # isolate node 0
+        for node in topo.neighbors(0):  # isolate node 0
+            faults.fail_node(node)
         assert not faults.healthy_nodes_connected()
         assert len(faults.faulty_nodes) == 2 * topo.n
 
@@ -66,7 +68,8 @@ class TestFaultResilience:
         rng = random.Random(seed)
         topo = KAryNCube(6, 2)
         faults = FaultState(topo)
-        faults.fail_nodes(rng.sample(range(1, topo.num_nodes - 1), 3))
+        for node in rng.sample(range(1, topo.num_nodes - 1), 3):
+            faults.fail_node(node)
         src, dst = 0, topo.num_nodes - 1
         if faults.is_node_faulty(src) or faults.is_node_faulty(dst):
             return
@@ -82,7 +85,8 @@ class TestFaultResilience:
         rng = random.Random(seed)
         topo = KAryNCube(6, 2)
         faults = FaultState(topo)
-        faults.fail_nodes(rng.sample(range(topo.num_nodes), 2))
+        for node in rng.sample(range(topo.num_nodes), 2):
+            faults.fail_node(node)
         for ch_id in range(topo.num_channels):
             if not faults.channel_unsafe[ch_id]:
                 continue

@@ -86,28 +86,25 @@ class TestRoundRobinArbiter:
 
     def test_single_requester(self):
         arb = RoundRobinArbiter(1)
-        assert arb.grant([True]) == 0
-        assert arb.grant([False]) is None
+        assert arb.grant_from([0]) == 0
+        assert arb.grant_from([]) is None
 
     def test_rotates_among_requesters(self):
         arb = RoundRobinArbiter(3)
-        grants = [arb.grant([True, True, True]) for _ in range(6)]
+        grants = [arb.grant_from([0, 1, 2]) for _ in range(6)]
         assert grants == [0, 1, 2, 0, 1, 2]
 
     def test_skips_idle_requesters(self):
         arb = RoundRobinArbiter(3)
-        assert arb.grant([False, True, False]) == 1
-        assert arb.grant([True, False, True]) == 2
-        assert arb.grant([True, False, True]) == 0
+        assert arb.grant_from([1]) == 1
+        assert arb.grant_from([0, 2]) == 2
+        assert arb.grant_from([2, 0]) == 0
 
     def test_none_when_no_requests(self):
         arb = RoundRobinArbiter(4)
-        assert arb.grant([False] * 4) is None
-
-    def test_wrong_width_raises(self):
-        arb = RoundRobinArbiter(2)
-        with pytest.raises(ValueError):
-            arb.grant([True])
+        arb.grant_from([3])
+        assert arb.grant_from([]) is None
+        assert arb.grant_from([3, 1]) == 1
 
     def test_grant_from_candidate_list(self):
         arb = RoundRobinArbiter(4)
@@ -122,16 +119,3 @@ class TestRoundRobinArbiter:
         arb = RoundRobinArbiter(3)
         seen = [arb.grant_from([0, 1, 2]) for _ in range(9)]
         assert seen.count(0) == seen.count(1) == seen.count(2) == 3
-
-    def test_grant_from_matches_grant(self):
-        a = RoundRobinArbiter(4)
-        b = RoundRobinArbiter(4)
-        requests = [
-            [True, False, True, False],
-            [False, True, True, True],
-            [True, True, False, False],
-        ]
-        for req in requests * 3:
-            want = a.grant(req)
-            got = b.grant_from([i for i, r in enumerate(req) if r])
-            assert want == got

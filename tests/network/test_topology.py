@@ -136,24 +136,6 @@ class TestChannels:
             r = torus4.channel(torus4.reverse_channel_id(ch_id))
             assert (r.src, r.dst) == (c.dst, c.src)
 
-    def test_channel_between_adjacent(self, torus4):
-        ch = torus4.channel_between(0, 1)
-        c = torus4.channel(ch)
-        assert (c.src, c.dst) == (0, 1)
-
-    def test_channel_between_wrap(self, torus4):
-        edge = torus4.node_id((3, 0))
-        ch = torus4.channel_between(edge, 0)
-        assert torus4.channel(ch).direction == PLUS
-
-    def test_channel_between_non_adjacent_raises(self, torus4):
-        with pytest.raises(ValueError):
-            torus4.channel_between(0, 2)
-
-    def test_channel_between_same_node_raises(self, torus4):
-        with pytest.raises(ValueError):
-            torus4.channel_between(3, 3)
-
 
 # ---------------------------------------------------------------------------
 # Minimal-path geometry
@@ -250,13 +232,6 @@ class TestGeometry:
             for dst in range(torus8.num_nodes):
                 for off in torus8.offsets(src, dst):
                     assert -half <= off <= half
-
-    def test_random_node_in_range(self, torus4):
-        import random
-
-        rng = random.Random(0)
-        for _ in range(50):
-            assert 0 <= torus4.random_node(rng) < torus4.num_nodes
 
 
 class TestSharedGeometry:

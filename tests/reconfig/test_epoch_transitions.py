@@ -134,7 +134,7 @@ def test_restrictions_prune_optimistic_sets_except_final_hop(
     faults.reconfigure(sorted(restricted))
     cache = RouteCache(TOPOLOGY, faults)
     for _, _, ch, next_node in cache.adaptive_candidates(src, dst, _sig(src, dst), None):
-        if faults.is_channel_restricted(ch):
+        if faults.channel_restricted[ch]:
             assert next_node == dst, (
                 "a restricted channel may only appear as the final "
                 "delivery hop"
@@ -142,7 +142,7 @@ def test_restrictions_prune_optimistic_sets_except_final_hop(
     for _, _, ch, next_node in cache.misroute_candidates(
         src, dst, _sig(src, dst), None, allow_u_turn=False
     ):
-        if faults.is_channel_restricted(ch):
+        if faults.channel_restricted[ch]:
             assert next_node == dst
 
 

@@ -122,6 +122,32 @@ class TestExecution:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--loads", "0.05,abc"], "could not convert string to float"),
+        (["--loads", "1.5"], "offered_load must be in [0, 1]"),
+        (["--pattern-param", "bogus=1"], "unknown traffic_params keys"),
+        (["--find-knee", "--knee-tol", "0"], "tolerance must be finite"),
+    ], ids=["load-not-a-number", "load-above-one", "unknown-param",
+            "knee-tol-zero"])
+    def test_sweep_rejects_bad_values_before_any_run(
+        self, flags, message, capsys, monkeypatch
+    ):
+        """As for ``run``: a usage error (exit 2), raised before the
+        first point is measured."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("a point ran before the usage check")
+
+        monkeypatch.setenv("REPRO_QUICK", "1")
+        monkeypatch.setattr("repro.cli.sweep_loads", no_run)
+        monkeypatch.setattr(
+            "repro.experiments.saturation.find_knee", no_run
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_run_single_hotspot_node(self, capsys):
         rc = main([
             "run", "--k", "4", "--load", "0.05", "--warmup", "100",

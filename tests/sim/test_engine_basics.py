@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.faults.injection import DynamicFaultSchedule, FaultEvent
 from repro.network.topology import PLUS
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import INJECTION_QUEUE_LIMIT, DeadlockError, Engine
@@ -117,7 +118,7 @@ class TestBookkeeping:
         msg = engine.inject(0, 5, length=4)
         drain_engine(engine)
         assert msg.msg_id not in engine.active
-        assert msg.msg_id not in engine.messages
+        assert msg.msg_id not in engine.pending
 
     def test_flit_conservation_throughout_run(self):
         engine = build_engine("tp", k=8)
@@ -145,6 +146,29 @@ class TestBookkeeping:
         engine.inject(0, 4, length=4)
         drain_engine(engine)
         assert engine.control_flits_sent == 0
+
+
+class TestDrainContract:
+    def test_drain_does_not_wait_for_a_kill_flit(self):
+        """``drain()`` returns once every message is terminal; a kill
+        flit still running downstream holds its virtual channel a few
+        cycles longer, which only ``network_drained()`` sees."""
+        engine = build_engine(
+            "tp", k=5, message_length=8,
+            dynamic_schedule=DynamicFaultSchedule(
+                [FaultEvent(cycle=3, kind="link", target=0)]
+            ),
+        )
+        msg = engine.inject(0, 2, length=8)
+        assert engine.drain(300)
+        assert engine.cycle == 3
+        assert msg.status is MessageStatus.KILLED
+        assert not engine.network_drained()
+        for _ in range(5):
+            engine.step()
+            if engine.network_drained():
+                break
+        assert engine.network_drained()
 
 
 class TestWatchdog:

@@ -10,7 +10,7 @@ from repro.sim.engine import Engine
 from repro.sim.message import ControlFlit, ControlKind, MessageStatus
 from repro.sim.simulator import make_protocol
 
-from tests.conftest import build_engine, drain_engine
+from tests.conftest import build_engine, delivered_count, drain_engine
 
 
 class TestControlQueueGating:
@@ -110,7 +110,7 @@ class TestDeadlockFreedomStress:
 
         sim = NetworkSimulator(cfg)
         sim.engine.run(4000)  # raises DeadlockError on failure
-        assert sim.engine.delivered_messages > 100
+        assert delivered_count(sim.engine) > 100
 
     def test_saturated_with_faults_tp(self):
         from repro.sim.config import FaultConfig
@@ -124,7 +124,7 @@ class TestDeadlockFreedomStress:
         )
         sim = NetworkSimulator(cfg)
         sim.engine.run(4000)
-        assert sim.engine.delivered_messages > 100
+        assert delivered_count(sim.engine) > 100
 
     def test_conservative_tp_saturated_with_faults(self):
         from repro.sim.config import FaultConfig
@@ -140,4 +140,4 @@ class TestDeadlockFreedomStress:
         )
         sim = NetworkSimulator(cfg)
         sim.engine.run(4000)
-        assert sim.engine.delivered_messages > 100
+        assert delivered_count(sim.engine) > 100

@@ -41,7 +41,6 @@ class TestInitialState:
     def test_head_at_source(self):
         msg = make_msg()
         assert msg.head_link == -1
-        assert msg.head_router == 0
 
     def test_conservation_initially(self):
         assert make_msg().flit_conservation_ok()

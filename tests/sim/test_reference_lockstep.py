@@ -56,6 +56,7 @@ from repro.sim import fast_forward
 from repro.sim.engine import Engine
 from repro.sim.message import HeaderPhase
 from repro.sim.simulator import NetworkSimulator
+from tests.conftest import delivered_count
 from tests.sim.reference_engine import ReferenceSimulator
 from tests.sim.test_determinism import (
     DeclaredHook,
@@ -146,9 +147,6 @@ def _engine_state(engine):
             node: [m.msg_id for m in queue]
             for node, queue in enumerate(engine.queues) if queue
         },
-        "delivered": engine.delivered_messages,
-        "dropped": engine.dropped_messages,
-        "killed": engine.killed_messages,
         "accepted": engine.accepted_messages,
         "moved": engine.data_flits_moved,
         # header_decisions is deliberately absent: the parked shortcut
@@ -573,7 +571,7 @@ def _assert_never_jumped_together(production, reference):
     assert production.fast_forwarded_cycles == 0
     _run_both(production, reference, 200 - production.cycle)
     assert production.fast_forwarded_cycles > 0
-    assert production.delivered_messages == 2
+    assert delivered_count(production) == 2
 
 
 def test_two_worms_to_one_destination_are_never_jumped():
@@ -672,7 +670,7 @@ def test_setup_jump_cut_by_injection_arrival():
     assert _headers_in_setup(production) == {1}
     _run_both(production, reference, 191)
     assert production.rng.getstate() == reference.rng.getstate()
-    assert production.delivered_messages >= 2
+    assert delivered_count(production) >= 2
 
 
 def test_setup_jump_stops_before_fault_on_next_channel():
@@ -699,7 +697,7 @@ def test_setup_jump_stops_before_fault_on_next_channel():
     assert production.faults.channel_faulty[target]
     assert head.path[4].channel_id != target and head.needs_path_ack
     _run_both(production, reference, 194)
-    assert production.delivered_messages == 1
+    assert delivered_count(production) == 1
 
 
 def test_setup_jump_cut_by_audit_tick():
@@ -717,7 +715,7 @@ def test_setup_jump_cut_by_audit_tick():
     assert production.active[0].header_phase is HeaderPhase.DELIVERED
     _run_both(production, reference, 192)
     assert production.auditor.checks_run == reference.auditor.checks_run
-    assert production.delivered_messages == 1
+    assert delivered_count(production) == 1
 
 
 @pytest.mark.parametrize(
@@ -752,7 +750,7 @@ def test_setup_jump_stops_at_unsafe_channel(k_unsafe, steps):
     assert msg.header.sr
     assert production.faults.channel_unsafe[msg.path[3].channel_id]
     _run_both(production, reference, 196)
-    assert production.delivered_messages == 1
+    assert delivered_count(production) == 1
     assert executed_steps(production) == steps
 
 
@@ -795,7 +793,7 @@ def test_second_launch_during_setup_is_never_jumped():
     assert not _headers_in_setup(production)
     assert production.fast_forwarded_cycles == 5
     _run_both(production, reference, 200 - production.cycle)
-    assert production.delivered_messages == 2
+    assert delivered_count(production) == 2
 
 
 # ----------------------------------------------------------------------
@@ -1024,7 +1022,7 @@ def test_header_bound_for_a_streaming_worms_destination_is_stepped():
         _run_both(production, reference, 1)
     assert production.fast_forwarded_cycles == skipped
     _run_both(production, reference, 200 - production.cycle)
-    assert production.delivered_messages == 2
+    assert delivered_count(production) == 2
 
 
 def test_audit_tick_inside_a_path_ack_walk(monkeypatch):

@@ -118,3 +118,97 @@ def test_version_declared():
     import repro
 
     assert repro.__version__ == "1.0.0"
+
+
+# ---------------------------------------------------------------------------
+# Documentation that must not rot: commands, section references, paths
+# ---------------------------------------------------------------------------
+def _documented_commands():
+    """Every ``repro-sim …`` command line in README's code blocks and in
+    ``repro.cli``'s docstring, continuations joined, leading environment
+    assignments and trailing comments dropped."""
+    import shlex
+
+    import repro.cli
+
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```[a-z]*\n(.*?)```", readme, re.S)
+    texts = blocks + [repro.cli.__doc__]
+    commands = []
+    for text in texts:
+        for line in text.replace("\\\n", " ").splitlines():
+            if not re.match(r"\s*([A-Z_]+=\S*\s+)*repro-sim\b", line):
+                continue
+            words = shlex.split(line, comments=True)
+            while words and re.fullmatch(r"[A-Z_]+=\S*", words[0]):
+                words.pop(0)
+            if words and words[0] == "repro-sim":
+                commands.append(words[1:])
+    return commands
+
+
+def test_documented_commands_parse():
+    from repro.cli import build_parser
+
+    commands = _documented_commands()
+    assert len(commands) >= 20
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"documented command does not parse: {argv}")
+
+
+def _design_headings():
+    text = (ROOT / "DESIGN.md").read_text()
+    return {int(n) for n in re.findall(r"^## (\d+)\.", text, re.M)}
+
+
+def test_design_section_references_name_a_heading():
+    """Each ``DESIGN.md §N`` in the code, the tests, README and the
+    examples names a numbered DESIGN.md section."""
+    files = [ROOT / "README.md"]
+    for folder in ("src", "tests", "examples"):
+        files += sorted((ROOT / folder).rglob("*.py"))
+    headings = _design_headings()
+    refs = []
+    for path in files:
+        text = path.read_text()
+        for group in re.findall(r"DESIGN\.md[\s#*]*((?:§\d+(?:/|,\s*)?)+)",
+                                text):
+            refs += [(path.name, int(n)) for n in re.findall(r"§(\d+)", group)]
+    assert len(refs) >= 20
+    assert [r for r in refs if r[1] not in headings] == []
+
+
+def _design_section(number):
+    text = (ROOT / "DESIGN.md").read_text()
+    return text.split(f"\n## {number}.", 1)[1].split("\n## ", 1)[0]
+
+
+def test_design_layout_paths_exist():
+    paths = re.findall(r"`([\w./-]*/[\w./-]*)`", _design_section(5))
+    assert len(paths) >= 10
+    assert [p for p in paths if not (ROOT / p).exists()] == []
+
+
+def test_design_names_existing_tests():
+    """Every invariant in DESIGN.md names the test that pins it; each
+    named test file, class and function exists."""
+    text = (ROOT / "DESIGN.md").read_text()
+    defined = {
+        path.relative_to(ROOT).as_posix(): set(re.findall(
+            r"^\s*(?:def|class) (\w+)", path.read_text(), re.M))
+        for path in (ROOT / "tests").rglob("*.py")
+    }
+    anywhere = set().union(*defined.values())
+    missing = []
+    for ref in re.findall(r"`((?:tests/[\w/]+\.py|test_\w+|Test\w+)"
+                          r"(?:::\w+)*)`", text):
+        path, *names = ref.split("::")
+        if not path.endswith(".py"):
+            path, names = None, [path, *names]
+        names_here = anywhere if path is None else defined.get(path)
+        if names_here is None or not set(names) <= names_here:
+            missing.append(ref)
+    assert missing == []
