@@ -14,6 +14,12 @@ the change won at least nine tenths of the decided pairs and the
 medians are apart, in the better direction, by more than the parent's
 own quartile spread; otherwise ``no gain``.
 
+A run that fails does not stop the batch: each run's exit status and,
+from its ``--out`` file, whether it was correct and each workload's
+digest check and failures are printed after it, a pair missing an
+``--out`` file is left out of its comparison, and the exit status is
+nonzero when any run failed.
+
 Seeds are compared separately: mixing them would count seed-to-seed
 spread as run-to-run noise.  Without ``--workload`` every run covers all
 four workloads; with a list, each named workload gets its own runs and
@@ -70,24 +76,48 @@ def run_argv(seed: int, workload: Optional[str],
     return argv
 
 
+def run_outcome(returncode: int, out: pathlib.Path) -> Tuple[bool, str]:
+    """Whether one run succeeded, and the lines that say so: its exit
+    status, then from its ``--out`` file ``correct`` and, per workload,
+    ``digests_equal`` and the first line of each failure."""
+    if not out.exists():
+        return False, f"  exit {returncode}, no --out file"
+    doc = json.loads(out.read_text())
+    lines = [f"  exit {returncode}, correct {doc['correct']}"]
+    for name, entry in doc["workloads"].items():
+        lines.append(f"  {name}: digests_equal {entry['digests_equal']}, "
+                     f"failures {len(entry['failures'])}")
+        lines += [f"    {failure.splitlines()[0]}"
+                  for failure in entry["failures"]]
+    return returncode == 0 and doc["correct"], "\n".join(lines)
+
+
 def run_pairs(parent: pathlib.Path, change: pathlib.Path, pairs: int,
               seeds: Sequence[int], workloads: Sequence[Optional[str]],
-              out_dir: pathlib.Path,
-              run: Callable = subprocess.run) -> List[List[pathlib.Path]]:
+              out_dir: pathlib.Path, run: Callable = subprocess.run,
+              ) -> Tuple[List[List[pathlib.Path]], int]:
     """Run every planned pair; return one ``compare.py`` argument list
-    (``A1 B1 A2 B2 …``) per (seed, workload)."""
+    (``A1 B1 A2 B2 …``) per (seed, workload), without the pairs missing
+    an ``--out`` file, and the number of runs that failed."""
     roots = {"a": parent, "b": change}
     groups: dict = {}
+    failed = 0
     for seed, workload, i, order in plan(pairs, seeds, workloads):
         outs = {side: out_path(out_dir, seed, workload, i, side)
                 for side in "ab"}
         for side in order:
             print(f"seed {seed} {workload or 'all'} pair {i + 1}/{pairs} "
                   f"side {side}", flush=True)
-            run(run_argv(seed, workload, outs[side]), cwd=roots[side],
-                check=True, stdout=subprocess.DEVNULL)
-        groups.setdefault((seed, workload), []).extend(outs.values())
-    return list(groups.values())
+            outs[side].unlink(missing_ok=True)
+            done = run(run_argv(seed, workload, outs[side]), cwd=roots[side],
+                       stdout=subprocess.DEVNULL)
+            ok, report = run_outcome(done.returncode, outs[side])
+            failed += not ok
+            print(report, flush=True)
+        files = groups.setdefault((seed, workload), [])
+        if all(out.exists() for out in outs.values()):
+            files.extend(outs.values())
+    return [files for files in groups.values() if files], failed
 
 
 def pairs_won(files: Sequence[pathlib.Path]) -> None:
@@ -140,12 +170,12 @@ def main(argv=None) -> int:
         subprocess.run(["git", "worktree", "add", "--detach", str(parent),
                         args.parent], cwd=ROOT, check=True)
         try:
-            groups = run_pairs(parent, ROOT, args.pairs, args.seed,
-                               args.workload, out_dir)
+            groups, failed = run_pairs(parent, ROOT, args.pairs, args.seed,
+                                       args.workload, out_dir)
         finally:
             subprocess.run(["git", "worktree", "remove", "--force",
                             str(parent)], cwd=ROOT, check=True)
-    status = 0
+    status = 1 if failed else 0
     for files in groups:
         print()
         status |= subprocess.run(
@@ -153,6 +183,8 @@ def main(argv=None) -> int:
         ).returncode
         pairs_won(files)
     print(f"\nrun files: {out_dir}")
+    if failed:
+        print(f"{failed} run(s) failed; see the lines after each run")
     return status
 
 

@@ -21,9 +21,9 @@ from repro.sim.config import (
     ResilienceConfig,
     SimulationConfig,
 )
-from repro.sim.engine import DeadlockError
 from repro.sim.invariants import InvariantError, InvariantViolation
 from repro.sim.parallel import replicate
+from repro.sim.postmortem import DeadlockError
 from repro.sim.simulator import NetworkSimulator, make_protocol, run_config
 from repro.sim.stats import RunResult
 from repro.sim.trace import MessageTracer, trace_single_message

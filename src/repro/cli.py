@@ -51,7 +51,7 @@ import argparse
 import importlib
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.experiments import base_config, experiment_scale, sweep_loads
 from repro.experiments.report import render_series_table
@@ -60,34 +60,39 @@ from repro.sim.simulator import NetworkSimulator
 from repro.sim.traffic import TrafficGenerator
 
 
-def _pattern_params(pairs: Optional[List[str]]) -> dict:
-    """Parse repeated ``--pattern-param key=value`` options.
+def _pattern_param(pair: str) -> Tuple[str, object]:
+    """One (repeatable) ``--pattern-param key=value`` option, as a
+    ``(key, value)`` pair.
 
     Values are coerced int → float → comma-separated int list →
     string, covering every knob in the catalog (counts, fractions,
     and explicit ``hotspot_nodes``: a list, or one id).
     """
-    params: dict = {}
-    for pair in pairs or ():
-        key, sep, raw = pair.partition("=")
-        if not sep or not key:
-            raise SystemExit(
-                f"--pattern-param expects key=value, got {pair!r}"
-            )
-        value: object = raw
+    key, sep, raw = pair.partition("=")
+    if not sep or not key:
+        raise argparse.ArgumentTypeError(f"expects key=value, got {pair!r}")
+    value: object = raw
+    try:
+        value = int(raw)
+    except ValueError:
         try:
-            value = int(raw)
+            value = float(raw)
         except ValueError:
-            try:
-                value = float(raw)
-            except ValueError:
-                if "," in raw:
-                    try:
-                        value = [int(x) for x in raw.split(",")]
-                    except ValueError:
-                        pass
-        params[key] = value
-    return params
+            if "," in raw:
+                try:
+                    value = [int(x) for x in raw.split(",")]
+                except ValueError:
+                    pass
+    return key, value
+
+
+def _jobs(raw: str) -> int:
+    """``--jobs``: a worker count of at least 1."""
+    if not raw.isdigit() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expects a worker count >= 1, got {raw!r}"
+        )
+    return int(raw)
 
 
 def _pattern_list(raw: str) -> List[str]:
@@ -119,7 +124,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             protocol_params=params,
             message_length=args.message_length,
             traffic=args.pattern,
-            traffic_params=_pattern_params(args.pattern_param),
+            traffic_params=dict(args.pattern_param or ()),
             offered_load=args.load,
             warmup_cycles=args.warmup,
             measure_cycles=args.cycles,
@@ -241,7 +246,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     params = {}
     if args.protocol == "tp":
         params["k_unsafe"] = args.k_unsafe
-    traffic_params = _pattern_params(args.pattern_param)
+    traffic_params = dict(args.pattern_param or ())
     try:
         if args.find_knee:
             saturation.check_search(
@@ -274,6 +279,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 traffic=pattern,
                 traffic_params=traffic_params,
                 tolerance=args.knee_tol,
+                static_faults=args.faults,
                 jobs=args.jobs,
             )
             for pattern in args.pattern
@@ -336,7 +342,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         protocols=tuple(args.protocols.split(",")),
         offered_load=args.load,
         traffic=args.pattern,
-        traffic_params=_pattern_params(args.pattern_param),
+        traffic_params=dict(args.pattern_param or ()),
         bursts=args.bursts,
         burst_size=args.burst_size,
         node_fault_fraction=args.node_fault_fraction,
@@ -362,7 +368,7 @@ def _add_campaign_args(subparser: argparse.ArgumentParser, seeds: int,
     subparser.add_argument("--k", type=int, default=6)
     subparser.add_argument("--n", type=int, default=2)
     subparser.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=_jobs, default=None,
         help=(
             f"worker processes for the {grid} x seed grid "
             "(default: REPRO_JOBS env var, else serial)"
@@ -392,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=TrafficGenerator.PATTERNS,
                        help="workload pattern (EXPERIMENTS.md catalog)")
     run_p.add_argument(
-        "--pattern-param", action="append", metavar="KEY=VALUE",
+        "--pattern-param", action="append", type=_pattern_param,
+        metavar="KEY=VALUE",
         help="pattern knob, e.g. hotspot_fraction=0.3 (repeatable)",
     )
     run_p.add_argument("--message-length", type=int, default=32)
@@ -426,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sweep_p.add_argument(
-        "--pattern-param", action="append", metavar="KEY=VALUE",
+        "--pattern-param", action="append", type=_pattern_param,
+        metavar="KEY=VALUE",
         help="pattern knob, e.g. burst_on=64 (repeatable)",
     )
     sweep_p.add_argument(
@@ -445,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --find-knee: write a BENCH_saturation.json snapshot",
     )
     sweep_p.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=_jobs, default=None,
         help=(
             "worker processes for replications (default: REPRO_JOBS "
             "env var, else serial); results are identical to a "
@@ -471,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=TrafficGenerator.PATTERNS,
                          help="workload pattern under the fault storm")
     chaos_p.add_argument(
-        "--pattern-param", action="append", metavar="KEY=VALUE",
+        "--pattern-param", action="append", type=_pattern_param,
+        metavar="KEY=VALUE",
         help="pattern knob, e.g. hotspot_count=2 (repeatable)",
     )
     chaos_p.add_argument("--bursts", type=int, default=3,
@@ -510,9 +519,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "sweep" and args.out and not args.find_knee:
         parser.error("sweep: --out writes a knee snapshot; it needs "
                      "--find-knee")
-    if args.command == "sweep" and args.find_knee and args.faults > 0:
-        parser.error("sweep: --find-knee searches the fault-free "
-                     "network; --faults needs the fixed load grid")
     if getattr(args, "profile", False):
         return _run_profiled(args)
     try:

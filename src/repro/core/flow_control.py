@@ -101,11 +101,14 @@ def gate_open(acks_received: int, k_programmed: int, path_established: bool) -> 
     The DIBU output enable of Section 5.0/Figure 11: the first data flit
     (and everything behind it) may advance when the counter of acks
     received at the router reaches the programmed scouting distance.
-    ``K_INFINITE`` gates wait for the explicit path event instead.
+    ``K_INFINITE`` gates wait for the explicit path event instead, and
+    the path acknowledgment opens every gate: on a path shorter than K
+    the header reaches the destination before K acks exist (SR
+    degenerates to PCS, Section 2.2).
     """
-    if k_programmed >= K_INFINITE:
-        return path_established
-    return acks_received >= k_programmed
+    return path_established or (
+        k_programmed < K_INFINITE and acks_received >= k_programmed
+    )
 
 
 def max_header_data_gap(k: int) -> int:

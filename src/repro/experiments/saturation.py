@@ -75,25 +75,14 @@ class KneeResult:
         return (lo, min(sat) if sat else float("inf"))
 
 
-def _probe(
-    scale: Scale,
-    protocol: str,
-    protocol_params: Optional[dict],
-    load: float,
-    traffic: str,
-    traffic_params: Optional[dict],
-    threshold: float,
-    base_seed: int,
-    jobs: Optional[int],
-) -> KneeProbe:
+def _probe(scale: Scale, protocol: str, protocol_params: Optional[dict],
+           load: float, threshold: float, **point_kwargs) -> KneeProbe:
     """Measure one load; never-drained points count as saturated."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
             rep = run_point(
-                scale, protocol, protocol_params, load,
-                traffic=traffic, traffic_params=traffic_params,
-                base_seed=base_seed, jobs=jobs,
+                scale, protocol, protocol_params, load, **point_kwargs
             )
         except RuntimeError:
             # Every replication failed to drain: far past the knee.
@@ -125,18 +114,19 @@ def find_knee(
     protocol: str,
     protocol_params: Optional[dict] = None,
     traffic: str = "uniform",
-    traffic_params: Optional[dict] = None,
     latency_factor: float = DEFAULT_LATENCY_FACTOR,
     low_load: float = DEFAULT_LOW_LOAD,
     max_load: float = DEFAULT_MAX_LOAD,
     tolerance: float = DEFAULT_TOLERANCE,
     base_seed: int = 1,
-    jobs: Optional[int] = None,
+    **point_kwargs,
 ) -> KneeResult:
     """Locate the saturation knee for one traffic pattern.
 
     Three stages, each reusing :func:`run_point` (so every probe gets
-    the paper's replication-until-confident treatment):
+    the paper's replication-until-confident treatment; the remaining
+    keyword arguments — ``traffic_params``, ``static_faults``,
+    ``jobs`` … — go to every probe's :func:`run_point`):
 
     1. **Baseline** — measure latency at ``low_load``; the saturation
        threshold is ``latency_factor`` times that.
@@ -163,9 +153,9 @@ def find_knee(
 
     def measure(load: float, threshold: float) -> KneeProbe:
         p = _probe(
-            scale, protocol, protocol_params, load, traffic,
-            traffic_params, threshold,
-            base_seed + 1000 * len(probes), jobs,
+            scale, protocol, protocol_params, load, threshold,
+            traffic=traffic, base_seed=base_seed + 1000 * len(probes),
+            **point_kwargs,
         )
         probes.append(p)
         return p

@@ -40,10 +40,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.faults.injection import DynamicFaultSchedule, FaultEvent
 from repro.network.topology import cube
 from repro.sim.config import ResilienceConfig, SimulationConfig
-from repro.sim.engine import DeadlockError
 from repro.sim.invariants import InvariantError
 from repro.sim.message import HeaderPhase, Message
 from repro.sim.parallel import run_tasks
+from repro.sim.postmortem import DeadlockError
 from repro.sim.simulator import PROTOCOLS, NetworkSimulator
 from repro.sim.traffic import make_injection_process, make_pattern
 

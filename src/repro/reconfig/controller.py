@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.reconfig.restrictions import RestrictionPlan, compute_plan
+from repro.sim import control
 from repro.sim.config import ResilienceConfig
 from repro.sim.message import HeaderPhase
 
@@ -207,7 +208,7 @@ class ReconfigController:
         )
         for msg in stragglers:
             engine.reconfig_victims.append(msg.msg_id)
-            engine._teardown(msg, "reconfig", msg.header_router)
+            control.teardown(engine, msg, "reconfig", msg.header_router)
         return len(stragglers)
 
     # ------------------------------------------------------------------

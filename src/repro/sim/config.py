@@ -72,7 +72,7 @@ class ResilienceConfig:
     """
 
     #: Safety valve: give up (raise
-    #: :class:`~repro.sim.engine.DeadlockError` with the rendered
+    #: :class:`~repro.sim.postmortem.DeadlockError` with the rendered
     #: wait-for diagnosis) after this many victim ejections in one run —
     #: a network needing more is systemically wedged.  0 is strict mode:
     #: the first watchdog expiry raises.

@@ -9,12 +9,11 @@ Every cycle advances the network through five phases:
    its protocol (DP / MB-m / TP / dimension-order); reservations,
    backtracks, waits, and aborts are executed.
 3. **Control transfers** — each physical channel forwards at most one
-   control flit from its multiplexed control queue (headers in
-   decoupled mode, acknowledgments, path/resume tokens, kills, tail
-   acks).  A channel that carried a control flit cannot also carry a
-   data flit this cycle: control and data share the physical bandwidth
-   flit-by-flit (Figure 2b), which is the "slightly reduced bandwidth"
-   the paper attributes to the control channel.
+   control flit from its multiplexed control queue.  A channel that
+   carried a control flit cannot also carry a data flit this cycle:
+   control and data share the physical bandwidth flit-by-flit (Figure
+   2b), the "slightly reduced bandwidth" the paper attributes to the
+   control channel.
 4. **Data movement** — per physical channel, one data flit moves from
    its upstream buffer to the downstream buffer, chosen demand-driven
    round-robin among the resident virtual channels; the first data flit
@@ -23,15 +22,15 @@ Every cycle advances the network through five phases:
    cycle over the PE link) and injection share this phase.
 5. **Traffic** — message generation with the 8-message
    injection-buffer congestion control, plus launch of queued headers.
-   Injection timing is delegated to the configured
-   :class:`~repro.sim.traffic.InjectionProcess` (Bernoulli by default,
-   on-off/MMBP for bursty workloads): per-node-per-cycle trials are
-   realized by inversion-method geometric gap sampling over the flat
-   (cycle, node) trial sequence, so a cycle with no injection costs
-   O(1) and the fast-forward below can jump over whole
-   stretches without an arrival while consuming the RNG identically
-   (the ``arrivals``/``idle_cycles``/``skip_cycles`` contract,
-   DESIGN.md §9).
+   Injection timing is the configured
+   :class:`~repro.sim.traffic.InjectionProcess`'s gap sampling over the
+   flat (cycle, node) trial sequence, so a cycle with no injection
+   costs O(1) and a jump consumes the RNG identically (DESIGN.md §9).
+
+Phases 1 and 3, the acknowledgment effects committed after phase 4,
+and the teardown and source recovery every control token carries live
+in :mod:`repro.sim.control`; this module holds the cycle, the routing
+decisions, the data plane and the traffic.
 
 Fast-forward: :meth:`Engine.run` advances in closed form every stretch
 in which no two messages interact and no timed event falls
@@ -40,14 +39,9 @@ their channels (Section 2.2's uncontended t_WR = l + L), the empty
 network, one header setting up beside them (TP's K = 0 DP phase, or
 MB-m's probe, path acknowledgment walk and front fill: t_PCS =
 3l + L − 1), and each message's own events — an injection arrival, its
-source running dry, its tail ejecting.  The jump is cycle-for-cycle and
-RNG-stream identical to stepping each cycle
-(``tests/sim/reference_engine.py`` steps every cycle;
-``tests/sim/test_determinism.py`` pins results and
-``tests/sim/test_reference_lockstep.py`` full state after chunks of
-``run()`` against it).  An ``on_cycle`` hook bounds the jump by the
-cycle its ``next_event_cycle`` declares, whatever the network holds; a
-hook that declares none is a ``TypeError``.
+source running dry, its tail ejecting.  An ``on_cycle`` hook bounds the
+jump by the cycle its ``next_event_cycle`` declares, whatever the
+network holds; a hook that declares none is a ``TypeError``.
 
 Timing convention: a flit or token that arrives at a router at the end
 of cycle *t* may move again during cycle *t+1*; a routing decision and
@@ -55,29 +49,23 @@ the resulting hop happen in the same cycle.  Under this convention an
 idle-network message reproduces the Section 2.2 latency formulas
 exactly (validated by the integration tests).
 
-Scheduling: every phase works from *active sets* rather than full
-rescans — the pending-header dict is swapped (not copied) each cycle,
-the control/ack planes hold a queue only on channels with a flit
-waiting and keep their ascending order between changes
-(:class:`~repro.network.link.ControlPlane`), and the dynamic-fault
-phase is an O(1) peek on cycles with nothing scheduled.
-Per-cycle work is proportional to *events* rather than live messages
-(DESIGN.md §11): blocked routing headers park until a wake condition
-— a virtual-channel release at their router (every release, from
-any subsystem, passes ``VirtualChannel.release()``, which calls
-:func:`_release_funnel`'s closure over the engine's counters — the
-channels never hold the engine), a fault-epoch change, or their
-timed retry cycle — can change the decision's outcome; and the launch
-loop visits only nodes whose injection queue was touched this cycle
-(arrival, requeue, head freed) instead of every non-empty queue.  All
-of this is behavior-preserving: the same seed replays the exact
-cycle-for-cycle execution of an engine that skips nothing —
-``tests/sim/reference_engine.py`` is that engine, restating the
-data-phase rules independently and re-deriving every parked or
-unattended item each cycle; ``tests/sim/test_determinism.py`` and
-``tests/sim/test_reference_lockstep.py`` compare the two — which is
-also what lets the parallel campaign runner guarantee
-serial-equivalent results.
+Scheduling: per-cycle work is proportional to *events* rather than live
+messages (DESIGN.md §11).  The pending-header dict is swapped, not
+copied, each cycle; the control planes hold a queue only on channels
+with a flit waiting (:class:`~repro.network.link.ControlPlane`); blocked
+routing headers park until a wake condition — a virtual-channel release
+at their router (every release passes ``VirtualChannel.release()``,
+which calls :func:`_release_funnel`'s closure over the engine's
+counters — the channels never hold the engine), a fault-epoch change,
+or their timed retry cycle — can change the decision's outcome; and the
+launch loop visits only nodes whose injection queue was touched this
+cycle.  All of this, and the jump, is behavior-preserving: the same
+seed replays the exact cycle-for-cycle execution of
+``tests/sim/reference_engine.py``, an engine that skips nothing and
+restates the data-phase rules (``tests/sim/test_determinism.py`` and
+``tests/sim/test_reference_lockstep.py`` compare the two) — which is
+also what lets the parallel campaign runner guarantee serial-equivalent
+results.
 """
 
 from __future__ import annotations
@@ -93,7 +81,7 @@ from repro.network.channel import BUFFER_DEPTH, ChannelBank
 from repro.network.link import ControlPlane
 from repro.network.topology import KAryNCube, cube
 from repro.routing.base import Action, RoutingContext
-from repro.sim import fast_forward, postmortem
+from repro.sim import control, fast_forward
 from repro.sim.config import SimulationConfig
 from repro.sim.invariants import InvariantAuditor, InvariantError
 from repro.sim.message import (
@@ -119,24 +107,6 @@ INJECTION_QUEUE_LIMIT = 8
 #: hops is declared livelocked and aborted to recovery.
 HOP_CAP_BASE = 64
 HOP_CAP_FACTOR = 8
-#: Source-level retries of a message whose path construction failed
-#: (the "re-try from the source" of Section 4.0), counted across its
-#: retry clones.
-MAX_SOURCE_RETRIES = 2
-
-
-class DeadlockError(RuntimeError):
-    """Raised when the network makes no progress for the watchdog window.
-
-    Carries the rendered wait-for-graph diagnosis
-    (:class:`~repro.sim.postmortem.DeadlockDiagnosis`): raised when
-    victim ejection is impossible or its budget is exhausted — at once
-    with ``max_deadlock_recoveries=0``.
-    """
-
-    def __init__(self, message: str, diagnosis=None):
-        super().__init__(message)
-        self.diagnosis = diagnosis
 
 
 def _release_funnel(rel_ver: List[int], resident: List[int],
@@ -470,7 +440,7 @@ class Engine:
         if self.active and not self._progress:
             self._idle_streak += 1
             if self._idle_streak > self.config.watchdog_cycles:
-                self._on_watchdog_expiry()
+                control.watchdog_expired(self)
         else:
             self._idle_streak = 0
 
@@ -480,55 +450,6 @@ class Engine:
             violations = self.auditor.audit(self)
             if violations:
                 raise InvariantError(violations)
-
-    def _on_watchdog_expiry(self) -> None:
-        """Diagnose the stall; recover by victim ejection or raise.
-
-        The wait-for graph is built from live state
-        (:func:`repro.sim.postmortem.diagnose`).  When no eligible victim
-        exists, or after ``resilience.max_deadlock_recoveries`` ejections
-        (at once when that is 0), the run fails with the rendered
-        diagnosis.  Otherwise the victim is driven through the ordinary
-        kill-flit teardown (Section 2.4) — its
-        virtual channels free, the network resumes, and the victim
-        retries from its source under the usual recovery bounds.
-        """
-        resilience = self.config.resilience
-        diagnosis = postmortem.diagnose(self)
-        summary = (
-            f"no progress for {self._idle_streak} cycles at cycle "
-            f"{self.cycle}; {len(self.active)} active messages"
-        )
-        cap_hits_before = self.victim_cap_hits
-        victim = postmortem.select_victim(diagnosis, self)
-        if victim is None:
-            if self.victim_cap_hits > cap_hits_before:
-                raise DeadlockError(
-                    f"{summary}; victim re-ejection budget "
-                    f"({postmortem.MAX_VICTIM_EJECTIONS}) exhausted — "
-                    f"every remaining candidate was already ejected "
-                    f"that many times\n{diagnosis.render()}",
-                    diagnosis,
-                )
-            raise DeadlockError(
-                f"{summary}; no recoverable victim\n{diagnosis.render()}",
-                diagnosis,
-            )
-        if self.deadlock_recoveries >= resilience.max_deadlock_recoveries:
-            raise DeadlockError(
-                f"{summary}; recovery budget "
-                f"({resilience.max_deadlock_recoveries}) exhausted\n"
-                f"{diagnosis.render()}",
-                diagnosis,
-            )
-        self.deadlock_recoveries += 1
-        self.deadlock_victims.append(victim.msg_id)
-        origin = victim.original_id
-        self._ejections_by_origin[origin] = (
-            self._ejections_by_origin.get(origin, 0) + 1
-        )
-        self._teardown(victim, "deadlock", victim.header_router)
-        self._idle_streak = 0
 
     def network_drained(self) -> bool:
         """All messages terminal and every virtual channel free."""
@@ -575,84 +496,13 @@ class Engine:
         return msg
 
     # ==================================================================
-    # Phase 1: dynamic faults
+    # Phases 1 and 3 and the end-of-cycle gate updates: the control
+    # plane (repro.sim.control).  Bound here, in the class body, so the
+    # cycle and every per-phase hook find them on Engine.
     # ==================================================================
-    def _phase_dynamic_faults(self) -> None:
-        sched = self.dynamic_schedule
-        # O(1) peek: the whole phase — including the healthy-node sweep
-        # below — is skipped on every cycle with no event due, which is
-        # all of them when no dynamic fault schedule is armed.
-        if sched is None or not sched.has_due(self.cycle):
-            return
-        for event in sched.due(self.cycle):
-            event.apply(self.faults)
-            self._progress = True
-            for ch in self.faults.last_failed_channels:
-                # Interrupt circuits crossing the failed channel.
-                for vc in self.channels.vcs(ch):
-                    if vc.owner is None:
-                        continue
-                    msg = self.active.get(vc.owner)
-                    if msg is None:
-                        vc.release()
-                        continue
-                    idx = self._path_index_of(msg, vc)
-                    if idx is None:
-                        continue
-                    self._interrupt(msg, idx)
-                # Control flits stranded on the failed channel.
-                for token in self.control_out.drain(ch):
-                    self._handle_stranded_token(token)
-                self.ack_out.drain(ch)  # hardware acks vanish
-            # Refresh healthy-node set for traffic and drop queued
-            # messages at failed sources.
-            healthy = [
-                node
-                for node in range(self.topology.num_nodes)
-                if node not in self.faults.faulty_nodes
-            ]
-            self.traffic.set_healthy_nodes(healthy)
-            for node in self.faults.faulty_nodes:
-                while self.queues[node]:
-                    msg = self.queues[node].pop(0)
-                    # An ACTIVE head from a now-dead source needs
-                    # nothing here: its channels are faulty and the
-                    # channel loop above interrupted it.
-                    if msg.status is MessageStatus.QUEUED:
-                        msg.status = MessageStatus.KILLED
-                        self._finalize(msg)
-
-    def _path_index_of(self, msg: Message,
-                       vc) -> Optional[int]:
-        for idx in range(len(msg.path) - 1, -1, -1):
-            if msg.path[idx] is vc and not msg.released[idx]:
-                return idx
-        return None
-
-    def _handle_stranded_token(self, token: ControlFlit) -> None:
-        """A control flit was queued on a channel that just failed."""
-        msg = token.message
-        kind = token.kind
-        if kind is ControlKind.KILL_UP:
-            self._finish_kill_up(msg, token.position)
-        elif kind is ControlKind.KILL_DOWN:
-            self._finish_kill_down(msg, token.position)
-        elif kind is ControlKind.TAIL_ACK:
-            self._finish_tail_ack(msg, token.position)
-        elif kind in (ControlKind.HEADER, ControlKind.HEADER_BACK):
-            if not msg.teardown and not msg.is_terminal():
-                # The header was lost with the channel: the last path
-                # link sits on the dead channel; recover the rest.
-                self._release_link(msg, len(msg.path) - 1)
-                if kind is ControlKind.HEADER_BACK:
-                    # It was retreating over the now-dead link; the link
-                    # below survives.
-                    self._teardown(msg, "fault", msg.header_router - 1)
-                else:
-                    self._teardown(msg, "fault", msg.header_router)
-        # ACK_POS / ACK_NEG / PATH_ACK / RESUME simply vanish; the
-        # message either gets torn down by the channel-owner scan or
-        # recovers via its remaining tokens.
+    _phase_dynamic_faults = control.phase_dynamic_faults
+    _phase_control_transfers = control.phase_control_transfers
+    _apply_staged_gate_updates = control.apply_staged_gate_updates
 
     # ==================================================================
     # Phase 2: routing decisions
@@ -699,7 +549,7 @@ class Engine:
             # Livelock valve: abort headers that wander too long (the
             # cap is constant per message, computed at creation).
             if msg.hops_taken > msg.hop_cap:
-                self._abort(msg, "livelock hop cap exceeded")
+                control.abort(self, msg, "livelock hop cap exceeded")
                 continue
             if msg.parked:
                 # Parked header: the decision stays WAIT until a wake
@@ -715,7 +565,9 @@ class Engine:
                     msg.wait_cycles += 1
                     msg.consecutive_waits += 1
                     if msg.consecutive_waits > max_wait:
-                        self._abort(msg, "header blocked past wait limit")
+                        control.abort(
+                            self, msg, "header blocked past wait limit"
+                        )
                         continue
                     pending[msg.msg_id] = msg
                     continue
@@ -731,7 +583,7 @@ class Engine:
                     # no longer make progress is recovered — the path
                     # is torn down and the message retried from the
                     # source (Section 4.0).
-                    self._abort(msg, "header blocked past wait limit")
+                    control.abort(self, msg, "header blocked past wait limit")
                     continue
                 # Every protocol WAIT is either a busy outgoing
                 # channel (woken by a release at this node or an epoch
@@ -755,7 +607,8 @@ class Engine:
                 # until it arrives at the next router.
                 if not inline_header:
                     msg.header_phase = HeaderPhase.IN_FLIGHT
-                    self._push_control(
+                    control.push(
+                        self,
                         ControlFlit(ControlKind.HEADER, msg,
                                     msg.header_router + 1, cycle),
                         decision.vc.channel_id,
@@ -763,7 +616,7 @@ class Engine:
             elif action is Action.BACKTRACK:
                 self._execute_backtrack(msg)
             elif action is Action.ABORT:
-                self._abort(msg, decision.reason)
+                control.abort(self, msg, decision.reason)
 
     def _execute_reserve(self, msg: Message, decision) -> None:
         """Reserve the decision's VC: the path grows one link at the
@@ -808,411 +661,7 @@ class Engine:
         # clear it.
         msg.backtrack_lock = j - 1
         self._progress = True
-        self._push_control(
-            ControlFlit(ControlKind.HEADER_BACK, msg, j - 1, self.cycle),
-            self._reverse[msg.path[j - 1].channel_id],
-        )
-
-    # ==================================================================
-    # Phase 3: control transfers
-    # ==================================================================
-    def _phase_control_transfers(self) -> Set[int]:
-        used: Set[int] = set()
-        cycle = self.cycle
-        deliver = self._deliver
-        sent = 0
-        # Dedicated ack wires first: they never consume the flit slot.
-        if self.ack_out:
-            for _, token in self.ack_out.pop_ready(cycle):
-                sent += 1
-                deliver(token)
-        if self.control_out:
-            for ch, token in self.control_out.pop_ready(cycle):
-                used.add(ch)
-                sent += 1
-                deliver(token)
-        if sent:
-            self.control_flits_sent += sent
-            self._progress = True
-        return used
-
-    def _push_control(self, token: ControlFlit, channel_id: int) -> None:
-        """Queue a control flit for one hop over ``channel_id``.
-
-        A continuation pushed onto a channel that has meanwhile failed
-        cannot physically travel; kill and tail-ack effects are applied
-        instantly (an idealization of the paper's reliance on recovery
-        as a last resort), other tokens are lost with the channel.
-        """
-        if self.faults.channel_faulty[channel_id]:
-            self._handle_stranded_token(token)
-            return
-        self.control_out.push(channel_id, token)
-
-    def _push_ack(self, token: ControlFlit, channel_id: int) -> None:
-        """Queue a scouting acknowledgment (lost if the channel failed)."""
-        if not self.faults.channel_faulty[channel_id]:
-            self._ack_plane.push(channel_id, token)
-
-    def _relay(self, token: ControlFlit, position: int,
-               channel_id: int) -> None:
-        """Send an arrived token on toward router ``position``.
-
-        The token itself travels on — one :class:`ControlFlit` per
-        chain of hops — arriving no earlier than next cycle.
-        """
-        token.position = position
-        token.ready_cycle = self.cycle + 1
-        self._push_control(token, channel_id)
-
-    def _deliver(self, token: ControlFlit) -> None:
-        kind = token.kind
-        msg = token.message
-        p = token.position
-        if kind is ControlKind.HEADER:
-            self._arrive_header(msg, p)
-        elif kind is ControlKind.HEADER_BACK:
-            self._arrive_header_back(msg, p)
-        elif kind is ControlKind.ACK_POS or kind is ControlKind.ACK_NEG:
-            self._arrive_ack(token, msg, p)
-        elif kind is ControlKind.PATH_ACK or kind is ControlKind.RESUME:
-            self._arrive_path_ack(token, msg, p)
-        elif kind is ControlKind.KILL_UP:
-            nxt = self._arrive_kill_up(msg, p)
-            if nxt is not None:
-                self._relay(
-                    token, nxt, self._reverse[msg.path[nxt].channel_id]
-                )
-        elif kind is ControlKind.KILL_DOWN:
-            nxt = self._arrive_kill_down(msg, p)
-            if nxt is not None:
-                self._relay(token, nxt, msg.path[nxt - 1].channel_id)
-        elif kind is ControlKind.TAIL_ACK:
-            nxt = self._arrive_tail_ack(msg, p)
-            if nxt is not None:
-                self._relay(
-                    token, nxt, self._reverse[msg.path[nxt].channel_id]
-                )
-        else:  # pragma: no cover - exhaustive dispatch
-            raise AssertionError(f"unknown control kind {kind}")
-
-    # ---------------- header arrivals ---------------------------------
-    def _arrive_header(self, msg: Message, p: int) -> None:
-        if msg.teardown or msg.is_terminal():
-            return
-        # The header moved: the routing decision is fresh (unpark).
-        msg.parked = False
-        msg.header_router = p
-        msg.header_phase = HeaderPhase.PENDING
-        node = msg.path_nodes[p]
-        header = msg.header
-        # Positive acknowledgment: SR mode, not constructing a detour.
-        # At the destination the path acknowledgment subsumes it.
-        if (
-            self._acks_by_sr[header.sr]
-            and not header.detour
-            and p >= 1
-            and node != msg.dst
-        ):
-            self._push_ack(
-                ControlFlit(ControlKind.ACK_POS, msg, p - 1, self.cycle + 1),
-                self._reverse[msg.path[p - 1].channel_id],
-            )
-        if node == msg.dst:
-            self._header_reached_destination(msg)
-            return
-        if msg.tp_mode is TPMode.DETOUR and detour_rules.detour_complete(
-            msg, at_destination=False
-        ):
-            detour_rules.complete_detour(msg)
-            if p >= 1:
-                self._push_control(
-                    ControlFlit(
-                        ControlKind.RESUME, msg, p - 1, self.cycle + 1
-                    ),
-                    self._reverse[msg.path[p - 1].channel_id],
-                )
-        self.pending[msg.msg_id] = msg
-
-    def _header_reached_destination(self, msg: Message) -> None:
-        if msg.tp_mode is TPMode.DETOUR:
-            detour_rules.complete_detour(msg)
-        msg.header_phase = HeaderPhase.DELIVERED
-        if msg.needs_path_ack and msg.path:
-            self._push_control(
-                ControlFlit(
-                    ControlKind.PATH_ACK, msg, len(msg.path) - 1,
-                    self.cycle + 1,
-                ),
-                self._reverse[msg.path[-1].channel_id],
-            )
-
-    def _arrive_header_back(self, msg: Message, p: int) -> None:
-        if msg.teardown or msg.is_terminal():
-            return
-        msg.parked = False
-        msg.backtrack_lock = -1
-        popped_vc = msg.path[-1]
-        dim, direction = msg.arrival_dims[-1]
-        was_misroute = msg.link_misroute[-1]
-        if not msg.released[-1] and popped_vc.owner == msg.msg_id:
-            popped_vc.release()
-        msg.released[-1] = True
-        msg.pop_path()
-        msg.tried[p].add(popped_vc.channel_id)
-        header = msg.header
-        if msg.tp_mode is TPMode.DETOUR:
-            detour_rules.record_backtrack(msg, dim, direction, was_misroute)
-        elif was_misroute:
-            header.misroutes = max(0, header.misroutes - 1)
-        header.apply_hop(dim, -direction, self._k)
-        header.backtrack = False
-        msg.header_router = p
-        msg.header_phase = HeaderPhase.PENDING
-        msg.hops_taken += 1
-        # Negative acknowledgment decrements the upstream counters.
-        if self._acks_by_sr[header.sr] and not header.detour and p >= 1:
-            self._push_ack(
-                ControlFlit(ControlKind.ACK_NEG, msg, p - 1, self.cycle + 1),
-                self._reverse[msg.path[p - 1].channel_id],
-            )
-        self.pending[msg.msg_id] = msg
-
-    # ---------------- acknowledgment arrivals --------------------------
-    def _arrive_ack(self, token: ControlFlit, msg: Message, p: int) -> None:
-        if msg.teardown or msg.is_terminal():
-            return
-        if p >= len(msg.acks_at):
-            return  # path shrank past this position (backtracking race)
-        self._staged_acks.append(
-            (msg, p, 1 if token.kind is ControlKind.ACK_POS else -1)
-        )
-        if p > 0 and p > msg.head_link + 1:
-            # Relayed as by _relay, but on the acknowledgment wires.
-            token.position = p - 1
-            token.ready_cycle = self.cycle + 1
-            self._push_ack(token, self._reverse[msg.path[p - 1].channel_id])
-        # Otherwise: not propagated beyond the first data flit.
-
-    def _arrive_path_ack(self, token: ControlFlit, msg: Message,
-                         p: int) -> None:
-        if msg.teardown or msg.is_terminal():
-            return
-        establish = token.kind is ControlKind.PATH_ACK
-        if establish and p < len(msg.acks_at):
-            # The path acknowledgment is the destination's positive
-            # acknowledgment: it increments the scouting counters it
-            # passes (the per-hop ack is suppressed at the destination).
-            self._staged_acks.append((msg, p, +1))
-        if p > 0 and p > msg.head_link + 1:
-            self._staged_path.append((msg, p, False))
-            self._relay(
-                token, p - 1, self._reverse[msg.path[p - 1].channel_id]
-            )
-            return
-        self._staged_path.append((msg, p, establish))
-
-    def _apply_staged_gate_updates(self) -> None:
-        """Commit this cycle's acknowledgment effects (end-of-cycle)."""
-        if self._staged_acks:
-            for msg, p, delta in self._staged_acks:
-                if p < len(msg.acks_at):
-                    msg.acks_at[p] += delta
-            self._staged_acks.clear()
-        if self._staged_path:
-            for msg, p, establish in self._staged_path:
-                if p < len(msg.held):
-                    msg.held[p] = False
-                if establish:
-                    msg.path_established = True
-            self._staged_path.clear()
-
-    # ---------------- teardown token arrivals --------------------------
-    def _arrive_kill_up(self, msg: Message, p: int) -> Optional[int]:
-        """Process a kill arriving at router ``p``; return next position."""
-        self._release_link(msg, p)
-        if p > 0:
-            self._kill_buffer(msg, p - 1)
-            return p - 1
-        self._kill_reached_source(msg)
-        return None
-
-    def _finish_kill_up(self, msg: Message, p: int) -> None:
-        nxt: Optional[int] = p
-        while nxt is not None:
-            nxt = self._arrive_kill_up(msg, nxt)
-
-    def _arrive_kill_down(self, msg: Message, p: int) -> Optional[int]:
-        self._release_link(msg, p - 1)
-        self._kill_buffer(msg, p - 1)
-        if p < len(msg.path):
-            return p + 1
-        return None
-
-    def _finish_kill_down(self, msg: Message, p: int) -> None:
-        nxt: Optional[int] = p
-        while nxt is not None:
-            nxt = self._arrive_kill_down(msg, nxt)
-
-    def _arrive_tail_ack(self, msg: Message, p: int) -> Optional[int]:
-        self._release_link(msg, p)
-        if p > 0:
-            return p - 1
-        msg.tail_acked = True
-        # The source queue head may now retire: attend its launch.
-        self._launch_attn.add(msg.src)
-        if msg.status is MessageStatus.ACTIVE and (
-            msg.delivered_cycle is not None
-        ):
-            msg.status = MessageStatus.DELIVERED
-            self._finalize(msg)
-        return None
-
-    def _finish_tail_ack(self, msg: Message, p: int) -> None:
-        nxt: Optional[int] = p
-        while nxt is not None:
-            nxt = self._arrive_tail_ack(msg, nxt)
-
-    def _release_link(self, msg: Message, idx: int) -> None:
-        if idx < 0 or idx >= len(msg.path) or msg.released[idx]:
-            return
-        vc = msg.path[idx]
-        if vc.owner == msg.msg_id:
-            vc.release()
-        msg.released[idx] = True
-
-    def _kill_buffer(self, msg: Message, idx: int) -> None:
-        if 0 <= idx < len(msg.buffered) and msg.buffered[idx]:
-            lost = msg.buffered[idx]
-            msg.buffered[idx] = 0
-            msg.killed_flits += lost
-            self.killed_flits += lost
-
-    # ==================================================================
-    # Teardown / recovery (Section 2.4)
-    # ==================================================================
-    def _interrupt(self, msg: Message, fail_idx: int) -> None:
-        """A dynamic fault severed ``msg``'s path at link ``fail_idx``."""
-        if msg.teardown or msg.is_terminal():
-            return
-        msg.teardown = True
-        msg.teardown_reason = "fault"
-        self.teardown_counts["fault"] = (
-            self.teardown_counts.get("fault", 0) + 1
-        )
-        self.last_recovery_cycle = self.cycle
-        msg.header_phase = HeaderPhase.GONE
-        self.pending.pop(msg.msg_id, None)
-        self._release_link(msg, fail_idx)
-        # Upstream side: kill flits follow the circuit back to the source.
-        if fail_idx == 0:
-            self._kill_reached_source(msg)
-        else:
-            self._kill_buffer(msg, fail_idx - 1)
-            self._push_control(
-                ControlFlit(
-                    ControlKind.KILL_UP, msg, fail_idx - 1, self.cycle + 1
-                ),
-                self._reverse[msg.path[fail_idx - 1].channel_id],
-            )
-        # Downstream side: toward the destination / header end.
-        self._kill_buffer(msg, fail_idx)
-        if fail_idx + 1 < len(msg.path):
-            self._push_control(
-                ControlFlit(
-                    ControlKind.KILL_DOWN, msg, fail_idx + 2, self.cycle + 1
-                ),
-                msg.path[fail_idx + 1].channel_id,
-            )
-
-    def _abort(self, msg: Message, reason: str) -> None:
-        """Routing gave up: recover resources, then retry or drop."""
-        self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
-        self._teardown(msg, "abort", msg.header_router)
-
-    def _teardown(self, msg: Message, reason: str, from_router: int) -> None:
-        if msg.teardown or msg.is_terminal():
-            return
-        msg.teardown = True
-        msg.teardown_reason = reason
-        self.teardown_counts[reason] = (
-            self.teardown_counts.get(reason, 0) + 1
-        )
-        self.last_recovery_cycle = self.cycle
-        msg.header_phase = HeaderPhase.GONE
-        self.pending.pop(msg.msg_id, None)
-        self._progress = True
-        if from_router == 0 or not msg.path:
-            self._kill_reached_source(msg)
-            return
-        self._kill_buffer(msg, from_router - 1)
-        self._push_control(
-            ControlFlit(
-                ControlKind.KILL_UP, msg, from_router - 1, self.cycle + 1
-            ),
-            self._reverse[msg.path[from_router - 1].channel_id],
-        )
-
-    def _kill_reached_source(self, msg: Message) -> None:
-        """The teardown reached the source: retransmit, retry, or drop."""
-        self._release_link(msg, 0)
-        if msg.is_terminal():
-            return
-        rec = self.config.recovery
-        src_alive = not self.faults.is_node_faulty(msg.src)
-        dst_alive = not self.faults.is_node_faulty(msg.dst)
-        retryable = src_alive and dst_alive
-        if msg.teardown_reason == "fault":
-            if (
-                rec.retransmit
-                and retryable
-                and msg.retransmits < rec.max_retransmits
-            ):
-                self._requeue_clone(msg)
-                self.retransmissions += 1
-                msg.status = MessageStatus.KILLED
-                self._finalize(msg, superseded=True)
-                return
-            if (
-                msg.injected_flits == 0
-                and retryable
-                and msg.retransmits < MAX_SOURCE_RETRIES
-            ):
-                # No data had been committed (PCS-style setup): the
-                # source simply retries the path construction.
-                self._requeue_clone(msg)
-                self.source_retries += 1
-                msg.status = MessageStatus.KILLED
-                self._finalize(msg, superseded=True)
-                return
-            msg.status = MessageStatus.KILLED
-            self._finalize(msg)
-            return
-        # Aborted path construction: retry from the source a bounded
-        # number of times (Section 4.0's higher-level retry).
-        if retryable and msg.retransmits < MAX_SOURCE_RETRIES:
-            self._requeue_clone(msg)
-            self.source_retries += 1
-            msg.status = MessageStatus.DROPPED
-            self._finalize(msg, superseded=True)
-            return
-        msg.status = MessageStatus.DROPPED
-        msg.drop_reason = msg.drop_reason or "undeliverable"
-        self._finalize(msg)
-
-    def _requeue_clone(self, original: Message) -> None:
-        """Re-inject a fresh copy of an interrupted/aborted message."""
-        clone = self._new_message(
-            original.src, original.dst, created_cycle=original.created_cycle
-        )
-        clone.original_id = original.original_id
-        clone.retransmits = original.retransmits + 1
-        q = self.queues[original.src]
-        self._launch_attn.add(original.src)
-        if q and q[0] is original:
-            q[0] = clone
-        else:
-            q.insert(0, clone)
+        control.send_up(self, ControlKind.HEADER_BACK, msg, j)
 
     # ==================================================================
     # Phase 4: data movement
@@ -1235,7 +684,7 @@ class Engine:
         attn = self._launch_attn
         rr_next = self._rr_next
         num_vcs = self.channels.vcs_per_channel
-        release_link = self._release_link
+        release_link = control.release_link
         moved = 0
 
         for msg in self.active.values():
@@ -1452,13 +901,7 @@ class Engine:
         msg.delivered_cycle = self.cycle
         if self._tail_ack_mode:
             # Hold the path; tear it down with the tail ack.
-            self._push_control(
-                ControlFlit(
-                    ControlKind.TAIL_ACK, msg, len(msg.path) - 1,
-                    self.cycle + 1,
-                ),
-                self._reverse[msg.path[-1].channel_id],
-            )
+            control.send_up(self, ControlKind.TAIL_ACK, msg, len(msg.path))
         else:
             msg.status = MessageStatus.DELIVERED
             self._finalize(msg)

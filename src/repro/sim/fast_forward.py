@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
+from repro.sim import control
 from repro.sim.message import ControlKind, HeaderPhase, TPMode
 
 #: A bound that no segment reaches.
@@ -116,7 +117,7 @@ def _segment(engine, plan, stop: int, slots: int) -> int:
         lead.path_nodes[-1] == lead.dst
     ):
         del engine.pending[lead.msg_id]
-        engine._header_reached_destination(lead)
+        control.header_reached_destination(engine, lead)
     for msg in worms:
         if msg.ejected == msg.total_flits:
             engine._drained(msg)
@@ -252,13 +253,13 @@ def _advance_worm(engine, msg, start: int, hops: int) -> None:
         if not msg.at_source:
             engine._launch_attn.add(msg.src)
             if not tail_ack:
-                engine._release_link(msg, 0)
+                control.release_link(msg, 0)
     else:
         tail = msg.tail_idx
         msg.tail_idx = tail + hops
         if not tail_ack:
             for p in range(tail + 1, tail + hops + 1):
-                engine._release_link(msg, p)
+                control.release_link(msg, p)
     ejected = before[last + hops] - before[last]
     if ejected:
         msg.ejected += ejected
@@ -282,7 +283,7 @@ def _reserve_hops(engine, lead, cycles: int, worms) -> int:
     setup_hop = engine._setup_hop
     ctx = engine.ctx
     resident = engine._ch_resident
-    release = engine._release_link
+    release = control.release_link
     draining = (
         [] if engine._tail_ack_mode
         else [(msg, msg.tail_idx) for msg in worms if not msg.at_source]
@@ -309,15 +310,16 @@ def _reserve_hops(engine, lead, cycles: int, worms) -> int:
 
 
 # Walk the lead's path acknowledgment up to ``cycles`` positions back;
-# return how many.  Each position applies _arrive_path_ack's staged
-# effects (one acknowledgment counted; MB-m holds no link) and, at the
-# source, establishes the path; nothing reads them before the cycle ends,
-# as the data waits at the source.  It stops before a channel holding a
-# VC (its data slot).  A fault on a reverse channel fails the forward one
-# too and tears the path down, so no relay is lost.
+# return how many.  Each position applies the staged effects of its
+# arrival in repro.sim.control (one acknowledgment counted; MB-m holds no
+# link) and, at the source, establishes the path; nothing reads them
+# before the cycle ends, as the data waits at the source.  It stops
+# before a channel holding a VC (its data slot).  A fault on a reverse
+# channel fails the forward one too and tears the path down, so no relay
+# is lost.
 def _walk_path_ack(engine, lead, cycles: int) -> int:
-    control = engine.control_out
-    token = next(iter(control))
+    plane = engine.control_out
+    token = next(iter(plane))
     path = lead.path
     reverse = engine._reverse
     resident = engine._ch_resident
@@ -334,10 +336,10 @@ def _walk_path_ack(engine, lead, cycles: int) -> int:
             lead.path_established = True
             break
     if walked:
-        control.drain(reverse[path[p].channel_id])
+        plane.drain(reverse[path[p].channel_id])
         engine.control_flits_sent += walked
         if not lead.path_established:
             token.position = p - walked
             token.ready_cycle = engine.cycle + walked + 1
-            control.push(reverse[path[p - walked].channel_id], token)
+            plane.push(reverse[path[p - walked].channel_id], token)
     return walked

@@ -12,7 +12,7 @@ Diagnosis feeds two consumers:
 
 * **strict mode** (``ResilienceConfig(max_deadlock_recoveries=0)``)
   renders the graph and cycles into the
-  :class:`~repro.sim.engine.DeadlockError`
+  :class:`DeadlockError`
   message, so a crashed run explains *which* messages blocked each
   other instead of only saying "no progress";
 * **recovery mode** (the default) selects a victim message from the
@@ -43,9 +43,23 @@ from repro.sim.message import HeaderPhase, Message, MessageStatus
 #: its retry clones) after which it is no longer an eligible victim;
 #: when *only* capped candidates remain the run fails hard instead of
 #: livelocking recovery on the same pathological cycle.  The source
-#: retry budget (``engine.MAX_SOURCE_RETRIES``) keeps ejections per
+#: retry budget (``control.MAX_SOURCE_RETRIES``) keeps ejections per
 #: origin well below it.
 MAX_VICTIM_EJECTIONS = 16
+
+
+class DeadlockError(RuntimeError):
+    """Raised when the network makes no progress for the watchdog window.
+
+    Carries the rendered wait-for-graph diagnosis
+    (:class:`DeadlockDiagnosis`): raised when victim ejection is
+    impossible or its budget is exhausted — at once with
+    ``max_deadlock_recoveries=0``.
+    """
+
+    def __init__(self, message: str, diagnosis=None):
+        super().__init__(message)
+        self.diagnosis = diagnosis
 
 
 @dataclass(frozen=True)
@@ -284,7 +298,7 @@ def select_victim(diagnosis: DeadlockDiagnosis, engine) -> Optional[Message]:
       cap excluded at least one candidate the engine's
       ``victim_cap_hits`` counter is bumped, and if *no* victim
       remains at all the engine escalates to a hard
-      :class:`~repro.sim.engine.DeadlockError` instead of livelocking
+      :class:`DeadlockError` instead of livelocking
       recovery on the same cycle forever;
     * **reconfiguration freeze** — while ``engine.routing_freeze``
       holds headers at their sources, a message with no reservations

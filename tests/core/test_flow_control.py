@@ -56,6 +56,11 @@ class TestGate:
         assert not gate_open(100, K_INFINITE, path_established=False)
         assert gate_open(0, K_INFINITE, path_established=True)
 
+    def test_path_ack_opens_a_finite_gate(self):
+        """A path shorter than K: the path acknowledgment arrives before
+        K acks exist and opens the gate (SR degenerates to PCS)."""
+        assert gate_open(0, 3, path_established=True)
+
 
 class TestGap:
     def test_k_zero_gap(self):

@@ -17,13 +17,17 @@ what a run records, regenerate the file and say why in the PR:
 import dataclasses
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.faults.chaos import ChaosSpec, StormSpec, run_one, run_storm_one
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_storm_records.json")
+ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 SEEDS = (0, 1)
 
@@ -72,6 +76,38 @@ def test_run_records_match_golden(name):
         f"run record {name!r} changed; if intended, regenerate with: "
         "PYTHONPATH=src python -m tests.faults.test_golden_records"
     )
+
+
+def _digests_in_fresh_interpreter(names, hash_seed: str) -> list:
+    """The record digests of ``names``, computed by a new interpreter
+    whose string hashes are salted with ``hash_seed``."""
+    script = (
+        "import json, sys\n"
+        "from tests.faults.test_golden_records import record_digest\n"
+        "print(json.dumps([record_digest(n) for n in sys.argv[1:]]))\n"
+    )
+    env = dict(
+        os.environ, PYTHONHASHSEED=hash_seed,
+        PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *names], cwd=ROOT, env=env,
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_run_records_do_not_depend_on_hash_order():
+    """A storm run through reconfiguration and a deadlocking chaos run
+    (teardown, kill walks, victim ejection) record the same under two
+    string-hash salts: nothing they record may follow the iteration
+    order of a set of strings or objects."""
+    names = ["storm/gridlock/reconfig/0", "chaos/det-naive/0"]
+    golden = json.loads(GOLDEN_PATH.read_text())
+    for hash_seed in ("1", "2"):
+        assert _digests_in_fresh_interpreter(names, hash_seed) == [
+            golden[name] for name in names
+        ], f"PYTHONHASHSEED={hash_seed}"
 
 
 if __name__ == "__main__":

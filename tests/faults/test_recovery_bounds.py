@@ -1,4 +1,5 @@
-"""Bounds of the source-side recovery decision (_kill_reached_source).
+"""Bounds of the source-side recovery decision
+(:func:`repro.sim.control.kill_reached_source`).
 
 The kill-flit teardown always ends at the source, which then chooses:
 retransmit (fault with data committed, tail-ack mode), source-retry
@@ -9,7 +10,7 @@ and the dead-endpoint short-circuits.
 
 from repro.network.topology import KAryNCube
 from repro.sim.config import RecoveryConfig
-from repro.sim.engine import MAX_SOURCE_RETRIES
+from repro.sim.control import MAX_SOURCE_RETRIES, teardown
 from repro.sim.message import MessageStatus
 
 from tests.conftest import build_engine, drain_engine, run_to_completion
@@ -95,7 +96,7 @@ class TestSourceRetryBounds:
         current = msg
         while True:
             establish_path(engine, current)
-            engine._teardown(current, "abort", current.header_router)
+            teardown(engine, current, "abort", current.header_router)
             run_to_completion(engine, current)
             clone = live_clone_of(engine, current)
             if clone is None:
@@ -122,7 +123,7 @@ class TestSourceRetryBounds:
         msg = engine.inject(0, topo.node_id((4, 0)))
         establish_path(engine, msg)
         engine.faults.fail_node(0)  # source dies
-        engine._teardown(msg, "abort", msg.header_router)
+        teardown(engine, msg, "abort", msg.header_router)
         run_to_completion(engine, msg)
         assert msg.status is MessageStatus.DROPPED
         assert live_clone_of(engine, msg) is None

@@ -2,12 +2,15 @@
 monitor gating, drain/commit, timeout ejection, finalize cancellation,
 and the fast-forward event horizon."""
 
+import pytest
+
 from repro.faults.model import FaultState
 from repro.network.topology import KAryNCube
 from repro.reconfig.controller import (
     PRESSURE_WEIGHTS,
     ReconfigController,
 )
+from repro.sim import control
 from repro.sim.config import ResilienceConfig
 from repro.sim.message import HeaderPhase
 
@@ -51,9 +54,15 @@ class StubEngine:
         self.last_recovery_cycle = 0
         self.torn_down = []
 
-    def _teardown(self, msg, reason, router):
-        self.torn_down.append((msg.msg_id, reason))
-        del self.active[msg.msg_id]
+
+@pytest.fixture(autouse=True)
+def stub_teardown(monkeypatch):
+    """The controller tears stragglers down through the control plane;
+    on the stub that only records the victim and retires it."""
+    def teardown(engine, msg, reason, router):
+        engine.torn_down.append((msg.msg_id, reason))
+        del engine.active[msg.msg_id]
+    monkeypatch.setattr(control, "teardown", teardown)
 
 
 def tick(ctl, engine, cycle):

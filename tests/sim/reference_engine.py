@@ -20,9 +20,10 @@ ejection and traffic arrival — those have one implementation.  Build a
 simulation on it with :class:`ReferenceSimulator`.
 """
 
-from repro.core.flow_control import K_INFINITE
+from repro.core.flow_control import gate_open
 from repro.network.channel import BUFFER_DEPTH
 from repro.network.link import RoundRobinArbiter
+from repro.sim import control
 from repro.sim.engine import Engine
 from repro.sim.message import HeaderPhase, MessageStatus
 from repro.sim.simulator import NetworkSimulator
@@ -68,12 +69,9 @@ class ReferenceEngine(Engine):
     # ------------------------------------------------------------------
     def _gate_open(self, msg, p):
         """First-data-flit gate of link ``p`` (Figure 11)."""
-        if msg.held[p]:
-            return False
-        if msg.path_established:
-            return True
-        k = msg.k_at[max(p - 1, 0)]
-        return k < K_INFINITE and msg.acks_at[p] >= k
+        return not msg.held[p] and gate_open(
+            msg.acks_at[p], msg.k_at[max(p - 1, 0)], msg.path_established
+        )
 
     def _phase_data_movement(self, used_by_control):
         depth = BUFFER_DEPTH
@@ -140,7 +138,7 @@ class ReferenceEngine(Engine):
         if msg.at_source == 0 and not any(msg.buffered[:p]):
             msg.tail_idx = p
             if not self.config.recovery.tail_ack:
-                self._release_link(msg, p)
+                control.release_link(msg, p)
 
 
 class ReferenceSimulator(NetworkSimulator):

@@ -59,21 +59,44 @@ class TestParser:
         assert "--find-knee" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_sweep_find_knee_with_faults_is_a_usage_error(
-        self, capsys, monkeypatch
-    ):
-        """The knee search runs fault-free: ``--faults`` would be
-        dropped silently."""
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--loads", "0.05"],
+        ["chaos", "--seeds", "1", "--protocols", "tp"],
+        ["storm", "--seeds", "1"],
+    ], ids=["sweep", "chaos", "storm"])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_usage_error(self, argv, jobs, capsys,
+                                             monkeypatch):
+        """Rejected while parsing (exit 2), not by the worker pool
+        inside the run."""
         def never(*args, **kwargs):
-            raise AssertionError("the knee search ran")
+            raise AssertionError("the command ran")
 
-        monkeypatch.setattr(
-            "repro.experiments.saturation.find_knee", never
-        )
+        monkeypatch.setattr("repro.cli.sweep_loads", never)
+        monkeypatch.setattr("repro.faults.chaos.run_campaign", never)
+        monkeypatch.setattr("repro.faults.chaos.run_storm_campaign", never)
         with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--find-knee", "--faults", "3"])
+            main([*argv, f"--jobs={jobs}"])
         assert exc.value.code == 2
-        assert "--faults" in capsys.readouterr().err
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "chaos"])
+    @pytest.mark.parametrize("pair", ["bogus", "=3"])
+    def test_pattern_param_without_key_is_a_usage_error(self, command, pair,
+                                                        capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--pattern-param", pair])
+        assert exc.value.code == 2
+        assert "key=value" in capsys.readouterr().err
+
+    def test_pattern_params_parse_as_pairs(self):
+        args = build_parser().parse_args([
+            "run", "--pattern-param", "hotspot_fraction=0.3",
+            "--pattern-param", "hotspot_nodes=1,2",
+        ])
+        assert dict(args.pattern_param) == {
+            "hotspot_fraction": 0.3, "hotspot_nodes": [1, 2],
+        }
 
     def test_sweep_patterns_parse_as_a_list(self):
         args = build_parser().parse_args(
@@ -194,6 +217,29 @@ class TestExecution:
         assert [w["workload"] for w in snapshot["workloads"]] == [
             "uniform/tp", "bursty/tp",
         ]
+
+    def test_sweep_find_knee_searches_the_faulted_network(
+        self, capsys, monkeypatch
+    ):
+        """``--faults`` reaches every probe of the knee search."""
+        faults = []
+
+        class Rep:
+            def __init__(self, load):
+                self.latency_mean = 30.0 if load <= 0.1 else 1e6
+                self.throughput_mean = load
+
+        def fake_point(scale, protocol, params, load, **kwargs):
+            faults.append(kwargs.get("static_faults"))
+            return Rep(load)
+
+        monkeypatch.setenv("REPRO_QUICK", "1")
+        monkeypatch.setattr(
+            "repro.experiments.saturation.run_point", fake_point
+        )
+        assert main(["sweep", "--find-knee", "--faults", "2"]) == 0
+        assert "uniform knee bracket" in capsys.readouterr().out
+        assert len(faults) > 2 and set(faults) == {2}
 
     def test_unknown_figure_errors(self, capsys):
         assert main(["figure", "99"]) == 2

@@ -2,7 +2,7 @@
 
 Acknowledgments, path and resume tokens, kills and tail
 acknowledgments propagate router by router; each arrival sends the
-*same* :class:`ControlFlit` on (``Engine._relay``), so the engine
+*same* :class:`ControlFlit` on (``repro.sim.control.relay``), so the engine
 constructs one per chain started — a header hop, a backtrack, or the
 first hop of a propagating token — while ``control_flits_sent`` still
 counts every hop crossed.  The pinned run below exercises every
@@ -19,7 +19,7 @@ from collections import Counter
 
 from repro.network.link import ControlPlane
 from repro.sim.config import FaultConfig, RecoveryConfig, SimulationConfig
-from repro.sim.engine import Engine
+from repro.sim import control
 from repro.sim.message import ControlFlit, ControlKind
 from repro.sim.simulator import NetworkSimulator
 
@@ -62,32 +62,30 @@ def test_one_control_flit_per_chain(monkeypatch):
         built += 1
         init(self, *args, **kwargs)
 
-    deliver = Engine._deliver
+    deliver = control.deliver
 
-    def tracking_deliver(self, token):
+    def tracking_deliver(engine, token):
         delivering.append((token.kind, token.message))
         try:
-            deliver(self, token)
+            deliver(engine, token)
         finally:
             delivering.pop()
 
     def counting_send(send):
-        # Every flit is handed to one of the two send paths at birth and
-        # at every relay; a send of the kind being delivered, for the
-        # same message, during that delivery is the chain's next hop.
-        def wrapped(self, token, channel_id):
+        # Every flit is handed to the one send at birth and at every
+        # relay; a send of the kind being delivered, for the same
+        # message, during that delivery is the chain's next hop.
+        def wrapped(engine, token, channel_id):
             nonlocal sends
             sends += 1
             if delivering and delivering[-1] == (token.kind, token.message):
                 relays[token.kind] += 1
-            send(self, token, channel_id)
+            send(engine, token, channel_id)
         return wrapped
 
     monkeypatch.setattr(ControlFlit, "__init__", counting_init)
-    monkeypatch.setattr(Engine, "_deliver", tracking_deliver)
-    monkeypatch.setattr(Engine, "_push_control",
-                        counting_send(Engine._push_control))
-    monkeypatch.setattr(Engine, "_push_ack", counting_send(Engine._push_ack))
+    monkeypatch.setattr(control, "deliver", tracking_deliver)
+    monkeypatch.setattr(control, "push", counting_send(control.push))
 
     sim = NetworkSimulator(_cfg())
     result = sim.run()

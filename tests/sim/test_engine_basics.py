@@ -7,8 +7,9 @@ import pytest
 from repro.faults.injection import DynamicFaultSchedule, FaultEvent
 from repro.network.topology import PLUS
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import INJECTION_QUEUE_LIMIT, DeadlockError, Engine
+from repro.sim.engine import INJECTION_QUEUE_LIMIT, Engine
 from repro.sim.message import MessageStatus
+from repro.sim.postmortem import DeadlockError
 from repro.sim.simulator import NetworkSimulator, make_protocol
 
 from tests.conftest import build_engine, drain_engine, run_to_completion

@@ -6,6 +6,7 @@ import pytest
 
 from repro.network.topology import KAryNCube, PLUS
 from repro.sim.config import SimulationConfig
+from repro.sim.control import path_index_of
 from repro.sim.engine import Engine
 from repro.sim.message import ControlFlit, ControlKind, MessageStatus
 from repro.sim.simulator import make_protocol
@@ -47,7 +48,7 @@ class TestPathIndexOf:
         for _ in range(3):
             engine.step()
         vc = msg.path[0]
-        assert engine._path_index_of(msg, vc) == 0
+        assert path_index_of(msg, vc) == 0
 
     def test_ignores_released_links(self):
         engine = build_engine("tp", k=6)
@@ -56,7 +57,7 @@ class TestPathIndexOf:
             engine.step()
         vc = msg.path[0]
         msg.released[0] = True
-        assert engine._path_index_of(msg, vc) is None
+        assert path_index_of(msg, vc) is None
 
 
 class TestInjectionQueueBehaviour:

@@ -30,7 +30,8 @@ from repro.sim.config import (
     ResilienceConfig,
     SimulationConfig,
 )
-from repro.sim.engine import DeadlockError, Engine
+from repro.sim.engine import Engine
+from repro.sim.postmortem import DeadlockError
 from repro.sim.simulator import NetworkSimulator
 from tests.sim.test_determinism import (
     GOLDEN_PATH,

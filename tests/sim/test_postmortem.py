@@ -11,8 +11,8 @@ import pytest
 
 from repro.sim import postmortem
 from repro.sim.config import ResilienceConfig, SimulationConfig
-from repro.sim.engine import DeadlockError
 from repro.sim.message import MessageStatus
+from repro.sim.postmortem import DeadlockError
 from repro.sim.simulator import NetworkSimulator
 
 from tests.conftest import build_engine, drain_engine

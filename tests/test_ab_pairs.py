@@ -9,6 +9,7 @@ like ``compare_bench`` (``benchmarks/`` is not an installed package).
 import importlib.util
 import json
 import pathlib
+import subprocess
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -22,10 +23,26 @@ PARENT = pathlib.Path("/parent")
 CHANGE = pathlib.Path("/change")
 
 
-def _record(calls):
+def _out_doc(correct=True, failures=()):
+    return {"correct": correct, "workloads": {
+        "fig12-faultfree": {"digests_equal": True, "failures": []},
+        "storm-chaos": {"digests_equal": correct,
+                        "failures": list(failures)},
+    }}
+
+
+def _record(calls, outcome=lambda call: (0, _out_doc())):
+    """A launcher that records ``(cwd, argv)`` and ends the run as
+    ``outcome(call index)`` says: ``(exit status, --out document or
+    None for no file)``."""
     def run(argv, cwd, **kwargs):
-        assert kwargs.get("check") is True
+        assert "check" not in kwargs  # a failed run must not raise
+        returncode, doc = outcome(len(calls))
         calls.append((cwd, argv))
+        if doc is not None:
+            out = pathlib.Path(argv[argv.index("--out") + 1])
+            out.write_text(json.dumps(doc))
+        return subprocess.CompletedProcess(argv, returncode)
     return run
 
 
@@ -52,10 +69,11 @@ def test_run_argv_is_the_benchmark_command_with_seed_and_out(tmp_path):
 
 def test_run_pairs_launch_order_cwd_and_compare_order(tmp_path):
     calls = []
-    groups = ab_pairs.run_pairs(
+    groups, failed = ab_pairs.run_pairs(
         PARENT, CHANGE, pairs=3, seeds=[1], workloads=[None],
         out_dir=tmp_path, run=_record(calls),
     )
+    assert failed == 0
     # Parent first, then change first, then parent first again.
     assert [cwd for cwd, _ in calls] == [
         PARENT, CHANGE, CHANGE, PARENT, PARENT, CHANGE,
@@ -77,7 +95,7 @@ def test_run_pairs_launch_order_cwd_and_compare_order(tmp_path):
 
 def test_seeds_and_workloads_are_compared_separately(tmp_path):
     calls = []
-    groups = ab_pairs.run_pairs(
+    groups, _ = ab_pairs.run_pairs(
         PARENT, CHANGE, pairs=2, seeds=[1, 5],
         workloads=["fig12-faultfree", "storm-chaos"],
         out_dir=tmp_path, run=_record(calls),
@@ -94,6 +112,38 @@ def test_seeds_and_workloads_are_compared_separately(tmp_path):
         out = pathlib.Path(argv[argv.index("--out") + 1]).name
         assert out.startswith(f"s{seed}-{workload}-")
         assert out.endswith("-a.json" if cwd == PARENT else "-b.json")
+
+
+def test_a_failed_run_is_reported_and_the_batch_goes_on(tmp_path, capsys):
+    """Run 3 (pair 2, side b) exits 1 with a wrong digest, run 4 (pair
+    2, side a) writes no ``--out`` file: every run still happens, each
+    run's outcome is printed after it, and only the pair without a file
+    leaves the comparison."""
+    def outcome(call):
+        if call == 2:
+            return 1, _out_doc(False, ["storm-chaos seed 3: Traceback\nx"])
+        if call == 3:
+            return 1, None
+        return 0, _out_doc()
+
+    calls = []
+    groups, failed = ab_pairs.run_pairs(
+        PARENT, CHANGE, pairs=3, seeds=[1], workloads=[None],
+        out_dir=tmp_path, run=_record(calls, outcome),
+    )
+    assert len(calls) == 6
+    assert failed == 2
+    assert [[p.name for p in files] for files in groups] == [[
+        "s1-all-p00-a.json", "s1-all-p00-b.json",
+        "s1-all-p02-a.json", "s1-all-p02-b.json",
+    ]]
+    out = capsys.readouterr().out
+    pair2 = out.split("pair 2/3 side b\n")[1].split("pair 3/3")[0]
+    assert "exit 1, correct False" in pair2
+    assert "storm-chaos: digests_equal False, failures 1" in pair2
+    assert "storm-chaos seed 3: Traceback" in pair2
+    assert "pair 2/3 side a\n  exit 1, no --out file" in out
+    assert out.count("exit 0, correct True") == 4
 
 
 def _write_pairs(tmp_path, pairs):
