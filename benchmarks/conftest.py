@@ -1,6 +1,6 @@
 """Benchmark harness configuration.
 
-Each benchmark file regenerates one of the paper's evaluation artifacts
+Each benchmark regenerates one of the paper's evaluation artifacts
 (see DESIGN.md's experiment index) and prints the series/table the
 paper reports, so curve *shapes* can be compared directly.  The
 pytest-benchmark timing wraps the full experiment.
@@ -18,21 +18,15 @@ from __future__ import annotations
 import pathlib
 import sys
 
-import pytest
+from repro.experiments import experiment_scale
 
-#: Rendered figure reports land here (one file per benchmark) in
-#: addition to being written to the terminal past pytest's capture.
+#: Rendered reports land in ``results/<scale>/`` (one file per
+#: benchmark) in addition to being written to the terminal past
+#: pytest's capture; only the reduced-scale ones are tracked.
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-@pytest.fixture
-def bench_scale():
-    from repro.experiments import experiment_scale
-
-    return experiment_scale()
-
-
-def run_and_report(benchmark, runner, renderer, name: str = ""):
+def run_and_report(benchmark, runner, renderer, name: str):
     """Benchmark ``runner`` once; print and persist its report."""
     result = benchmark.pedantic(runner, rounds=1, iterations=1)
     report = renderer(result)
@@ -41,8 +35,7 @@ def run_and_report(benchmark, runner, renderer, name: str = ""):
     # the measurements.
     sys.__stdout__.write("\n" + report + "\n")
     sys.__stdout__.flush()
-    if not name:
-        name = getattr(benchmark, "name", "report") or "report"
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(report + "\n")
+    out = RESULTS_DIR / experiment_scale().name
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"{name}.txt").write_text(report + "\n")
     return result

@@ -5,7 +5,8 @@ Subcommands:
 * ``run`` — one simulation with explicit parameters, printing the
   latency/throughput summary;
 * ``figure`` — regenerate one of the paper's figures or tables (the
-  names are the keys of :data:`FIGURES`);
+  names are the keys of
+  :data:`repro.experiments.figures.FIGURES` and :data:`TABLES`);
 * ``sweep`` — a latency-throughput load sweep for one protocol;
 * ``chaos`` — a randomized fault-storm campaign with the invariant
   auditor and deadlock-recovery watchdog armed;
@@ -48,13 +49,20 @@ the output is identical to a serial run.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import sys
 from typing import List, Optional, Tuple
 
-from repro.experiments import base_config, experiment_scale, sweep_loads
+from repro.experiments import (
+    base_config,
+    experiment_scale,
+    formula_table,
+    sweep_loads,
+    theorem_table,
+)
+from repro.experiments.figures import FIGURES
 from repro.experiments.report import render_series_table
+from repro.sim import validation
 from repro.sim.config import FaultConfig, RecoveryConfig, SimulationConfig
 from repro.sim.simulator import NetworkSimulator
 from repro.sim.traffic import TrafficGenerator
@@ -162,31 +170,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``figure`` names and the modules whose ``main()`` regenerates them.
-FIGURES = {
-    "12": "repro.experiments.fig12_fault_free",
-    "13": "repro.experiments.fig13_static_faults",
-    "14": "repro.experiments.fig14_fault_sweep",
-    "15": "repro.experiments.fig15_aggressive_vs_conservative",
-    "17": "repro.experiments.fig17_dynamic_faults",
-    "formulas": "repro.experiments.formula_table",
-    "theorems": "repro.experiments.theorem_table",
-    "ablation": "repro.experiments.ablation_k",
-    "hw-acks": "repro.experiments.ablation_hw_acks",
-    "length": "repro.experiments.message_length_sweep",
-    "validation": "repro.sim.validation",
+#: The ``figure`` names that are tables, not figures: ``(run, render)``.
+TABLES = {
+    "formulas": (formula_table.run, formula_table.render),
+    "theorems": (theorem_table.run, theorem_table.render),
+    "validation": (validation.validate, validation.render),
 }
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     # Also accepted: fig12, hw_acks, length-sweep.
     name = args.name.lower().removeprefix("fig").replace("_", "-")
-    module = FIGURES.get(name.removesuffix("-sweep"))
-    if module is None:
+    name = name.removesuffix("-sweep")
+    if name in FIGURES:
+        run, render = FIGURES[name].run, FIGURES[name].render
+    elif name in TABLES:
+        run, render = TABLES[name]
+    else:
         print(f"unknown figure {args.name!r}; choose from "
-              f"{' | '.join(FIGURES)}", file=sys.stderr)
+              f"{' | '.join([*FIGURES, *TABLES])}", file=sys.stderr)
         return 2
-    importlib.import_module(module).main()
+    print(render(run()))
     return 0
 
 
@@ -416,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=_cmd_run)
 
     fig_p = sub.add_parser("figure", help="regenerate a paper figure")
-    fig_p.add_argument("name", help=" | ".join(FIGURES))
+    fig_p.add_argument("name", help=" | ".join([*FIGURES, *TABLES]))
     fig_p.set_defaults(func=_cmd_figure)
 
     sweep_p = sub.add_parser("sweep", help="latency-throughput load sweep")

@@ -94,10 +94,3 @@ def render(rows: List[FormulaRow]) -> str:
     lines.append(f"{len(rows)} rows, {mismatches} mismatches")
     return "\n".join(lines)
 
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -62,6 +62,8 @@ class KneeResult:
     base_latency: float
     latency_factor: float
     tolerance: float
+    #: Static node faults in every probe's network (0: fault-free).
+    static_faults: int = 0
     #: Every probe, in measurement order (baseline first).
     probes: List[KneeProbe] = field(default_factory=list)
 
@@ -226,6 +228,7 @@ def find_knee(
         base_latency=base.latency,
         latency_factor=latency_factor,
         tolerance=tolerance,
+        static_faults=point_kwargs.get("static_faults", 0),
         probes=probes,
     )
 
@@ -233,15 +236,15 @@ def find_knee(
 def render(results: List[KneeResult]) -> str:
     """Aligned ASCII table of located knees."""
     header = (
-        f"{'pattern':<12} {'protocol':>8} {'knee load':>10} "
+        f"{'pattern':<12} {'protocol':>8} {'faults':>6} {'knee load':>10} "
         f"{'knee tput':>10} {'base lat':>9} {'probes':>6}"
     )
     lines = [header, "-" * len(header)]
     for r in results:
         lines.append(
-            f"{r.pattern:<12} {r.protocol:>8} {r.knee_load:>10.4f} "
-            f"{r.knee_throughput:>10.4f} {r.base_latency:>9.1f} "
-            f"{len(r.probes):>6}"
+            f"{r.pattern:<12} {r.protocol:>8} {r.static_faults:>6} "
+            f"{r.knee_load:>10.4f} {r.knee_throughput:>10.4f} "
+            f"{r.base_latency:>9.1f} {len(r.probes):>6}"
         )
     return "\n".join(lines)
 
@@ -252,13 +255,16 @@ def snapshot(results: List[KneeResult]) -> Dict:
     Shaped like ``BENCH_engine.json`` — a ``workloads`` list keyed by
     ``workload`` name — so ``benchmarks/compare_bench.py`` diffs two
     snapshots directly (``--key knee_throughput`` or
-    ``--key knee_load``).
+    ``--key knee_load``).  A faulted knee's workload is
+    ``pattern/protocol/<n>F``, so it never diffs against a fault-free
+    one; a fault-free knee keeps the ``pattern/protocol`` key.
     """
     return {
         "scale": results[0].scale_name if results else None,
         "workloads": [
             {
-                "workload": f"{r.pattern}/{r.protocol}",
+                "workload": f"{r.pattern}/{r.protocol}"
+                + (f"/{r.static_faults}F" if r.static_faults else ""),
                 "knee_load": r.knee_load,
                 "knee_throughput": r.knee_throughput,
                 "base_latency": r.base_latency,

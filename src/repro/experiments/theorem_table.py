@@ -93,10 +93,3 @@ def render(rows: List[TheoremRow], n: int = 2) -> str:
         )
     return "\n".join(lines)
 
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

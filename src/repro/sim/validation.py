@@ -164,7 +164,3 @@ def render(checks: List[ValidationCheck]) -> str:
     lines.append(f"{len(checks)} checks, {failed} failures")
     return "\n".join(lines)
 
-
-def main() -> None:
-    """``repro-sim figure validation``."""
-    print(render(validate()))

@@ -16,12 +16,9 @@ from repro.core.theorems import (
 class TestConservativeDefaults:
     def test_conservative_tp_uses_theorem_k(self):
         from repro.core.two_phase import TwoPhaseProtocol
-        from repro.experiments.fig15_aggressive_vs_conservative import (
-            VARIANTS,
-        )
+        from repro.experiments.figures import CONSERVATIVE_K
 
-        params = dict(VARIANTS)["Conservative"]
-        proto = TwoPhaseProtocol(**params)
+        proto = TwoPhaseProtocol(k_unsafe=CONSERVATIVE_K)
         assert proto.flow_control.k_unsafe == sufficient_scouting_distance()
 
     def test_theorem_k_fits_paper_counter(self):

@@ -1,4 +1,5 @@
-"""Smoke tests of the figure drivers at quick scale."""
+"""Smoke tests of the figure table and the two validation tables at
+quick scale."""
 
 import dataclasses
 import math
@@ -6,17 +7,10 @@ import math
 import pytest
 
 from repro.experiments import QUICK, Series
-from repro.experiments import ablation_hw_acks
-from repro.experiments import ablation_k
-from repro.experiments import fig12_fault_free
-from repro.experiments import fig13_static_faults
-from repro.experiments import fig14_fault_sweep
-from repro.experiments import fig15_aggressive_vs_conservative
-from repro.experiments import fig17_dynamic_faults
 from repro.experiments import formula_table
-from repro.experiments import message_length_sweep
 from repro.experiments import theorem_table
 from repro.experiments.common import fig14_load
+from repro.experiments.figures import FIGURES
 from repro.experiments.report import (
     render_experiment,
     render_saturation_summary,
@@ -28,7 +22,7 @@ LOADS = (0.05, 0.2)
 
 class TestFigureDrivers:
     def test_fig12(self):
-        exp = fig12_fault_free.run(scale=QUICK, loads=LOADS)
+        exp = FIGURES["12"].run(scale=QUICK, loads=LOADS)
         assert {s.label for s in exp.series} == {"TP", "DP", "MB-m"}
         for series in exp.series:
             assert len(series.points) == 2
@@ -39,24 +33,24 @@ class TestFigureDrivers:
         assert mb > tp
 
     def test_fig13(self):
-        exp = fig13_static_faults.run(
+        exp = FIGURES["13"].run(
             scale=QUICK, loads=(0.05,), fault_counts=(10,)
         )
         labels = {s.label for s in exp.series}
         assert labels == {"TP (10F)", "MB-m (10F)"}
 
     def test_fig14(self):
-        exp = fig14_fault_sweep.run(
+        exp = FIGURES["14"].run(
             scale=QUICK, loads_msg=(10,), fault_sweep=(0, 10)
         )
         assert len(exp.series) == 2
         for series in exp.series:
             assert [p.extra["node_faults"] for p in series.points] == [0, 10]
-        text = fig14_fault_sweep.render(exp)
+        text = FIGURES["14"].render(exp)
         assert "latency vs node faults" in text
 
     def test_fig15(self):
-        exp = fig15_aggressive_vs_conservative.run(
+        exp = FIGURES["15"].run(
             scale=QUICK, loads=(0.1,), fault_counts=(10,)
         )
         assert {s.label for s in exp.series} == {
@@ -64,7 +58,7 @@ class TestFigureDrivers:
         }
 
     def test_fig17(self):
-        exp = fig17_dynamic_faults.run(
+        exp = FIGURES["17"].run(
             scale=QUICK, loads=(0.05,), fault_counts=(10,)
         )
         assert {s.label for s in exp.series} == {
@@ -72,23 +66,22 @@ class TestFigureDrivers:
         }
 
     def test_ablation(self):
-        exp = ablation_k.run(
-            scale=QUICK, paper_faults=5, load=0.1,
-            k_values=(0, 3), m_values=(2, 6),
+        exp = FIGURES["ablation"].run(
+            scale=QUICK, k_values=(0, 3), m_values=(2, 6),
         )
-        text = ablation_k.render(exp)
+        text = FIGURES["ablation"].render(exp)
         assert "K sweep" in text and "m sweep" in text
 
     def test_hw_acks(self):
-        exp = ablation_hw_acks.run(scale=QUICK, loads=(0.05,))
+        exp = FIGURES["hw-acks"].run(scale=QUICK, loads=(0.05,))
         assert [s.label for s in exp.series] == ["Flit acks", "HW acks"]
         assert all(s.points[0].delivered > 0 for s in exp.series)
 
     def test_length_sweep(self):
-        exp = message_length_sweep.run(scale=QUICK, lengths=(4, 32))
+        exp = FIGURES["length"].run(scale=QUICK, lengths=(4, 32))
         tp = exp.series_by_label("TP")
         assert [p.extra["length"] for p in tp.points] == [4, 32]
-        assert "ratio" in message_length_sweep.render(exp)
+        assert "ratio" in FIGURES["length"].render(exp)
 
     def test_length_sweep_points_are_run_points(self):
         """A length-sweep point that never drains fails the way every
@@ -98,7 +91,7 @@ class TestFigureDrivers:
             replications=1, max_replications=1,
         )
         with pytest.raises(RuntimeError, match="never drained"):
-            message_length_sweep.run(scale=no_drain, lengths=(64,), load=0.3)
+            FIGURES["length"].run(scale=no_drain, lengths=(64,))
 
     def test_fig14_load_conversion(self):
         assert fig14_load(50) == pytest.approx(0.32)

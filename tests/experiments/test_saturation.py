@@ -161,6 +161,21 @@ class TestKneeEdgeCases:
         knee = find_knee(QUICK, "tp", traffic="uniform", tolerance=0.01)
         assert 0.3 - 0.01 <= knee.knee_load <= 0.3
 
+    def test_faulted_knee_is_its_own_workload(self, monkeypatch):
+        """A knee searched on a faulted network records its fault count
+        and never shares a snapshot key with the fault-free knee."""
+        monkeypatch.setattr(
+            "repro.experiments.saturation.run_point",
+            self._fake(lambda load: 30.0 if load <= 0.3 else 1e6),
+        )
+        plain = find_knee(QUICK, "tp", tolerance=0.01)
+        faulted = find_knee(QUICK, "tp", tolerance=0.01, static_faults=2)
+        assert (plain.static_faults, faulted.static_faults) == (0, 2)
+        keys = [row["workload"]
+                for row in snapshot([plain, faulted])["workloads"]]
+        assert keys == ["uniform/tp", "uniform/tp/2F"]
+        assert render([faulted]).splitlines()[2].split()[2] == "2"
+
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tolerance"):
             find_knee(QUICK, "tp", tolerance=0.0)

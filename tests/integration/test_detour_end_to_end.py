@@ -115,14 +115,3 @@ class TestDetourLifecycle:
                 break
         assert sr_set_cycle is not None
 
-
-class TestFig17StaticReference:
-    def test_static_reference_variant_runs(self):
-        from repro.experiments import QUICK, fig17_dynamic_faults
-
-        exp = fig17_dynamic_faults.run(
-            scale=QUICK, loads=(0.05,), fault_counts=(10,),
-            static_reference=True,
-        )
-        for series in exp.series:
-            assert series.points[0].delivered > 0

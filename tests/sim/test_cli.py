@@ -1,11 +1,12 @@
 """CLI tests (repro-sim)."""
 
-import importlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from repro.cli import FIGURES, build_parser, main
+from repro.cli import TABLES, build_parser, main
+from repro.experiments.figures import FIGURES
 
 
 class TestParser:
@@ -245,17 +246,37 @@ class TestExecution:
         assert main(["figure", "99"]) == 2
         assert "validation" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", sorted(FIGURES))
-    def test_every_advertised_figure_resolves(self, name):
-        assert callable(importlib.import_module(FIGURES[name]).main)
+    @staticmethod
+    def _stub(monkeypatch, name, called):
+        """Replace ``name``'s run and render with a recorder."""
+        def run():
+            called.append(name)
+
+        def render(result):
+            return f"report of {name}"
+
+        if name in FIGURES:
+            monkeypatch.setitem(
+                FIGURES, name, SimpleNamespace(run=run, render=render)
+            )
+        else:
+            monkeypatch.setitem(TABLES, name, (run, render))
+
+    @pytest.mark.parametrize("name", sorted([*FIGURES, *TABLES]))
+    def test_every_advertised_figure_resolves(self, name, monkeypatch,
+                                              capsys):
+        called = []
+        self._stub(monkeypatch, name, called)
+        assert main(["figure", name]) == 0
+        assert called == [name]
+        assert capsys.readouterr().out == f"report of {name}\n"
 
     @pytest.mark.parametrize("alias,name", [
         ("FIG12", "12"), ("hw_acks", "hw-acks"), ("length-sweep", "length"),
     ])
     def test_figure_aliases_dispatch(self, alias, name, monkeypatch):
         called = []
-        module = importlib.import_module(FIGURES[name])
-        monkeypatch.setattr(module, "main", lambda: called.append(name))
+        self._stub(monkeypatch, name, called)
         assert main(["figure", alias]) == 0
         assert called == [name]
 

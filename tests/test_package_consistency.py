@@ -2,8 +2,8 @@
 
 Keeps the deliverables honest: every module DESIGN.md promises exists,
 every public symbol re-exported from ``repro`` is importable, every
-benchmark has a figure driver, and the paper's headline constants stay
-pinned where the docs say they are.
+figure has claims in the figure bench, and the paper's headline
+constants stay pinned where the docs say they are.
 """
 
 import importlib
@@ -76,19 +76,27 @@ def test_import_stays_light():
 
 
 def test_benchmarks_cover_every_figure():
-    bench = {p.name for p in (ROOT / "benchmarks").glob("test_bench_*.py")}
-    expected = {
-        "test_bench_latency_formulas.py",
-        "test_bench_theorems.py",
-        "test_bench_fig12.py",
-        "test_bench_fig13.py",
-        "test_bench_fig14.py",
-        "test_bench_fig15.py",
-        "test_bench_fig17.py",
-        "test_bench_ablation.py",
-        "test_bench_extensions.py",
-    }
-    assert expected <= bench
+    """The figure bench states at least one claim for every figure, and
+    the E1 / E2 tables have their own benches."""
+    from benchmarks.test_bench_figures import CLAIMS
+    from repro.experiments.figures import FIGURES
+
+    assert CLAIMS.keys() == FIGURES.keys()
+    assert [name for name, claims in CLAIMS.items() if not claims] == []
+    for table in ("latency_formulas", "theorems"):
+        assert (ROOT / "benchmarks" / f"test_bench_{table}.py").exists()
+
+
+def test_every_claim_names_an_experiment():
+    """Each figure claim opens with the EXPERIMENTS.md section it backs."""
+    from benchmarks.test_bench_figures import CLAIMS
+
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    headings = set(re.findall(r"^## (E\d+) ", text, re.M))
+    named = [re.match(r"(E\d+): ", claim) for claims in CLAIMS.values()
+             for claim, _ in claims]
+    assert None not in named
+    assert {m.group(1) for m in named} <= headings
 
 
 def test_docs_exist_and_mention_the_paper():
