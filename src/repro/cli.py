@@ -120,10 +120,21 @@ class _UsageError(Exception):
     ``parser.error`` (exit 2) instead of a traceback."""
 
 
+def _protocol_params(args: argparse.Namespace) -> dict:
+    """``--k-unsafe`` is TP's scouting distance past unsafe channels;
+    no other protocol reads it, so giving it one is a usage error."""
+    if args.k_unsafe is None:
+        return {}
+    if args.protocol != "tp":
+        raise _UsageError(
+            f"{args.command}: --k-unsafe sets TP's scouting distance; "
+            f"--protocol {args.protocol} has none"
+        )
+    return {"k_unsafe": args.k_unsafe}
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    params = {}
-    if args.protocol == "tp":
-        params["k_unsafe"] = args.k_unsafe
+    params = _protocol_params(args)
     try:
         cfg = SimulationConfig(
             k=args.k,
@@ -247,17 +258,12 @@ def _add_profile_args(subparser: argparse.ArgumentParser) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments import saturation
 
-    params = {}
-    if args.protocol == "tp":
-        params["k_unsafe"] = args.k_unsafe
+    params = _protocol_params(args)
     traffic_params = dict(args.pattern_param or ())
     try:
         if args.find_knee:
-            saturation.check_search(
-                args.knee_tol, saturation.DEFAULT_LOW_LOAD,
-                saturation.DEFAULT_MAX_LOAD,
-            )
-            loads = [saturation.DEFAULT_LOW_LOAD]
+            saturation.check_search(args.knee_tol)
+            loads = [saturation.LOW_LOAD]
         else:
             loads = [float(x) for x in args.loads.split(",")]
         # Build every point's simulator before any run, as ``run``
@@ -412,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--dynamic-faults", type=int, default=0)
     run_p.add_argument("--tail-ack", action="store_true",
                        help="reliable delivery with tail acknowledgments")
-    run_p.add_argument("--k-unsafe", type=int, default=0,
-                       help="TP scouting distance past unsafe channels")
+    run_p.add_argument("--k-unsafe", type=int, default=None,
+                       help="TP only: scouting distance past unsafe channels")
     run_p.add_argument("--warmup", type=int, default=1000)
     run_p.add_argument("--cycles", type=int, default=5000)
     run_p.add_argument("--seed", type=int, default=1)
@@ -428,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("tp", "dp", "mb"))
     sweep_p.add_argument("--loads", default="0.05,0.1,0.2,0.3")
     sweep_p.add_argument("--faults", type=int, default=0)
-    sweep_p.add_argument("--k-unsafe", type=int, default=0)
+    sweep_p.add_argument("--k-unsafe", type=int, default=None,
+                         help="as for run: TP only")
     sweep_p.add_argument(
         "--pattern", default="uniform", type=_pattern_list,
         help=(

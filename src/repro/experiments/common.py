@@ -93,6 +93,10 @@ MESSAGE_LENGTH = 32
 #: spans zero-load through past saturation as in Figures 12/13.
 DEFAULT_LOADS = (0.02, 0.05, 0.10, 0.15, 0.20, 0.28, 0.36)
 
+#: Saturated: mean latency above this multiple of the zero-load
+#: latency — for the grid reading and the knee search alike.
+LATENCY_FACTOR = 3.0
+
 
 def fig14_load(messages_per_5000: int) -> float:
     """Figure 14's load unit: messages/node/5000 cycles → flits/node/cycle."""
@@ -156,22 +160,27 @@ class Series:
     label: str
     points: List[Point] = field(default_factory=list)
 
-    def saturation_throughput(self, latency_factor: float = 3.0) -> float:
-        """Throughput at the knee of the latency-throughput curve.
-
-        The paper defines saturation as the load above which latency
-        rises dramatically with little throughput gain; we report the
-        highest measured throughput whose latency stays within
-        ``latency_factor`` of the zero-load latency.
-        """
+    def saturation_throughput(self) -> float:
+        """Throughput where latency first crosses :data:`LATENCY_FACTOR`
+        times the first (zero-load) point's, interpolated linearly in
+        latency between the last point under the line and the first
+        over it (DESIGN.md §9).  NaN points are skipped; a curve that
+        never crosses saturates at its last point."""
         if not self.points:
             return float("nan")
-        base = self.points[0].latency
-        best = 0.0
+        threshold = LATENCY_FACTOR * self.points[0].latency
+        lo = None  # the last point under the line
         for pt in self.points:
-            if not math.isnan(pt.latency) and pt.latency <= latency_factor * base:
-                best = max(best, pt.throughput)
-        return best
+            if math.isnan(pt.latency):
+                continue
+            if pt.latency <= threshold:
+                lo = pt
+            elif lo is None:
+                break  # no zero-load latency to compare against
+            else:
+                t = (threshold - lo.latency) / (pt.latency - lo.latency)
+                return lo.throughput + t * (pt.throughput - lo.throughput)
+        return lo.throughput if lo is not None else 0.0
 
 
 @dataclass

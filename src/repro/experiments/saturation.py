@@ -2,10 +2,11 @@
 
 The paper's latency-throughput figures read the saturation point off a
 fixed load grid; :func:`find_knee` locates it adaptively instead.  A
-load is *saturated* when its mean latency exceeds ``latency_factor``
-(default 3.0 — the same criterion as
-:meth:`repro.experiments.common.Series.saturation_throughput`) times
-the zero-load latency, or when the network never drains at all.  The
+load is *saturated* when its mean latency exceeds
+:data:`~repro.experiments.common.LATENCY_FACTOR` times the zero-load
+latency — the criterion
+:meth:`~repro.experiments.common.Series.saturation_throughput` reads
+off a grid — or when the network never drains at all.  The
 driver measures the zero-load baseline, brackets the knee by doubling
 the load until a probe saturates, then bisects the bracket until it is
 narrower than ``tolerance`` — so the reported knee is within one
@@ -24,15 +25,12 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.experiments.common import Scale, run_point
+from repro.experiments.common import LATENCY_FACTOR, Scale, run_point
 
-#: Latency multiple over the zero-load baseline that defines saturation
-#: (matches ``Series.saturation_throughput``).
-DEFAULT_LATENCY_FACTOR = 3.0
 #: Zero-load probe (flits/node/cycle) used to measure the baseline.
-DEFAULT_LOW_LOAD = 0.02
+LOW_LOAD = 0.02
 #: Bracketing never pushes the offered load past this.
-DEFAULT_MAX_LOAD = 0.72
+MAX_LOAD = 0.72
 #: Bisection stops when the bracket is narrower than this.
 DEFAULT_TOLERANCE = 0.02
 
@@ -60,8 +58,6 @@ class KneeResult:
     knee_throughput: float
     #: Mean latency at the zero-load probe.
     base_latency: float
-    latency_factor: float
-    tolerance: float
     #: Static node faults in every probe's network (0: fault-free).
     static_faults: int = 0
     #: Every probe, in measurement order (baseline first).
@@ -70,8 +66,8 @@ class KneeResult:
     @property
     def bracket(self) -> tuple:
         """(last unsaturated load, first saturated load) — the knee
-        lies inside; the gap is at most ``tolerance`` unless bracketing
-        hit the load ceiling without ever saturating."""
+        lies inside; the gap is at most the search's tolerance unless
+        bracketing hit the load ceiling without ever saturating."""
         lo = max(p.offered_load for p in self.probes if not p.saturated)
         sat = [p.offered_load for p in self.probes if p.saturated]
         return (lo, min(sat) if sat else float("inf"))
@@ -94,20 +90,13 @@ def _probe(scale: Scale, protocol: str, protocol_params: Optional[dict],
     return KneeProbe(load, latency, rep.throughput_mean, saturated)
 
 
-def check_search(tolerance: float, low_load: float,
-                 max_load: float) -> None:
-    """Reject a search :func:`find_knee` could not run: a tolerance
-    that is not finite and positive (the bisection would never
-    terminate) or an empty load range."""
+def check_search(tolerance: float) -> None:
+    """Reject a tolerance :func:`find_knee` could not bisect to: one
+    that is not finite and positive would never terminate."""
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(
             f"tolerance must be finite and > 0, got {tolerance} "
             "(bisection would never terminate)"
-        )
-    if not 0 < low_load < max_load:
-        raise ValueError(
-            f"need 0 < low_load < max_load, got low_load={low_load}, "
-            f"max_load={max_load}"
         )
 
 
@@ -116,9 +105,6 @@ def find_knee(
     protocol: str,
     protocol_params: Optional[dict] = None,
     traffic: str = "uniform",
-    latency_factor: float = DEFAULT_LATENCY_FACTOR,
-    low_load: float = DEFAULT_LOW_LOAD,
-    max_load: float = DEFAULT_MAX_LOAD,
     tolerance: float = DEFAULT_TOLERANCE,
     base_seed: int = 1,
     **point_kwargs,
@@ -130,10 +116,11 @@ def find_knee(
     keyword arguments — ``traffic_params``, ``static_faults``,
     ``jobs`` … — go to every probe's :func:`run_point`):
 
-    1. **Baseline** — measure latency at ``low_load``; the saturation
-       threshold is ``latency_factor`` times that.
-    2. **Bracket** — double the load from ``low_load`` until a probe
-       saturates (or ``max_load`` is reached, in which case the
+    1. **Baseline** — measure latency at :data:`LOW_LOAD`; the
+       saturation threshold is
+       :data:`~repro.experiments.common.LATENCY_FACTOR` times that.
+    2. **Bracket** — double the load from :data:`LOW_LOAD` until a
+       probe saturates (or :data:`MAX_LOAD` is reached, in which case the
        network never saturated in range and the highest load is the
        knee).
     3. **Bisect** — shrink the (unsaturated, saturated) bracket until
@@ -143,14 +130,14 @@ def find_knee(
     so replications never share seeds across loads.
 
     Raises :class:`ValueError` on a non-positive ``tolerance`` (the
-    bisection would never terminate) or an empty load range, and
-    :class:`RuntimeError` when no knee exists in range: the zero-load
-    baseline itself never drains (or delivers nothing), or every probe
-    above ``low_load`` saturates so the knee was never bracketed from
+    bisection would never terminate), and :class:`RuntimeError` when
+    no knee exists in range: the zero-load baseline itself never
+    drains (or delivers nothing), or every probe above
+    :data:`LOW_LOAD` saturates so the knee was never bracketed from
     below — in both cases the honest answer is "the knee lies at or
-    below the probe floor", not a fabricated ``knee_load == low_load``.
+    below the probe floor", not a fabricated ``knee_load == LOW_LOAD``.
     """
-    check_search(tolerance, low_load, max_load)
+    check_search(tolerance)
     probes: List[KneeProbe] = []
 
     def measure(load: float, threshold: float) -> KneeProbe:
@@ -162,38 +149,38 @@ def find_knee(
         probes.append(p)
         return p
 
-    base = measure(low_load, float("inf"))
+    base = measure(LOW_LOAD, float("inf"))
     if math.isinf(base.latency):
         # _probe maps an all-replications-undrained run_point to an
         # infinite-latency probe; at the baseline that means the
         # network is wedged below the probe floor.
         raise RuntimeError(
             f"pattern {traffic!r}: no replication drained at the "
-            f"zero-load baseline probe ({low_load}); the network "
-            "saturates below the probe floor — lower low_load"
+            f"zero-load baseline probe ({LOW_LOAD}); the network "
+            "saturates below the probe floor — lower LOW_LOAD"
         )
     if math.isnan(base.latency):
         raise RuntimeError(
             f"pattern {traffic!r}: the zero-load baseline probe "
-            f"({low_load}) delivered no messages, so there is no "
+            f"({LOW_LOAD}) delivered no messages, so there is no "
             "baseline latency to define the saturation threshold — "
-            "lower low_load or lengthen the measurement window"
+            "lower LOW_LOAD or lengthen the measurement window"
         )
-    threshold = latency_factor * base.latency
+    threshold = LATENCY_FACTOR * base.latency
 
     # Bracket: double until saturated or out of range.
-    lo = low_load
+    lo = LOW_LOAD
     lo_probe = base
-    hi = min(2 * low_load, max_load)
+    hi = min(2 * LOW_LOAD, MAX_LOAD)
     while True:
         p = measure(hi, threshold)
         if p.saturated:
             break
         lo, lo_probe = hi, p
-        if hi >= max_load:
+        if hi >= MAX_LOAD:
             hi = float("inf")  # never saturated in range
             break
-        hi = min(2 * hi, max_load)
+        hi = min(2 * hi, MAX_LOAD)
 
     # Bisect the bracket down to the tolerance.
     if math.isfinite(hi):
@@ -205,18 +192,18 @@ def find_knee(
             else:
                 lo, lo_probe = mid, p
 
-    # ``lo`` only moves off ``low_load`` when a probe *above* the
+    # ``lo`` only moves off ``LOW_LOAD`` when a probe *above* the
     # baseline came back unsaturated.  If it never did, the knee was
     # never bracketed from below: the baseline cannot certify its own
     # load (it is measured against an infinite threshold), so
-    # returning ``knee_load == low_load`` would fabricate a knee for a
+    # returning ``knee_load == LOW_LOAD`` would fabricate a knee for a
     # network that may saturate below the probe floor.
-    if math.isfinite(hi) and lo == low_load:
+    if math.isfinite(hi) and lo == LOW_LOAD:
         raise RuntimeError(
             f"pattern {traffic!r}: the first probe above the baseline "
             f"already saturated and bisection found no unsaturated "
-            f"load in ({low_load}, {hi:.6g}); the knee lies at or "
-            "below the zero-load probe — lower low_load"
+            f"load in ({LOW_LOAD}, {hi:.6g}); the knee lies at or "
+            "below the zero-load probe — lower LOW_LOAD"
         )
 
     return KneeResult(
@@ -226,8 +213,6 @@ def find_knee(
         knee_load=lo,
         knee_throughput=lo_probe.throughput,
         base_latency=base.latency,
-        latency_factor=latency_factor,
-        tolerance=tolerance,
         static_faults=point_kwargs.get("static_faults", 0),
         probes=probes,
     )

@@ -166,6 +166,7 @@ class HarnessSpec:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ValueError("a campaign needs at least one seed")
+        cube(self.k, self.n)  # rejects a radix or dimension count
 
 
 @dataclass

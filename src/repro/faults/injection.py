@@ -19,42 +19,43 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.faults.model import FaultState
 from repro.network.topology import KAryNCube
+
+#: Candidate draws :func:`place_random_node_faults` makes before it
+#: gives up on a placement that keeps the healthy nodes connected.
+MAX_PLACEMENT_ATTEMPTS = 10_000
 
 
 def place_random_node_faults(
     fault_state: FaultState,
     count: int,
     rng: random.Random,
-    protected: Sequence[int] = (),
-    max_attempts: int = 10_000,
 ) -> List[int]:
     """Fail ``count`` random distinct nodes; returns the failed node ids.
 
     The placement rejects nodes whose failure would disconnect the
-    healthy portion of the network (retrying up to ``max_attempts``
-    candidate draws).  ``protected`` nodes are never
-    failed.
+    healthy portion of the network, and gives up (``RuntimeError``)
+    after :data:`MAX_PLACEMENT_ATTEMPTS` candidate draws.
     """
     topo = fault_state.topology
     if count < 0:
         raise ValueError("fault count must be non-negative")
-    if count >= topo.num_nodes - len(protected):
+    if count >= topo.num_nodes:
         raise ValueError("cannot fail that many nodes")
     failed: List[int] = []
-    protected_set = set(protected)
     attempts = 0
     while len(failed) < count:
         attempts += 1
-        if attempts > max_attempts:
+        if attempts > MAX_PLACEMENT_ATTEMPTS:
             raise RuntimeError(
-                f"could not place {count} faults after {max_attempts} attempts"
+                f"could not place {count} faults after "
+                f"{MAX_PLACEMENT_ATTEMPTS} attempts"
             )
         node = rng.randrange(topo.num_nodes)
-        if node in fault_state.faulty_nodes or node in protected_set:
+        if node in fault_state.faulty_nodes:
             continue
         snapshot = _snapshot_before_fail(fault_state, node)
         fault_state.fail_node(node)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict
 
-from repro.sim.traffic import TRAFFIC_PARAM_KEYS
+from repro.sim.traffic import traffic_param_keys
 
 
 @dataclass
@@ -198,11 +198,12 @@ class SimulationConfig:
             raise ValueError("watchdog_cycles must be >= 1")
         if self.max_header_wait < 1:
             raise ValueError("max_header_wait must be >= 1")
-        unknown = sorted(set(self.traffic_params) - set(TRAFFIC_PARAM_KEYS))
+        keys = traffic_param_keys(self.traffic)
+        unknown = sorted(set(self.traffic_params) - set(keys))
         if unknown:
             raise ValueError(
-                f"unknown traffic_params keys {unknown}; "
-                f"choose from {TRAFFIC_PARAM_KEYS}"
+                f"unknown traffic_params keys {unknown} for traffic "
+                f"{self.traffic!r}; choose from {keys}"
             )
 
     @property

@@ -32,14 +32,15 @@ and the teardown and source recovery every control token carries live
 in :mod:`repro.sim.control`; this module holds the cycle, the routing
 decisions, the data plane and the traffic.
 
-Fast-forward: :meth:`Engine.run` advances in closed form every stretch
-in which no two messages interact and no timed event falls
-(:mod:`repro.sim.fast_forward`): established worms streaming alone on
-their channels (Section 2.2's uncontended t_WR = l + L), the empty
-network, one header setting up beside them (TP's K = 0 DP phase, or
-MB-m's probe, path acknowledgment walk and front fill: t_PCS =
-3l + L − 1), and each message's own events — an injection arrival, its
-source running dry, its tail ejecting.  An ``on_cycle`` hook bounds the
+Fast-forward: :meth:`Engine.run` and :meth:`Engine.drain` advance in
+closed form every stretch in which no two messages interact and no
+timed event falls (:mod:`repro.sim.fast_forward`): established worms
+streaming alone on their channels (Section 2.2's uncontended t_WR =
+l + L), the empty network while traffic runs, one header setting up
+beside them (TP's K = 0 DP phase, or MB-m's probe, path acknowledgment
+walk and front fill: t_PCS = 3l + L − 1), and each message's own
+events — an injection arrival, its source running dry, its tail
+ejecting.  An ``on_cycle`` hook bounds the
 jump by the cycle its ``next_event_cycle`` declares, whatever the
 network holds; a hook that declares none is a ``TypeError``.
 
@@ -411,17 +412,18 @@ class Engine:
         virtual channels: a message a fault kills is terminal when the
         upstream kill reaches its source, while the downstream kill
         flit may hold a channel a few cycles longer, so
-        :meth:`network_drained` can still be False.  Every cycle is
-        stepped — the fast-forward belongs to
-        :meth:`run`: with traffic disabled an empty network is the exit
-        condition here, not a stretch to jump over.
+        :meth:`network_drained` can still be False.  Each step is
+        preceded by the same jump as :meth:`run`'s.
         """
         self.traffic_enabled = False
         target = self.cycle + max_cycles
         while self.cycle < target:
             if not self.active and not any(self.queues):
                 return True
-            self.step()
+            start = self.cycle
+            fast_forward.jump(self, target)
+            if self.cycle == start:
+                self.step()
         return not self.active and not any(self.queues)
 
     def step(self) -> None:

@@ -1,8 +1,9 @@
 """Closed-form advance of the network between interactions (DESIGN.md §8).
 
-The jump ``Engine.run`` takes before each cycle: every cycle in which no
-two messages interact and no timed event falls, applied segment by
-segment, identical to stepping (``tests/sim/test_reference_lockstep.py``).
+The jump ``Engine.run`` and ``Engine.drain`` take before each cycle:
+every cycle in which no two messages interact and no timed event falls,
+applied segment by segment, identical to stepping
+(``tests/sim/test_reference_lockstep.py``).
 """
 
 from __future__ import annotations
@@ -161,7 +162,9 @@ def _plan(engine):
         else:
             return None
     if lead is None:
-        return None if token else (None, None, worms, room)
+        # With traffic off an empty network is the drain's exit.
+        empty = not (worms or engine.traffic_enabled)
+        return None if token or empty else (None, None, worms, room)
     if token is not None:
         # Under PCS the data waits at the source until the walk ends.
         if engine._pcs and token.message is lead:

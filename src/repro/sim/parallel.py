@@ -14,7 +14,7 @@ a serial campaign:
   ``Pool.starmap`` with ``chunksize=1``), never in completion order;
 * :func:`replicate` runs seeds in batches of one per worker and keeps
   the shortest prefix of the ordered result list that meets the
-  stopping rule (:func:`~repro.sim.stats.replications_converged`), so
+  stopping rule (``ReplicatedResult.converged``), so
   the run list — and therefore the aggregated
   :class:`~repro.sim.stats.ReplicatedResult` — is the same for every
   worker count.  A parallel point runs at most one batch past the
@@ -33,12 +33,7 @@ from multiprocessing import Pool
 from typing import Callable, List, Optional, Sequence
 
 from repro.sim.config import SimulationConfig
-from repro.sim.stats import (
-    ReplicatedResult,
-    RunResult,
-    aggregate_replications,
-    replications_converged,
-)
+from repro.sim.stats import ReplicatedResult, RunResult, aggregate_replications
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -108,11 +103,11 @@ def replicate(
     make_config: Callable[[int], SimulationConfig],
     min_runs: int = 2,
     max_runs: int = 8,
-    target_relative_ci: float = 0.05,
     base_seed: int = 1,
     jobs: Optional[int] = None,
 ) -> ReplicatedResult:
-    """The paper's protocol: replicate until the 95% CI is < 5% of mean.
+    """The paper's protocol: replicate until the 95% CI is within
+    :data:`~repro.sim.stats.TARGET_RELATIVE_CI` (5%) of the mean.
 
     ``make_config(seed)`` builds one replication's config for seeds
     ``base_seed``, ``base_seed + 1``, … (called in this process; only
@@ -138,6 +133,7 @@ def replicate(
             [make_config(base_seed + i) for i in seeds], jobs=batch
         )
         for n in range(max(min_runs, done + 1), len(runs) + 1):
-            if replications_converged(runs[:n], target_relative_ci):
-                return aggregate_replications(runs[:n], target_relative_ci)
-    return aggregate_replications(runs, target_relative_ci)
+            rep = aggregate_replications(runs[:n])
+            if rep.converged:
+                return rep
+    return aggregate_replications(runs)

@@ -104,24 +104,25 @@ def probe(engine: Engine, routes: Iterable[Tuple[int, int]], length: int,
 
 
 class NetworkSimulator:
-    """Build and run one complete simulation from a config."""
+    """Build and run one complete simulation from ``config`` alone:
+    its protocol by :func:`make_protocol`, and one
+    ``random.Random(config.seed)`` for faults and traffic."""
 
     #: The engine built by the constructor.  A class attribute so the
     #: test suite's reference engine can stand in by subclassing.
     engine_class = Engine
 
-    def __init__(self, config: SimulationConfig,
-                 protocol=None, rng: Optional[random.Random] = None):
+    def __init__(self, config: SimulationConfig):
         if config.measure_cycles < 1:
             raise ValueError(
                 "measure_cycles must be >= 1: a NetworkSimulator run is "
                 "summarized over its measurement window"
             )
         self.config = config
-        self.rng = rng if rng is not None else random.Random(config.seed)
+        self.rng = random.Random(config.seed)
         self.topology = cube(config.k, config.n)
         self.faults = FaultState(self.topology)
-        self.protocol = protocol if protocol is not None else make_protocol(
+        self.protocol = make_protocol(
             config.protocol, **config.protocol_params
         )
 

@@ -9,9 +9,9 @@ provides:
 * :class:`MessageRecord` — one finished message (the engine's output);
 * :func:`summarize` — per-run aggregates over a measurement window;
 * :func:`mean_confidence_interval` — Student-t 95% interval;
-* :func:`aggregate_replications` / :func:`replications_converged` — the
-  aggregate and the stopping rule of the paper's repeat-replications
-  protocol, which :func:`repro.sim.parallel.replicate` runs.
+* :func:`aggregate_replications` — the aggregate and the stopping rule
+  of the paper's repeat-replications protocol, which
+  :func:`repro.sim.parallel.replicate` runs.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
+
+#: The paper's stopping rule: replicate until the 95% CI half-width of
+#: the replication latency means is at most this share of their mean.
+TARGET_RELATIVE_CI = 0.05
 
 #: Two-sided 95% Student-t critical values by degrees of freedom (1-30);
 #: falls back to the normal 1.96 beyond the table.
@@ -245,34 +249,14 @@ class ReplicatedResult:
         return sum(1 for r in self.runs if not r.drained)
 
 
-def replications_converged(
-    runs: Sequence[RunResult], target_relative_ci: float
-) -> bool:
-    """The campaign stopping rule, shared by serial and parallel paths.
-
-    True when the 95% CI of the replication latency means is within
-    ``target_relative_ci`` of the mean.  Fewer than two non-NaN means
-    can never converge: the n=1 interval is infinite (so this also
-    encodes "never stop at n=1" explicitly rather than by accident of
-    ``inf`` comparisons).
-    """
-    lat_means = [
-        r.latency_mean for r in runs if not math.isnan(r.latency_mean)
-    ]
-    if len(lat_means) < 2:
-        return False
-    mean, half = mean_confidence_interval(lat_means)
-    return mean > 0 and half / mean <= target_relative_ci
-
-
-def aggregate_replications(
-    runs: Sequence[RunResult], target_relative_ci: float = 0.05
-) -> ReplicatedResult:
+def aggregate_replications(runs: Sequence[RunResult]) -> ReplicatedResult:
     """Fold replication runs into a :class:`ReplicatedResult`.
 
     Pure function of the (ordered) run list, so a parallel campaign
     that reproduces the serial run list reproduces the aggregate
-    exactly.
+    exactly.  ``converged`` is the stopping rule: the 95% CI of the
+    replication latency means within :data:`TARGET_RELATIVE_CI` of
+    their mean — never with fewer than two non-NaN means.
     """
     runs = list(runs)
     lat_means = [
@@ -287,5 +271,6 @@ def aggregate_replications(
         latency_ci95=lat_half,
         throughput_mean=tput_mean,
         throughput_ci95=tput_half,
-        converged=replications_converged(runs, target_relative_ci),
+        converged=len(lat_means) >= 2 and lat_mean > 0
+        and lat_half / lat_mean <= TARGET_RELATIVE_CI,
     )

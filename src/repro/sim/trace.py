@@ -36,6 +36,8 @@ _ACK_KINDS = (
     ControlKind.TAIL_ACK,
 )
 _KILL_KINDS = (ControlKind.KILL_UP, ControlKind.KILL_DOWN)
+#: Routers a diagram draws at most (longer paths are clipped).
+MAX_WIDTH = 40
 
 
 @dataclass
@@ -104,21 +106,22 @@ class MessageTracer:
         self.samples.append(snapshot)
         return snapshot
 
-    def run(self, max_cycles: int, until_terminal: bool = True) -> None:
-        """Step the engine, sampling after every cycle."""
+    def run(self, max_cycles: int) -> None:
+        """Step the engine, sampling after every cycle, until the
+        message is terminal or ``max_cycles`` cycles have passed."""
         for _ in range(max_cycles):
             self.engine.step()
             self.sample()
-            if until_terminal and self.message.is_terminal():
+            if self.message.is_terminal():
                 break
 
     # ------------------------------------------------------------------
-    def render(self, max_width: int = 40) -> str:
+    def render(self) -> str:
         """ASCII time-space diagram (time down, routers across)."""
         if not self.samples:
             return "(no samples)"
         width = min(
-            max(max(s.path_len for s in self.samples) + 1, 2), max_width
+            max(max(s.path_len for s in self.samples) + 1, 2), MAX_WIDTH
         )
         lines = [self._header_line(width)]
         for s in self.samples:

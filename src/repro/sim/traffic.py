@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.network.topology import KAryNCube
 
@@ -105,6 +105,8 @@ class TrafficPattern:
 
     #: Registry name (set per subclass).
     name = "?"
+    #: ``traffic_params`` keys the pattern reads (set per subclass).
+    param_keys: Tuple[str, ...] = ()
 
     def __init__(self, topology: KAryNCube, params: Dict[str, Any]):
         self.topology = topology
@@ -172,6 +174,7 @@ class HotspotPattern(TrafficPattern):
     """
 
     name = "hotspot"
+    param_keys = ("hotspot_fraction", "hotspot_count", "hotspot_nodes")
 
     def __init__(self, topology, params):
         super().__init__(topology, params)
@@ -481,11 +484,14 @@ DEFAULT_BURST_OFF_LOAD = 0.0
 
 #: ``traffic_params`` keys that switch any pattern to bursty timing.
 BURST_PARAM_KEYS = ("burst_on", "burst_off", "burst_off_load")
-#: Every ``traffic_params`` key the patterns and processes read;
-#: :class:`~repro.sim.config.SimulationConfig` rejects any other.
-TRAFFIC_PARAM_KEYS = (
-    "hotspot_fraction", "hotspot_count", "hotspot_nodes",
-) + BURST_PARAM_KEYS
+
+
+def traffic_param_keys(pattern: str) -> Tuple[str, ...]:
+    """Every ``traffic_params`` key a run of ``pattern`` reads, the
+    burst keys included; :class:`~repro.sim.config.SimulationConfig`
+    rejects any other."""
+    cls = _PATTERN_CLASSES.get(pattern, TrafficPattern)
+    return cls.param_keys + BURST_PARAM_KEYS
 
 
 def make_injection_process(config, rng: random.Random) -> InjectionProcess:

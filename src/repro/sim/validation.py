@@ -28,6 +28,9 @@ from typing import List
 from repro.core.latency_model import t_pcs, t_wormhole
 from repro.sim.simulator import idle_engine, probe
 
+#: Cycles between :func:`ring_utilization`'s injection rounds.
+RING_INTERVAL = 40
+
 
 @dataclass(frozen=True)
 class ValidationCheck:
@@ -87,22 +90,21 @@ def nearest_neighbor_latency(flow: str, k: int = 8,
     return checks
 
 
-def ring_utilization(distance: int = 3, k: int = 8, length: int = 4,
-                     interval: int = 40) -> List[ValidationCheck]:
+def ring_utilization(distance: int = 3, k: int = 8,
+                     length: int = 4) -> List[ValidationCheck]:
     """Fixed-distance +x traffic: channel utilization = load * distance.
 
-    Each node injects a ``length``-flit message every ``interval``
-    cycles to the node ``distance`` hops along +x for ``rounds``
-    rounds.  Every +x channel then carries exactly
-    ``length * distance / interval`` flits/cycle.
+    Each node injects a ``length``-flit message every
+    :data:`RING_INTERVAL` cycles to the node ``distance`` hops along +x
+    for ``rounds`` rounds.  Every +x channel then carries exactly
+    ``length * distance / RING_INTERVAL`` flits/cycle.
     """
     engine = idle_engine("det", {"flow": "wr"}, k=k, message_length=length)
     topo = engine.topology
     rounds = 5
     injected = 0
-    cycles = rounds * interval
-    for cycle in range(cycles):
-        if cycle % interval == 0 and cycle // interval < rounds:
+    for cycle in range(rounds * RING_INTERVAL):
+        if cycle % RING_INTERVAL == 0:
             for node in range(topo.num_nodes):
                 coords = topo.coords(node)
                 dst = topo.node_id((coords[0] + distance,) + coords[1:])
@@ -110,10 +112,8 @@ def ring_utilization(distance: int = 3, k: int = 8, length: int = 4,
                 injected += 1
         engine.step()
     engine.drain(5000)
-    # Expected flit crossings per +x channel: every message crosses
-    # `distance` consecutive +x links; by ring symmetry each channel
-    # carries `rounds * distance` messages' worth... each +x channel is
-    # crossed by exactly `distance` sources per round.
+    # By ring symmetry each +x channel is crossed by exactly
+    # ``distance`` messages per round.
     expected_per_channel = rounds * distance * (length + 1)  # +1 header
     measured = []
     for node in range(topo.num_nodes):

@@ -78,8 +78,25 @@ class TestSeries:
         return s
 
     def test_saturation_knee(self):
+        """Latency crosses 3 x 40 = 120 a quarter of the way from 60
+        to 300, so the reading is a quarter of the way from 0.3 to
+        0.31."""
         s = self._series([40, 45, 60, 300], [0.1, 0.2, 0.3, 0.31])
-        assert s.saturation_throughput() == 0.3
+        assert s.saturation_throughput() == pytest.approx(0.3025)
+
+    def test_point_just_over_the_line_costs_a_sliver(self):
+        """A point a little over 3x the zero-load latency moves the
+        reading by a sliver of its grid step, not the whole step: two
+        curves that differ only on either side of the line read
+        alike."""
+        tputs = [0.05, 0.1, 0.15, 0.2, 0.22]
+        over = self._series([40, 60, 100, 121, 300], tputs)
+        under = self._series([40, 60, 100, 119, 300], tputs)
+        over_sat = over.saturation_throughput()
+        under_sat = under.saturation_throughput()
+        assert over_sat == pytest.approx(0.15 + 0.05 * 20 / 21)
+        assert under_sat == pytest.approx(0.2 + 0.02 * 1 / 181)
+        assert abs(over_sat - under_sat) < 0.01
 
     def test_saturation_all_below_knee(self):
         s = self._series([40, 41], [0.1, 0.2])

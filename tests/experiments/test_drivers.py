@@ -134,11 +134,12 @@ class TestReport:
 
     def test_saturation_summary(self):
         text = render_saturation_summary([self._series()])
-        # Latency at 0.5 exceeds 3x zero-load -> saturation tput is 0.1.
-        assert "0.1000" in text
+        # 3x zero-load (120) lies halfway from 40 to 200 in latency,
+        # so saturation tput is halfway from 0.1 to 0.3.
+        assert "0.2000" in text
 
     def test_saturation_math(self):
-        assert self._series().saturation_throughput() == 0.1
+        assert self._series().saturation_throughput() == pytest.approx(0.2)
 
     def test_nan_rendering(self):
         s = Series(label="empty")

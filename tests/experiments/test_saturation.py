@@ -5,7 +5,9 @@ import math
 import pytest
 
 from repro.experiments import QUICK, find_knee, sweep_loads
+from repro.experiments.common import LATENCY_FACTOR
 from repro.experiments.saturation import (
+    LOW_LOAD,
     KneeProbe,
     KneeResult,
     render,
@@ -53,13 +55,16 @@ class TestFindKnee:
         """Acceptance: the adaptive knee agrees with the fixed-grid
         saturation criterion of the Figure 12 sweeps — every grid load
         the sweep calls unsaturated lies at or below the knee bracket,
-        within one bisection step."""
+        within one bisection step.  Like the Figure 12 grid, this one
+        starts at ``LOW_LOAD``, so its zero-load point is the knee
+        search's baseline probe (same load, same seed)."""
         series = sweep_loads(
             QUICK, "TP", "tp", {"k_unsafe": 0},
-            loads=(0.05, 0.15, 0.25, 0.35, 0.45, 0.55),
+            loads=(LOW_LOAD, 0.15, 0.25, 0.35, 0.45, 0.55),
         )
+        assert series.points[0].latency == uniform_knee.base_latency
         base = series.points[0].latency
-        threshold = uniform_knee.latency_factor * base
+        threshold = LATENCY_FACTOR * base
         lo, hi = uniform_knee.bracket
         for pt in series.points:
             if math.isnan(pt.latency):
@@ -70,9 +75,7 @@ class TestFindKnee:
                 assert pt.offered_load >= lo - KNEE_TOL
         # And the knee throughput is at least the grid's estimate
         # minus one bisection step of load.
-        grid_sat = series.saturation_throughput(
-            uniform_knee.latency_factor
-        )
+        grid_sat = series.saturation_throughput()
         assert uniform_knee.knee_throughput >= grid_sat - KNEE_TOL
 
 
@@ -139,7 +142,7 @@ class TestKneeEdgeCases:
             self._fake(lambda load: 30.0 if load <= 0.02 else math.inf),
         )
         with pytest.raises(RuntimeError, match="at or below the zero-load"):
-            find_knee(QUICK, "tp", traffic="cliff", low_load=0.02)
+            find_knee(QUICK, "tp", traffic="cliff")
 
     def test_first_probe_saturated_but_bisectable_is_fine(self, monkeypatch):
         """If the first doubling probe saturates but bisection *does*
@@ -149,7 +152,7 @@ class TestKneeEdgeCases:
             self._fake(lambda load: 30.0 if load <= 0.03 else 1e6),
         )
         knee = find_knee(
-            QUICK, "tp", traffic="steep", low_load=0.02, tolerance=0.005,
+            QUICK, "tp", traffic="steep", tolerance=0.005,
         )
         assert 0.02 < knee.knee_load <= 0.03
 
@@ -182,17 +185,12 @@ class TestKneeEdgeCases:
         with pytest.raises(ValueError, match="tolerance"):
             find_knee(QUICK, "tp", tolerance=-0.01)
 
-    def test_bad_load_range_rejected(self):
-        with pytest.raises(ValueError, match="low_load"):
-            find_knee(QUICK, "tp", low_load=0.5, max_load=0.4)
-
 
 class TestReporting:
     def _result(self):
         return KneeResult(
             pattern="uniform", protocol="tp", scale_name="quick",
             knee_load=0.39, knee_throughput=0.36, base_latency=35.0,
-            latency_factor=3.0, tolerance=0.02,
             probes=[
                 KneeProbe(0.02, 35.0, 0.02, False),
                 KneeProbe(0.40, 200.0, 0.36, True),

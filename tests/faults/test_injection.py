@@ -27,14 +27,6 @@ class TestStaticPlacement:
             place_random_node_faults(faults, 12, random.Random(seed))
             assert faults.healthy_nodes_connected()
 
-    def test_protected_nodes_never_fail(self, torus8):
-        faults = FaultState(torus8)
-        protected = [0, 1, 2, 3]
-        place_random_node_faults(
-            faults, 10, random.Random(2), protected=protected
-        )
-        assert not set(protected) & faults.faulty_nodes
-
     def test_rejects_negative(self, torus8):
         with pytest.raises(ValueError):
             place_random_node_faults(FaultState(torus8), -1, random.Random(1))

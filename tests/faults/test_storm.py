@@ -142,9 +142,10 @@ class TestSpecValues:
         # det-naive's own load and length overflow this duty cycle.
         (lambda: ChaosSpec(protocols=("det-naive",), traffic_params={
             "burst_on": 1, "burst_off": 60}), "cannot fit"),
+        (lambda: StormSpec(k=2), "radix k must be >= 3"),
     ], ids=["chaos-no-seeds", "storm-no-seeds", "bursts", "burst-size",
             "node-share-negative", "node-share-above-one", "pattern",
-            "param-key", "param-value", "scenario-load"])
+            "param-key", "param-value", "scenario-load", "storm-radix"])
     def test_rejected_at_construction(self, make, match):
         with pytest.raises(ValueError, match=match):
             make()

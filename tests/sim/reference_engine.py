@@ -5,8 +5,8 @@
 (``test_reference_lockstep.py``) and result by result
 (``test_determinism.py``).  It is slow on purpose:
 
-* :meth:`~ReferenceEngine.run` executes every cycle — no quiescence
-  fast-forward;
+* :meth:`~ReferenceEngine.run` and :meth:`~ReferenceEngine.drain`
+  execute every cycle — no quiescence fast-forward;
 * every pending header re-decides every cycle — no parking;
 * every busy injection queue is visited every cycle — no attention set;
 * the data phase is **restated from the rules** (paper Section 6.0,
@@ -44,6 +44,14 @@ class ReferenceEngine(Engine):
             self.step()
             if on_cycle is not None:
                 on_cycle(self)
+
+    def drain(self, max_cycles):
+        self.traffic_enabled = False
+        for _ in range(max_cycles):
+            if not self.active and not any(self.queues):
+                return True
+            self.step()
+        return not self.active and not any(self.queues)
 
     def _phase_routing_decisions(self):
         for msg in self.pending.values():

@@ -135,7 +135,11 @@ class TestExecution:
         (["--message-length", "0"], "message_length must be >= 1"),
         (["--k", "2"], "radix k must be >= 3"),
         (["--k", "4", "--faults", "20"], "cannot fail that many nodes"),
-    ], ids=["message-length", "radix", "faults"])
+        (["--protocol", "mb", "--k-unsafe", "3"], "--k-unsafe"),
+        (["--pattern-param", "hotspot_fraction=5"],
+         "unknown traffic_params keys"),
+    ], ids=["message-length", "radix", "faults", "k-unsafe-not-tp",
+            "param-the-pattern-never-reads"])
     def test_run_rejects_bad_values_as_usage_errors(self, flags, message,
                                                     capsys):
         """Rejected by the config, the topology or the fault placement:
@@ -151,8 +155,9 @@ class TestExecution:
         (["--loads", "1.5"], "offered_load must be in [0, 1]"),
         (["--pattern-param", "bogus=1"], "unknown traffic_params keys"),
         (["--find-knee", "--knee-tol", "0"], "tolerance must be finite"),
+        (["--protocol", "dp", "--k-unsafe", "3"], "--k-unsafe"),
     ], ids=["load-not-a-number", "load-above-one", "unknown-param",
-            "knee-tol-zero"])
+            "knee-tol-zero", "k-unsafe-not-tp"])
     def test_sweep_rejects_bad_values_before_any_run(
         self, flags, message, capsys, monkeypatch
     ):
@@ -171,6 +176,15 @@ class TestExecution:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["chaos", "storm"])
+    def test_campaign_rejects_bad_radix_before_any_run(self, command,
+                                                       capsys):
+        """Both campaign specs build their torus at construction: a
+        radix it rejects exits 2, with the reason and no traceback."""
+        assert main([command, "--k", "2", "--seeds", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "radix k must be >= 3" in err and "Traceback" not in err
 
     def test_run_single_hotspot_node(self, capsys):
         rc = main([
@@ -199,7 +213,6 @@ class TestExecution:
             return KneeResult(
                 pattern=traffic, protocol=protocol, scale_name=scale.name,
                 knee_load=0.1, knee_throughput=0.09, base_latency=30.0,
-                latency_factor=3.0, tolerance=0.02,
                 probes=[KneeProbe(0.1, 40.0, 0.09, False),
                         KneeProbe(0.2, 200.0, 0.1, True)],
             )

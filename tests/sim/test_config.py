@@ -37,6 +37,11 @@ class TestValidation:
             "traffic_params", {"hotspot_fracton": 0.3},
             id="traffic_params-misspelt-key",
         ),
+        # The default uniform pattern reads no hotspot key.
+        pytest.param(
+            "traffic_params", {"hotspot_fraction": 5},
+            id="traffic_params-key-the-pattern-never-reads",
+        ),
         ("static_node_faults", -1),
         ("dynamic_faults", -1),
         ("max_retransmits", -1),

@@ -435,6 +435,26 @@ def test_lone_message_executed_steps(protocol, overrides, steps, delivered):
     assert executed_steps(engine) == steps
 
 
+@pytest.mark.parametrize("protocol,steps", [("tp", 1), ("dp", 8), ("mb", 1)])
+def test_drain_takes_the_jump(protocol, steps):
+    """``drain`` jumps what ``run`` jumps and stops on the cycle the
+    network empties: a lone message drained executes the steps ``run``
+    would, and ends in the reference engine's state."""
+    from tests.sim.test_reference_lockstep import _engine_state
+
+    engines = [
+        sim(lone_message_cfg(protocol=protocol)).engine
+        for sim in (NetworkSimulator, ReferenceSimulator)
+    ]
+    for engine in engines:
+        engine.inject(0, 4 + 16 * 4)
+        assert engine.drain(200)
+    production, reference = engines
+    assert production.cycle == reference.cycle
+    assert _engine_state(production) == _engine_state(reference)
+    assert executed_steps(production) == steps
+
+
 @pytest.mark.parametrize(
     "traffic,params",
     [m[1:] for m in TRAFFIC_MATRIX],

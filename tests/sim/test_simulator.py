@@ -92,17 +92,6 @@ class TestNetworkSimulator:
         b = run_config(base.with_(seed=2))
         assert (a.latency_mean, a.delivered) != (b.latency_mean, b.delivered)
 
-    def test_explicit_protocol_instance(self):
-        cfg = SimulationConfig(
-            k=5, n=2, protocol="tp", offered_load=0.05,
-            warmup_cycles=50, measure_cycles=200,
-        )
-        proto = TwoPhaseProtocol(k_unsafe=3)
-        sim = NetworkSimulator(cfg, protocol=proto)
-        assert sim.protocol is proto
-        result = sim.run()
-        assert result.delivered > 0
-
     def test_results_before_run_rejected(self):
         """Summarizing an engine that never ran has no measurement
         window to normalize throughput by; it must refuse loudly."""

@@ -100,7 +100,7 @@ class TestRepeatUntilConfident:
             return self._fake_result(latency=next(values))
 
         result = replicate_fakes(
-            run_one, min_runs=2, max_runs=8, target_relative_ci=0.05
+            run_one, min_runs=2, max_runs=8
         )
         assert len(result.runs) > 2
 

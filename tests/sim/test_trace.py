@@ -72,10 +72,11 @@ class TestRendering:
         msg = engine.inject(0, 1)
         assert MessageTracer(engine, msg).render() == "(no samples)"
 
-    def test_render_width_cap(self):
+    def test_render_width_cap(self, monkeypatch):
+        monkeypatch.setattr("repro.sim.trace.MAX_WIDTH", 2)
         tracer = trace_single_message("det", 0, 3, length=2,
                                       protocol_params={"flow": "wr"})
-        text = tracer.render(max_width=2)
+        text = tracer.render()
         assert "R0" in text and "R3" not in text
 
 
