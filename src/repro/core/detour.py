@@ -19,12 +19,11 @@ removes it from the path and decrements the misroute count").
 
 from __future__ import annotations
 
-from repro.sim.message import Message, TPMode
+from repro.sim.message import Message
 
 
 def enter_detour(message: Message) -> None:
     """Switch the header into detour mode (Figure 6, final DP branch)."""
-    message.tp_mode = TPMode.DETOUR
     message.header.detour = True
     message.detour_stack = []
     message.detour_count += 1
@@ -64,7 +63,7 @@ def record_backtrack(message: Message, dim: int, direction: int,
 
 def detour_complete(message: Message, at_destination: bool) -> bool:
     """Whether the detour under construction is finished."""
-    if message.tp_mode is not TPMode.DETOUR:
+    if not message.header.detour:
         return False
     return at_destination or not message.detour_stack
 
@@ -75,7 +74,6 @@ def complete_detour(message: Message) -> None:
     The engine separately sends the resume token that re-opens the data
     gates of the channels accepted during the detour.
     """
-    message.tp_mode = TPMode.DP
     message.header.detour = False
     message.header.misroutes = 0
     message.detour_stack = []

@@ -48,7 +48,7 @@ from repro.routing.base import (
     BACKTRACK, WAIT, Action, Decision, RoutingContext,
 )
 from repro.routing.selection import adaptive_candidate
-from repro.sim.message import Message, TPMode
+from repro.sim.message import Message
 
 #: A probe stuck at its first data flit (or the source) retries in
 #: place this many times, each after this many cycles, before the
@@ -57,7 +57,6 @@ MAX_RETRIES = 3
 RETRY_BACKOFF = 16
 
 _RESERVE = Action.RESERVE
-_DETOUR = TPMode.DETOUR
 _FREE = VCState.FREE
 
 
@@ -79,7 +78,7 @@ class TwoPhaseProtocol:
 
     # ------------------------------------------------------------------
     def decide(self, ctx: RoutingContext, message: Message) -> Decision:
-        if message.tp_mode is _DETOUR:
+        if message.header.detour:
             return self._decide_detour(ctx, message)
         return self._decide_dp(ctx, message)
 

@@ -45,7 +45,6 @@ from repro.sim.message import HeaderPhase, Message
 from repro.sim.parallel import run_tasks
 from repro.sim.postmortem import DeadlockError
 from repro.sim.simulator import PROTOCOLS, NetworkSimulator
-from repro.sim.traffic import make_injection_process, make_pattern
 
 #: Vulnerable message phases the controller aims its bursts at.
 TRIGGERS = ("setup", "backtrack", "teardown")
@@ -192,13 +191,10 @@ class ChaosSpec(HarnessSpec):
             raise ValueError("bursts and burst_size must be >= 1")
         if not 0.0 <= self.node_fault_fraction <= 1.0:
             raise ValueError("node_fault_fraction must be in [0, 1]")
-        # Build each run's workload now, so a value its run would
-        # reject fails here rather than inside the campaign.
+        # Build each run's config now, so a value its run would reject
+        # fails here rather than inside the campaign.
         for protocol in self.protocols:
-            config = _sim_config(self, 0, **_chaos_workload(self, protocol))
-            make_pattern(config.traffic, cube(config.k, config.n),
-                         config.traffic_params)
-            make_injection_process(config, random.Random(0))
+            _sim_config(self, 0, **_chaos_workload(self, protocol))
 
 
 @dataclass

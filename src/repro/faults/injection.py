@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.faults.model import FaultState
 from repro.network.topology import KAryNCube
@@ -36,9 +36,10 @@ def place_random_node_faults(
 ) -> List[int]:
     """Fail ``count`` random distinct nodes; returns the failed node ids.
 
-    The placement rejects nodes whose failure would disconnect the
-    healthy portion of the network, and gives up (``RuntimeError``)
-    after :data:`MAX_PLACEMENT_ATTEMPTS` candidate draws.
+    Each candidate is checked before it fails: a node whose failure
+    would disconnect the healthy portion of the network is skipped and
+    never touches ``fault_state``.  Gives up (``RuntimeError``) after
+    :data:`MAX_PLACEMENT_ATTEMPTS` candidate draws.
     """
     topo = fault_state.topology
     if count < 0:
@@ -57,62 +58,11 @@ def place_random_node_faults(
         node = rng.randrange(topo.num_nodes)
         if node in fault_state.faulty_nodes:
             continue
-        snapshot = _snapshot_before_fail(fault_state, node)
-        fault_state.fail_node(node)
-        if not fault_state.healthy_nodes_connected():
-            _restore_after_rejected_fail(fault_state, node, snapshot)
+        if not fault_state.healthy_nodes_connected(lost=(node,)):
             continue
+        fault_state.fail_node(node)
         failed.append(node)
     return failed
-
-
-#: Placement-rollback snapshot: the incident link keys ``fail_node``
-#: would newly add, plus the prior ``last_failed_channels`` list.
-_FailSnapshot = Tuple[List[Tuple[int, int]], List[int]]
-
-
-def _snapshot_before_fail(
-    fault_state: FaultState, node: int
-) -> _FailSnapshot:
-    """Record exactly the state a rejected ``fail_node`` would touch.
-
-    FaultState does not support un-failing (real failures are
-    permanent); placement rollback instead snapshots the touched state
-    before the speculative failure and restores it on rejection —
-    O(degree) per rejection instead of rebuilding the whole fault state
-    from the accepted set (which made dense placements quadratic in the
-    fault count).
-    """
-    topo = fault_state.topology
-    new_links: List[Tuple[int, int]] = []
-    for dim, direction in topo.ports(node):
-        out_ch = topo.channel_id(node, dim, direction)
-        in_ch = topo.reverse_channel_id(out_ch)
-        link = FaultState._link_key(out_ch, in_ch)
-        if link not in fault_state.faulty_links:
-            new_links.append(link)
-    return new_links, list(fault_state.last_failed_channels)
-
-
-def _restore_after_rejected_fail(
-    fault_state: FaultState, node: int, snapshot: _FailSnapshot
-) -> None:
-    """Undo a speculative ``fail_node`` using its pre-fail snapshot.
-
-    ``fail_node`` recorded the channels it newly failed in
-    ``last_failed_channels``; together with the snapshotted link keys
-    that pins every mutation apart from the unsafe marks, which are
-    re-derived (one O(channels) pass, the same cost ``fail_node``
-    itself already paid).
-    """
-    fault_state.faulty_nodes.discard(node)
-    new_links, prior_last_failed = snapshot
-    for link in new_links:
-        fault_state.faulty_links.discard(link)
-    for ch in fault_state.last_failed_channels:
-        fault_state.channel_faulty[ch] = False
-    fault_state.last_failed_channels = prior_last_failed
-    fault_state._recompute_unsafe()
 
 
 @dataclass

@@ -14,8 +14,11 @@ protocol keys its optimistic-to-conservative flow-control switch off
 this designation.
 
 Failures are permanent (static at power-on, or dynamic during
-operation) and :class:`FaultState` supports incremental updates so the
-simulator can inject dynamic faults mid-run.
+operation): :class:`FaultState` can fail a component but never restore
+one, and supports incremental updates so the simulator can inject
+dynamic faults mid-run.  Every connectivity, distance and at-risk
+question is one breadth-first search over healthy channels,
+:meth:`FaultState.hops`.
 
 Beyond the paper's per-message reaction, the online reconfiguration
 subsystem (:mod:`repro.reconfig`) can push a *routing restriction
@@ -31,21 +34,22 @@ exactly one epoch bump per reconfiguration.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Set
 
 from repro.network.topology import KAryNCube
 
 
 class FaultState:
-    """Mutable fault status of every node and channel in a network."""
+    """Mutable fault status of every node and channel in a network.
+
+    Only this class writes its fields; a failed component stays failed.
+    """
 
     def __init__(self, topology: KAryNCube):
         self.topology = topology
         self.faulty_nodes: Set[int] = set()
-        #: Failed physical links as unordered channel-id pairs; both
-        #: directed channels of a link fail together.
-        self.faulty_links: Set[Tuple[int, int]] = set()
+        #: Failed channels; both directed channels of a link fail
+        #: together, so this is also the record of failed links.
         self.channel_faulty: List[bool] = [False] * topology.num_channels
         self.channel_unsafe: List[bool] = [False] * topology.num_channels
         #: Healthy channels withdrawn from adaptive/misroute candidate
@@ -59,12 +63,13 @@ class FaultState:
         self.unsafe_radius: int = 1
         #: Committed reconfigurations (restriction epochs) so far.
         self.restriction_epoch: int = 0
-        #: Channels whose fault status changed in the most recent
-        #: update; the engine uses this to find interrupted messages.
+        #: Channels the most recent fault update newly failed (empty
+        #: when it failed nothing new); the engine uses this to find
+        #: interrupted messages.
         self.last_failed_channels: List[int] = []
         #: Monotonic fault epoch, bumped whenever the faulty/unsafe
-        #: designations change (including placement rollbacks).  Route
-        #: caches key their fault-dependent entries on this counter.
+        #: designations change.  Route caches key their fault-dependent
+        #: entries on this counter.
         self.epoch: int = 0
 
     # ------------------------------------------------------------------
@@ -74,16 +79,13 @@ class FaultState:
         """Fail a PE and its router: all incident links become faulty."""
         topo = self.topology
         if node in self.faulty_nodes:
+            self.last_failed_channels = []
             return
         self.faulty_nodes.add(node)
         newly_failed = []
         for dim, direction in topo.ports(node):
             out_ch = topo.channel_id(node, dim, direction)
-            in_ch = topo.reverse_channel_id(out_ch)
-            link = self._link_key(out_ch, in_ch)
-            if link not in self.faulty_links:
-                self.faulty_links.add(link)
-            for ch in (out_ch, in_ch):
+            for ch in (out_ch, topo.reverse_channel_id(out_ch)):
                 if not self.channel_faulty[ch]:
                     self.channel_faulty[ch] = True
                     newly_failed.append(ch)
@@ -92,22 +94,13 @@ class FaultState:
 
     def fail_link(self, channel_id: int) -> None:
         """Fail a physical link (both directed channels)."""
-        rev = self.topology.reverse_channel_id(channel_id)
-        link = self._link_key(channel_id, rev)
-        if link in self.faulty_links:
+        if self.channel_faulty[channel_id]:
+            self.last_failed_channels = []
             return
-        self.faulty_links.add(link)
-        newly_failed = []
-        for ch in (channel_id, rev):
-            if not self.channel_faulty[ch]:
-                self.channel_faulty[ch] = True
-                newly_failed.append(ch)
-        self.last_failed_channels = newly_failed
+        rev = self.topology.reverse_channel_id(channel_id)
+        self.channel_faulty[channel_id] = self.channel_faulty[rev] = True
+        self.last_failed_channels = [channel_id, rev]
         self._recompute_unsafe()
-
-    @staticmethod
-    def _link_key(a: int, b: int) -> Tuple[int, int]:
-        return (a, b) if a < b else (b, a)
 
     # ------------------------------------------------------------------
     # Derived status
@@ -116,45 +109,28 @@ class FaultState:
         """Re-derive unsafe marks from the current fault sets.
 
         A healthy channel ``u -> v`` is unsafe iff its head node ``v``
-        is *at risk*: within :attr:`unsafe_radius` hops (over healthy
-        channels) of a node incident to a faulty channel.  At the
-        default radius 1 the at-risk set is exactly the paper's rule —
-        nodes touching a failed component — and the marks are
-        bit-identical to the pre-reconfiguration implementation.
+        is *at risk*: within ``unsafe_radius - 1`` healthy hops of a
+        node incident to a faulty channel.  At the default radius 1 the
+        at-risk set is exactly the paper's rule — nodes touching a
+        failed component.
 
         Every mutation of the fault sets funnels through here, so this
         is also the single point that advances the fault epoch.
         """
         self.epoch += 1
         topo = self.topology
-        at_risk = [False] * topo.num_nodes
-        frontier: List[int] = []
+        touching = set()
         for ch_id, faulty in enumerate(self.channel_faulty):
             if faulty:
                 c = topo.channel(ch_id)
-                for node in (c.src, c.dst):
-                    if not at_risk[node]:
-                        at_risk[node] = True
-                        frontier.append(node)
-        for _ in range(self.unsafe_radius - 1):
-            if not frontier:
-                break
-            nxt: List[int] = []
-            for node in frontier:
-                for dim, direction in topo.ports(node):
-                    ch = topo.channel_id(node, dim, direction)
-                    if self.channel_faulty[ch]:
-                        continue
-                    v = topo.channel(ch).dst
-                    if not at_risk[v]:
-                        at_risk[v] = True
-                        nxt.append(v)
-            frontier = nxt
+                touching.add(c.src)
+                touching.add(c.dst)
+        at_risk = self.hops(touching, within=self.unsafe_radius - 1)
         for ch_id in range(topo.num_channels):
             if self.channel_faulty[ch_id]:
                 self.channel_unsafe[ch_id] = False
             else:
-                self.channel_unsafe[ch_id] = at_risk[topo.channel(ch_id).dst]
+                self.channel_unsafe[ch_id] = topo.channel(ch_id).dst in at_risk
 
     def reconfigure(
         self,
@@ -190,79 +166,55 @@ class FaultState:
     @property
     def num_faults(self) -> int:
         """Total failed components (nodes + independently failed links)."""
-        node_links = set()
-        for node in self.faulty_nodes:
-            for dim, direction in self.topology.ports(node):
-                ch = self.topology.channel_id(node, dim, direction)
-                node_links.add(self._link_key(ch, self.topology.reverse_channel_id(ch)))
-        independent_links = len(self.faulty_links - node_links)
-        return len(self.faulty_nodes) + independent_links
+        topo = self.topology
+        failed = self.faulty_nodes
+        links = 0
+        for ch, faulty in enumerate(self.channel_faulty):
+            if faulty and ch < topo.reverse_channel_id(ch):
+                c = topo.channel(ch)
+                links += c.src not in failed and c.dst not in failed
+        return len(failed) + links
 
     # ------------------------------------------------------------------
     # Connectivity
     # ------------------------------------------------------------------
-    def healthy_neighbors(self, node: int) -> List[int]:
-        """Neighbors reachable over healthy channels from ``node``."""
+    def hops(self, sources: Iterable[int], avoid: Collection[int] = (),
+             within: Optional[int] = None) -> Dict[int, int]:
+        """Hop count over healthy channels from the nearest of
+        ``sources`` to every node it reaches, never entering a node in
+        ``avoid`` and going no further than ``within`` hops."""
         topo = self.topology
-        result = []
-        for dim, direction in topo.ports(node):
-            ch = topo.channel_id(node, dim, direction)
-            if not self.channel_faulty[ch]:
-                result.append(topo.channel(ch).dst)
-        return result
+        dist = dict.fromkeys(sources, 0)
+        frontier = list(dist)
+        depth = 0
+        while frontier and (within is None or depth < within):
+            depth += 1
+            nxt = []
+            for node in frontier:
+                for dim, direction in topo.ports(node):
+                    ch = topo.channel_id(node, dim, direction)
+                    if self.channel_faulty[ch]:
+                        continue
+                    v = topo.channel(ch).dst
+                    if v not in dist and v not in avoid:
+                        dist[v] = depth
+                        nxt.append(v)
+            frontier = nxt
+        return dist
 
-    def reachable(self, src: int, dst: int) -> bool:
-        """Whether ``dst`` is reachable from ``src`` over healthy links."""
-        if self.is_node_faulty(src) or self.is_node_faulty(dst):
-            return False
-        if src == dst:
-            return True
-        seen = {src}
-        frontier = deque([src])
-        while frontier:
-            node = frontier.popleft()
-            for nxt in self.healthy_neighbors(node):
-                if nxt == dst:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return False
-
-    def healthy_nodes_connected(self) -> bool:
-        """Whether all healthy nodes form one connected component."""
+    def healthy_nodes_connected(self, lost: Collection[int] = ()) -> bool:
+        """Whether the healthy nodes not in ``lost`` form one connected
+        component of the healthy network less ``lost``."""
         healthy = [
-            node
-            for node in range(self.topology.num_nodes)
-            if node not in self.faulty_nodes
+            node for node in range(self.topology.num_nodes)
+            if node not in self.faulty_nodes and node not in lost
         ]
         if not healthy:
             return True
-        seen = {healthy[0]}
-        frontier = deque([healthy[0]])
-        while frontier:
-            node = frontier.popleft()
-            for nxt in self.healthy_neighbors(node):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return len(seen) == len(healthy)
+        return len(self.hops(healthy[:1], avoid=lost)) == len(healthy)
 
     def shortest_healthy_distance(self, src: int, dst: int) -> Optional[int]:
         """BFS hop count over healthy channels, or ``None`` if cut off."""
         if self.is_node_faulty(src) or self.is_node_faulty(dst):
             return None
-        if src == dst:
-            return 0
-        seen = {src: 0}
-        frontier = deque([src])
-        while frontier:
-            node = frontier.popleft()
-            for nxt in self.healthy_neighbors(node):
-                if nxt in seen:
-                    continue
-                seen[nxt] = seen[node] + 1
-                if nxt == dst:
-                    return seen[nxt]
-                frontier.append(nxt)
-        return None
+        return self.hops((src,)).get(dst)

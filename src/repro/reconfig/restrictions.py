@@ -22,12 +22,13 @@ under the steady-state fast-forward.  As a safety valve, a plan whose
 restrictions would split the non-pocket healthy nodes into more than
 one component (restrictions prune only adaptive candidates, but a
 split would still force every crossing onto the escape layer) falls
-back to the radius-only plan with no pruning.
+back to the radius-only plan with no pruning.  That check is one
+:meth:`FaultState.healthy_nodes_connected` search with the pocket
+nodes lost: every restricted channel enters a pruned node.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import List, Set, Tuple
 
@@ -105,48 +106,18 @@ def _prune_dead_ends(
     return restricted, pruned
 
 
-def _non_pocket_connected(
-    faults: FaultState, restricted: Set[int], pruned: Set[int]
-) -> bool:
-    """Whether non-pocket healthy nodes stay one component.
-
-    Edges are healthy, unrestricted channels between non-pocket healthy
-    nodes — the graph adaptive routing is left with after the plan.
-    """
-    topo = faults.topology
-    nodes = [
-        n for n in range(topo.num_nodes)
-        if not faults.is_node_faulty(n) and n not in pruned
-    ]
-    if not nodes:
-        # Pruning cascaded over every healthy node — the "plan" would
-        # restrict the whole network, which steers nothing.  Treat it
-        # as a failed plan so the caller falls back to radius-only.
-        return False
-    if len(nodes) == 1:
-        return True
-    seen = {nodes[0]}
-    frontier = deque([nodes[0]])
-    while frontier:
-        node = frontier.popleft()
-        for dim, direction in topo.ports(node):
-            ch = topo.channel_id(node, dim, direction)
-            if faults.channel_faulty[ch] or ch in restricted:
-                continue
-            nxt = topo.channel(ch).dst
-            if nxt in pruned or nxt in seen:
-                continue
-            seen.add(nxt)
-            frontier.append(nxt)
-    return len(seen) == len(nodes)
-
-
 def compute_plan(faults: FaultState) -> RestrictionPlan:
     """Derive the restriction epoch for the current fault set."""
     connected = True
     restricted, pruned = _prune_dead_ends(faults)
     if restricted:
-        connected = _non_pocket_connected(faults, restricted, set(pruned))
+        # A plan pruning every healthy node steers nothing and counts
+        # as not connected.
+        lost = set(pruned)
+        connected = (
+            len(lost) + len(faults.faulty_nodes) < faults.topology.num_nodes
+            and faults.healthy_nodes_connected(lost=lost)
+        )
         if not connected:
             restricted = set()
             pruned = []

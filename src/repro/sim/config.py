@@ -14,10 +14,16 @@ restores the paper-scale parameters under ``REPRO_PAPER_SCALE=1``.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict
 
-from repro.sim.traffic import traffic_param_keys
+from repro.network.topology import cube
+from repro.sim.traffic import (
+    BURST_PARAM_KEYS,
+    make_injection_process,
+    make_pattern,
+)
 
 
 @dataclass
@@ -198,13 +204,23 @@ class SimulationConfig:
             raise ValueError("watchdog_cycles must be >= 1")
         if self.max_header_wait < 1:
             raise ValueError("max_header_wait must be >= 1")
-        keys = traffic_param_keys(self.traffic)
+        # Build the geometry, pattern, injection process and protocol
+        # once, so a value any of them rejects fails here, not in the
+        # engine.  The simulator module imports this one.
+        from repro.sim.simulator import make_protocol
+
+        pattern = make_pattern(
+            self.traffic, cube(self.k, self.n), self.traffic_params
+        )
+        keys = pattern.param_keys + BURST_PARAM_KEYS
         unknown = sorted(set(self.traffic_params) - set(keys))
         if unknown:
             raise ValueError(
                 f"unknown traffic_params keys {unknown} for traffic "
                 f"{self.traffic!r}; choose from {keys}"
             )
+        make_injection_process(self, random.Random(0))
+        make_protocol(self.protocol, **self.protocol_params)
 
     @property
     def total_cycles(self) -> int:

@@ -33,7 +33,6 @@ from repro.sim.message import (
     HeaderPhase,
     Message,
     MessageStatus,
-    TPMode,
 )
 
 #: Source-level retries of a message whose path construction failed
@@ -247,9 +246,7 @@ def _arrive_header(engine, msg: Message, p: int) -> None:
     if node == msg.dst:
         header_reached_destination(engine, msg)
         return
-    if msg.tp_mode is TPMode.DETOUR and detour_rules.detour_complete(
-        msg, at_destination=False
-    ):
+    if detour_rules.detour_complete(msg, at_destination=False):
         detour_rules.complete_detour(msg)
         if p >= 1:
             send_up(engine, ControlKind.RESUME, msg, p)
@@ -259,7 +256,7 @@ def _arrive_header(engine, msg: Message, p: int) -> None:
 def header_reached_destination(engine, msg: Message) -> None:
     """The destination consumed the header: send the path
     acknowledgment back when the data waits for it."""
-    if msg.tp_mode is TPMode.DETOUR:
+    if msg.header.detour:
         detour_rules.complete_detour(msg)
     msg.header_phase = HeaderPhase.DELIVERED
     if msg.needs_path_ack and msg.path:
@@ -280,7 +277,7 @@ def _arrive_header_back(engine, msg: Message, p: int) -> None:
     msg.pop_path()
     msg.tried[p].add(popped_vc.channel_id)
     header = msg.header
-    if msg.tp_mode is TPMode.DETOUR:
+    if header.detour:
         detour_rules.record_backtrack(msg, dim, direction, was_misroute)
     elif was_misroute:
         header.misroutes = max(0, header.misroutes - 1)

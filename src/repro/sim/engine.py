@@ -91,7 +91,6 @@ from repro.sim.message import (
     HeaderPhase,
     Message,
     MessageStatus,
-    TPMode,
 )
 from repro.sim.stats import MessageRecord
 from repro.sim.traffic import TrafficGenerator, make_injection_process
@@ -640,7 +639,7 @@ class Engine:
         if k > 0 or hold:
             msg.needs_path_ack = True
         # Misroute / detour accounting happens at reservation time.
-        if msg.tp_mode is TPMode.DETOUR:
+        if msg.header.detour:
             detour_rules.record_forward_hop(msg, dim, direction, is_misroute)
         elif is_misroute:
             msg.header.misroutes += 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from repro.sim import control
-from repro.sim.message import ControlKind, HeaderPhase, TPMode
+from repro.sim.message import ControlKind, HeaderPhase
 
 #: A bound that no segment reaches.
 _UNBOUNDED = 1 << 62
@@ -185,7 +185,7 @@ def _plan(engine):
     buffered = lead.buffered
     if (
         lead.needs_path_ack
-        or lead.tp_mode is TPMode.DETOUR
+        or lead.header.detour
         or (buffered and (buffered[-1] or max(buffered) > 1))
     ):
         return None

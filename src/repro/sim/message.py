@@ -109,13 +109,6 @@ class HeaderPhase(enum.Enum):
     GONE = 3
 
 
-class TPMode(enum.Enum):
-    """Two-Phase routing mode (Figure 6)."""
-
-    DP = 0      # optimistic phase: Duato's Protocol restrictions
-    DETOUR = 1  # conservative phase: unrestricted search with misroutes
-
-
 class Message:
     """One message and all of its pipeline / routing state."""
 
@@ -124,7 +117,7 @@ class Message:
         "created_cycle", "injected_cycle", "delivered_cycle",
         "status", "drop_reason",
         "header", "header_phase", "header_router",
-        "tp_mode", "needs_path_ack", "path_established",
+        "needs_path_ack", "path_established",
         "path", "path_nodes", "k_at", "held", "released", "link_misroute",
         "acks_at", "tried", "arrival_dims",
         "buffered", "at_source", "ejected", "killed_flits",
@@ -167,7 +160,6 @@ class Message:
         self.header_phase = HeaderPhase.PENDING
         #: Path index of the router where the header is (or is heading).
         self.header_router = 0
-        self.tp_mode = TPMode.DP
         self.needs_path_ack = False
         self.path_established = False
 

@@ -486,14 +486,6 @@ DEFAULT_BURST_OFF_LOAD = 0.0
 BURST_PARAM_KEYS = ("burst_on", "burst_off", "burst_off_load")
 
 
-def traffic_param_keys(pattern: str) -> Tuple[str, ...]:
-    """Every ``traffic_params`` key a run of ``pattern`` reads, the
-    burst keys included; :class:`~repro.sim.config.SimulationConfig`
-    rejects any other."""
-    cls = _PATTERN_CLASSES.get(pattern, TrafficPattern)
-    return cls.param_keys + BURST_PARAM_KEYS
-
-
 def make_injection_process(config, rng: random.Random) -> InjectionProcess:
     """Build the injection process a config asks for.
 

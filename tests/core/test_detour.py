@@ -1,7 +1,7 @@
 """Unit tests for detour-construction bookkeeping."""
 
 from repro.core import detour
-from repro.sim.message import Message, TPMode
+from repro.sim.message import Message
 
 
 def make_msg() -> Message:
@@ -16,8 +16,8 @@ class TestEnterExit:
     def test_enter_sets_mode_and_bit(self):
         msg = make_msg()
         detour.enter_detour(msg)
-        assert msg.tp_mode is TPMode.DETOUR
         assert msg.header.detour
+        assert detour.detour_complete(msg, at_destination=True)
         assert msg.detour_count == 1
 
     def test_complete_resets(self):
@@ -25,8 +25,8 @@ class TestEnterExit:
         detour.enter_detour(msg)
         msg.header.misroutes = 3
         detour.complete_detour(msg)
-        assert msg.tp_mode is TPMode.DP
         assert not msg.header.detour
+        assert not detour.detour_complete(msg, at_destination=True)
         assert msg.header.misroutes == 0
         assert msg.detour_stack == []
 

@@ -1,7 +1,14 @@
 """Unit tests for the fault model (Section 2.4, Figure 3)."""
 
+from collections import deque
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.faults.model import FaultState
 from repro.network.topology import MINUS, PLUS, KAryNCube
+
+TORUS6 = KAryNCube(6, 2)
 
 
 class TestNodeFaults:
@@ -16,9 +23,19 @@ class TestNodeFaults:
     def test_fail_node_idempotent(self, torus8):
         faults = FaultState(torus8)
         faults.fail_node(9)
-        links_before = set(faults.faulty_links)
+        channels_before = list(faults.channel_faulty)
+        epoch = faults.epoch
         faults.fail_node(9)
-        assert faults.faulty_links == links_before
+        assert faults.channel_faulty == channels_before
+        assert faults.epoch == epoch
+
+    def test_failing_node_twice_fails_no_channel(self, torus8):
+        """A repeat failure reports no channel, so the engine's fault
+        phase does not re-walk the previous event's channels."""
+        faults = FaultState(torus8)
+        faults.fail_node(9)
+        faults.fail_node(9)
+        assert faults.last_failed_channels == []
 
     def test_is_node_faulty(self, torus8):
         faults = FaultState(torus8)
@@ -45,6 +62,22 @@ class TestLinkFaults:
         faults.fail_link(ch)
         assert faults.channel_faulty[ch]
         assert faults.channel_faulty[torus8.reverse_channel_id(ch)]
+
+    def test_failing_link_twice_fails_no_channel(self, torus8):
+        faults = FaultState(torus8)
+        ch = torus8.channel_id(0, 0, PLUS)
+        faults.fail_link(ch)
+        assert sorted(faults.last_failed_channels) == sorted(
+            [ch, torus8.reverse_channel_id(ch)]
+        )
+        faults.fail_link(torus8.reverse_channel_id(ch))
+        assert faults.last_failed_channels == []
+
+    def test_link_of_failed_node_fails_no_channel(self, torus8):
+        faults = FaultState(torus8)
+        faults.fail_node(0)
+        faults.fail_link(torus8.channel_id(0, 0, PLUS))
+        assert faults.last_failed_channels == []
 
     def test_fail_link_does_not_fail_nodes(self, torus8):
         faults = FaultState(torus8)
@@ -107,26 +140,74 @@ class TestUnsafeMarking:
         assert faults.channel_unsafe[into_a]
 
 
+def _unsafe_by_definition(faults: FaultState, radius: int):
+    """Healthy ``u -> v`` is unsafe iff ``v`` is within ``radius - 1``
+    healthy hops of a node touching a faulty channel (own search)."""
+    topo = faults.topology
+    dist = {}
+    healthy_out = {node: [] for node in range(topo.num_nodes)}
+    for ch in range(topo.num_channels):
+        c = topo.channel(ch)
+        if faults.channel_faulty[ch]:
+            dist[c.src] = dist[c.dst] = 0
+        else:
+            healthy_out[c.src].append(c.dst)
+    queue = deque(dist)
+    while queue:
+        u = queue.popleft()
+        for v in healthy_out[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return [
+        not faults.channel_faulty[ch]
+        and dist.get(topo.channel(ch).dst, radius) <= radius - 1
+        for ch in range(topo.num_channels)
+    ]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    nodes=st.sets(st.integers(0, TORUS6.num_nodes - 1), max_size=4),
+    links=st.sets(st.integers(0, TORUS6.num_channels - 1), max_size=4),
+    radius=st.integers(1, 3),
+    radius_first=st.booleans(),
+)
+def test_widened_unsafe_ball_matches_its_definition(
+    nodes, links, radius, radius_first
+):
+    faults = FaultState(TORUS6)
+    if radius_first:
+        faults.reconfigure((), unsafe_radius=radius)
+    for node in sorted(nodes):
+        faults.fail_node(node)
+    for ch in sorted(links):
+        faults.fail_link(ch)
+    if not radius_first:
+        faults.reconfigure((), unsafe_radius=radius)
+    assert faults.channel_unsafe == _unsafe_by_definition(faults, radius)
+
+
 class TestConnectivity:
     def test_reachable_fault_free(self, torus8):
         faults = FaultState(torus8)
-        assert faults.reachable(0, 63)
+        assert faults.shortest_healthy_distance(0, 63) == 2  # wraparound
 
     def test_reachable_self(self, torus8):
         faults = FaultState(torus8)
-        assert faults.reachable(5, 5)
+        assert faults.shortest_healthy_distance(5, 5) == 0
 
     def test_not_reachable_when_endpoint_failed(self, torus8):
         faults = FaultState(torus8)
         faults.fail_node(7)
-        assert not faults.reachable(0, 7)
-        assert not faults.reachable(7, 0)
+        assert faults.shortest_healthy_distance(0, 7) is None
+        assert faults.shortest_healthy_distance(7, 0) is None
 
     def test_surrounded_node_unreachable(self, torus4):
         faults = FaultState(torus4)
         for nb in torus4.neighbors(5):
             faults.fail_node(nb)
-        assert not faults.reachable(0, 5)
+        assert 5 not in faults.hops((0,))
         assert not faults.healthy_nodes_connected()
 
     def test_connected_with_scattered_faults(self, torus8):
@@ -138,7 +219,18 @@ class TestConnectivity:
     def test_healthy_neighbors_excludes_failed(self, torus8):
         faults = FaultState(torus8)
         faults.fail_node(1)
-        assert 1 not in faults.healthy_neighbors(0)
+        one_hop = faults.hops((0,), within=1)
+        assert 1 not in one_hop
+        assert sorted(one_hop) == sorted({0} | set(torus8.neighbors(0)) - {1})
+
+    def test_hops_never_enters_avoided_nodes(self, torus4):
+        faults = FaultState(torus4)
+        ring = set(torus4.neighbors(5))
+        assert set(faults.hops((0,), avoid=ring)) == (
+            set(range(torus4.num_nodes)) - ring - {5}
+        )
+        assert not faults.healthy_nodes_connected(lost=ring)
+        assert faults.healthy_nodes_connected(lost=(5,))
 
     def test_shortest_healthy_distance_detour(self, torus8):
         faults = FaultState(torus8)

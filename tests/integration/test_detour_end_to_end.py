@@ -6,7 +6,6 @@ from repro.faults.model import FaultState
 from repro.network.topology import KAryNCube
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Engine
-from repro.sim.message import TPMode
 from repro.sim.simulator import make_protocol
 from repro.sim.trace import MessageTracer
 
@@ -39,13 +38,13 @@ class TestDetourLifecycle:
         saw_detour = False
         for _ in range(600):
             engine.step()
-            if msg.tp_mode is TPMode.DETOUR:
+            if msg.header.detour:
                 saw_detour = True
             if msg.is_terminal():
                 break
         assert saw_detour, "the wall must force a detour"
         assert msg.status.name == "DELIVERED"
-        assert msg.tp_mode is TPMode.DP  # completed, reset to DP
+        assert not msg.header.detour  # completed, reset to DP
         assert not msg.header.detour
         assert msg.detour_count >= 1
 
@@ -56,7 +55,7 @@ class TestDetourLifecycle:
         msg = engine.inject(0, topo.node_id((3, 0)), length=16)
         for _ in range(600):
             engine.step()
-            if msg.tp_mode is TPMode.DETOUR:
+            if msg.header.detour:
                 for idx, held in enumerate(msg.held):
                     if held:
                         assert msg.buffered[idx] == 0, (
@@ -76,9 +75,9 @@ class TestDetourLifecycle:
         prev_len = 0
         for _ in range(600):
             engine.step()
-            if len(msg.path) > prev_len and msg.tp_mode is TPMode.DETOUR:
+            if len(msg.path) > prev_len and msg.header.detour:
                 detour_classes.add(msg.path[-1].vclass)
-            was_detour = msg.tp_mode is TPMode.DETOUR
+            was_detour = msg.header.detour
             prev_len = len(msg.path)
             if msg.is_terminal():
                 break

@@ -12,7 +12,7 @@ from repro.core.two_phase import TwoPhaseProtocol
 from repro.network.channel import VCClass
 from repro.network.topology import KAryNCube, PLUS
 from repro.routing.base import Action
-from repro.sim.message import Message, TPMode
+from repro.sim.message import Message
 
 from tests.conftest import build_engine, drain_engine, make_context
 
@@ -38,7 +38,7 @@ class TestSelfOwnedEscape:
         decision = TwoPhaseProtocol().decide(ctx, msg)
         # Must not WAIT: the deterministic VC belongs to this message.
         assert decision.action is not Action.WAIT
-        assert msg.tp_mode is TPMode.DETOUR
+        assert msg.header.detour
 
     def test_waits_when_other_message_owns_escape(self, torus8):
         ctx = make_context(torus8)
@@ -54,7 +54,7 @@ class TestSelfOwnedEscape:
             vc.reserve(99)  # someone else
         decision = TwoPhaseProtocol().decide(ctx, msg)
         assert decision.action is Action.WAIT
-        assert msg.tp_mode is TPMode.DP
+        assert not msg.header.detour
 
 
 class TestWaitLimitEscape:

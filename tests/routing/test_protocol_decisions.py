@@ -14,7 +14,7 @@ from repro.routing import mb
 from repro.routing.base import Action
 from repro.routing.duato import DuatoProtocol
 from repro.routing.mb import MBmProtocol
-from repro.sim.message import Message, TPMode
+from repro.sim.message import Message
 
 from tests.conftest import make_context
 
@@ -206,7 +206,7 @@ class TestTwoPhaseDP:
             vc.reserve(9)
         d = TwoPhaseProtocol().decide(ctx, msg)
         assert d.action is Action.WAIT
-        assert msg.tp_mode is TPMode.DP
+        assert not msg.header.detour
 
     def test_switches_to_sr_on_unsafe_adaptive(self, torus8):
         faults = FaultState(torus8)
@@ -243,8 +243,8 @@ class TestTwoPhaseDP:
         ctx = make_context(torus8, faults=faults)
         msg = make_msg(torus8, 0, dst)
         d = TwoPhaseProtocol().decide(ctx, msg)
-        assert msg.tp_mode is TPMode.DETOUR
         assert msg.header.detour
+        assert msg.detour_count == 1
         # The detour decision itself misroutes (hold set).
         assert d.action is Action.RESERVE
         assert d.hold
@@ -254,7 +254,6 @@ class TestTwoPhaseDP:
 class TestTwoPhaseDetour:
     def _detour_msg(self, topo, ctx, src, dst):
         msg = make_msg(topo, src, dst)
-        msg.tp_mode = TPMode.DETOUR
         msg.header.detour = True
         return msg
 

@@ -12,6 +12,13 @@ from repro.sim.config import (
 from repro.sim.simulator import NetworkSimulator
 
 
+def _bad(field, value, match=None, id=None, **context):
+    """A case where ``field=value``, beside the fields in ``context``,
+    is rejected with an error naming ``match`` (default: the field)."""
+    return pytest.param(field, value, context, match or field,
+                        id=id or f"{field}-{value}")
+
+
 class TestValidation:
     def test_defaults_valid(self):
         cfg = SimulationConfig()
@@ -27,34 +34,39 @@ class TestValidation:
         with pytest.raises(ValueError):
             SimulationConfig(message_length=0)
 
-    @pytest.mark.parametrize("field,value", [
-        ("warmup_cycles", -5),
-        ("measure_cycles", -1),
-        ("drain_cycles", -1),
-        ("watchdog_cycles", 0),
-        ("max_header_wait", 0),
-        pytest.param(
-            "traffic_params", {"hotspot_fracton": 0.3},
-            id="traffic_params-misspelt-key",
-        ),
+    @pytest.mark.parametrize("field,value,context,match", [
+        _bad("warmup_cycles", -5),
+        _bad("measure_cycles", -1),
+        _bad("drain_cycles", -1),
+        _bad("watchdog_cycles", 0),
+        _bad("max_header_wait", 0),
+        _bad("traffic_params", {"hotspot_fracton": 0.3},
+             id="traffic_params-misspelt-key"),
         # The default uniform pattern reads no hotspot key.
-        pytest.param(
-            "traffic_params", {"hotspot_fraction": 5},
-            id="traffic_params-key-the-pattern-never-reads",
-        ),
-        ("static_node_faults", -1),
-        ("dynamic_faults", -1),
-        ("max_retransmits", -1),
+        _bad("traffic_params", {"hotspot_fraction": 5},
+             id="traffic_params-key-the-pattern-never-reads"),
+        _bad("static_node_faults", -1),
+        _bad("dynamic_faults", -1),
+        _bad("max_retransmits", -1),
+        # Rejected by the geometry, pattern, injection process or
+        # protocol the config builds, not by a check of its own.
+        _bad("traffic", "bogus"),
+        _bad("k", 2, match="radix k"),
+        _bad("traffic_params", {"hotspot_fraction": 5}, traffic="hotspot",
+             match="hotspot_fraction", id="traffic_params-hotspot-fraction-5"),
+        _bad("protocol", "bogus"),
+        _bad("protocol_params", {"k_unsafe": -1}, match="k_unsafe",
+             id="protocol_params-negative-k_unsafe"),
     ])
-    def test_rejects_bad_run_control(self, field, value):
+    def test_rejects_bad_run_control(self, field, value, context, match):
         owner = next(
             cls for cls in (SimulationConfig, FaultConfig, RecoveryConfig)
             if field in {f.name for f in dataclasses.fields(cls)}
         )
-        with pytest.raises(ValueError, match=field):
-            owner(**{field: value})
-        with pytest.raises(ValueError, match=field):
-            dataclasses.replace(owner(), **{field: value})
+        with pytest.raises(ValueError, match=match):
+            owner(**context, **{field: value})
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(owner(**context), **{field: value})
 
     def test_simulator_rejects_empty_window_at_construction(self):
         """A hand-driven Engine may have no measurement window; a

@@ -120,7 +120,7 @@ def _msg_state(msg):
         msg.status.name,
         msg.header_phase.name,
         msg.header_router,
-        msg.tp_mode.name,
+        msg.header.detour,
         msg.at_source,
         msg.head_link,
         msg.tail_idx,

@@ -6,6 +6,7 @@ figure has claims in the figure bench, and the paper's headline
 constants stay pinned where the docs say they are.
 """
 
+import ast
 import importlib
 import pathlib
 import re
@@ -220,3 +221,55 @@ def test_design_names_existing_tests():
         if names_here is None or not set(names) <= names_here:
             missing.append(ref)
     assert missing == []
+
+
+#: ``FaultState`` fields only ``faults/model.py`` may write: a failure
+#: is permanent, so nothing else may set or undo one.
+_FAULT_FIELDS = {
+    "faulty_nodes", "channel_faulty", "channel_unsafe", "channel_restricted",
+    "last_failed_channels", "unsafe_radius", "epoch",
+}
+_MUTATORS = {"add", "discard", "clear", "remove", "update", "pop"}
+
+
+def _fault_state_writes(tree):
+    """``(line, what)`` of every write to a fault field, and every call
+    of ``_recompute_unsafe``, in one module's syntax tree."""
+    def field_of(node):
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        if isinstance(node, ast.Attribute) and node.attr in _FAULT_FIELDS:
+            return node.attr
+        return None
+
+    for node in ast.walk(tree):
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets.extend(target.elts)
+            elif field_of(target):
+                yield node.lineno, f"assigns {field_of(target)}"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            if func.attr == "_recompute_unsafe":
+                yield node.lineno, "calls _recompute_unsafe"
+            elif func.attr in _MUTATORS and field_of(func.value):
+                yield node.lineno, f"{func.attr}s {field_of(func.value)}"
+
+
+def test_fault_state_has_one_writer():
+    """Only ``faults/model.py`` writes ``FaultState``'s fault fields or
+    re-derives its unsafe marks."""
+    src = ROOT / "src" / "repro"
+    found = [
+        f"{path.relative_to(src)}:{line} {what}"
+        for path in sorted(src.rglob("*.py"))
+        if path != src / "faults" / "model.py"
+        for line, what in _fault_state_writes(ast.parse(path.read_text()))
+    ]
+    assert found == []
