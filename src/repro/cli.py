@@ -65,7 +65,7 @@ from repro.experiments.report import render_series_table
 from repro.sim import validation
 from repro.sim.config import FaultConfig, RecoveryConfig, SimulationConfig
 from repro.sim.simulator import NetworkSimulator
-from repro.sim.traffic import TrafficGenerator
+from repro.sim.traffic import PATTERNS
 
 
 def _pattern_param(pair: str) -> Tuple[str, object]:
@@ -106,11 +106,11 @@ def _jobs(raw: str) -> int:
 def _pattern_list(raw: str) -> List[str]:
     """``sweep --pattern``: comma-separated catalog patterns."""
     patterns = raw.split(",")
-    unknown = [p for p in patterns if p not in TrafficGenerator.PATTERNS]
+    unknown = [p for p in patterns if p not in PATTERNS]
     if unknown:
         raise argparse.ArgumentTypeError(
             f"unknown pattern {', '.join(unknown)}; choose from "
-            f"{', '.join(TrafficGenerator.PATTERNS)}"
+            f"{', '.join(PATTERNS)}"
         )
     return patterns
 
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--load", type=float, default=0.1,
                        help="offered load, flits/node/cycle")
     run_p.add_argument("--pattern", default="uniform",
-                       choices=TrafficGenerator.PATTERNS,
+                       choices=PATTERNS,
                        help="workload pattern (EXPERIMENTS.md catalog)")
     run_p.add_argument(
         "--pattern-param", action="append", type=_pattern_param,
@@ -487,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos_p.add_argument("--load", type=float, default=0.08)
     chaos_p.add_argument("--pattern", default="uniform",
-                         choices=TrafficGenerator.PATTERNS,
+                         choices=PATTERNS,
                          help="workload pattern under the fault storm")
     chaos_p.add_argument(
         "--pattern-param", action="append", type=_pattern_param,

@@ -96,6 +96,9 @@ DEFAULT_LOADS = (0.02, 0.05, 0.10, 0.15, 0.20, 0.28, 0.36)
 #: Saturated: mean latency above this multiple of the zero-load
 #: latency — for the grid reading and the knee search alike.
 LATENCY_FACTOR = 3.0
+#: The zero-load load (flits/node/cycle): its latency is the baseline
+#: of the grid reading and of the knee search alike.
+LOW_LOAD = 0.02
 
 
 def fig14_load(messages_per_5000: int) -> float:
@@ -162,13 +165,19 @@ class Series:
 
     def saturation_throughput(self) -> float:
         """Throughput where latency first crosses :data:`LATENCY_FACTOR`
-        times the first (zero-load) point's, interpolated linearly in
-        latency between the last point under the line and the first
-        over it (DESIGN.md §9).  NaN points are skipped; a curve that
-        never crosses saturates at its last point."""
-        if not self.points:
+        times the latency of the point at :data:`LOW_LOAD`,
+        interpolated linearly in latency between the last point under
+        the line and the first over it (DESIGN.md §9).  NaN points are
+        skipped; a curve that never crosses saturates at its last
+        point, and one with no point at :data:`LOW_LOAD` reads NaN."""
+        base = next(
+            (pt.latency for pt in self.points
+             if pt.offered_load == LOW_LOAD),
+            float("nan"),
+        )
+        if math.isnan(base):
             return float("nan")
-        threshold = LATENCY_FACTOR * self.points[0].latency
+        threshold = LATENCY_FACTOR * base
         lo = None  # the last point under the line
         for pt in self.points:
             if math.isnan(pt.latency):

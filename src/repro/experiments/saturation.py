@@ -25,10 +25,13 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.experiments.common import LATENCY_FACTOR, Scale, run_point
+from repro.experiments.common import (
+    LATENCY_FACTOR,
+    LOW_LOAD,
+    Scale,
+    run_point,
+)
 
-#: Zero-load probe (flits/node/cycle) used to measure the baseline.
-LOW_LOAD = 0.02
 #: Bracketing never pushes the offered load past this.
 MAX_LOAD = 0.72
 #: Bisection stops when the bracket is narrower than this.

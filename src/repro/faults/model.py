@@ -18,7 +18,9 @@ operation): :class:`FaultState` can fail a component but never restore
 one, and supports incremental updates so the simulator can inject
 dynamic faults mid-run.  Every connectivity, distance and at-risk
 question is one breadth-first search over healthy channels,
-:meth:`FaultState.hops`.
+:meth:`FaultState.hops`.  A failed node neither sends nor receives, so
+the nodes that carry traffic are :attr:`FaultState.healthy_nodes`, the
+one list the traffic generator and the engine's injection phase read.
 
 Beyond the paper's per-message reaction, the online reconfiguration
 subsystem (:mod:`repro.reconfig`) can push a *routing restriction
@@ -48,6 +50,9 @@ class FaultState:
     def __init__(self, topology: KAryNCube):
         self.topology = topology
         self.faulty_nodes: Set[int] = set()
+        #: Healthy node ids, ascending: the nodes that send and receive
+        #: traffic, one injection trial slot each per cycle.
+        self.healthy_nodes: List[int] = list(range(topology.num_nodes))
         #: Failed channels; both directed channels of a link fail
         #: together, so this is also the record of failed links.
         self.channel_faulty: List[bool] = [False] * topology.num_channels
@@ -82,6 +87,7 @@ class FaultState:
             self.last_failed_channels = []
             return
         self.faulty_nodes.add(node)
+        self.healthy_nodes.remove(node)
         newly_failed = []
         for dim, direction in topo.ports(node):
             out_ch = topo.channel_id(node, dim, direction)
@@ -205,10 +211,7 @@ class FaultState:
     def healthy_nodes_connected(self, lost: Collection[int] = ()) -> bool:
         """Whether the healthy nodes not in ``lost`` form one connected
         component of the healthy network less ``lost``."""
-        healthy = [
-            node for node in range(self.topology.num_nodes)
-            if node not in self.faulty_nodes and node not in lost
-        ]
+        healthy = [node for node in self.healthy_nodes if node not in lost]
         if not healthy:
             return True
         return len(self.hops(healthy[:1], avoid=lost)) == len(healthy)

@@ -285,12 +285,28 @@ class KAryNCube:
         return cached
 
     def escape_class(self, node: int, dst: int) -> Optional[int]:
-        """Everything the dimension-order escape hop reads of ``dst``.
+        """The dimension-order (e-cube) escape hop from ``node`` toward
+        ``dst``, packed into one int; ``None`` at the destination.
 
         Packs ``node``, the lowest dimension still to correct, the
-        shortest direction along it (positive on ties) and whether the
-        ring path still has to cross the wrap-around link (the dateline
-        class) into one int; ``None`` at the destination.
+        shortest direction along it (positive on ties, as
+        :meth:`offset`) and the wrap bit:
+        ``((node * n + dim) * 2 + plus) * 2 + wrap``.
+        :meth:`repro.routing.cache.RouteCache.escape` decodes it.
+
+        The wrap bit is the dateline class.  Duato's Protocol partitions
+        each physical channel's virtual channels into a deterministic
+        set and an adaptive set (Section 4.0); the deterministic set
+        must itself be deadlock-free, and on a torus the standard
+        construction is dimension-order routing with two
+        virtual-channel classes per ring and a *dateline* — the
+        ``k-1 -> 0`` edge in the positive direction, ``0 -> k-1`` in
+        the negative.  A message uses class 0 while its remaining ring
+        path still has to cross the dateline (wrap bit 1) and class 1
+        once it has crossed or never will, so class 1 never uses a
+        wrap link, class 0 never uses the link leaving the
+        destination-side segment, and neither class closes a cycle on
+        any ring.
         """
         k = self.k
         rest, dst_rest = node, dst

@@ -58,8 +58,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.faults.model import FaultState
 from repro.network.channel import VCClass
-from repro.network.topology import KAryNCube
-from repro.routing.dimension_order import deterministic_route
+from repro.network.topology import MINUS, PLUS, KAryNCube
 
 #: One candidate hop: (dim, direction, channel_id, next_node).
 Candidate = Tuple[int, int, int, int]
@@ -215,9 +214,12 @@ class RouteCache:
         entry = self._escape.get(key)
         if entry is None:
             topo = self.topology
-            dim, direction, vclass = deterministic_route(topo, node, dst)
+            dim = (key >> 2) % topo.n
+            direction = PLUS if key & 2 else MINUS
             ch = topo.channel_id(node, dim, direction)
             entry = self._escape[key] = (
-                dim, direction, ch, topo.channel(ch).dst, vclass,
+                dim, direction, ch, topo.channel(ch).dst,
+                VCClass.DETERMINISTIC_0 if key & 1
+                else VCClass.DETERMINISTIC_1,
             )
         return entry

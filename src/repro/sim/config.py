@@ -18,12 +18,9 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict
 
+from repro.faults.model import FaultState
 from repro.network.topology import cube
-from repro.sim.traffic import (
-    BURST_PARAM_KEYS,
-    make_injection_process,
-    make_pattern,
-)
+from repro.sim.traffic import TrafficGenerator, make_injection_process
 
 
 @dataclass
@@ -204,21 +201,14 @@ class SimulationConfig:
             raise ValueError("watchdog_cycles must be >= 1")
         if self.max_header_wait < 1:
             raise ValueError("max_header_wait must be >= 1")
-        # Build the geometry, pattern, injection process and protocol
-        # once, so a value any of them rejects fails here, not in the
-        # engine.  The simulator module imports this one.
-        from repro.sim.simulator import make_protocol
+        # Build the geometry, traffic generator, injection process and
+        # protocol once, so a value any of them rejects fails here, not
+        # in the engine.  The engine module imports this one.
+        from repro.sim.engine import make_protocol
 
-        pattern = make_pattern(
-            self.traffic, cube(self.k, self.n), self.traffic_params
+        TrafficGenerator(
+            self, FaultState(cube(self.k, self.n)), random.Random(0)
         )
-        keys = pattern.param_keys + BURST_PARAM_KEYS
-        unknown = sorted(set(self.traffic_params) - set(keys))
-        if unknown:
-            raise ValueError(
-                f"unknown traffic_params keys {unknown} for traffic "
-                f"{self.traffic!r}; choose from {keys}"
-            )
         make_injection_process(self, random.Random(0))
         make_protocol(self.protocol, **self.protocol_params)
 

@@ -55,9 +55,9 @@ def phase_dynamic_faults(engine) -> None:
     crossing a failed channel, strand its queued tokens, and drop the
     queued messages of failed sources."""
     sched = engine.dynamic_schedule
-    # O(1) peek: the whole phase — including the healthy-node sweep
-    # below — is skipped on every cycle with no event due, which is
-    # all of them when no dynamic fault schedule is armed.
+    # O(1) peek: the whole phase is skipped on every cycle with no
+    # event due, which is all of them when no dynamic fault schedule is
+    # armed.
     if sched is None or not sched.has_due(engine.cycle):
         return
     faults = engine.faults
@@ -81,13 +81,7 @@ def phase_dynamic_faults(engine) -> None:
             for token in engine.control_out.drain(ch):
                 strand(engine, token)
             engine.ack_out.drain(ch)  # hardware acks vanish
-        # Refresh healthy-node set for traffic and drop queued
-        # messages at failed sources.
-        engine.traffic.set_healthy_nodes([
-            node
-            for node in range(engine.topology.num_nodes)
-            if node not in faults.faulty_nodes
-        ])
+        # Drop queued messages at failed sources.
         for node in faults.faulty_nodes:
             queue = engine.queues[node]
             while queue:

@@ -76,12 +76,16 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core import detour as detour_rules
 from repro.core.flow_control import K_INFINITE, FlowControlKind
+from repro.core.two_phase import TwoPhaseProtocol
 from repro.faults.injection import DynamicFaultSchedule
 from repro.faults.model import FaultState
 from repro.network.channel import BUFFER_DEPTH, ChannelBank
 from repro.network.link import ControlPlane
-from repro.network.topology import KAryNCube, cube
+from repro.network.topology import cube
 from repro.routing.base import Action, RoutingContext
+from repro.routing.duato import DuatoProtocol
+from repro.routing.mb import MBmProtocol
+from repro.routing.oblivious import DimensionOrderProtocol
 from repro.sim import control, fast_forward
 from repro.sim.config import SimulationConfig
 from repro.sim.invariants import InvariantAuditor, InvariantError
@@ -107,6 +111,31 @@ INJECTION_QUEUE_LIMIT = 8
 #: hops is declared livelocked and aborted to recovery.
 HOP_CAP_BASE = 64
 HOP_CAP_FACTOR = 8
+
+#: Routing protocols by ``SimulationConfig.protocol`` name.
+PROTOCOLS = {
+    "dp": DuatoProtocol,
+    "mb": MBmProtocol,
+    "tp": TwoPhaseProtocol,
+    "det": DimensionOrderProtocol,
+}
+
+
+def make_protocol(name: str, **params):
+    """Instantiate a routing protocol by its short name.
+
+    ``dp`` — Duato's Protocol (wormhole baseline); ``mb`` — MB-m over
+    PCS; ``tp`` — Two-Phase (``k_unsafe=0`` aggressive by default,
+    ``k_unsafe=3`` conservative); ``det`` — dimension-order with
+    selectable flow control (validation).
+    """
+    try:
+        cls = PROTOCOLS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown protocol {name!r}; choose from {sorted(PROTOCOLS)}"
+        ) from None
+    return cls(**params)
 
 
 def _release_funnel(rel_ver: List[int], resident: List[int],
@@ -164,32 +193,43 @@ class HookChain:
 
 
 class Engine:
-    """One simulation instance: network state plus the cycle loop."""
+    """One simulation instance: network state plus the cycle loop.
+
+    ``config`` and ``fault_state`` state the whole run: the engine
+    builds its protocol from ``config.protocol`` /
+    ``protocol_params`` (:func:`make_protocol`) and its
+    :class:`~repro.sim.traffic.TrafficGenerator` from the config, the
+    fault state (a fault-free network when omitted; given, it must be
+    of the config's ``k`` and ``n``) and ``rng``
+    (``random.Random(config.seed)`` when omitted).  The injection
+    process draws its first gap from ``rng`` here, so a caller that
+    draws a ``dynamic_schedule`` from the same stream draws it first.
+    """
 
     def __init__(
         self,
         config: SimulationConfig,
-        protocol,
-        topology: Optional[KAryNCube] = None,
         fault_state: Optional[FaultState] = None,
-        traffic: Optional[TrafficGenerator] = None,
-        rng: Optional[random.Random] = None,
         dynamic_schedule: Optional[DynamicFaultSchedule] = None,
+        rng: Optional[random.Random] = None,
     ):
         self.config = config
-        self.protocol = protocol
+        self.protocol = make_protocol(
+            config.protocol, **config.protocol_params
+        )
         self.rng = rng if rng is not None else random.Random(config.seed)
-        self.topology = topology if topology is not None else cube(
-            config.k, config.n
-        )
-        self.faults = fault_state if fault_state is not None else FaultState(
-            self.topology
-        )
+        if fault_state is None:
+            fault_state = FaultState(cube(config.k, config.n))
+        topo = fault_state.topology
+        if (topo.k, topo.n) != (config.k, config.n):
+            raise ValueError(
+                f"fault state of a {topo.k}-ary {topo.n}-cube for a "
+                f"config with k={config.k}, n={config.n}"
+            )
+        self.faults = fault_state
+        self.topology = topo
         self.channels = ChannelBank(self.topology.num_channels)
-        self.traffic = traffic if traffic is not None else TrafficGenerator(
-            config.traffic, self.topology, self.rng,
-            params=config.traffic_params,
-        )
+        self.traffic = TrafficGenerator(config, self.faults, self.rng)
         self.dynamic_schedule = dynamic_schedule
         # Hot-path constants, hoisted once (immutable for the engine's
         # lifetime by construction).
@@ -913,7 +953,7 @@ class Engine:
     def _phase_traffic(self) -> None:
         cfg = self.config
         if self.traffic_enabled and self.injection.enabled:
-            healthy = self.traffic.healthy_nodes
+            healthy = self.faults.healthy_nodes
             num_healthy = len(healthy)
             if num_healthy:
                 # The injection process lazily yields this cycle's

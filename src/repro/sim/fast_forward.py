@@ -65,7 +65,7 @@ def jump(engine, limit: int, hook_horizon=None) -> None:
     if plan is None:
         return
     slots = (
-        len(engine.traffic.healthy_nodes)
+        len(engine.faults.healthy_nodes)
         if engine.traffic_enabled and engine.injection.enabled else 0
     )
     while engine.cycle < stop and _segment(engine, plan, stop, slots):

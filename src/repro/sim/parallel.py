@@ -57,19 +57,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def run_one_config(config: SimulationConfig) -> RunResult:
-    """Worker entry point: one full simulation from a picklable config.
-
-    Top-level (picklable by reference) so it works with every
-    multiprocessing start method, not just fork.
-    """
-    # Imported here so pool workers pay the import once per process,
-    # and to avoid a circular import (simulator -> stats -> parallel).
-    from repro.sim.simulator import NetworkSimulator
-
-    return NetworkSimulator(config).run()
-
-
 def run_tasks(
     function: Callable, tasks: Sequence[tuple], jobs: Optional[int] = None
 ) -> list:
@@ -95,8 +82,16 @@ def run_configs(
     configs: Sequence[SimulationConfig],
     jobs: Optional[int] = None,
 ) -> List[RunResult]:
-    """Run simulations for ``configs``, preserving input order."""
-    return run_tasks(run_one_config, [(cfg,) for cfg in configs], jobs)
+    """Run simulations for ``configs``, preserving input order.
+
+    Each is one :func:`repro.sim.simulator.run_config`, picklable by
+    reference, so the pool works with every start method.
+    """
+    # Imported here: the simulator imports the routing protocols, which
+    # import this package.
+    from repro.sim.simulator import run_config
+
+    return run_tasks(run_config, [(cfg,) for cfg in configs], jobs)
 
 
 def replicate(

@@ -1,10 +1,11 @@
 """High-level simulation facade.
 
-:class:`NetworkSimulator` wires the whole system together from a
-:class:`~repro.sim.config.SimulationConfig`: topology, fault placement,
-dynamic fault schedule, traffic generator, routing protocol, and the
-flit-level engine — then runs warmup + measurement (+ drain) and
-returns a :class:`~repro.sim.stats.RunResult`.
+:class:`NetworkSimulator` builds one run from a
+:class:`~repro.sim.config.SimulationConfig` alone: it places the static
+faults and draws the dynamic fault schedule, and the flit-level
+:class:`~repro.sim.engine.Engine` builds the protocol and the traffic
+generator from the config and that fault state — then it runs warmup +
+measurement (+ drain) and returns a :class:`~repro.sim.stats.RunResult`.
 
 >>> from repro import NetworkSimulator, SimulationConfig
 >>> cfg = SimulationConfig(k=4, n=2, protocol="tp", offered_load=0.05,
@@ -19,7 +20,6 @@ from __future__ import annotations
 import random
 from typing import Iterable, List, Optional, Tuple
 
-from repro.core.two_phase import TwoPhaseProtocol
 from repro.faults.injection import (
     DynamicFaultSchedule,
     place_random_node_faults,
@@ -28,38 +28,12 @@ from repro.faults.injection import (
 from repro.faults.model import FaultState
 from repro.network.topology import cube
 from repro.reconfig.controller import ReconfigController
-from repro.routing.duato import DuatoProtocol
-from repro.routing.mb import MBmProtocol
-from repro.routing.oblivious import DimensionOrderProtocol
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import Engine, HookChain
+# The protocol registry lives with the engine that reads it; both
+# names stay importable from here.
+from repro.sim.engine import PROTOCOLS, Engine, HookChain, make_protocol
 from repro.sim.message import Message
 from repro.sim.stats import RunResult, summarize
-from repro.sim.traffic import TrafficGenerator
-
-PROTOCOLS = {
-    "dp": DuatoProtocol,
-    "mb": MBmProtocol,
-    "tp": TwoPhaseProtocol,
-    "det": DimensionOrderProtocol,
-}
-
-
-def make_protocol(name: str, **params):
-    """Instantiate a routing protocol by its short name.
-
-    ``dp`` — Duato's Protocol (wormhole baseline); ``mb`` — MB-m over
-    PCS; ``tp`` — Two-Phase (``k_unsafe=0`` aggressive by default,
-    ``k_unsafe=3`` conservative); ``det`` — dimension-order with
-    selectable flow control (validation).
-    """
-    try:
-        cls = PROTOCOLS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown protocol {name!r}; choose from {sorted(PROTOCOLS)}"
-        ) from None
-    return cls(**params)
 
 
 def idle_engine(protocol: str, protocol_params: Optional[dict] = None, *,
@@ -71,18 +45,14 @@ def idle_engine(protocol: str, protocol_params: Optional[dict] = None, *,
     Offered load 0 and no warm-up or measurement window unless
     ``config`` — any other :class:`SimulationConfig` fields (``k``,
     ``n``, ``message_length``, ``seed``, ``recovery``, …) — says
-    otherwise.  A ``fault_state`` brings its own topology.
+    otherwise; a ``fault_state`` must be of the config's ``k`` and
+    ``n``.
     """
-    params = dict(protocol_params or {})
     cfg = SimulationConfig(
-        protocol=protocol, protocol_params=params, offered_load=0.0,
-        warmup_cycles=0, measure_cycles=0,
+        protocol=protocol, protocol_params=dict(protocol_params or {}),
+        offered_load=0.0, warmup_cycles=0, measure_cycles=0,
     ).with_(**config)
-    return Engine(
-        cfg, make_protocol(protocol, **params),
-        topology=None if fault_state is None else fault_state.topology,
-        fault_state=fault_state, dynamic_schedule=dynamic_schedule,
-    )
+    return Engine(cfg, fault_state, dynamic_schedule)
 
 
 def probe(engine: Engine, routes: Iterable[Tuple[int, int]], length: int,
@@ -104,9 +74,8 @@ def probe(engine: Engine, routes: Iterable[Tuple[int, int]], length: int,
 
 
 class NetworkSimulator:
-    """Build and run one complete simulation from ``config`` alone:
-    its protocol by :func:`make_protocol`, and one
-    ``random.Random(config.seed)`` for faults and traffic."""
+    """Build and run one complete simulation from ``config`` alone, with
+    one ``random.Random(config.seed)`` for faults and traffic."""
 
     #: The engine built by the constructor.  A class attribute so the
     #: test suite's reference engine can stand in by subclassing.
@@ -119,46 +88,23 @@ class NetworkSimulator:
                 "summarized over its measurement window"
             )
         self.config = config
-        self.rng = random.Random(config.seed)
-        self.topology = cube(config.k, config.n)
-        self.faults = FaultState(self.topology)
-        self.protocol = make_protocol(
-            config.protocol, **config.protocol_params
-        )
-
+        rng = random.Random(config.seed)
+        topology = cube(config.k, config.n)
+        faults = FaultState(topology)
         if config.faults.static_node_faults:
             place_random_node_faults(
-                self.faults, config.faults.static_node_faults, self.rng,
+                faults, config.faults.static_node_faults, rng,
             )
-
-        healthy = [
-            node for node in range(self.topology.num_nodes)
-            if not self.faults.is_node_faulty(node)
-        ]
-        self.traffic = TrafficGenerator(
-            config.traffic, self.topology, self.rng, healthy_nodes=healthy,
-            params=config.traffic_params,
-        )
-
         schedule: Optional[DynamicFaultSchedule] = None
         if config.faults.dynamic_faults:
             schedule = random_dynamic_schedule(
-                self.topology,
+                topology,
                 config.faults.dynamic_faults,
                 horizon=config.total_cycles,
-                rng=self.rng,
+                rng=rng,
                 start_cycle=config.faults.dynamic_start,
             )
-
-        self.engine = self.engine_class(
-            config,
-            self.protocol,
-            topology=self.topology,
-            fault_state=self.faults,
-            traffic=self.traffic,
-            rng=self.rng,
-            dynamic_schedule=schedule,
-        )
+        self.engine = self.engine_class(config, faults, schedule, rng)
 
         #: Online reconfiguration controller (DESIGN.md §10), armed by
         #: ``resilience.reconfig`` and composed after any user hook.

@@ -5,8 +5,8 @@ Bernoulli injection (Section 6.0); deterministic communication patterns
 were used to validate the simulator.  This module generalizes both
 halves of that workload behind one contract (DESIGN.md §9):
 
-* a **destination distribution** — :class:`TrafficPattern`, answering
-  "where does a new message from ``src`` go?";
+* a **destination distribution** — an entry of :data:`PATTERNS`,
+  answering "where does a new message from ``src`` go?";
 * an **injection process** — :class:`InjectionProcess`, answering
   "when does the next message arrive?", realized by renewal-process
   *gap sampling* so idle cycles cost no RNG draws and the engine's
@@ -35,8 +35,8 @@ Any pattern becomes bursty by setting ``burst_on``/``burst_off`` in
 ``traffic_params``; the ``bursty`` name is shorthand for uniform
 destinations with the default burst parameters.
 
-Every pattern draws destinations only from the **healthy** node set
-maintained by :meth:`TrafficGenerator.set_healthy_nodes`: when a node
+Every pattern draws destinations only from the healthy nodes of the
+run's :class:`~repro.faults.model.FaultState`, read live: when a node
 dies mid-run its weight redistributes (hotspot) or its permutation
 partners go silent (transpose/complement/tornado) — traffic never
 silently targets a dead node.
@@ -47,8 +47,10 @@ from __future__ import annotations
 import math
 import random
 import sys
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.faults.model import FaultState
 from repro.network.topology import KAryNCube
 
 #: Sentinel horizon for a process that will never inject again.
@@ -56,73 +58,9 @@ NEVER = sys.maxsize
 
 
 # ======================================================================
-# Healthy-node view shared by the generator and the patterns
-# ======================================================================
-class HealthyNodes:
-    """The live healthy-node set, in the three shapes samplers need.
-
-    ``nodes`` is the ascending list (indexable for gap-sampled trial
-    slots), ``node_set`` the membership set, and ``position`` maps a
-    node id to its index in ``nodes`` (for the source-exclusion shift
-    in uniform sampling).
-    """
-
-    __slots__ = ("nodes", "node_set", "position")
-
-    def __init__(self, nodes: Sequence[int]):
-        self.nodes: List[int] = list(nodes)
-        self.node_set = set(self.nodes)
-        self.position = {node: i for i, node in enumerate(self.nodes)}
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __contains__(self, node: int) -> bool:
-        return node in self.node_set
-
-
-# ======================================================================
 # Destination distributions
 # ======================================================================
-class TrafficPattern:
-    """Destination-distribution half of the workload contract.
-
-    A pattern is a (possibly randomized) map from a source node to a
-    destination node, restricted to the live healthy set.  Subclasses
-    implement :meth:`destination`; patterns that cache anything derived
-    from the healthy set (e.g. the hotspot list) additionally override
-    :meth:`on_healthy_changed`, which the owning
-    :class:`TrafficGenerator` calls on every
-    :meth:`~TrafficGenerator.set_healthy_nodes`.
-
-    Contract (enforced by the ``TrafficGenerator.destination`` wrapper
-    and pinned by the property suite in
-    ``tests/sim/test_traffic_properties.py``): a returned destination
-    is always healthy and never the source; ``None`` means "this source
-    sends nowhere right now" (e.g. a permutation partner has failed)
-    and the engine skips the injection.
-    """
-
-    #: Registry name (set per subclass).
-    name = "?"
-    #: ``traffic_params`` keys the pattern reads (set per subclass).
-    param_keys: Tuple[str, ...] = ()
-
-    def __init__(self, topology: KAryNCube, params: Dict[str, Any]):
-        self.topology = topology
-
-    def destination(self, src: int, rng: random.Random,
-                    healthy: HealthyNodes) -> Optional[int]:
-        """A destination for a new message from ``src``, or ``None``."""
-        raise NotImplementedError
-
-    def on_healthy_changed(self, healthy: HealthyNodes) -> None:
-        """The healthy-node set changed (fault placement or dynamic
-        faults); recompute any cached healthy-derived state."""
-
-
-def _uniform_destination(src: int, rng: random.Random,
-                         healthy: HealthyNodes) -> Optional[int]:
+def _uniform(gen: TrafficGenerator, src: int) -> Optional[int]:
     """Uniform over healthy nodes excluding the source, in one draw.
 
     One ``randrange`` over the m-1 admissible positions, shifting
@@ -131,165 +69,114 @@ def _uniform_destination(src: int, rng: random.Random,
     distributed number of draws; see the determinism note in
     DESIGN.md §8 for the resulting RNG-stream change).
     """
-    nodes = healthy.nodes
+    nodes = gen.faults.healthy_nodes
     m = len(nodes)
     if m < 2:
         return None
-    pos = healthy.position.get(src)
-    if pos is None:
-        # Source not in the healthy set (direct calls from
-        # tests/tools): nothing to exclude.
-        return nodes[rng.randrange(m)]
-    i = rng.randrange(m - 1)
+    pos = bisect_left(nodes, src)
+    if pos == m or nodes[pos] != src:
+        # A failed source (a direct call): nothing to exclude.
+        return nodes[gen.rng.randrange(m)]
+    i = gen.rng.randrange(m - 1)
     if i >= pos:
         i += 1
     return nodes[i]
 
 
-class UniformPattern(TrafficPattern):
-    """Uniformly distributed destinations (the paper's workload)."""
-
-    name = "uniform"
-
-    def destination(self, src, rng, healthy):
-        return _uniform_destination(src, rng, healthy)
-
-
-class HotspotPattern(TrafficPattern):
+def _hotspot(gen: TrafficGenerator, src: int) -> Optional[int]:
     """A fraction of traffic converges on a few hot nodes.
 
     With probability ``hotspot_fraction`` the destination is drawn
     uniformly from the *healthy* hot nodes (excluding the source);
-    otherwise it is uniform over all healthy nodes.  The hot set is
-    either given explicitly (``hotspot_nodes``: a list of node ids, or
-    one id for a one-node hot set) or chosen as
-    ``hotspot_count`` evenly spaced node ids (deterministic — pattern
-    construction never consumes RNG).
-
-    Weight redistributes when hot nodes die: the healthy-hot list is
-    recomputed on every :meth:`on_healthy_changed`, so a dead hotspot's
+    otherwise it is uniform over all healthy nodes.  A dead hotspot's
     share moves to the surviving hot nodes, and when the whole hot set
     is dead the pattern degrades to uniform instead of targeting
     corpses (regression-tested in ``tests/sim/test_traffic.py``).
     """
-
-    name = "hotspot"
-    param_keys = ("hotspot_fraction", "hotspot_count", "hotspot_nodes")
-
-    def __init__(self, topology, params):
-        super().__init__(topology, params)
-        fraction = params.get("hotspot_fraction", 0.25)
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("hotspot_fraction must be in [0, 1]")
-        self.fraction = fraction
-        nodes = params.get("hotspot_nodes")
-        if isinstance(nodes, int):
-            nodes = [nodes]
-        if nodes is None:
-            count = params.get("hotspot_count", 4)
-            if count < 1:
-                raise ValueError("hotspot_count must be >= 1")
-            count = min(count, topology.num_nodes)
-            nodes = [
-                i * topology.num_nodes // count for i in range(count)
-            ]
-        self.hotspots: List[int] = sorted(set(int(n) for n in nodes))
-        for node in self.hotspots:
-            if not 0 <= node < topology.num_nodes:
-                raise ValueError(f"hotspot node {node} outside topology")
-        self._healthy_hot: List[int] = list(self.hotspots)
-
-    def on_healthy_changed(self, healthy):
-        self._healthy_hot = [
-            n for n in self.hotspots if n in healthy.node_set
-        ]
-
-    def destination(self, src, rng, healthy):
-        hot = self._healthy_hot
-        if hot and self.fraction > 0 and rng.random() < self.fraction:
-            if len(hot) > 1 or hot[0] != src:
-                i = rng.randrange(len(hot))
-                if hot[i] == src:
-                    i = (i + 1) % len(hot)
-                return hot[i]
-            # The only live hot node is the source itself: fall back.
-        return _uniform_destination(src, rng, healthy)
+    faulty = gen.faults.faulty_nodes
+    hot = [node for node in gen.hotspots if node not in faulty]
+    rng = gen.rng
+    if hot and gen.hot_fraction > 0 and rng.random() < gen.hot_fraction:
+        if len(hot) > 1 or hot[0] != src:
+            i = rng.randrange(len(hot))
+            if hot[i] == src:
+                i = (i + 1) % len(hot)
+            return hot[i]
+        # The only live hot node is the source itself: fall back.
+    return _uniform(gen, src)
 
 
-class NearestPattern(TrafficPattern):
+def _nearest(gen: TrafficGenerator, src: int) -> Optional[int]:
     """One-hop neighbor traffic (deterministic validation pattern)."""
-
-    name = "nearest"
-
-    def destination(self, src, rng, healthy):
-        return self.topology.neighbor(src, 0, +1)
+    return gen.topology.neighbor(src, 0, +1)
 
 
-class TransposePattern(TrafficPattern):
+def _transpose(gen: TrafficGenerator, src: int) -> Optional[int]:
     """Coordinate-transpose permutation (n == 2): (x, y) -> (y, x)."""
-
-    name = "transpose"
-
-    def destination(self, src, rng, healthy):
-        coords = self.topology.coords(src)
-        return self.topology.node_id(tuple(reversed(coords)))
+    topo = gen.topology
+    return topo.node_id(tuple(reversed(topo.coords(src))))
 
 
-class TornadoPattern(TrafficPattern):
+def _tornado(gen: TrafficGenerator, src: int) -> Optional[int]:
     """Half-ring offset in dimension 0 — adversarial for minimal
     routing on tori (every message travels the maximum ring distance
     in one direction)."""
-
-    name = "tornado"
-
-    def destination(self, src, rng, healthy):
-        topo = self.topology
-        coords = list(topo.coords(src))
-        coords[0] = (coords[0] + (topo.k - 1) // 2) % topo.k
-        return topo.node_id(coords)
+    topo = gen.topology
+    coords = list(topo.coords(src))
+    coords[0] = (coords[0] + (topo.k - 1) // 2) % topo.k
+    return topo.node_id(coords)
 
 
-class ComplementPattern(TrafficPattern):
+def _complement(gen: TrafficGenerator, src: int) -> Optional[int]:
     """Coordinate-complement permutation: c -> k-1-c per dimension
     (the k-ary analog of bit-complement)."""
-
-    name = "complement"
-
-    def destination(self, src, rng, healthy):
-        topo = self.topology
-        coords = [(topo.k - 1 - c) for c in topo.coords(src)]
-        return topo.node_id(coords)
+    topo = gen.topology
+    return topo.node_id([topo.k - 1 - c for c in topo.coords(src)])
 
 
-class BurstyPattern(UniformPattern):
-    """Uniform destinations; the burstiness lives in the injection
-    process (:class:`BurstyInjection`), selected by the ``bursty``
-    pattern name or by ``burst_on``/``burst_off`` in
-    ``traffic_params``."""
-
-    name = "bursty"
-
-
-_PATTERN_CLASSES = {
-    cls.name: cls
-    for cls in (
-        UniformPattern, HotspotPattern, NearestPattern, TransposePattern,
-        TornadoPattern, ComplementPattern, BurstyPattern,
-    )
+#: Destination patterns by ``SimulationConfig.traffic`` name, in
+#: catalog order: the destination function, ``fn(generator, src)``,
+#: and the ``traffic_params`` keys it reads (the burst keys are valid
+#: for every pattern).  ``bursty`` draws uniform destinations; its
+#: timing is :func:`make_injection_process`'s.
+PATTERNS: Dict[str, Tuple[Callable, Tuple[str, ...]]] = {
+    "uniform": (_uniform, ()),
+    "hotspot": (
+        _hotspot, ("hotspot_fraction", "hotspot_count", "hotspot_nodes"),
+    ),
+    "nearest": (_nearest, ()),
+    "transpose": (_transpose, ()),
+    "tornado": (_tornado, ()),
+    "complement": (_complement, ()),
+    "bursty": (_uniform, ()),
 }
 
 
-def make_pattern(name: str, topology: KAryNCube,
-                 params: Optional[Dict[str, Any]] = None) -> TrafficPattern:
-    """Instantiate a destination pattern by registry name."""
-    try:
-        cls = _PATTERN_CLASSES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown traffic pattern {name!r}; "
-            f"choose from {tuple(sorted(_PATTERN_CLASSES))}"
-        ) from None
-    return cls(topology, dict(params or {}))
+def _hot_set(topology: KAryNCube, params) -> Tuple[float, List[int]]:
+    """The ``hotspot`` pattern's traffic share and hot nodes.
+
+    The hot set is either given explicitly (``hotspot_nodes``: a list
+    of node ids, or one id for a one-node hot set) or chosen as
+    ``hotspot_count`` evenly spaced node ids — deterministic, so
+    building a pattern never consumes RNG.
+    """
+    fraction = params.get("hotspot_fraction", 0.25)
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("hotspot_fraction must be in [0, 1]")
+    nodes = params.get("hotspot_nodes")
+    if isinstance(nodes, int):
+        nodes = [nodes]
+    if nodes is None:
+        count = params.get("hotspot_count", 4)
+        if count < 1:
+            raise ValueError("hotspot_count must be >= 1")
+        count = min(count, topology.num_nodes)
+        nodes = [i * topology.num_nodes // count for i in range(count)]
+    hotspots = sorted(set(int(n) for n in nodes))
+    for node in hotspots:
+        if not 0 <= node < topology.num_nodes:
+            raise ValueError(f"hotspot node {node} outside topology")
+    return fraction, hotspots
 
 
 # ======================================================================
@@ -534,59 +421,52 @@ def make_injection_process(config, rng: random.Random) -> InjectionProcess:
 # Facade
 # ======================================================================
 class TrafficGenerator:
-    """Per-source destination selection for a named traffic pattern.
+    """Per-source destination selection for a config's traffic pattern.
 
-    The generator owns the live :class:`HealthyNodes` view and a
-    :class:`TrafficPattern`; the engine asks it for one destination
-    per injection arrival.  ``params`` carries the pattern's knobs
-    (``SimulationConfig.traffic_params``) — see the module docstring
-    for the catalog, and ``EXPERIMENTS.md`` ("Workload catalog") for
-    the CLI commands that exercise each pattern.
+    Built from the run's config (``traffic``, ``traffic_params`` — see
+    the module docstring for the catalog, and ``EXPERIMENTS.md``
+    ("Workload catalog") for the CLI commands that exercise each
+    pattern), its :class:`~repro.faults.model.FaultState`, whose
+    ``healthy_nodes`` it reads live, and the run's RNG.  Building one
+    draws no random number; it rejects an unknown pattern name and a
+    ``traffic_params`` key the pattern does not read.
     """
 
-    #: Registry of destination-pattern names, in catalog order.
-    PATTERNS = tuple(_PATTERN_CLASSES)
-
-    def __init__(self, pattern: str, topology: KAryNCube,
-                 rng: random.Random,
-                 healthy_nodes: Optional[List[int]] = None,
-                 params: Optional[Dict[str, Any]] = None):
-        self.pattern = pattern
-        self.topology = topology
+    def __init__(self, config, faults: FaultState, rng: random.Random):
+        try:
+            self._pick, keys = PATTERNS[config.traffic]
+        except KeyError:
+            raise ValueError(
+                f"unknown traffic pattern {config.traffic!r}; "
+                f"choose from {tuple(sorted(PATTERNS))}"
+            ) from None
+        params = config.traffic_params
+        keys += BURST_PARAM_KEYS
+        unknown = sorted(set(params) - set(keys))
+        if unknown:
+            raise ValueError(
+                f"unknown traffic_params keys {unknown} for traffic "
+                f"{config.traffic!r}; choose from {keys}"
+            )
+        self.faults = faults
+        self.topology = faults.topology
         self.rng = rng
-        self.pattern_impl = make_pattern(pattern, topology, params)
-        self._healthy = HealthyNodes(
-            healthy_nodes if healthy_nodes is not None
-            else range(topology.num_nodes)
+        #: The ``hotspot`` pattern's traffic share and hot nodes.
+        self.hot_fraction, self.hotspots = (
+            _hot_set(self.topology, params)
+            if config.traffic == "hotspot" else (0.0, [])
         )
-        self.pattern_impl.on_healthy_changed(self._healthy)
 
-    def set_healthy_nodes(self, healthy_nodes: List[int]) -> None:
-        """Restrict sources/destinations after fault placement.
-
-        Called at construction and by the engine's dynamic-fault phase;
-        the pattern is notified so cached healthy-derived state (e.g.
-        the hotspot list) redistributes immediately.
-        """
-        self._healthy = HealthyNodes(healthy_nodes)
-        self.pattern_impl.on_healthy_changed(self._healthy)
-
-    @property
-    def healthy_nodes(self) -> List[int]:
-        """Healthy node ids, ascending — the cycle's trial slots."""
-        return self._healthy.nodes
-
-    # ------------------------------------------------------------------
     def destination(self, src: int) -> Optional[int]:
         """Destination for a new message from ``src``.
 
         Returns ``None`` when the pattern sends this source nowhere
         (e.g. a permutation partner that has failed) — the engine then
         skips the injection.  A non-``None`` destination is always
-        healthy and never ``src`` (the pattern contract, double-checked
-        here).
+        healthy and never ``src`` (the pattern contract, checked here
+        and pinned by ``tests/sim/test_traffic_properties.py``).
         """
-        dst = self.pattern_impl.destination(src, self.rng, self._healthy)
-        if dst is None or dst == src or dst not in self._healthy.node_set:
+        dst = self._pick(self, src)
+        if dst is None or dst == src or dst in self.faults.faulty_nodes:
             return None
         return dst

@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments.common import (
     DEFAULT_LOADS,
+    LOW_LOAD,
     MESSAGE_LENGTH,
     PAPER,
     QUICK,
@@ -68,12 +69,14 @@ class TestFig14Load:
 
 
 class TestSeries:
-    def _series(self, latencies, throughputs):
+    def _series(self, latencies, throughputs, first_load=LOW_LOAD):
+        """A curve at loads ``first_load``, ``2 * first_load``, …"""
         s = Series(label="x")
-        for lat, tput in zip(latencies, throughputs):
+        for i, (lat, tput) in enumerate(zip(latencies, throughputs)):
             s.points.append(
-                Point(offered_load=tput, latency=lat, latency_ci=0.0,
-                      throughput=tput, delivered=1, dropped=0, killed=0)
+                Point(offered_load=first_load * (i + 1), latency=lat,
+                      latency_ci=0.0, throughput=tput, delivered=1,
+                      dropped=0, killed=0)
             )
         return s
 
@@ -104,6 +107,14 @@ class TestSeries:
 
     def test_saturation_empty(self):
         assert math.isnan(Series(label="e").saturation_throughput())
+
+    def test_saturation_needs_the_zero_load_point(self):
+        """The baseline is the latency at ``LOW_LOAD``, as the knee
+        search's: a curve from 0.05 has none and reads NaN, not a
+        reading against its first point's latency."""
+        s = self._series([40, 45, 60, 300], [0.05, 0.1, 0.15, 0.16],
+                         first_load=0.05)
+        assert math.isnan(s.saturation_throughput())
 
     def test_saturation_ignores_nan_points(self):
         s = self._series([40, float("nan"), 42], [0.1, 0.2, 0.3])

@@ -9,7 +9,7 @@ import pytest
 from repro.experiments import QUICK, Series
 from repro.experiments import formula_table
 from repro.experiments import theorem_table
-from repro.experiments.common import fig14_load
+from repro.experiments.common import LOW_LOAD, fig14_load
 from repro.experiments.figures import FIGURES
 from repro.experiments.report import (
     render_experiment,
@@ -121,7 +121,7 @@ class TestReport:
 
         s = Series(label="X")
         s.points = [
-            Point(offered_load=0.1, latency=40.0, latency_ci=1.0,
+            Point(offered_load=LOW_LOAD, latency=40.0, latency_ci=1.0,
                   throughput=0.1, delivered=10, dropped=0, killed=0),
             Point(offered_load=0.5, latency=200.0, latency_ci=9.0,
                   throughput=0.3, delivered=10, dropped=0, killed=0),

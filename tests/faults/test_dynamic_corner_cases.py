@@ -1,28 +1,19 @@
 """Corner cases of dynamic-fault handling in the engine."""
 
-import random
-
 from repro.faults.injection import DynamicFaultSchedule, FaultEvent
 from repro.network.topology import KAryNCube, PLUS
-from repro.sim.config import RecoveryConfig, SimulationConfig
-from repro.sim.engine import Engine
+from repro.sim.config import RecoveryConfig
 from repro.sim.message import MessageStatus
-from repro.sim.simulator import make_protocol
+from repro.sim.simulator import idle_engine
 
 from tests.conftest import drain_engine
 
 
 def engine_with_events(events, protocol="tp", k=8, recovery=None, seed=1):
     topo = KAryNCube(k, 2)
-    cfg = SimulationConfig(
-        k=k, n=2, protocol=protocol, offered_load=0.0,
-        message_length=12, warmup_cycles=0, measure_cycles=0,
-    )
-    if recovery is not None:
-        cfg = cfg.with_(recovery=recovery)
-    return Engine(
-        cfg, make_protocol(protocol), topology=topo,
-        rng=random.Random(seed),
+    return idle_engine(
+        protocol, k=k, message_length=12, seed=seed,
+        recovery=recovery or RecoveryConfig(),
         dynamic_schedule=DynamicFaultSchedule(events=events),
     ), topo
 

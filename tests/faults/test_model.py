@@ -29,6 +29,19 @@ class TestNodeFaults:
         assert faults.channel_faulty == channels_before
         assert faults.epoch == epoch
 
+    def test_healthy_nodes_drop_each_failed_node(self, torus8):
+        """The ascending healthy list every traffic reader uses loses a
+        node when it fails, once."""
+        faults = FaultState(torus8)
+        assert faults.healthy_nodes == list(range(64))
+        for node in (40, 9, 40):
+            faults.fail_node(node)
+        assert faults.healthy_nodes == [
+            n for n in range(64) if n not in (9, 40)
+        ]
+        faults.fail_link(torus8.channel_id(0, 0, PLUS))
+        assert len(faults.healthy_nodes) == 62
+
     def test_failing_node_twice_fails_no_channel(self, torus8):
         """A repeat failure reports no channel, so the engine's fault
         phase does not re-walk the previous event's channels."""

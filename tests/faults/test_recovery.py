@@ -6,15 +6,11 @@ to both the source and the destination releasing every reserved
 resource; with tail acknowledgments enabled the source retransmits.
 """
 
-import random
-
 from repro.faults.injection import DynamicFaultSchedule, FaultEvent
 from repro.network.topology import PLUS
 from repro.sim.config import RecoveryConfig
-from repro.sim.engine import Engine
 from repro.sim.message import MessageStatus
-from repro.sim.simulator import make_protocol
-from repro.sim.config import SimulationConfig
+from repro.sim.simulator import idle_engine
 from repro.network.topology import KAryNCube
 
 from tests.conftest import build_engine, drain_engine, run_to_completion
@@ -26,18 +22,12 @@ def engine_with_fault_at(k, path_src, hop, cycle, recovery=None,
     topo = KAryNCube(k, 2)
     fail_node = topo.node_id((hop, 0))
     fail_ch = topo.channel_id(fail_node, 0, PLUS)
-    cfg = SimulationConfig(
-        k=k, n=2, protocol="tp", offered_load=0.0,
-        message_length=message_length, warmup_cycles=0, measure_cycles=0,
-    )
-    if recovery is not None:
-        cfg = cfg.with_(recovery=recovery)
     schedule = DynamicFaultSchedule(
         events=[FaultEvent(cycle=cycle, kind="link", target=fail_ch)]
     )
-    engine = Engine(
-        cfg, make_protocol("tp"), topology=topo,
-        rng=random.Random(1), dynamic_schedule=schedule,
+    engine = idle_engine(
+        "tp", k=k, message_length=message_length,
+        recovery=recovery or RecoveryConfig(), dynamic_schedule=schedule,
     )
     return engine, topo
 
@@ -65,16 +55,11 @@ class TestKillRecovery:
         # retries instead of losing the message.
         topo = KAryNCube(8, 2)
         fail_ch = topo.channel_id(topo.node_id((2, 0)), 0, PLUS)
-        cfg = SimulationConfig(
-            k=8, n=2, protocol="mb", offered_load=0.0,
-            message_length=16, warmup_cycles=0, measure_cycles=0,
-        )
         schedule = DynamicFaultSchedule(
             events=[FaultEvent(cycle=3, kind="link", target=fail_ch)]
         )
-        engine = Engine(
-            cfg, make_protocol("mb"), topology=topo,
-            rng=random.Random(1), dynamic_schedule=schedule,
+        engine = idle_engine(
+            "mb", k=8, message_length=16, dynamic_schedule=schedule,
         )
         dst = topo.node_id((4, 0))
         engine.inject(0, dst, length=16)
@@ -143,21 +128,17 @@ class TestTailAck:
     def test_retransmit_limit_drops_eventually(self):
         # Destination becomes unreachable: retransmits bounded.
         topo = KAryNCube(4, 2)
-        cfg = SimulationConfig(
-            k=4, n=2, protocol="tp", offered_load=0.0,
-            message_length=8, warmup_cycles=0, measure_cycles=0,
-            recovery=RecoveryConfig(
-                tail_ack=True, retransmit=True, max_retransmits=2,
-            ),
-        )
         events = [
             FaultEvent(cycle=4, kind="node", target=topo.node_id((1, 0))),
             FaultEvent(cycle=4, kind="node", target=topo.node_id((3, 0))),
             FaultEvent(cycle=4, kind="node", target=topo.node_id((2, 1))),
             FaultEvent(cycle=4, kind="node", target=topo.node_id((2, 3))),
         ]
-        engine = Engine(
-            cfg, make_protocol("tp"), topology=topo, rng=random.Random(1),
+        engine = idle_engine(
+            "tp", k=4, message_length=8,
+            recovery=RecoveryConfig(
+                tail_ack=True, retransmit=True, max_retransmits=2,
+            ),
             dynamic_schedule=DynamicFaultSchedule(events=events),
         )
         dst = topo.node_id((2, 0))

@@ -7,25 +7,17 @@ interleave — each gets ~half the link — and control flits must steal
 exactly the slots they occupy.
 """
 
-import random
-
 from repro.core.latency_model import t_wormhole
 from repro.network.channel import VCClass
 from repro.network.topology import KAryNCube, PLUS
-from repro.sim.config import SimulationConfig
-from repro.sim.engine import Engine
-from repro.sim.simulator import make_protocol
+from repro.sim.simulator import idle_engine
 
 from tests.conftest import drain_engine
 
 
 def shared_link_engine(length=16):
     """Two messages whose minimal paths share the link (1,0)->(2,0)."""
-    cfg = SimulationConfig(
-        k=8, n=2, protocol="tp", offered_load=0.0,
-        message_length=length, warmup_cycles=0, measure_cycles=0,
-    )
-    engine = Engine(cfg, make_protocol("tp"), rng=random.Random(1))
+    engine = idle_engine("tp", k=8, message_length=length)
     topo = engine.topology
     # Both start on row 0, two hops apart, same destination direction:
     # a: (1,0) -> (3,0), b: (0,0) -> (3,0); both must cross (1,0)->(2,0)

@@ -1,12 +1,8 @@
 """End-to-end observation of a Two-Phase detour (Figure 7's scenario)."""
 
-import random
-
 from repro.faults.model import FaultState
 from repro.network.topology import KAryNCube
-from repro.sim.config import SimulationConfig
-from repro.sim.engine import Engine
-from repro.sim.simulator import make_protocol
+from repro.sim.simulator import idle_engine
 from repro.sim.trace import MessageTracer
 
 from tests.conftest import drain_engine
@@ -18,15 +14,9 @@ def walled_engine(k_unsafe=0):
     faults = FaultState(topo)
     for y in (7, 0, 1):
         faults.fail_node(topo.node_id((2, y)))
-    cfg = SimulationConfig(
-        k=8, n=2, protocol="tp",
-        protocol_params={"k_unsafe": k_unsafe},
-        offered_load=0.0, message_length=16,
-        warmup_cycles=0, measure_cycles=0,
-    )
-    engine = Engine(
-        cfg, make_protocol("tp", k_unsafe=k_unsafe), topology=topo,
-        fault_state=faults, rng=random.Random(1),
+    engine = idle_engine(
+        "tp", {"k_unsafe": k_unsafe}, fault_state=faults, k=8,
+        message_length=16,
     )
     return engine, topo
 

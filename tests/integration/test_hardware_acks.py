@@ -1,22 +1,15 @@
 """Tests for the hardware-acknowledgment extension (Section 7.0)."""
 
-import random
-
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import Engine
-from repro.sim.simulator import NetworkSimulator, make_protocol
+from repro.sim.simulator import NetworkSimulator, idle_engine
 
 from tests.conftest import drain_engine
 
 
-def idle_engine(hardware_acks: bool, K: int = 3):
-    cfg = SimulationConfig(
-        k=12, n=2, protocol="det", offered_load=0.0,
-        message_length=8, warmup_cycles=0, measure_cycles=0,
+def scouting_engine(hardware_acks: bool, K: int = 3):
+    return idle_engine(
+        "det", {"flow": "sr", "k": K}, k=12, message_length=8,
         hardware_acks=hardware_acks,
-    )
-    return Engine(
-        cfg, make_protocol("det", flow="sr", k=K), rng=random.Random(1)
     )
 
 
@@ -27,21 +20,21 @@ class TestLogicalEquivalence:
     def test_idle_latency_identical(self):
         latencies = {}
         for hw in (False, True):
-            engine = idle_engine(hw)
+            engine = scouting_engine(hw)
             msg = engine.inject(0, 5, length=8)
             drain_engine(engine)
             latencies[hw] = msg.delivered_cycle - msg.created_cycle
         assert latencies[False] == latencies[True]
 
     def test_acks_still_counted(self):
-        engine = idle_engine(True)
+        engine = scouting_engine(True)
         engine.inject(0, 5, length=8)
         drain_engine(engine)
         # Header hops + acks + path ack all counted as control flits.
         assert engine.control_flits_sent > 5
 
     def test_ack_queues_drain(self):
-        engine = idle_engine(True)
+        engine = scouting_engine(True)
         engine.inject(0, 5, length=8)
         drain_engine(engine)
         assert not engine.ack_out
@@ -66,7 +59,7 @@ class TestBandwidthEffect:
     def test_ack_wires_used_only_when_enabled(self):
         """Acks ride the dedicated wires iff the extension is on."""
         for hw in (False, True):
-            engine = idle_engine(hw)
+            engine = scouting_engine(hw)
             engine.inject(0, 5, length=8)
             saw_ack_queue = False
             for _ in range(60):

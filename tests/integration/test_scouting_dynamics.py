@@ -5,26 +5,18 @@ the header/data gap while advancing, data creep when the header stalls,
 and negative-acknowledgment bookkeeping during backtracking.
 """
 
-import random
-
 import pytest
 
 from repro.network.topology import KAryNCube, PLUS
-from repro.sim.config import SimulationConfig
-from repro.sim.engine import Engine
-from repro.sim.simulator import make_protocol
+from repro.sim.simulator import idle_engine
 from repro.sim.trace import MessageTracer
 
 from tests.conftest import drain_engine
 
 
 def scouting_engine(k=12, length=16, K=3):
-    cfg = SimulationConfig(
-        k=k, n=2, protocol="det", offered_load=0.0,
-        message_length=length, warmup_cycles=0, measure_cycles=0,
-    )
-    return Engine(
-        cfg, make_protocol("det", flow="sr", k=K), rng=random.Random(1)
+    return idle_engine(
+        "det", {"flow": "sr", "k": K}, k=k, message_length=length,
     )
 
 
@@ -108,11 +100,7 @@ class TestCounters:
         assert counts[6] > counts[3]
 
     def test_no_acks_with_k_zero_tp(self):
-        cfg = SimulationConfig(
-            k=8, n=2, protocol="tp", offered_load=0.0,
-            message_length=8, warmup_cycles=0, measure_cycles=0,
-        )
-        engine = Engine(cfg, make_protocol("tp"), rng=random.Random(1))
+        engine = idle_engine("tp", k=8, message_length=8)
         msg = engine.inject(0, 4, length=8)
         drain_engine(engine)
         # Fault-free TP with K=0: only the 4 header hops cross the
@@ -131,15 +119,9 @@ class TestBacktrackCounters:
         faults = FaultState(topo)
         for y in (7, 0, 1):
             faults.fail_node(topo.node_id((3, y)))
-        cfg = SimulationConfig(
-            k=8, n=2, protocol="tp",
-            protocol_params={"k_unsafe": 3},
-            offered_load=0.0, message_length=12,
-            warmup_cycles=0, measure_cycles=0,
-        )
-        engine = Engine(
-            cfg, make_protocol("tp", k_unsafe=3), topology=topo,
-            fault_state=faults, rng=random.Random(1),
+        engine = idle_engine(
+            "tp", {"k_unsafe": 3}, fault_state=faults, k=8,
+            message_length=12,
         )
         msg = engine.inject(0, topo.node_id((4, 0)), length=12)
         drain_engine(engine)

@@ -1,12 +1,8 @@
 """Tracer coverage of conservative scouting behaviour around faults."""
 
-import random
-
 from repro.faults.model import FaultState
 from repro.network.topology import KAryNCube
-from repro.sim.config import SimulationConfig
-from repro.sim.engine import Engine
-from repro.sim.simulator import make_protocol
+from repro.sim.simulator import idle_engine
 from repro.sim.trace import MessageTracer
 
 
@@ -15,15 +11,9 @@ def traced_faulty_run(k_unsafe=3):
     faults = FaultState(topo)
     for y in (7, 0, 1):
         faults.fail_node(topo.node_id((2, y)))
-    cfg = SimulationConfig(
-        k=8, n=2, protocol="tp",
-        protocol_params={"k_unsafe": k_unsafe},
-        offered_load=0.0, message_length=12,
-        warmup_cycles=0, measure_cycles=0,
-    )
-    engine = Engine(
-        cfg, make_protocol("tp", k_unsafe=k_unsafe), topology=topo,
-        fault_state=faults, rng=random.Random(1),
+    engine = idle_engine(
+        "tp", {"k_unsafe": k_unsafe}, fault_state=faults, k=8,
+        message_length=12,
     )
     msg = engine.inject(0, topo.node_id((3, 0)), length=12)
     tracer = MessageTracer(engine, msg)

@@ -1,16 +1,85 @@
-"""Unit tests for dimension-order routing and dateline classes."""
+"""Dimension-order routing and dateline classes, stated independently.
 
+The functions below restate the escape rule from the paper's
+construction (Section 4.0: e-cube order, shortest direction, a dateline
+per ring) without the packed key the simulator uses
+(:meth:`KAryNCube.escape_class`, decoded by
+:meth:`~repro.routing.cache.RouteCache.escape`).  The tests here pin
+the rule itself; ``test_route_cache.py`` checks the simulator's escape
+hop against :func:`deterministic_route` on every ``(node, dst)`` pair.
+"""
+
+from typing import Optional, Tuple
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.model import FaultState
 from repro.network.channel import VCClass
 from repro.network.topology import MINUS, PLUS, KAryNCube
-from repro.routing.dimension_order import (
-    crosses_wrap,
-    dateline_class,
-    deterministic_route,
-    next_hop,
-)
+from repro.routing.cache import RouteCache
+
+
+def next_hop(topology: KAryNCube, node: int,
+             dst: int) -> Optional[Tuple[int, int]]:
+    """Lowest dimension still to correct, shortest way round (positive
+    on ties); ``None`` at the destination."""
+    for dim in range(topology.n):
+        off = topology.offset(node, dst, dim)
+        if off > 0:
+            return (dim, PLUS)
+        if off < 0:
+            return (dim, MINUS)
+    return None
+
+
+def crosses_wrap(topology: KAryNCube, node: int, dst: int, dim: int,
+                 direction: int) -> bool:
+    """Whether the ring path ``node -> dst`` along ``dim`` in
+    ``direction`` still crosses the dateline (``k-1 -> 0`` going
+    positive, ``0 -> k-1`` going negative)."""
+    c = topology.coords(node)[dim]
+    t = topology.coords(dst)[dim]
+    if c == t:
+        return False
+    if direction == PLUS:
+        return c > t
+    return c < t
+
+
+def dateline_class(topology: KAryNCube, node: int, dst: int, dim: int,
+                   direction: int) -> VCClass:
+    """Class 0 while the wrap crossing is ahead, class 1 otherwise."""
+    if crosses_wrap(topology, node, dst, dim, direction):
+        return VCClass.DETERMINISTIC_0
+    return VCClass.DETERMINISTIC_1
+
+
+def deterministic_route(topology: KAryNCube, node: int,
+                        dst: int) -> Optional[Tuple[int, int, VCClass]]:
+    """The escape hop: port plus dateline class."""
+    hop = next_hop(topology, node, dst)
+    if hop is None:
+        return None
+    dim, direction = hop
+    return (dim, direction, dateline_class(topology, node, dst, dim, direction))
+
+
+@pytest.mark.parametrize("k, n", [(3, 3), (6, 2), (7, 2), (9, 1)])
+def test_simulator_escape_follows_the_rule(k, n):
+    """The packed escape key, decoded by ``RouteCache.escape``, is the
+    rule above on every ``(node, dst)`` pair."""
+    topo = KAryNCube(k, n)
+    cache = RouteCache(topo, FaultState(topo))
+    for node in range(topo.num_nodes):
+        for dst in range(topo.num_nodes):
+            entry = cache.escape(node, dst)
+            det = deterministic_route(topo, node, dst)
+            if det is None:
+                assert entry is None
+            else:
+                assert (entry[0], entry[1], entry[4]) == det
 
 
 class TestNextHop:

@@ -11,11 +11,11 @@ from repro.network.channel import VCClass
 from repro.network.topology import PLUS, KAryNCube, cube
 from repro.routing.base import Action
 from repro.routing.cache import RouteCache
-from repro.routing.dimension_order import deterministic_route
 from repro.routing.duato import DuatoProtocol
 from repro.sim.message import Message
 
 from tests.conftest import make_context
+from tests.routing.test_dimension_order import deterministic_route
 
 
 def _setup(k=5, n=2):

@@ -83,7 +83,7 @@ class TestValidation:
             traffic_params={"hotspot_nodes": 3, "hotspot_fraction": 1.0},
         )
         sim = NetworkSimulator(cfg)
-        assert sim.engine.traffic.pattern_impl.hotspots == [3]
+        assert sim.engine.traffic.hotspots == [3]
         sim.run()
         # Node 3's own messages fall back to uniform destinations.
         assert {r.dst for r in sim.engine.records if r.src != 3} == {3}

@@ -192,13 +192,13 @@ def test_second_simulator_construction_budget():
         after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert second.topology is first.topology
+    assert second.engine.topology is first.engine.topology
     assert (after - before) / 1024 <= 900
 
 
 def test_shared_tables_stay_linear_and_queues_only_where_tokens_are():
     sim = NetworkSimulator(_fig12_cfg())
-    topology = sim.topology
+    topology = sim.engine.topology
     seen_busy = 0
 
     class Watch:
@@ -247,7 +247,7 @@ def test_results_do_not_depend_on_what_ran_before():
     for order in (names, names[::-1]):
         cube.cache_clear()
         sims = [NetworkSimulator(PINNED_CONFIGS[name]()) for name in order]
-        assert sims[0].topology is sims[1].topology
+        assert sims[0].engine.topology is sims[1].engine.topology
         for name, sim in zip(order, sims):
             assert result_digest(sim.run()) == golden[name], (name, order)
-        assert sims[0].topology.escape_hops
+        assert sims[0].engine.topology.escape_hops

@@ -13,15 +13,16 @@ from unittest import mock
 import pytest
 
 import repro.sim.parallel as parallel
+import repro.sim.simulator as simulator
 from repro.experiments.common import QUICK, Scale, run_point
 from repro.sim.config import SimulationConfig
 from repro.sim.parallel import (
     replicate,
     resolve_jobs,
     run_configs,
-    run_one_config,
     run_tasks,
 )
+from repro.sim.simulator import run_config
 from repro.sim.stats import RunResult, aggregate_replications
 
 
@@ -36,7 +37,7 @@ def quick_config(seed: int, load: float = 0.05) -> SimulationConfig:
 def replicate_fakes(run_one, **kwargs):
     """Serial :func:`replicate` over ``run_one(seed)``'s results instead
     of simulations."""
-    with mock.patch.object(parallel, "run_one_config", run_one):
+    with mock.patch.object(simulator, "run_config", run_one):
         return replicate(lambda seed: seed, jobs=1, **kwargs)
 
 
@@ -112,7 +113,7 @@ class TestRunConfigs:
         """Pool results must line up index-for-index with the configs,
         never arrive in completion order."""
         configs = [quick_config(seed) for seed in (11, 12, 13)]
-        serial = [run_one_config(cfg) for cfg in configs]
+        serial = [run_config(cfg) for cfg in configs]
         parallel = run_configs(configs, jobs=2)
         assert len(parallel) == len(serial)
         for a, b in zip(serial, parallel):

@@ -437,7 +437,7 @@ def test_chunked_run_matches_reference(monkeypatch):
                     # the next step would — ``run()``'s jump relies on
                     # that too, and the RNG states are compared below.
                     idle = production.injection.idle_cycles(
-                        len(production.traffic.healthy_nodes)
+                        len(production.faults.healthy_nodes)
                     )
                     if idle + past <= 80:
                         chunk = idle + past

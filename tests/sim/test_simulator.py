@@ -3,11 +3,18 @@
 import pytest
 
 from repro.core.two_phase import TwoPhaseProtocol
+from repro.faults.model import FaultState
+from repro.network.topology import KAryNCube
 from repro.routing.duato import DuatoProtocol
 from repro.routing.mb import MBmProtocol
 from repro.routing.oblivious import DimensionOrderProtocol
 from repro.sim.config import FaultConfig, SimulationConfig
-from repro.sim.simulator import NetworkSimulator, make_protocol, run_config
+from repro.sim.simulator import (
+    NetworkSimulator,
+    idle_engine,
+    make_protocol,
+    run_config,
+)
 
 
 class TestFactory:
@@ -31,6 +38,13 @@ class TestFactory:
             make_protocol("dp", k_unsafe=3)
 
 
+class TestIdleEngine:
+    def test_fault_state_of_another_geometry_rejected(self):
+        """The fault state and the config state one network: an engine
+        does not run a 4-ary cube's faults on an 8-ary config."""
+        with pytest.raises(ValueError, match="4-ary 2-cube"):
+            idle_engine("tp", k=8, fault_state=FaultState(KAryNCube(4, 2)))
+
 class TestNetworkSimulator:
     def test_static_faults_placed(self):
         cfg = SimulationConfig(
@@ -38,9 +52,9 @@ class TestNetworkSimulator:
             faults=FaultConfig(static_node_faults=4),
             warmup_cycles=10, measure_cycles=10, seed=5,
         )
-        sim = NetworkSimulator(cfg)
-        assert len(sim.faults.faulty_nodes) == 4
-        assert sim.faults.healthy_nodes_connected()
+        faults = NetworkSimulator(cfg).engine.faults
+        assert len(faults.faulty_nodes) == 4
+        assert faults.healthy_nodes_connected()
 
     def test_traffic_excludes_faulty_nodes(self):
         cfg = SimulationConfig(
@@ -48,9 +62,9 @@ class TestNetworkSimulator:
             faults=FaultConfig(static_node_faults=4),
             warmup_cycles=10, measure_cycles=10, seed=5,
         )
-        sim = NetworkSimulator(cfg)
-        assert set(sim.traffic.healthy_nodes).isdisjoint(
-            sim.faults.faulty_nodes
+        faults = NetworkSimulator(cfg).engine.faults
+        assert faults.healthy_nodes == sorted(
+            set(range(faults.topology.num_nodes)) - faults.faulty_nodes
         )
 
     def test_dynamic_schedule_built(self):

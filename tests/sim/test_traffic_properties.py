@@ -2,8 +2,8 @@
 
 Three families, pinned with hypothesis:
 
-* **destination contract** — for every pattern, over arbitrary healthy
-  subsets, a returned destination is healthy and never the source;
+* **destination contract** — for every pattern, over arbitrary sets of
+  failed nodes, a returned destination is healthy and never the source;
 * **gap-sampling exactness** — :class:`BernoulliInjection`'s
   cycle-chunked arrivals are exactly the success positions of the flat
   inversion-method Bernoulli realization, and the
@@ -27,6 +27,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.model import FaultState
 from repro.network.topology import KAryNCube
 from repro.sim.config import SimulationConfig
 from repro.sim.traffic import (
@@ -53,6 +54,17 @@ PATTERN_PARAMS = {
 # ======================================================================
 # Destination contract
 # ======================================================================
+def _generator(pattern, seed, dead=()):
+    faults = FaultState(TOPOLOGY)
+    for node in sorted(dead):
+        faults.fail_node(node)
+    config = SimulationConfig(
+        k=TOPOLOGY.k, n=TOPOLOGY.n, traffic=pattern,
+        traffic_params=PATTERN_PARAMS[pattern],
+    )
+    return TrafficGenerator(config, faults, random.Random(seed))
+
+
 @given(
     pattern=st.sampled_from(sorted(PATTERN_PARAMS)),
     seed=st.integers(0, 2**16),
@@ -60,17 +72,10 @@ PATTERN_PARAMS = {
     src=st.integers(0, NUM_NODES - 1),
 )
 def test_destination_healthy_and_never_self(pattern, seed, dead, src):
-    """Any pattern, any healthy subset: destinations are healthy
+    """Any pattern, any set of failed nodes: destinations are healthy
     non-self nodes, or None (source sends nowhere right now)."""
-    healthy = [n for n in range(NUM_NODES) if n not in dead]
-    if src in dead:
-        healthy.append(src)
-        healthy.sort()
-    gen = TrafficGenerator(
-        pattern, TOPOLOGY, random.Random(seed),
-        healthy_nodes=healthy, params=PATTERN_PARAMS[pattern],
-    )
-    healthy_set = set(healthy)
+    gen = _generator(pattern, seed, dead - {src})
+    healthy_set = set(gen.faults.healthy_nodes)
     for _ in range(20):
         dst = gen.destination(src)
         if dst is not None:
@@ -86,14 +91,14 @@ def test_destination_healthy_and_never_self(pattern, seed, dead, src):
     ),
 )
 def test_healthy_update_respected(pattern, seed, survivors):
-    """After set_healthy_nodes, no pattern ever targets a dead node —
-    the non-uniform-sampling regression (hotspot weight must move)."""
-    gen = TrafficGenerator(
-        pattern, TOPOLOGY, random.Random(seed),
-        params=PATTERN_PARAMS[pattern],
-    )
+    """Once nodes fail in the generator's fault state, no pattern ever
+    targets a dead node — the non-uniform-sampling regression (hotspot
+    weight must move)."""
+    gen = _generator(pattern, seed)
     alive = sorted(survivors)
-    gen.set_healthy_nodes(alive)
+    for node in range(NUM_NODES):
+        if node not in survivors:
+            gen.faults.fail_node(node)
     src = alive[0]
     for _ in range(30):
         dst = gen.destination(src)

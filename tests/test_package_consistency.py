@@ -226,8 +226,8 @@ def test_design_names_existing_tests():
 #: ``FaultState`` fields only ``faults/model.py`` may write: a failure
 #: is permanent, so nothing else may set or undo one.
 _FAULT_FIELDS = {
-    "faulty_nodes", "channel_faulty", "channel_unsafe", "channel_restricted",
-    "last_failed_channels", "unsafe_radius", "epoch",
+    "faulty_nodes", "healthy_nodes", "channel_faulty", "channel_unsafe",
+    "channel_restricted", "last_failed_channels", "unsafe_radius", "epoch",
 }
 _MUTATORS = {"add", "discard", "clear", "remove", "update", "pop"}
 
